@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <stdexcept>
 
 #include "geometry/convex_hull.hpp"
@@ -10,14 +9,6 @@
 namespace cohesion::core {
 
 using geom::Vec2;
-
-namespace {
-
-/// Resolution below which two perceived positions count as one robot
-/// (paper footnote 4).
-constexpr double kColocationEps = 1e-12;
-
-}  // namespace
 
 Engine::Engine(std::vector<Vec2> initial, const Algorithm& algorithm, Scheduler& scheduler,
                EngineConfig config)
@@ -203,46 +194,6 @@ void Engine::append_soa_survivors(const LocalFrame& frame, Snapshot& snap) {
   }
 }
 
-void Engine::resolve_multiplicity(Snapshot& snap) {
-  auto& nb = snap.neighbours;
-  if (!config_.visibility.multiplicity_detection) {
-    // Co-located robots are perceived as a single robot (paper footnote 4):
-    // collapse perceived positions closer than a resolution threshold.
-    std::vector<ObservedRobot> collapsed;
-    for (const auto& o : nb) {
-      const bool dup = std::any_of(collapsed.begin(), collapsed.end(), [&](const ObservedRobot& c) {
-        return geom::almost_equal(c.position, o.position, kColocationEps);
-      });
-      if (!dup) collapsed.push_back(o);
-    }
-    nb = std::move(collapsed);
-    return;
-  }
-  // Flag every robot that shares its perceived position with another.
-  // Sort-and-group: after sorting by (x, y), any almost-equal partner of an
-  // element lies in the forward window where the x gap is still <= eps, so
-  // one windowed sweep replaces the quadratic count_if per element.
-  const std::size_t k = nb.size();
-  if (k < 2) return;
-  mult_order_.resize(k);
-  std::iota(mult_order_.begin(), mult_order_.end(), 0u);
-  std::sort(mult_order_.begin(), mult_order_.end(), [&](std::uint32_t a, std::uint32_t b) {
-    const Vec2 pa = nb[a].position, pb = nb[b].position;
-    return pa.x != pb.x ? pa.x < pb.x : pa.y < pb.y;
-  });
-  for (std::size_t i = 0; i < k; ++i) {
-    const Vec2 pi = nb[mult_order_[i]].position;
-    for (std::size_t j = i + 1; j < k; ++j) {
-      const Vec2 pj = nb[mult_order_[j]].position;
-      if (pj.x - pi.x > kColocationEps) break;
-      if (std::abs(pj.y - pi.y) <= kColocationEps) {
-        nb[mult_order_[i]].multiplicity = true;
-        nb[mult_order_[j]].multiplicity = true;
-      }
-    }
-  }
-}
-
 Snapshot Engine::honest_snapshot(RobotId robot, Time t, const LocalFrame& frame) {
   Snapshot snap;
   if (!config_.use_spatial_index) {
@@ -252,7 +203,11 @@ Snapshot Engine::honest_snapshot(RobotId robot, Time t, const LocalFrame& frame)
   } else {
     snapshot_via_grid(robot, t, frame, snap);
   }
-  resolve_multiplicity(snap);
+  if (config_.visibility.multiplicity_detection) {
+    colocation_.flag(snap.neighbours);
+  } else {
+    colocation_.collapse(snap.neighbours);
+  }
   return snap;
 }
 

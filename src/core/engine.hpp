@@ -38,6 +38,7 @@
 
 #include "core/activation.hpp"
 #include "core/algorithm.hpp"
+#include "core/colocation.hpp"
 #include "core/error_model.hpp"
 #include "core/kinematics.hpp"
 #include "core/scheduler.hpp"
@@ -172,8 +173,6 @@ class Engine final : public SimulationView {
   /// Emit the SoA filter's survivors into the snapshot — the same
   /// ascending-id perceive() sequence the scalar loops produce.
   void append_soa_survivors(const LocalFrame& frame, Snapshot& snap);
-  /// Collapse or flag co-located perceived robots (paper footnote 4).
-  void resolve_multiplicity(Snapshot& snap);
   /// Ensure positions_now_/grid_ describe time `t`.
   void refresh_grid(Time t);
   /// positions_now_[robot] at the incremental path's current query time,
@@ -201,7 +200,7 @@ class Engine final : public SimulationView {
   SpatialGrid grid_;
   std::vector<geom::Vec2> positions_now_;   // all positions at grid_time_
   std::vector<std::size_t> neighbor_ids_;   // query scratch
-  std::vector<std::uint32_t> mult_order_;   // multiplicity sort scratch
+  ColocationIndex colocation_;              // collapse/flag co-located neighbours
   Time grid_time_ = 0.0;
   bool grid_valid_ = false;
 

@@ -76,6 +76,7 @@ class LocalFrame {
 
  private:
   double rotation_ = 0.0;
+  double cos_ = 1.0, sin_ = 0.0;  // of rotation_, once per frame, not per perceive()
   bool reflect_ = false;
   SymmetricDistortion distortion_;
   double distance_delta_ = 0.0;

@@ -63,6 +63,12 @@ struct CohesionCase {
   std::uint64_t seed;
 };
 
+// Without this gtest prints the raw bytes of the case (the address of
+// `label` and padding), so the registered test names would change per build.
+void PrintTo(const CohesionCase& c, std::ostream* os) {
+  *os << c.label << " (k=" << c.k << ", seed=" << c.seed << ")";
+}
+
 class Theorem34 : public ::testing::TestWithParam<CohesionCase> {};
 
 TEST_P(Theorem34, VisibilityPreserved) {

@@ -29,6 +29,10 @@ struct SchedCase {
   std::size_t k;  // 0 = FSync, 1.. = KAsync(k); 100+x = KNestA(x); 99 = SSync
 };
 
+// Without this gtest prints the raw bytes of the case, which include the
+// address of `label`, so the registered test names would change per build.
+void PrintTo(const SchedCase& c, std::ostream* os) { *os << c.label << " (k=" << c.k << ")"; }
+
 class KknpsConverges : public ::testing::TestWithParam<SchedCase> {};
 
 TEST_P(KknpsConverges, RandomConnectedConfiguration) {
