@@ -15,8 +15,9 @@
 // The interesting axis is therefore incremental-vs-rebuild under KAsync,
 // where every Look has a distinct time: acceptance for PR 3 is >= 1.3x at
 // n = 4096 (BM_KAsyncFast vs the PR 2 BM_KAsyncGrid number). Once the
-// rebuild is gone the scheduler's own O(n) tie-jitter selection loop is
-// the next O(n)-per-activation term, so the KAsync series carries a fourth
+// rebuild is gone the scheduler's own tie-jitter selection (n RNG draws
+// per proposal, batched and vectorized but still ~4 ns per robot) is the
+// next O(n)-per-activation term, so the KAsync series carries a fourth
 // variant, BM_KAsyncFast = incremental index + the scheduler's opt-in
 // heap selection. The brute-force series stops at 1024 — beyond that a
 // single reference run dominates the whole bench.

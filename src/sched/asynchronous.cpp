@@ -16,6 +16,53 @@ namespace {
 constexpr double kIntervalEps = 1e-12;
 }  // namespace
 
+RobotId select_jittered(Mt19937_64& rng, std::span<const double> ready, double frontier) {
+  // One engine block at a time: draw the words in bulk, turn them into
+  // jittered times, take the chunk's minimum, and look up its first index
+  // only when it beats the best so far. GCC vectorizes the time loop (this
+  // file is built with -fno-trapping-math so the max and the fixup
+  // if-convert); the minimum runs as kLanes independent chains instead of
+  // one compare-and-branch per robot. Each time is computed as the
+  // reference loop computes it: max(ready, frontier) + (canonical *
+  // (1e-6 - 0.0) + 0.0), the bracket being uniform_real_distribution's
+  // affine map. The outer addition is never fused into an FMA: strict
+  // -std=c++20 (no GNU extensions) implies -ffp-contract=off, even under
+  // -march=native.
+  constexpr std::size_t kChunk = Mt19937_64::state_size;
+  constexpr std::size_t kLanes = 4;
+  static_assert(kChunk % kLanes == 0);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // Left uninitialized on purpose: each chunk writes every element it
+  // reads first, and zeroing 5 KB per call would cost small swarms more
+  // than the selection itself.
+  std::uint64_t words[kChunk];
+  double times[kChunk];
+  double best_t = kInf;
+  RobotId best = 0;
+  for (std::size_t lo = 0; lo < ready.size(); lo += kChunk) {
+    const std::size_t len = std::min(kChunk, ready.size() - lo);
+    rng.generate(words, len);
+    const double* base = ready.data() + lo;
+    for (std::size_t i = 0; i < len; ++i) {
+      times[i] = std::max(base[i], frontier) + (canonical_double(words[i]) * 1e-6 + 0.0);
+    }
+    const std::size_t padded = (len + kLanes - 1) / kLanes * kLanes;
+    std::fill(times + len, times + padded, kInf);
+    double lane_min[kLanes] = {kInf, kInf, kInf, kInf};
+    for (std::size_t i = 0; i < padded; i += kLanes) {
+      for (std::size_t l = 0; l < kLanes; ++l) lane_min[l] = std::min(lane_min[l], times[i + l]);
+    }
+    // Strict < keeps an earlier chunk's minimum on ties; std::find takes
+    // the first index within the chunk. Together: the lowest index wins.
+    const double chunk_min = *std::min_element(lane_min, lane_min + kLanes);
+    if (chunk_min < best_t) {
+      best_t = chunk_min;
+      best = lo + static_cast<std::size_t>(std::find(times, times + len, chunk_min) - times);
+    }
+  }
+  return best;
+}
+
 KAsyncScheduler::KAsyncScheduler(std::size_t robot_count) : KAsyncScheduler(robot_count, Params{}) {}
 
 KAsyncScheduler::KAsyncScheduler(std::size_t robot_count, Params params)
@@ -140,15 +187,7 @@ std::optional<Activation> KAsyncScheduler::next(const SimulationView& view) {
     best = ready_heap_.top().second;
     ready_heap_.pop();
   } else {
-    double best_t = std::numeric_limits<double>::infinity();
-    std::uniform_real_distribution<double> tie(0.0, 1e-6);
-    for (RobotId r = 0; r < n_; ++r) {
-      const double t = std::max(next_ready_[r], frontier) + tie(rng_);
-      if (t < best_t) {
-        best_t = t;
-        best = r;
-      }
-    }
+    best = select_jittered(rng_, next_ready_, frontier);
   }
 
   double look = std::max(next_ready_[best], frontier);

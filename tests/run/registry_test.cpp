@@ -73,6 +73,26 @@ TEST(Registry, UserRegistrationAndOverride) {
   EXPECT_EQ(reg.get("three_in_a_row")(99, 1.0, 1, Json::object()).size(), 1u);
 }
 
+TEST(Registry, KAsyncRejectsUnknownParamNamingNearestKey) {
+  for (const char* key : {"kasync", "async"}) {
+    try {
+      (void)schedulers().get(key)(4, 7, Json::parse(R"({"k": 2, "heap_selecton": true})"));
+      FAIL() << key << ": expected std::runtime_error";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(key), std::string::npos) << what;
+      EXPECT_NE(what.find("\"heap_selecton\""), std::string::npos) << what;
+      EXPECT_NE(what.find("\"heap_selection\""), std::string::npos) << what;
+    }
+  }
+  // Every documented param is accepted, by both factories.
+  const Json all = Json::parse(
+      R"({"k": 2, "min_duration": 0.3, "max_duration": 2.0, "min_gap": 0.1, "max_gap": 0.5,
+          "xi": 0.5, "indexed_intervals": false, "heap_selection": true, "seed": 9})");
+  EXPECT_NE(schedulers().get("kasync")(4, 7, all), nullptr);
+  EXPECT_NE(schedulers().get("async")(4, 7, all), nullptr);
+}
+
 TEST(Registry, SeedParamPinsOverDerivedSeed) {
   // Two different derived seeds with the same pinned params seed must build
   // identically-behaving schedulers.

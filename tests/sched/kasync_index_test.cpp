@@ -5,6 +5,8 @@
 // traces — must match.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/validators.hpp"
 #include "sched/asynchronous.hpp"
 
@@ -47,8 +49,10 @@ class KAsyncIndexEquivalence
 
 TEST_P(KAsyncIndexEquivalence, SchedulesAreBitIdentical) {
   const auto [n, k, seed] = GetParam();
-  const auto indexed = schedule_of(n, k, seed, true, 2000);
-  const auto legacy = schedule_of(n, k, seed, false, 2000);
+  // At least a few activations per robot, so the k-bound binds at every n.
+  const std::size_t steps = std::max<std::size_t>(2000, 3 * n);
+  const auto indexed = schedule_of(n, k, seed, true, steps);
+  const auto legacy = schedule_of(n, k, seed, false, steps);
   ASSERT_EQ(indexed.size(), legacy.size());
   for (std::size_t i = 0; i < indexed.size(); ++i) {
     ASSERT_EQ(indexed[i].robot, legacy[i].robot) << "step " << i;
@@ -66,6 +70,10 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple<std::size_t, std::size_t, std::uint64_t>{16, 3, 23},
                       std::tuple<std::size_t, std::size_t, std::uint64_t>{16, 8, 29},
                       std::tuple<std::size_t, std::size_t, std::uint64_t>{64, 2, 31},
+                      // n > 312: every proposal's selection draws cross a
+                      // block of the engine's 312-word state
+                      std::tuple<std::size_t, std::size_t, std::uint64_t>{400, 2, 43},
+                      std::tuple<std::size_t, std::size_t, std::uint64_t>{2048, 2, 47},
                       // unrestricted Async: postponement disabled, pruning only
                       std::tuple<std::size_t, std::size_t, std::uint64_t>{16, SIZE_MAX, 37}));
 
