@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "core/visibility.hpp"
 #include "geometry/convex_hull.hpp"
 
 namespace cohesion::metrics {
@@ -24,8 +23,8 @@ constexpr double kLookSlack = 1e-12;
 ConvergenceAccumulator::ConvergenceAccumulator(std::vector<Vec2> initial, double v, double epsilon,
                                                bool track_min_pairwise)
     : initial_(std::move(initial)),
-      v_(v),
       epsilon_(epsilon),
+      stretch_(initial_, v),
       cur_(initial_.size()),
       prev_(initial_.size()),
       done_(initial_.size(), false),
@@ -78,7 +77,7 @@ void ConvergenceAccumulator::fold_sample(const std::vector<Vec2>& cfg) {
   if (rounds_to_halve_ == 0 && sample_index_ > 0 && diam <= initial_diameter_ / 2.0) {
     rounds_to_halve_ = sample_index_;
   }
-  const double stretch = core::worst_initial_pair_stretch(initial_, cfg, v_);
+  const double stretch = stretch_.worst_stretch(cfg);
   worst_stretch_ = std::max(worst_stretch_, stretch);
   if (stretch > 1.0 + 1e-9) cohesive_ = false;
   if (!first_converged_sample_ && diam <= epsilon_) first_converged_sample_ = sample_index_;

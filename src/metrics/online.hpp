@@ -31,6 +31,7 @@
 
 #include "core/activation.hpp"
 #include "core/types.hpp"
+#include "core/visibility.hpp"
 #include "geometry/vec2.hpp"
 #include "metrics/stats.hpp"
 
@@ -92,8 +93,9 @@ class ConvergenceAccumulator {
   void fold_sample(const std::vector<geom::Vec2>& cfg);
 
   std::vector<geom::Vec2> initial_;
-  double v_;
   double epsilon_;
+  // The initially-visible pair set, indexed once: every sample's stretch.
+  core::InitialPairSweep stretch_;
 
   // Last two trajectory segments per robot (current + previous), the
   // bounded history every pending sample draws from.

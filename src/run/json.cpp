@@ -1,5 +1,6 @@
 #include "run/json.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <charconv>
 #include <cstring>
@@ -488,6 +489,40 @@ bool Json::operator==(const Json& other) const {
     return as_double() == other.as_double();
   }
   return v_ == other.v_;
+}
+
+namespace {
+
+/// Levenshtein distance, for naming the nearest known key.
+std::size_t edit_distance(std::string_view a, std::string_view b) {
+  std::vector<std::size_t> row(b.size() + 1);
+  for (std::size_t j = 0; j <= b.size(); ++j) row[j] = j;
+  for (std::size_t i = 1; i <= a.size(); ++i) {
+    std::size_t diag = row[0];
+    row[0] = i;
+    for (std::size_t j = 1; j <= b.size(); ++j) {
+      const std::size_t up = row[j];
+      row[j] = std::min({row[j] + 1, row[j - 1] + 1, diag + (a[i - 1] == b[j - 1] ? 0 : 1)});
+      diag = up;
+    }
+  }
+  return row[b.size()];
+}
+
+}  // namespace
+
+void reject_unknown_keys(const Json& obj, std::string_view context, std::string_view prefix,
+                         std::initializer_list<std::string_view> known) {
+  if (!obj.is_object()) return;
+  for (const auto& [key, value] : obj.entries()) {
+    if (std::find(known.begin(), known.end(), key) != known.end()) continue;
+    const auto nearest = std::min_element(known.begin(), known.end(), [&](auto a, auto b) {
+      return edit_distance(key, a) < edit_distance(key, b);
+    });
+    throw std::runtime_error(std::string(context) + ": unknown key \"" + std::string(prefix) + key +
+                             "\" (nearest known: \"" + std::string(prefix) + std::string(*nearest) +
+                             "\")");
+  }
 }
 
 }  // namespace cohesion::run

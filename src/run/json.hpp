@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -107,5 +108,13 @@ class Json {
                JsonObject>
       v_;
 };
+
+/// Throws std::runtime_error naming the first key of object `obj` outside
+/// `known`, and the known key nearest to it, both under the key path
+/// `prefix`: `<context>: unknown key "<prefix><key>" (nearest known:
+/// "<prefix><known>")`. A misspelled key must not silently run the default.
+/// No-op for a non-object `obj`.
+void reject_unknown_keys(const Json& obj, std::string_view context, std::string_view prefix,
+                         std::initializer_list<std::string_view> known);
 
 }  // namespace cohesion::run

@@ -22,42 +22,11 @@ std::size_t size_or(const Json& params, std::string_view key, std::size_t fallba
   return static_cast<std::size_t>(params.uint_or(key, fallback));
 }
 
-/// Levenshtein distance, for naming the nearest known key.
-std::size_t edit_distance(std::string_view a, std::string_view b) {
-  std::vector<std::size_t> row(b.size() + 1);
-  for (std::size_t j = 0; j <= b.size(); ++j) row[j] = j;
-  for (std::size_t i = 1; i <= a.size(); ++i) {
-    std::size_t diag = row[0];
-    row[0] = i;
-    for (std::size_t j = 1; j <= b.size(); ++j) {
-      const std::size_t up = row[j];
-      row[j] = std::min({row[j] + 1, row[j - 1] + 1, diag + (a[i - 1] == b[j - 1] ? 0 : 1)});
-      diag = up;
-    }
-  }
-  return row[b.size()];
-}
-
-/// Throws naming the first key of `params` outside `known`, and the known
-/// key nearest to it: a misspelled param must not silently run the default.
-void reject_unknown_params(std::string_view factory, const Json& params,
-                           std::initializer_list<std::string_view> known) {
-  if (!params.is_object()) return;
-  for (const auto& [key, value] : params.entries()) {
-    if (std::find(known.begin(), known.end(), key) != known.end()) continue;
-    const auto nearest = std::min_element(known.begin(), known.end(), [&](auto a, auto b) {
-      return edit_distance(key, a) < edit_distance(key, b);
-    });
-    throw std::runtime_error(std::string(factory) + ": unknown param \"" + key +
-                             "\" (nearest known: \"" + std::string(*nearest) + "\")");
-  }
-}
-
 std::unique_ptr<core::Scheduler> make_kasync(std::size_t n, std::uint64_t seed, const Json& params,
                                              bool unrestricted) {
-  reject_unknown_params(unrestricted ? "async" : "kasync", params,
-                        {"k", "min_duration", "max_duration", "min_gap", "max_gap", "xi",
-                         "indexed_intervals", "heap_selection", "seed"});
+  reject_unknown_keys(params, unrestricted ? "async" : "kasync", "",
+                      {"k", "min_duration", "max_duration", "min_gap", "max_gap", "xi",
+                       "indexed_intervals", "heap_selection", "seed"});
   sched::KAsyncScheduler::Params p;
   // k = 0 (or the "async" key) selects unrestricted Async.
   p.k = unrestricted ? static_cast<std::size_t>(-1) : size_or(params, "k", p.k);

@@ -1,5 +1,7 @@
 #include "run/spec.hpp"
 
+#include <cmath>
+#include <cstdio>
 #include <stdexcept>
 
 namespace cohesion::run {
@@ -109,6 +111,16 @@ Json RunSpec::to_json() const {
   return j;
 }
 
+namespace {
+
+void require_object(const Json& block, const char* key) {
+  if (!block.is_object()) {
+    throw std::runtime_error(std::string("RunSpec: ") + key + " must be a JSON object");
+  }
+}
+
+}  // namespace
+
 RunSpec RunSpec::from_json(const Json& j) {
   if (!j.is_object()) throw std::runtime_error("RunSpec must be a JSON object");
   RunSpec s;
@@ -120,14 +132,28 @@ RunSpec RunSpec::from_json(const Json& j) {
   if (const Json* v = j.find("error")) s.error = FactorySpec::from_json(*v, "noisy");
   if (const Json* v = j.find("initial")) s.initial = FactorySpec::from_json(*v, "random");
   if (const Json* vis = j.find("visibility")) {
+    // Every key to_json() emits is known, so checkpoint, cache and shard
+    // round trips parse; anything else (a typo like "radus") is an error.
+    require_object(*vis, "visibility");
+    reject_unknown_keys(*vis, "RunSpec", "visibility.", {"radius", "open_ball", "multiplicity"});
     s.visibility_radius = vis->number_or("radius", s.visibility_radius);
     s.open_ball = vis->bool_or("open_ball", s.open_ball);
     s.multiplicity_detection = vis->bool_or("multiplicity", s.multiplicity_detection);
+    if (!(std::isfinite(s.visibility_radius) && s.visibility_radius > 0.0)) {
+      char got[32];
+      std::snprintf(got, sizeof got, "%g", s.visibility_radius);
+      throw std::runtime_error(
+          std::string("RunSpec: visibility.radius must be a positive finite number (got ") + got +
+          ")");
+    }
   }
   s.use_spatial_index = j.bool_or("use_spatial_index", s.use_spatial_index);
   s.incremental_index = j.bool_or("incremental_index", s.incremental_index);
   s.soa_kernel = j.bool_or("soa_kernel", s.soa_kernel);
   if (const Json* st = j.find("stop")) {
+    require_object(*st, "stop");
+    reject_unknown_keys(*st, "RunSpec", "stop.",
+                        {"epsilon", "max_activations", "check_every", "max_time"});
     s.stop.epsilon = st->number_or("epsilon", s.stop.epsilon);
     s.stop.max_activations =
         static_cast<std::size_t>(st->uint_or("max_activations", s.stop.max_activations));

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <limits>
 #include <set>
+#include <string>
 
 namespace cohesion::run {
 namespace {
@@ -70,6 +73,76 @@ TEST(RunSpec, SoaKernelSerializedOnlyWhenEnabled) {
   // The flag participates in the identity exactly when serialized.
   EXPECT_NE(spec_fingerprint(off), spec_fingerprint(on));
   EXPECT_NE(run_identity(off), run_identity(on));
+}
+
+/// RunSpec::from_json's error text, or "" when it parses.
+std::string from_json_error(const Json& doc) {
+  try {
+    (void)RunSpec::from_json(doc);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(RunSpec, UnknownVisibilityOrStopKeyNamesPathAndNearestKey) {
+  // Before, a typo ran the default: "radus" gave V = 1 and exit 0.
+  const std::string vis = from_json_error(Json::parse(R"({"visibility": {"radus": 0.5}})"));
+  EXPECT_NE(vis.find("\"visibility.radus\""), std::string::npos) << vis;
+  EXPECT_NE(vis.find("\"visibility.radius\""), std::string::npos) << vis;
+
+  const std::string stop =
+      from_json_error(Json::parse(R"({"stop": {"epsilon": 0.1, "max_activation": 10}})"));
+  EXPECT_NE(stop.find("\"stop.max_activation\""), std::string::npos) << stop;
+  EXPECT_NE(stop.find("\"stop.max_activations\""), std::string::npos) << stop;
+
+  // A block that is not an object is an error too, not a silent default.
+  EXPECT_NE(from_json_error(Json::parse(R"({"visibility": 0.5})")), "");
+  EXPECT_NE(from_json_error(Json::parse(R"({"stop": [1]})")), "");
+}
+
+TEST(RunSpec, EveryEmittedKeyParses) {
+  // to_json() output must stay parseable: checkpoints, cache entries and
+  // shard files all carry it.
+  RunSpec s = sample_spec();
+  s.trace.mode = "stream";
+  s.trace.path = "x.cohtrace";
+  EXPECT_EQ(from_json_error(s.to_json()), "");
+  EXPECT_EQ(from_json_error(RunSpec{}.to_json()), "");
+}
+
+TEST(RunSpec, RejectsNonPositiveOrNonFiniteRadius) {
+  for (const double r : {0.0, -0.0, -1.0, std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN()}) {
+    Json doc = Json::object();
+    Json vis = Json::object();
+    vis.set("radius", r);
+    doc.set("visibility", vis);
+    const std::string what = from_json_error(doc);
+    EXPECT_NE(what.find("visibility.radius"), std::string::npos) << r << ": " << what;
+  }
+  EXPECT_EQ(from_json_error(Json::parse(R"({"visibility": {"radius": 1e-3}})")), "");
+}
+
+TEST(RunSpec, CheckedInSpecsStillLoad) {
+  // Every spec shipped with the repository parses and expands under the
+  // strict schema.
+  const std::filesystem::path root = std::filesystem::path(__FILE__).parent_path() / "../..";
+  std::size_t loaded = 0;
+  for (const char* dir : {"bench/specs", "perfbench/specs"}) {
+    for (const auto& entry : std::filesystem::directory_iterator(root / dir)) {
+      if (entry.path().extension() != ".json") continue;
+      const Json doc = Json::parse_file(entry.path().string());
+      SCOPED_TRACE(entry.path().string());
+      if (doc.contains("base")) {
+        EXPECT_NO_THROW((void)ExperimentSpec::from_json(doc).expand());
+      } else {
+        EXPECT_NO_THROW((void)RunSpec::from_json(doc));
+      }
+      ++loaded;
+    }
+  }
+  EXPECT_GE(loaded, 5u);
 }
 
 TEST(RunSpec, FactoryShorthandString) {

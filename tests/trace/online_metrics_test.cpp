@@ -20,6 +20,7 @@
 #include "metrics/configurations.hpp"
 #include "metrics/online.hpp"
 #include "metrics/stats.hpp"
+#include "oracles/stretch_oracle.hpp"
 #include "sched/asynchronous.hpp"
 #include "sched/synchronous.hpp"
 #include "trace/online_metrics.hpp"
@@ -296,6 +297,60 @@ TEST(OnlineMetrics, BackwardLookWithinSlackMatchesOracle) {
   expect_identical_reports(reference, metrics::analyze_rescan(memory.trace(), 1.0, 0.05), 0,
                            "scripted rescan");
   expect_identical_reports(online.report(), reference, 0, "scripted live");
+}
+
+TEST(OnlineMetrics, DenseStartStreamedMatchesMemoryAndRescan) {
+  // Contract 10 at the density perfbench's dense_fsync runs: a lattice at
+  // spacing 0.05 V gives every robot hundreds of initially-visible pairs,
+  // so the stretch metric sweeps hundreds of thousands of pairs per sample.
+  // Live-streamed, in-memory and rescan reports must agree exactly, and
+  // the worst stretch must equal the pairwise reference over the samples.
+  const double v = 1.0;
+  const double epsilon = 0.05;
+  for (const std::size_t n : {64u, 300u, 1024u}) {
+    for (const bool fsync : {true, false}) {
+      SCOPED_TRACE(std::string(fsync ? "FSync" : "KAsync") + " n " + std::to_string(n));
+      const auto initial = metrics::grid_configuration(n, 0.05 * v);
+      const algo::KknpsAlgorithm algorithm(algo::KknpsAlgorithm::Params{.k = 1});
+      const auto scheduler = [&]() -> std::unique_ptr<core::Scheduler> {
+        if (fsync) return std::make_unique<sched::FSyncScheduler>(n);
+        sched::KAsyncScheduler::Params p;
+        p.seed = n;
+        p.k = 2;
+        return std::make_unique<sched::KAsyncScheduler>(n, p);
+      };
+      core::EngineConfig config;
+      config.seed = n;
+      const std::size_t steps = (fsync ? 3 : 2) * n;
+
+      auto sched_mem = scheduler();
+      core::Engine memory(initial, algorithm, *sched_mem, config);
+      ASSERT_EQ(memory.run(steps), steps);
+
+      auto sched_live = scheduler();
+      config.record_history = false;
+      core::Engine bounded(initial, algorithm, *sched_live, config);
+      OnlineMetrics online(initial, v, epsilon);
+      bounded.set_trace_sink(&online);
+      ASSERT_EQ(bounded.run(steps), steps);
+
+      const core::Trace& trace = memory.trace();
+      const metrics::ConvergenceReport reference = metrics::analyze(trace, v, epsilon);
+      ASSERT_GE(reference.rounds, 1u);
+      expect_identical_reports(metrics::analyze_rescan(trace, v, epsilon), reference, n,
+                               "dense rescan");
+      expect_identical_reports(online.report(), reference, n, "dense live");
+
+      std::vector<core::Time> samples = trace.round_boundaries();
+      samples.push_back(trace.end_time() + 1.0);
+      double worst = 0.0;
+      for (const core::Time t : samples) {
+        worst = std::max(worst, oracles::worst_initial_pair_stretch(
+                                    initial, trace.configuration(t), v));
+      }
+      EXPECT_EQ(reference.worst_stretch, worst);
+    }
+  }
 }
 
 TEST(OnlineMetrics, FinishTwiceThrows) {

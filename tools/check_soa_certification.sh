@@ -1,21 +1,25 @@
 #!/usr/bin/env bash
 # SoA certification battery (architecture contract 12): the SoA snapshot
-# kernel, and KAsync's batched robot selection (contract 2), must be
+# kernel, KAsync's batched robot selection (contract 2) and the
+# cohesion-stretch sweep (core::InitialPairSweep, contract 10) must be
 # bit-identical to their scalar references, or the build is rejected. This
 # script proves it under the two configurations most likely to break
 # bit-identity or memory safety:
 #
 #   asan    -DCOHESION_SANITIZE=address  — the 500-seed differential fuzz,
-#           the pool/filter property tests and the selection fuzz with
-#           every allocation and gather bounds-checked;
+#           the pool/filter property tests, the selection fuzz and the
+#           2400-case stretch-sweep fuzz with every allocation and gather
+#           bounds-checked;
 #   native  -DCOHESION_NATIVE=ON         — the same suites compiled with
 #           -march=native (widest vectors + FMA contraction the host
-#           supports), demonstrating the certified-band design is immune
-#           to ISA and contraction choices.
+#           supports), demonstrating the certified-band design — the SoA
+#           filter's and the stretch sweep's squared-distance bands alike —
+#           is immune to ISA and contraction choices.
 #
 # Each configuration is a scoped subtree build under $1 (default
 # build/soa-cert relative to the repo root) restricted via
-# -DCOHESION_SOA_CERT_ONLY=ON to the library plus tests/core/soa_*.cpp and
+# -DCOHESION_SOA_CERT_ONLY=ON to the library plus tests/core/soa_*.cpp,
+# tests/core/stretch_sweep_test.cpp and
 # tests/sched/kasync_selection_test.cpp, so
 # the battery stays cheap enough for tier-1 (the `soa_certification` ctest
 # test runs this script). A configuration whose toolchain flags do not work
