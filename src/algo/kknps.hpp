@@ -34,8 +34,9 @@ class KknpsAlgorithm final : public core::Algorithm {
   struct Params {
     std::size_t k = 1;          ///< asynchrony bound; safe regions scale 1/k
     double distance_delta = 0.0;  ///< assumed bound on relative distance error
-    /// Angular slack below pi for the stay-put test. The paper's test is
-    /// exact (gap <= pi); a tiny tolerance guards floating-point ties.
+    /// Angular slack above pi for the stay-put test (gap <= pi + tol). The
+    /// paper's test is exact (gap <= pi); a tiny tolerance guards
+    /// floating-point ties. Must be finite and >= 0.
     double halfplane_tolerance = 1e-12;
     /// Safe-region radius = V_Y / (radius_divisor * k). The paper uses 8
     /// "mostly for convenience" (footnote 11): anything at least this

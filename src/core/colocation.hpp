@@ -9,16 +9,18 @@
 // neighbour that has a co-located partner.
 //
 // Both rules are stated pair by pair, and the all-pairs reference
-// (tests/oracles/colocation_oracle.hpp) costs O(k²) per Look, which
-// dominated dense Looks (~700 neighbours each). One sort of the snapshot by
-// (x, y, index) groups equal x values into runs, each ascending in y, so a
-// co-location query is a binary search in its own run plus the neighbouring
-// runs whose x is within eps, with bit-identical results. Only points
-// packed into an x-strip narrower than eps make the run walk long.
-// collapse() then falls back to scanning its kept list, so it never costs
-// more than twice the pairwise rule; flag() walks the strip, as a sweep over
-// the sorted snapshot would. collapse() runs the pairwise rule directly
-// below 48 neighbours, where building the index costs more than it saves.
+// (tests/oracles/colocation_oracle.hpp) costs O(k²) per Look. Co-location
+// is a fixed-radius question, so a hash of square cells w = 8·eps wide
+// answers it with no sort: a finite position lives in cell
+// (trunc(fl(x / w)), trunc(fl(y / w))), and a query for p compares the
+// chains of the cells from cell(fl(p - eps)) to cell(fl(p + eps)) on each
+// axis, at most two per axis. Those cells hold every partner. Cells are
+// monotone in the coordinate because rounding is, and a partner beyond
+// fl(p ± eps) lies within an ulp of eps of it, below 2^-39 in magnitude,
+// where truncation puts everything into the one cell (-w, w). (A floor
+// would split that cell at 0 and lose the pair (eps, -1e-30).) collapse()
+// indexes only kept neighbours, flag() all of them, and every comparison
+// is the exact predicate, so results are bit-identical to the reference.
 #pragma once
 
 #include <cstddef>
@@ -38,36 +40,40 @@ class ColocationIndex {
   void collapse(std::vector<ObservedRobot>& neighbours);
   /// Set `multiplicity` on each neighbour that shares its location.
   void flag(std::vector<ObservedRobot>& neighbours);
-  /// Index entries, runs and kept neighbours the last call examined: its
-  /// work, bounded per query as described above.
+  /// Chain entries the last call compared with the co-location predicate:
+  /// its work, at most the occupancy of a query's cells per query.
   [[nodiscard]] std::size_t probes() const { return probes_; }
 
  private:
-  struct Key {
-    double x, y;
-    std::uint32_t index;  // position in the snapshot
+  struct Slot {
+    double cx = 0.0, cy = 0.0;  ///< the cell
+    std::int32_t head = -1;     ///< first neighbour of its chain through next_
+    std::uint32_t stamp = 0;    ///< live iff equal to generation_
   };
-  static constexpr std::uint32_t kUnindexed = UINT32_MAX;
-  enum class Probe { kAbsent, kFound, kOverBudget };
 
-  /// Sort the finite positions and delimit their equal-x runs. A
-  /// non-finite coordinate is never almost_equal to anything, so such
-  /// neighbours stay out of the index (rank kUnindexed).
-  void build(const std::vector<ObservedRobot>& neighbours);
-  /// Whether some other indexed key co-located with keys_[rank] passes
-  /// `accept(snapshot index)`, giving up after `budget` steps.
-  template <class Accept>
-  Probe probe(std::uint32_t rank, Accept accept, std::size_t budget);
-  /// The pairwise rule: whether `p` is co-located with one of the first
-  /// `kept` neighbours.
-  bool colocated_with_kept(const std::vector<ObservedRobot>& neighbours, std::size_t kept,
-                           geom::Vec2 p);
+  /// Empty the table, sized for `count` cells.
+  void clear(std::size_t count);
+  /// Slot holding cell (cx, cy) this generation, or the free slot for it.
+  [[nodiscard]] std::size_t find_slot(double cx, double cy) const;
+  /// The slot of cell (cx, cy), made live with an empty chain if it was not.
+  std::size_t claim(double cx, double cy);
+  /// Whether an indexed neighbour other than `self` is co-located with `p`
+  /// (finite). Sets `own` to the claimed slot of p's own cell.
+  bool has_partner(const std::vector<ObservedRobot>& neighbours, geom::Vec2 p,
+                   std::uint32_t self, std::size_t& own);
+  /// Chain neighbour `i` into slot `s`.
+  void insert(std::uint32_t i, std::size_t s) {
+    next_[i] = slots_[s].head;
+    slots_[s].head = static_cast<std::int32_t>(i);
+  }
 
-  std::vector<Key> keys_;                 // sorted by (x, y, index)
-  std::vector<std::uint32_t> run_begin_;  // per rank: first rank with equal x
-  std::vector<std::uint32_t> run_end_;    // per rank: one past the last
-  std::vector<std::uint32_t> rank_;       // per snapshot index
-  std::vector<bool> kept_;                // per snapshot index (collapse)
+  // Open-addressed cell table; clear() invalidates it by bumping
+  // generation_ instead of touching the slots.
+  std::vector<Slot> slots_;
+  std::vector<std::int32_t> next_;  // per snapshot index
+  std::uint32_t generation_ = 0;
+  std::size_t mask_ = 0;
+  int shift_ = 64;  // 64 - log2(slots_.size()), set by clear()
   std::size_t probes_ = 0;
 };
 

@@ -1,7 +1,9 @@
 #include "core/spatial_index.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <utility>
 
 namespace cohesion::core {
 
@@ -43,6 +45,25 @@ std::size_t mix_cell_key(std::uint64_t key) {
   return static_cast<std::size_t>(key ^ (key >> 31));
 }
 
+/// The cell window both grids' queries scan: every cell overlapping the
+/// bounding square of the closed ball around `q` (a superset of the open
+/// ball too), passed to `visit(key)`. Returns false without visiting when
+/// the square covers more cells than there are points (`n`), where a
+/// direct scan is cheaper and trivially exact.
+template <class Visit>
+bool for_each_query_cell(geom::Vec2 q, double r, double inv_cell, std::size_t n, Visit visit) {
+  const double rq = std::max(r, 0.0) + kVisibilityEpsilon;
+  const std::int64_t cx0 = cell_index(q.x - rq, inv_cell), cx1 = cell_index(q.x + rq, inv_cell);
+  const std::int64_t cy0 = cell_index(q.y - rq, inv_cell), cy1 = cell_index(q.y + rq, inv_cell);
+  const std::uint64_t span_x = static_cast<std::uint64_t>(cx1 - cx0) + 1;
+  const std::uint64_t span_y = static_cast<std::uint64_t>(cy1 - cy0) + 1;
+  if (span_x > 64 || span_y > 64 || span_x * span_y > n + 9) return false;
+  for (std::int64_t cx = cx0; cx <= cx1; ++cx) {
+    for (std::int64_t cy = cy0; cy <= cy1; ++cy) visit(pack_cell_key(cx, cy));
+  }
+  return true;
+}
+
 /// Per-axis cap on a segment's bucket span. Committed moves are bounded by
 /// ~the visibility radius (= one cell side) plus motion error, so real
 /// segments span <= 2-3 cells per axis; anything larger goes to the outlier
@@ -50,6 +71,22 @@ std::size_t mix_cell_key(std::uint64_t key) {
 constexpr std::int64_t kMaxSegmentSpan = 8;
 
 }  // namespace
+
+void IdBitmap::reset(std::size_t n) {
+  words_.assign((n + 63) / 64, 0);
+  summary_.assign((words_.size() + 63) / 64, 0);
+}
+
+void IdBitmap::take_ascending(std::vector<std::size_t>& out) {
+  for (std::size_t s = 0; s < summary_.size(); ++s) {
+    for (std::uint64_t live = std::exchange(summary_[s], 0); live != 0; live &= live - 1) {
+      const std::size_t w = (s << 6) | static_cast<std::size_t>(std::countr_zero(live));
+      for (std::uint64_t bits = std::exchange(words_[w], 0); bits != 0; bits &= bits - 1) {
+        out.push_back((w << 6) | static_cast<std::size_t>(std::countr_zero(bits)));
+      }
+    }
+  }
+}
 
 void SpatialGrid::set_cell_size(double cell_size) {
   cell_ = (std::isfinite(cell_size) && cell_size > 0.0) ? cell_size : 1.0;
@@ -89,6 +126,7 @@ void SpatialGrid::rebuild(const std::vector<geom::Vec2>& points) {
   ensure_capacity(points.size());
   ++stamp_;
   next_.assign(points.size(), -1);
+  marks_.reset(points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
     const std::uint64_t key = cell_key(cell_of(points[i].x), cell_of(points[i].y));
     const std::size_t slot = find_slot(key);
@@ -102,78 +140,42 @@ void SpatialGrid::rebuild(const std::vector<geom::Vec2>& points) {
   }
 }
 
-void SpatialGrid::neighbors_within(geom::Vec2 q, double r, bool open_ball,
-                                   std::vector<std::size_t>& out) const {
+template <class Keep>
+void SpatialGrid::enumerate(geom::Vec2 q, double r, Keep keep, std::vector<std::size_t>& out) {
   out.clear();
   if (points_ == nullptr || next_.empty()) return;
-  const std::vector<geom::Vec2>& pts = *points_;
-  const auto visible = [&](std::size_t i) {
-    const double d = q.distance_to(pts[i]);
-    return open_ball ? (d < r) : (d <= r + kVisibilityEpsilon);
-  };
-
-  // Bounding square of the closed ball (a superset of the open ball too).
-  const double rq = std::max(r, 0.0) + kVisibilityEpsilon;
-  const std::int64_t cx0 = cell_of(q.x - rq), cx1 = cell_of(q.x + rq);
-  const std::int64_t cy0 = cell_of(q.y - rq), cy1 = cell_of(q.y + rq);
-  const std::uint64_t span_x = static_cast<std::uint64_t>(cx1 - cx0) + 1;
-  const std::uint64_t span_y = static_cast<std::uint64_t>(cy1 - cy0) + 1;
-  if (span_x > 64 || span_y > 64 || span_x * span_y > pts.size() + 9) {
-    // Query ball covers more cells than there are points: a direct scan is
-    // cheaper (and trivially exact). Ids come out already ascending.
-    for (std::size_t i = 0; i < pts.size(); ++i) {
-      if (visible(i)) out.push_back(i);
+  const bool windowed = for_each_query_cell(q, r, inv_cell_, next_.size(), [&](std::uint64_t key) {
+    const std::size_t slot = find_slot(key);
+    if (slot_stamp_[slot] != stamp_) return;
+    for (std::int32_t i = slot_head_[slot]; i >= 0; i = next_[i]) {
+      if (keep(static_cast<std::size_t>(i))) marks_.mark(static_cast<std::size_t>(i));
     }
+  });
+  if (windowed) {
+    marks_.take_ascending(out);
     return;
   }
-
-  for (std::int64_t cx = cx0; cx <= cx1; ++cx) {
-    for (std::int64_t cy = cy0; cy <= cy1; ++cy) {
-      const std::size_t slot = find_slot(cell_key(cx, cy));
-      if (slot_stamp_[slot] != stamp_) continue;
-      for (std::int32_t i = slot_head_[slot]; i >= 0; i = next_[i]) {
-        if (visible(static_cast<std::size_t>(i))) {
-          out.push_back(static_cast<std::size_t>(i));
-        }
-      }
-    }
+  // Ids come out already ascending.
+  for (std::size_t i = 0; i < next_.size(); ++i) {
+    if (keep(i)) out.push_back(i);
   }
-  std::sort(out.begin(), out.end());
-  // Key aliasing can route one point through two scanned buckets only if two
-  // scanned cells share a slot key; dedupe to keep the contract exact.
-  out.erase(std::unique(out.begin(), out.end()), out.end());
 }
 
-void SpatialGrid::candidates_within(geom::Vec2 q, double r,
-                                    std::vector<std::size_t>& out) const {
-  out.clear();
-  if (points_ == nullptr || next_.empty()) return;
-  const std::vector<geom::Vec2>& pts = *points_;
+void SpatialGrid::neighbors_within(geom::Vec2 q, double r, bool open_ball,
+                                   std::vector<std::size_t>& out) {
+  const std::vector<geom::Vec2>* pts = points_;
+  enumerate(
+      q, r,
+      [&](std::size_t i) {
+        const double d = q.distance_to((*pts)[i]);
+        return open_ball ? (d < r) : (d <= r + kVisibilityEpsilon);
+      },
+      out);
+}
 
-  // Identical cell-window arithmetic to neighbors_within, so the returned
-  // set is exactly the set that query examines — predicate deferred.
-  const double rq = std::max(r, 0.0) + kVisibilityEpsilon;
-  const std::int64_t cx0 = cell_of(q.x - rq), cx1 = cell_of(q.x + rq);
-  const std::int64_t cy0 = cell_of(q.y - rq), cy1 = cell_of(q.y + rq);
-  const std::uint64_t span_x = static_cast<std::uint64_t>(cx1 - cx0) + 1;
-  const std::uint64_t span_y = static_cast<std::uint64_t>(cy1 - cy0) + 1;
-  if (span_x > 64 || span_y > 64 || span_x * span_y > pts.size() + 9) {
-    out.resize(pts.size());
-    for (std::size_t i = 0; i < pts.size(); ++i) out[i] = i;
-    return;
-  }
-
-  for (std::int64_t cx = cx0; cx <= cx1; ++cx) {
-    for (std::int64_t cy = cy0; cy <= cy1; ++cy) {
-      const std::size_t slot = find_slot(cell_key(cx, cy));
-      if (slot_stamp_[slot] != stamp_) continue;
-      for (std::int32_t i = slot_head_[slot]; i >= 0; i = next_[i]) {
-        out.push_back(static_cast<std::size_t>(i));
-      }
-    }
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
+void SpatialGrid::candidates_within(geom::Vec2 q, double r, std::vector<std::size_t>& out) {
+  // The same cells neighbors_within examines, predicate deferred.
+  enumerate(q, r, [](std::size_t) { return true; }, out);
 }
 
 // ---------------------------------------------------------------------------
@@ -322,6 +324,7 @@ void IncrementalGrid::reset(double cell_size, const std::vector<geom::Vec2>& ini
   settle_pos_ = initial;
   outliers_.clear();
   outlier_slot_.assign(n, -1);
+  marks_.reset(n);
   for (RobotId r = 0; r < n; ++r) {
     link(r, pack_cell_key(cell_of(initial[r].x), cell_of(initial[r].y)));
   }
@@ -372,42 +375,29 @@ void IncrementalGrid::advance_to(Time t) {
   }
 }
 
-void IncrementalGrid::candidates_near(geom::Vec2 q, double r,
-                                      std::vector<std::size_t>& out) const {
+void IncrementalGrid::candidates_near(geom::Vec2 q, double r, std::vector<std::size_t>& out) {
   out.clear();
   const std::size_t n = robot_nodes_.size();
   if (n == 0) return;
-
-  // Bounding square of the closed ball (a superset of the open ball too) —
-  // identical cell arithmetic to SpatialGrid::neighbors_within.
-  const double rq = std::max(r, 0.0) + kVisibilityEpsilon;
-  const std::int64_t cx0 = cell_of(q.x - rq), cx1 = cell_of(q.x + rq);
-  const std::int64_t cy0 = cell_of(q.y - rq), cy1 = cell_of(q.y + rq);
-  const std::uint64_t span_x = static_cast<std::uint64_t>(cx1 - cx0) + 1;
-  const std::uint64_t span_y = static_cast<std::uint64_t>(cy1 - cy0) + 1;
-  if (span_x > 64 || span_y > 64 || span_x * span_y > n + 9) {
-    // Query ball covers more cells than there are robots: every robot is a
-    // candidate (trivially a superset; the caller's predicate decides).
+  const bool windowed = for_each_query_cell(q, r, inv_cell_, n, [&](std::uint64_t key) {
+    const std::size_t slot = find_slot(key);
+    if (slot == static_cast<std::size_t>(-1)) return;
+    for (std::int32_t i = table_head_[slot]; i >= 0; i = nodes_[i].next) {
+      marks_.mark(static_cast<std::size_t>(nodes_[i].robot));
+    }
+  });
+  if (!windowed) {
+    // Every robot is a candidate (trivially a superset; the caller's
+    // predicate decides).
     out.resize(n);
     for (std::size_t i = 0; i < n; ++i) out[i] = i;
     return;
   }
-
-  for (std::int64_t cx = cx0; cx <= cx1; ++cx) {
-    for (std::int64_t cy = cy0; cy <= cy1; ++cy) {
-      const std::size_t slot = find_slot(pack_cell_key(cx, cy));
-      if (slot == static_cast<std::size_t>(-1)) continue;
-      for (std::int32_t i = table_head_[slot]; i >= 0; i = nodes_[i].next) {
-        out.push_back(static_cast<std::size_t>(nodes_[i].robot));
-      }
-    }
-  }
-  for (const std::uint32_t r_out : outliers_) out.push_back(r_out);
-  // Multi-cell segments (and clamping/key aliasing) can surface a robot
-  // several times; ids must come out ascending and unique so the caller's
-  // RNG-drawing perception loop sees the brute-force order.
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
+  // Multi-cell segments (and clamping/key aliasing) can mark a robot
+  // several times; the bitmap emits it once, in the ascending order the
+  // caller's RNG-drawing perception loop needs.
+  for (const std::uint32_t r_out : outliers_) marks_.mark(r_out);
+  marks_.take_ascending(out);
 }
 
 }  // namespace cohesion::core

@@ -8,9 +8,10 @@
 // open ball d < r, with d from Vec2::distance_to) to each candidate. The
 // grid therefore changes which pairs are examined, never the predicate, so
 // results are bit-identical to a brute-force scan over all points. Returned
-// ids are sorted ascending, so callers that consume neighbors in id order
-// (e.g. the engine's RNG-drawing perception loop) behave identically to the
-// O(n) scan they replace.
+// ids are ascending by construction (IdBitmap, below: marked in a
+// point-sized bitmap, emitted in bit order, no sort), so callers that
+// consume neighbors in id order (e.g. the engine's RNG-drawing perception
+// loop) behave identically to the O(n) scan they replace.
 //
 // The bucket table is open-addressed with stamp-based invalidation, so a
 // rebuild is O(n) with no per-rebuild allocation in steady state — cheap
@@ -39,6 +40,26 @@ namespace cohesion::core {
 /// (engine snapshots, visibility graphs, initial-pair stretch).
 inline constexpr double kVisibilityEpsilon = 1e-12;
 
+/// Query scratch of both grids: ids marked in any order, repeats allowed,
+/// come out ascending and unique without a sort. One bit per id, plus a
+/// summary bit per 64-id word that is non-zero, so emitting costs
+/// O(n / 4096 + marked words + ids) and leaves every bit clear again.
+class IdBitmap {
+ public:
+  /// Room for ids below `n`, all unmarked.
+  void reset(std::size_t n);
+  void mark(std::size_t id) {
+    words_[id >> 6] |= std::uint64_t{1} << (id & 63);
+    summary_[id >> 12] |= std::uint64_t{1} << ((id >> 6) & 63);
+  }
+  /// Append the marked ids to `out`, ascending, and unmark them.
+  void take_ascending(std::vector<std::size_t>& out);
+
+ private:
+  std::vector<std::uint64_t> words_;    // bit id % 64 of word id / 64
+  std::vector<std::uint64_t> summary_;  // bit w % 64 of word w / 64: words_[w] != 0
+};
+
 class SpatialGrid {
  public:
   SpatialGrid() = default;
@@ -56,15 +77,14 @@ class SpatialGrid {
   /// Ids (ascending) of indexed points within the closed (d <= r + 1e-12)
   /// or open (d < r) ball around `q`. Includes the query point itself when
   /// it is indexed; callers filter self-matches by id. `out` is overwritten.
-  void neighbors_within(geom::Vec2 q, double r, bool open_ball,
-                        std::vector<std::size_t>& out) const;
+  void neighbors_within(geom::Vec2 q, double r, bool open_ball, std::vector<std::size_t>& out);
 
   /// Ids (ascending, unique) of every indexed point in the cells overlapping
   /// the bounding square of the ball around `q` — the same cells
   /// neighbors_within scans, without the predicate: a superset of both ball
   /// variants for the caller (e.g. the SoA kernel) to filter exactly.
   /// Includes the query point itself when indexed. `out` is overwritten.
-  void candidates_within(geom::Vec2 q, double r, std::vector<std::size_t>& out) const;
+  void candidates_within(geom::Vec2 q, double r, std::vector<std::size_t>& out);
 
   [[nodiscard]] std::size_t size() const { return next_.size(); }
 
@@ -76,6 +96,12 @@ class SpatialGrid {
   /// where it would be inserted.
   [[nodiscard]] std::size_t find_slot(std::uint64_t key) const;
   void ensure_capacity(std::size_t point_count);
+  /// Mark every point in the cells overlapping the bounding square of the
+  /// ball around `q` that passes `keep(id)`, then emit the marks into
+  /// `out`. Falls back to a direct scan when the square covers more cells
+  /// than there are points.
+  template <class Keep>
+  void enumerate(geom::Vec2 q, double r, Keep keep, std::vector<std::size_t>& out);
 
   double cell_ = 1.0;
   double inv_cell_ = 1.0;
@@ -90,6 +116,7 @@ class SpatialGrid {
   std::vector<std::int32_t> next_;
   std::uint64_t stamp_ = 0;
   std::size_t mask_ = 0;
+  IdBitmap marks_;
 };
 
 /// Incrementally-maintained robot→cell index for the async engine hot path.
@@ -140,7 +167,7 @@ class IncrementalGrid {
   /// bounding square of the ball around `q` — a superset of the robots
   /// whose exact current position lies within distance r of `q`. The caller
   /// applies the exact visibility predicate. `out` is overwritten.
-  void candidates_near(geom::Vec2 q, double r, std::vector<std::size_t>& out) const;
+  void candidates_near(geom::Vec2 q, double r, std::vector<std::size_t>& out);
 
   [[nodiscard]] std::size_t robot_count() const { return robot_nodes_.size(); }
   [[nodiscard]] double cell_size() const { return cell_; }
@@ -193,6 +220,7 @@ class IncrementalGrid {
   // Robots whose segment box exceeded the bucket-span cap: always scanned.
   std::vector<std::uint32_t> outliers_;
   std::vector<std::int32_t> outlier_slot_;  ///< index into outliers_, or -1
+  IdBitmap marks_;
 };
 
 }  // namespace cohesion::core

@@ -1,8 +1,8 @@
 #include "geometry/angles.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <numeric>
 #include <ostream>
 #include <stdexcept>
 
@@ -44,32 +44,30 @@ double turn_angle(Vec2 p, Vec2 q, Vec2 r) {
   return std::atan2(u.cross(v), u.dot(v));
 }
 
-AngularGap largest_angular_gap(const std::vector<double>& directions) {
-  if (directions.empty()) throw std::invalid_argument("largest_angular_gap: empty input");
-  const std::size_t n = directions.size();
-  if (n == 1) return AngularGap{kTwoPi, 0, 0};
-
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::vector<double> norm(n);
-  for (std::size_t i = 0; i < n; ++i) norm[i] = normalize_angle(directions[i]);
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (norm[a] != norm[b]) return norm[a] < norm[b];
-    return a < b;
-  });
-
-  AngularGap best;
-  best.gap = -1.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t cur = order[i];
-    const std::size_t nxt = order[(i + 1) % n];
-    double gap = norm[nxt] - norm[cur];
-    if (i + 1 == n) gap += kTwoPi;
-    if (gap > best.gap) {
-      best.gap = gap;
-      best.before = cur;
-      best.after = nxt;
-    }
+AngularGap half_plane_gap(const std::vector<double>& directions) {
+  if (directions.empty()) throw std::invalid_argument("half_plane_gap: empty input");
+  // Eight monotone buckets of pi/4, each with the members the reference's
+  // (angle, index) order puts first and last. Angles lie in [0, 2*pi], so
+  // an empty bucket keeps lo > hi; a NaN is never a member.
+  std::array<double, 8> lo{7, 7, 7, 7, 7, 7, 7, 7}, hi{-1, -1, -1, -1, -1, -1, -1, -1};
+  std::array<std::size_t, 8> lo_at{}, hi_at{};
+  for (std::size_t i = 0; i < directions.size(); ++i) {
+    const double a = normalize_angle(directions[i]), scaled = a * (8.0 / kTwoPi);
+    const auto b = static_cast<std::size_t>(scaled < 7.0 ? scaled : 7.0);
+    if (a < lo[b]) lo[b] = a, lo_at[b] = i;
+    if (a >= hi[b]) hi[b] = a, hi_at[b] = i;
+  }
+  // A gap inside a bucket is narrower than pi/4, so a gap wider than pi
+  // runs from the largest member of one non-empty bucket to the smallest
+  // of the next. Measure those, wrap-around last, as the reference does.
+  std::array<std::size_t, 8> live{};
+  std::size_t k = 0;
+  for (std::size_t b = 0; b < 8; ++b) if (lo[b] <= hi[b]) live[k++] = b;
+  AngularGap best{-1.0, 0, 0};
+  for (std::size_t j = 0; j < k; ++j) {
+    const std::size_t from = live[j], to = live[(j + 1) % k];
+    const double gap = j + 1 < k ? lo[to] - hi[from] : (lo[to] - hi[from]) + kTwoPi;
+    if (gap > best.gap) best = AngularGap{gap, hi_at[from], lo_at[to]};
   }
   return best;
 }

@@ -41,10 +41,19 @@ struct AngularGap {
   std::size_t after = 0;   ///< index of the direction following the gap (ccw)
 };
 
-/// Largest angular gap between consecutive directions (sorted ccw).
+/// The largest angular gap between consecutive directions (ccw), exact
+/// whenever it exceeds pi — the only case the KKNPS stay-put rule
+/// (gap <= pi + tol, tol >= 0) reads.
 ///
-/// `directions` must be non-empty; for a single direction the gap is 2*pi
-/// with before == after == 0. Ties broken toward the smallest index.
-AngularGap largest_angular_gap(const std::vector<double>& directions);
+/// One pass drops the normalized directions into eight monotone buckets
+/// of pi/4, with no sort. A gap wider than pi cannot lie inside a bucket,
+/// so only the gaps between neighbouring non-empty buckets are measured,
+/// each as the sorted reference (tests/oracles/angular_gap_oracle.hpp)
+/// measures it, with its index tie-breaks. So the result is the
+/// reference's (gap, before, after) bit for bit when that gap exceeds pi
+/// (at most one gap can), and otherwise some gap no wider than pi.
+/// `directions` must be non-empty; a single direction gives gap 2*pi with
+/// before == after == 0. Non-finite directions give an unspecified result.
+AngularGap half_plane_gap(const std::vector<double>& directions);
 
 }  // namespace cohesion::geom

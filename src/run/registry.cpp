@@ -44,6 +44,8 @@ std::unique_ptr<core::Scheduler> make_kasync(std::size_t n, std::uint64_t seed, 
 
 void register_algorithms(Registry<AlgorithmFactory>& r) {
   r.add("kknps", [](const Json& params) -> std::unique_ptr<core::Algorithm> {
+    reject_unknown_keys(params, "kknps", "",
+                        {"k", "distance_delta", "halfplane_tolerance", "radius_divisor"});
     algo::KknpsAlgorithm::Params p;
     p.k = size_or(params, "k", p.k);
     p.distance_delta = params.number_or("distance_delta", p.distance_delta);

@@ -3,10 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <random>
+#include <vector>
 
 #include "geometry/angles.hpp"
 #include "geometry/safe_region.hpp"
+#include "oracles/angular_gap_oracle.hpp"
 
 namespace cohesion::algo {
 namespace {
@@ -31,6 +37,86 @@ TEST(Kknps, InvalidParamsThrow) {
   EXPECT_THROW(KknpsAlgorithm({.k = 0}), std::invalid_argument);
   EXPECT_THROW(KknpsAlgorithm({.k = 1, .distance_delta = -0.1}), std::invalid_argument);
   EXPECT_THROW(KknpsAlgorithm({.k = 1, .radius_divisor = 2.0}), std::invalid_argument);
+}
+
+TEST(Kknps, NonFiniteOrNegativeParamsThrow) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf, -inf}) {
+    EXPECT_THROW(KknpsAlgorithm({.k = 1, .distance_delta = bad}), std::invalid_argument) << bad;
+    EXPECT_THROW(KknpsAlgorithm({.k = 1, .halfplane_tolerance = bad}), std::invalid_argument)
+        << bad;
+    EXPECT_THROW(KknpsAlgorithm({.k = 1, .radius_divisor = bad}), std::invalid_argument) << bad;
+  }
+  // half_plane_gap decides exactly only for thresholds pi + tol >= pi.
+  EXPECT_THROW(KknpsAlgorithm({.k = 1, .halfplane_tolerance = -1e-12}), std::invalid_argument);
+  EXPECT_NO_THROW(KknpsAlgorithm({.k = 1, .halfplane_tolerance = 0.0}));
+  EXPECT_NO_THROW(KknpsAlgorithm({.k = 1, .distance_delta = 0.0, .radius_divisor = 2.5}));
+}
+
+/// The destination rule as it read before half_plane_gap: norms from
+/// Snapshot::furthest_distance, then recomputed per neighbour, and the
+/// sorted largest-gap reference.
+Vec2 reference_compute(const KknpsAlgorithm& algo, const Snapshot& snapshot) {
+  const KknpsAlgorithm::Params& p = algo.params();
+  if (snapshot.empty()) return {0.0, 0.0};
+  const double v_y = snapshot.furthest_distance() / (1.0 + p.distance_delta);
+  if (v_y <= 0.0) return {0.0, 0.0};
+  std::vector<double> directions;
+  for (const auto& o : snapshot.neighbours) {
+    if (o.position.norm() > v_y / 2.0) directions.push_back(o.position.angle());
+  }
+  if (directions.empty()) return {0.0, 0.0};
+  const geom::AngularGap gap = oracles::largest_angular_gap(directions);
+  if (gap.gap <= kPi + p.halfplane_tolerance) return {0.0, 0.0};
+  const double r = algo.safe_radius(v_y);
+  return geom::midpoint(unit(directions[gap.after]) * r, unit(directions[gap.before]) * r);
+}
+
+TEST(Kknps, DestinationMatchesSortedReferenceBitForBit) {
+  // Lattice snapshots (ties on the bucket edges), cones either side of a
+  // half-plane, co-located, zero and non-finite offsets, and distance
+  // error.
+  std::uint64_t moved = 0;
+  for (std::uint64_t seed = 1; seed <= 600; ++seed) {
+    std::mt19937_64 rng(seed);
+    std::uniform_real_distribution<double> u(0.0, 1.0);
+    const KknpsAlgorithm algo({.k = 1 + seed % 3,
+                               .distance_delta = seed % 4 == 0 ? 0.1 : 0.0,
+                               .halfplane_tolerance = seed % 5 == 0 ? 0.0 : 1e-12});
+    const double start = kPi * (2.0 * u(rng) - 1.0);
+    const double widths[] = {kPi * u(rng), geom::kTwoPi, kPi + 0.01 * (2.0 * u(rng) - 1.0)};
+    const double width = widths[seed % 3];
+    Snapshot s;
+    const std::size_t n = 1 + rng() % (seed % 10 == 0 ? 700 : 30);
+    for (std::size_t i = 0; i < n; ++i) {
+      const int shape = static_cast<int>(rng() % 8);
+      if (shape < 4) {
+        s.neighbours.push_back({unit(start + width * u(rng)) * (0.05 + u(rng)), false});
+      } else if (shape < 6) {
+        const double dx = static_cast<double>(static_cast<int>(rng() % 9) - 4) * 0.05;
+        const double dy = static_cast<double>(static_cast<int>(rng() % 9) - 4) * 0.05;
+        s.neighbours.push_back({{dx, dy}, false});
+      } else if (shape == 6 && !s.neighbours.empty()) {
+        s.neighbours.push_back(s.neighbours[rng() % s.neighbours.size()]);
+      } else if (rng() % 2 == 0) {
+        s.neighbours.push_back({{0.0, -0.0}, false});
+      } else {  // non-finite: the V_Y fold must skip a NaN norm as before
+        const double bad[] = {std::numeric_limits<double>::quiet_NaN(),
+                              std::numeric_limits<double>::infinity()};
+        s.neighbours.push_back({{bad[rng() % 2], 0.5}, false});
+      }
+    }
+    const Vec2 got = algo.compute(s);
+    const Vec2 want = reference_compute(algo, s);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got.x), std::bit_cast<std::uint64_t>(want.x))
+        << "seed " << seed;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got.y), std::bit_cast<std::uint64_t>(want.y))
+        << "seed " << seed;
+    if (want != Vec2{0.0, 0.0}) ++moved;
+  }
+  EXPECT_GT(moved, 100u);  // both branches of the stay-put rule
+  EXPECT_LT(moved, 500u);
 }
 
 TEST(Kknps, SafeRadiusFormula) {

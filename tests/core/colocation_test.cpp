@@ -1,16 +1,19 @@
-// The sort-and-group co-location kernel must reproduce the all-pairs
-// reference (tests/oracles/colocation_oracle.hpp) bit for bit: the same
-// survivors in the same order when collapsing, the same flags when
-// detecting multiplicity. The differential fuzz leans on the cases that
-// separate the two: exact duplicates, grid columns sharing an x value,
-// offsets on and around eps that chain non-transitively, signed zeros,
-// non-finite and overflowing coordinates.
+// The hashed co-location kernel must reproduce the all-pairs reference
+// (tests/oracles/colocation_oracle.hpp) bit for bit: the same survivors in
+// the same order when collapsing, the same flags when detecting
+// multiplicity. The differential fuzz leans on the cases that separate the
+// two: exact duplicates, grid columns sharing an x value, offsets on and
+// around eps that chain non-transitively, signed zeros, non-finite and
+// overflowing coordinates; the boundary tests on positions at and around
+// cell edges, where the cells' arithmetic changes regime, and DBL_MAX.
 #include "core/colocation.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
+#include <cfloat>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <random>
@@ -163,6 +166,106 @@ TEST(Colocation, GatheredClusterCostsLinearWork) {
     expect_same(got, want, detect);
     EXPECT_LE(index.probes(), 4 * m) << "detect " << detect;
   }
+}
+
+/// Both rules on `pts` in every listed order, against the reference.
+void expect_matches_reference(ColocationIndex& index, std::vector<Vec2> pts,
+                              std::uint64_t tag) {
+  for (std::uint64_t order = 0; order < 4; ++order) {
+    if (order > 0) std::shuffle(pts.begin(), pts.end(), std::mt19937_64(order));
+    auto got = observed(pts), want = observed(pts);
+    index.collapse(got);
+    oracles::collapse_colocated(want);
+    expect_same(got, want, tag * 10 + order);
+    got = observed(pts);
+    want = observed(pts);
+    index.flag(got);
+    oracles::flag_colocated(want);
+    expect_same(got, want, tag * 10 + order);
+  }
+}
+
+/// Coordinates at and around `b`: ulp steps, ±eps (and the ulps around
+/// those), ±eps/2 and ±2·eps.
+std::vector<double> around(double b) {
+  constexpr double e = kColocationEps;
+  std::vector<double> out;
+  for (const double c : {b, b + e, b - e}) {
+    double up = c, down = c;
+    out.push_back(c);
+    for (int k = 0; k < 3; ++k) {
+      up = std::nextafter(up, std::numeric_limits<double>::infinity());
+      down = std::nextafter(down, -std::numeric_limits<double>::infinity());
+      out.push_back(up);
+      out.push_back(down);
+    }
+  }
+  for (const double d : {e / 2, -e / 2, 2 * e, -2 * e}) out.push_back(b + d);
+  return out;
+}
+
+TEST(Colocation, CellBoundariesMatchReference) {
+  // Cells are 8·eps wide: 0.3 sits exactly on an edge (0.3 / 8e-12 rounds
+  // to 3.75e10), cell indices reach 2^52 (truncated through int64 below,
+  // the value itself above) and 2^53 (where stepping to the next cell
+  // switches from +1 to nextafter) near 3.6e4 and 7.2e4, and DBL_MAX /
+  // 8e-12 overflows to an infinite cell.
+  constexpr double w = 8.0 * kColocationEps;
+  const double edges[] = {0.3,          -0.3,         0.0,           w,
+                          -w,           kColocationEps, 0x1p52 * w,  -0x1p52 * w,
+                          0x1p53 * w,   -0x1p53 * w,  DBL_MAX,       -DBL_MAX,
+                          DBL_MAX / 2};
+  ColocationIndex index;
+  std::uint64_t tag = 0;
+  for (const double bx : edges) {
+    const std::vector<double> xs = around(bx);
+    // One row at y = 0.3 (also a cell edge) and one column at the same
+    // edge on both axes.
+    std::vector<Vec2> pts;
+    for (const double x : xs) pts.push_back({x, 0.3});
+    for (const double y : xs) pts.push_back({bx, y});
+    expect_matches_reference(index, pts, ++tag);
+    if (HasFailure()) return;
+  }
+}
+
+TEST(Colocation, PartnersAcrossZeroAreFound) {
+  // eps and -1e-30 are co-located (eps + 1e-30 rounds to eps), and
+  // fl(eps - eps) = 0 is their lower probe edge: a floored cell would put
+  // -1e-30 in the cell below and miss the pair.
+  ColocationIndex index;
+  auto nb = observed({{kColocationEps, 0.0}, {-1e-30, 0.0}, {0.0, -kColocationEps},
+                      {0.0, 1e-30}});
+  auto want = nb;
+  index.flag(nb);
+  oracles::flag_colocated(want);
+  expect_same(nb, want, 0);
+  for (const auto& o : nb) EXPECT_TRUE(o.multiplicity);
+  expect_matches_reference(index,
+                           {{kColocationEps, 0.0}, {-1e-30, 0.0}, {-kColocationEps, 0.0},
+                            {1e-30, -0.0}, {-0.0, kColocationEps}},
+                           1);
+}
+
+TEST(Colocation, EpsStripColumnCostsLinearWork) {
+  // A column of m x values inside one eps-wide strip with y values far
+  // apart: no pair is co-located, and every query's cells hold only itself.
+  constexpr std::size_t m = 1000;
+  std::vector<Vec2> pts;
+  for (std::size_t i = 0; i < m; ++i) {
+    pts.push_back({0.3 + static_cast<double>(i) * 1e-15, static_cast<double>(i)});
+  }
+  std::shuffle(pts.begin(), pts.end(), std::mt19937_64(11));
+  ColocationIndex index;
+  auto got = observed(pts), want = observed(pts);
+  index.flag(got);
+  oracles::flag_colocated(want);
+  expect_same(got, want, 0);
+  EXPECT_LE(index.probes(), 4 * m);
+  got = observed(pts);
+  index.collapse(got);
+  EXPECT_EQ(got.size(), m);
+  EXPECT_LE(index.probes(), 4 * m);
 }
 
 TEST(Colocation, DifferentialFuzzAgainstAllPairsReference) {

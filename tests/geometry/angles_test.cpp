@@ -4,8 +4,14 @@
 
 #include <random>
 
+#include "oracles/angular_gap_oracle.hpp"
+
 namespace cohesion::geom {
 namespace {
+
+// The sort-based largest-gap reference; geom::half_plane_gap is fuzzed
+// against it in half_plane_gap_test.cpp.
+using oracles::largest_angular_gap;
 
 TEST(Angles, NormalizeIntoRange) {
   EXPECT_DOUBLE_EQ(normalize_angle(0.0), 0.0);

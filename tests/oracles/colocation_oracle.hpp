@@ -1,6 +1,6 @@
 // All-pairs reference for core::ColocationIndex: the co-location rules of
 // paper footnote 4 stated pair by pair, O(k²) per snapshot. The
-// sort-and-group kernel must reproduce it bit for bit
+// hashed-cell kernel must reproduce it bit for bit
 // (tests/core/colocation_test.cpp).
 #pragma once
 

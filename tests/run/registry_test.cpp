@@ -93,6 +93,25 @@ TEST(Registry, KAsyncRejectsUnknownParamNamingNearestKey) {
   EXPECT_NE(schedulers().get("async")(4, 7, all), nullptr);
 }
 
+TEST(Registry, KknpsRejectsUnknownOrInvalidParams) {
+  try {
+    (void)algorithms().get("kknps")(Json::parse(R"({"k": 2, "radius_divisr": 16})"));
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("kknps"), std::string::npos) << what;
+    EXPECT_NE(what.find("\"radius_divisr\""), std::string::npos) << what;
+    EXPECT_NE(what.find("\"radius_divisor\""), std::string::npos) << what;
+  }
+  // Every documented param is accepted.
+  EXPECT_NE(algorithms().get("kknps")(Json::parse(
+                R"({"k": 2, "distance_delta": 0.05, "halfplane_tolerance": 0, "radius_divisor": 16})")),
+            nullptr);
+  // Out-of-range values reach the constructor's checks.
+  EXPECT_THROW((void)algorithms().get("kknps")(Json::parse(R"({"halfplane_tolerance": -0.1})")),
+               std::invalid_argument);
+}
+
 TEST(Registry, SeedParamPinsOverDerivedSeed) {
   // Two different derived seeds with the same pinned params seed must build
   // identically-behaving schedulers.
