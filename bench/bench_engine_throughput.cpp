@@ -56,7 +56,7 @@ void BM_KknpsCompute(benchmark::State& state) {
   std::mt19937_64 rng(3);
   std::uniform_real_distribution<double> u(-1.0, 1.0);
   for (std::size_t i = 0; i < m; ++i) {
-    snap.neighbours.push_back({{u(rng), u(rng)}, false});
+    snap.neighbours().push_back({{u(rng), u(rng)}, false});
   }
   for (auto _ : state) benchmark::DoNotOptimize(algo.compute(snap));
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));

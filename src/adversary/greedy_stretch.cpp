@@ -31,7 +31,7 @@ Snapshot GreedyStretchScheduler::snapshot_at(const SimulationView& view, RobotId
     if (other == robot) continue;
     const Vec2 p = view.position(other, t);
     if (self.distance_to(p) <= params_.visibility + 1e-12) {
-      snap.neighbours.push_back({p - self, false});
+      snap.neighbours().push_back({p - self, false});
     }
   }
   return snap;

@@ -22,7 +22,7 @@ std::vector<Vec2> with_self(const Snapshot& snapshot) {
   std::vector<Vec2> pts;
   pts.reserve(snapshot.size() + 1);
   pts.emplace_back(0.0, 0.0);
-  for (const auto& o : snapshot.neighbours) pts.push_back(o.position);
+  for (const auto& o : snapshot.neighbours()) pts.push_back(o.position);
   return pts;
 }
 
@@ -64,7 +64,7 @@ Vec2 AndoAlgorithm::compute(const Snapshot& snapshot) const {
   // neighbour (Fig. 3, grey).
   std::vector<Circle> disks;
   disks.reserve(snapshot.size());
-  for (const auto& o : snapshot.neighbours) {
+  for (const auto& o : snapshot.neighbours()) {
     disks.push_back(geom::ando_safe_region({0.0, 0.0}, o.position, v));
   }
   const auto t = geom::clamp_ray_to_disks({0.0, 0.0}, goal, disks);
@@ -83,7 +83,7 @@ Vec2 KatreniakAlgorithm::compute(const Snapshot& snapshot) const {
   // the ray we may traverse: compute the largest t such that [0, t] is
   // covered by the union, then take the min over neighbours.
   double t_all = 1.0;
-  for (const auto& o : snapshot.neighbours) {
+  for (const auto& o : snapshot.neighbours()) {
     const geom::KatreniakRegion region = geom::katreniak_safe_region({0.0, 0.0}, o.position, v_z);
     const auto self_iv = ray_disk_interval({0.0, 0.0}, goal, region.self_disk);
     const auto near_iv = ray_disk_interval({0.0, 0.0}, goal, region.near_disk);
@@ -104,7 +104,7 @@ Vec2 KatreniakAlgorithm::compute(const Snapshot& snapshot) const {
 Vec2 CogAlgorithm::compute(const Snapshot& snapshot) const {
   if (snapshot.empty()) return {0.0, 0.0};
   Vec2 sum{0.0, 0.0};
-  for (const auto& o : snapshot.neighbours) sum += o.position;
+  for (const auto& o : snapshot.neighbours()) sum += o.position;
   return sum / static_cast<double>(snapshot.size() + 1);  // observer included at origin
 }
 

@@ -23,6 +23,11 @@
 //
 // Error tolerance (§6.1): if relative distance error is bounded by delta,
 // the perceived V_Y is divided by (1 + delta) so it never overestimates V.
+//
+// compute() reads a staged snapshot's proxies (core/snapshot.hpp) and
+// builds exact perceived positions only where a certified band cannot
+// decide; its result is the eager rule's (tests/oracles/kknps_oracle.hpp)
+// bit for bit.
 #pragma once
 
 #include "core/algorithm.hpp"

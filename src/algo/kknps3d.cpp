@@ -109,8 +109,8 @@ Sim3dResult simulate_kknps3d(std::vector<Vec3> positions, double v, std::size_t 
 
 geom::Vec2 Kknps3dPlanarAlgorithm::compute(const core::Snapshot& snapshot) const {
   std::vector<Vec3> neighbours;
-  neighbours.reserve(snapshot.neighbours.size());
-  for (const core::ObservedRobot& o : snapshot.neighbours) {
+  neighbours.reserve(snapshot.neighbours().size());
+  for (const core::ObservedRobot& o : snapshot.neighbours()) {
     neighbours.push_back({o.position.x, o.position.y, 0.0});
   }
   const Vec3 d = kknps3d_destination(neighbours, params_);

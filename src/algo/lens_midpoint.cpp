@@ -9,8 +9,8 @@ using geom::Vec2;
 
 Vec2 LensMidpointAlgorithm::compute(const core::Snapshot& snapshot) const {
   if (snapshot.size() != 2) return {0.0, 0.0};
-  const Vec2 p = snapshot.neighbours[0].position;
-  const Vec2 r = snapshot.neighbours[1].position;
+  const Vec2 p = snapshot.neighbours()[0].position;
+  const Vec2 r = snapshot.neighbours()[1].position;
   const double angle = geom::interior_angle(p, {0.0, 0.0}, r);
   if (angle >= geom::kPi - params_.colinearity_tolerance) return {0.0, 0.0};
   // Projection of the robot (origin) onto the segment PR: the nearest point

@@ -19,8 +19,18 @@
 // fl(p ± eps) lies within an ulp of eps of it, below 2^-39 in magnitude,
 // where truncation puts everything into the one cell (-w, w). (A floor
 // would split that cell at 0 and lose the pair (eps, -1e-30).) collapse()
-// indexes only kept neighbours, flag() all of them, and every comparison
-// is the exact predicate, so results are bit-identical to the reference.
+// indexes only kept neighbours, flag() all of them.
+//
+// Staged snapshots are decided on proxies (core/snapshot.hpp): a proxy q
+// is within a band r = kPerceptionSlack·(|q.x| + |q.y|) of its exact
+// position, so a pair whose proxy differences clear eps by more than both
+// bands on some axis is certainly apart, one within eps by more than both
+// bands on each axis certainly co-located, and only a pair inside the band
+// of the threshold materializes both positions for the exact predicate.
+// Proxies are cell-indexed where they were found, and the query window
+// widens by the bands, which stay below eps: proxies with |q.x| + |q.y| >
+// 32 are materialized first. Exact pairs take the exact predicate, so
+// results are bit-identical to the reference on exact positions.
 #pragma once
 
 #include <cstddef>
@@ -37,9 +47,9 @@ inline constexpr double kColocationEps = 1e-12;
 class ColocationIndex {
  public:
   /// Drop each neighbour co-located with an earlier kept one, in place.
-  void collapse(std::vector<ObservedRobot>& neighbours);
+  void collapse(Snapshot& snapshot);
   /// Set `multiplicity` on each neighbour that shares its location.
-  void flag(std::vector<ObservedRobot>& neighbours);
+  void flag(Snapshot& snapshot);
   /// Chain entries the last call compared with the co-location predicate:
   /// its work, at most the occupancy of a query's cells per query.
   [[nodiscard]] std::size_t probes() const { return probes_; }
@@ -57,10 +67,16 @@ class ColocationIndex {
   [[nodiscard]] std::size_t find_slot(double cx, double cy) const;
   /// The slot of cell (cx, cy), made live with an empty chain if it was not.
   std::size_t claim(double cx, double cy);
-  /// Whether an indexed neighbour other than `self` is co-located with `p`
-  /// (finite). Sets `own` to the claimed slot of p's own cell.
-  bool has_partner(const std::vector<ObservedRobot>& neighbours, geom::Vec2 p,
-                   std::uint32_t self, std::size_t& own);
+  /// Record each neighbour's band and cell basis, materializing proxies
+  /// whose band would reach eps.
+  void prepare(Snapshot& snapshot);
+  /// The co-location predicate on neighbours i and j: on proxies where
+  /// their bands decide it, else on both exact positions.
+  bool colocated(const Snapshot& snapshot, std::size_t i, std::size_t j) const;
+  /// Whether an indexed neighbour other than `self` is co-located with
+  /// neighbour i (finite). Sets `own` to the claimed slot of i's own cell.
+  bool has_partner(const Snapshot& snapshot, std::uint32_t i, std::uint32_t self,
+                   std::size_t& own);
   /// Chain neighbour `i` into slot `s`.
   void insert(std::uint32_t i, std::size_t s) {
     next_[i] = slots_[s].head;
@@ -71,6 +87,10 @@ class ColocationIndex {
   // generation_ instead of touching the slots.
   std::vector<Slot> slots_;
   std::vector<std::int32_t> next_;  // per snapshot index
+  std::vector<geom::Vec2> basis_;   // per snapshot index: where it is cell-indexed
+  std::vector<double> band_;        // per snapshot index: 0 once exact
+  std::vector<std::uint8_t> keep_;  // collapse()'s survivors
+  double max_band_ = 0.0;           // largest band in this snapshot
   std::uint32_t generation_ = 0;
   std::size_t mask_ = 0;
   int shift_ = 64;  // 64 - log2(slots_.size()), set by clear()

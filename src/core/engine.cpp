@@ -22,6 +22,8 @@ Engine::Engine(std::vector<Vec2> initial, const Algorithm& algorithm, Scheduler&
       crashed_(trace_.robot_count(), false),
       rng_(config_.seed) {
   if (trace_.robot_count() == 0) throw std::invalid_argument("Engine: empty configuration");
+  // Staged perception's bands assume these ranges (core/snapshot.hpp).
+  config_.error.validate("Engine: error");
   if (!config_.record_history) {
     if (!config_.use_spatial_index) {
       throw std::invalid_argument(
@@ -80,7 +82,7 @@ void Engine::refresh_grid(Time t) {
   grid_valid_ = true;
 }
 
-void Engine::snapshot_via_grid(RobotId robot, Time t, const LocalFrame& frame, Snapshot& snap) {
+void Engine::snapshot_via_grid(RobotId robot, Time t, Snapshot& snap) {
   refresh_grid(t);
   const Vec2 self = positions_now_[robot];
   const double v = config_.visibility.radius_of(robot);
@@ -91,14 +93,14 @@ void Engine::snapshot_via_grid(RobotId robot, Time t, const LocalFrame& frame, S
     grid_.candidates_within(self, v, neighbor_ids_);
     soa_filter_.gather_positions(positions_now_, neighbor_ids_, robot);
     soa_filter_.filter(self, v, config_.visibility.open_ball);
-    append_soa_survivors(frame, snap);
+    append_soa_survivors(snap);
     return;
   }
   grid_.neighbors_within(self, v, config_.visibility.open_ball, neighbor_ids_);
-  snap.neighbours.reserve(neighbor_ids_.size());
+  snap.reserve(neighbor_ids_.size());
   for (const std::size_t other : neighbor_ids_) {
     if (other == robot) continue;
-    snap.neighbours.push_back({frame.perceive(positions_now_[other] - self, rng_), false});
+    snap.stage(positions_now_[other] - self, rng_);
   }
 }
 
@@ -112,8 +114,7 @@ Vec2 Engine::cached_position(RobotId robot) {
   return positions_now_[robot];
 }
 
-void Engine::snapshot_via_incremental(RobotId robot, Time t, const LocalFrame& frame,
-                                      Snapshot& snap) {
+void Engine::snapshot_via_incremental(RobotId robot, Time t, Snapshot& snap) {
   // Re-bucket exactly the robots whose segments changed since the last
   // snapshot — between consecutive Look times that is the just-moved robot,
   // not all n. Their cached positions may describe the replaced segment.
@@ -129,7 +130,7 @@ void Engine::snapshot_via_incremental(RobotId robot, Time t, const LocalFrame& f
     // longer cover (and collapsed robots may still be mid-move). Serve the
     // query through the reference scan; the grid state remains consistent
     // for the next forward query.
-    snapshot_via_scan(robot, t, frame, snap);
+    snapshot_via_scan(robot, t, snap);
     return;
   }
   inc_grid_.advance_to(t);
@@ -153,21 +154,19 @@ void Engine::snapshot_via_incremental(RobotId robot, Time t, const LocalFrame& f
     // squared-distance bounds.
     soa_filter_.gather_segments(soa_segments_, neighbor_ids_, robot, t);
     soa_filter_.filter(self, v, config_.visibility.open_ball);
-    append_soa_survivors(frame, snap);
+    append_soa_survivors(snap);
     return;
   }
-  snap.neighbours.reserve(neighbor_ids_.size());
+  const VisibilityBall ball(self, v, config_.visibility.open_ball);
+  snap.reserve(neighbor_ids_.size());
   for (const std::size_t other : neighbor_ids_) {
     if (other == robot) continue;
     const Vec2 p = cached_position(other);
-    const double d = self.distance_to(p);
-    const bool visible = config_.visibility.open_ball ? (d < v) : (d <= v + kVisibilityEpsilon);
-    if (!visible) continue;
-    snap.neighbours.push_back({frame.perceive(p - self, rng_), false});
+    if (ball.contains(p)) snap.stage(p - self, rng_);
   }
 }
 
-void Engine::snapshot_via_scan(RobotId robot, Time t, const LocalFrame& frame, Snapshot& snap) {
+void Engine::snapshot_via_scan(RobotId robot, Time t, Snapshot& snap) {
   // The reference path proper always has a Trace (ctor contract); the
   // incremental path's backward-time fallback may not, and goes through the
   // bounded history instead — bit-identical wherever both can answer.
@@ -179,34 +178,34 @@ void Engine::snapshot_via_scan(RobotId robot, Time t, const LocalFrame& frame, S
     const double d = self.distance_to(p);
     const bool visible = config_.visibility.open_ball ? (d < v) : (d <= v + kVisibilityEpsilon);
     if (!visible) continue;
-    snap.neighbours.push_back({frame.perceive(p - self, rng_), false});
+    snap.stage(p - self, rng_);
   }
 }
 
-void Engine::append_soa_survivors(const LocalFrame& frame, Snapshot& snap) {
+void Engine::append_soa_survivors(Snapshot& snap) {
   const std::size_t m = soa_filter_.survivor_count();
-  snap.neighbours.reserve(m);
+  snap.reserve(m);
   for (std::size_t i = 0; i < m; ++i) {
     // Survivors are ascending by robot id with self removed, and the stored
     // offset lanes are the scalar paths' `p - self` bit for bit — so this
-    // perceive() loop draws RNG in exactly the scalar order and values.
-    snap.neighbours.push_back({frame.perceive(soa_filter_.survivor_offset(i), rng_), false});
+    // staging loop draws RNG in exactly the scalar order and values.
+    snap.stage(soa_filter_.survivor_offset(i), rng_);
   }
 }
 
 Snapshot Engine::honest_snapshot(RobotId robot, Time t, const LocalFrame& frame) {
-  Snapshot snap;
+  Snapshot snap(frame);
   if (!config_.use_spatial_index) {
-    snapshot_via_scan(robot, t, frame, snap);
+    snapshot_via_scan(robot, t, snap);
   } else if (config_.incremental_index) {
-    snapshot_via_incremental(robot, t, frame, snap);
+    snapshot_via_incremental(robot, t, snap);
   } else {
-    snapshot_via_grid(robot, t, frame, snap);
+    snapshot_via_grid(robot, t, snap);
   }
   if (config_.visibility.multiplicity_detection) {
-    colocation_.flag(snap.neighbours);
+    colocation_.flag(snap);
   } else {
-    colocation_.collapse(snap.neighbours);
+    colocation_.collapse(snap);
   }
   return snap;
 }
@@ -233,12 +232,17 @@ bool Engine::step() {
   const LocalFrame frame = config_.error.exact() && !config_.error.random_rotation
                                ? LocalFrame::identity()
                                : LocalFrame::sample(config_.error, rng_);
-  Snapshot snap = honest_snapshot(a.robot, a.t_look, frame);
-  if (perception_hook_) snap = perception_hook_(a.robot, a.t_look, snap);
+  // The honest snapshot is staged: exact perceived positions are built
+  // only where a reader asks for them (core/snapshot.hpp).
+  const Snapshot honest = honest_snapshot(a.robot, a.t_look, frame);
+  Snapshot hooked;
+  if (perception_hook_) hooked = perception_hook_(a.robot, a.t_look, honest);
+  const Snapshot& snap = perception_hook_ ? hooked : honest;
 
   // --- Compute ---
   const Vec2 self = position(a.robot, a.t_look);
   Vec2 local_destination = crashed_[a.robot] ? Vec2{0.0, 0.0} : algorithm_.compute(snap);
+  look_materializations_ = honest.materializations();
   const Vec2 planned = self + frame.intent_to_global(local_destination);
 
   // --- Move (xi-rigid truncation + motion error) ---

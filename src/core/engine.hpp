@@ -159,20 +159,27 @@ class Engine final : public SimulationView {
 
   void set_perception_hook(PerceptionHook hook) { perception_hook_ = std::move(hook); }
 
+  /// Exact perceived positions the last Look built with libm
+  /// (Snapshot::materializations of its honest snapshot, after Compute):
+  /// a deterministic work count, small when the snapshot is decided on
+  /// proxies.
+  [[nodiscard]] std::size_t look_materializations() const { return look_materializations_; }
+
  private:
+  /// The staged snapshot of `robot` at `t` in `frame`, co-location applied.
   [[nodiscard]] Snapshot honest_snapshot(RobotId robot, Time t, const LocalFrame& frame);
   /// Visible-neighbor enumeration via grid cells (positions through the
   /// kinematic cache, grid rebuilt per distinct look time).
-  void snapshot_via_grid(RobotId robot, Time t, const LocalFrame& frame, Snapshot& snap);
+  void snapshot_via_grid(RobotId robot, Time t, Snapshot& snap);
   /// Visible-neighbor enumeration via the incrementally-maintained grid:
   /// candidate cells from IncrementalGrid, exact positions through the
   /// kinematic cache, no per-Look-time rebuild.
-  void snapshot_via_incremental(RobotId robot, Time t, const LocalFrame& frame, Snapshot& snap);
+  void snapshot_via_incremental(RobotId robot, Time t, Snapshot& snap);
   /// Reference visible-neighbor enumeration: full scan over Trace positions.
-  void snapshot_via_scan(RobotId robot, Time t, const LocalFrame& frame, Snapshot& snap);
-  /// Emit the SoA filter's survivors into the snapshot — the same
-  /// ascending-id perceive() sequence the scalar loops produce.
-  void append_soa_survivors(const LocalFrame& frame, Snapshot& snap);
+  void snapshot_via_scan(RobotId robot, Time t, Snapshot& snap);
+  /// Stage the SoA filter's survivors into the snapshot — the same
+  /// ascending-id staging sequence the scalar loops produce.
+  void append_soa_survivors(Snapshot& snap);
   /// Ensure positions_now_/grid_ describe time `t`.
   void refresh_grid(Time t);
   /// positions_now_[robot] at the incremental path's current query time,
@@ -196,6 +203,7 @@ class Engine final : public SimulationView {
   std::mt19937_64 rng_;
   TraceSink* sink_ = nullptr;
   PerceptionHook perception_hook_;
+  std::size_t look_materializations_ = 0;
 
   SpatialGrid grid_;
   std::vector<geom::Vec2> positions_now_;   // all positions at grid_time_

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "geometry/angles.hpp"
 
@@ -34,6 +35,19 @@ double SymmetricDistortion::invert(double psi) const {
   return theta;
 }
 
+void ErrorModel::validate(std::string_view context) const {
+  const auto fail = [&](const char* field, const char* range, double got) {
+    throw std::invalid_argument(std::string(context) + ": " + field + " must be finite and " +
+                                range + " (got " + std::to_string(got) + ")");
+  };
+  const auto unit_interval = [](double v) { return std::isfinite(v) && v >= 0.0 && v < 1.0; };
+  if (!unit_interval(distance_delta)) fail("distance_delta", "in [0, 1)", distance_delta);
+  if (!unit_interval(skew_lambda)) fail("skew_lambda", "in [0, 1)", skew_lambda);
+  if (!(std::isfinite(motion_quad_coeff) && motion_quad_coeff >= 0.0)) {
+    fail("motion_quad_coeff", ">= 0", motion_quad_coeff);
+  }
+}
+
 LocalFrame LocalFrame::sample(const ErrorModel& model, std::mt19937_64& rng) {
   LocalFrame f;
   if (model.random_rotation) {
@@ -55,21 +69,27 @@ LocalFrame LocalFrame::sample(const ErrorModel& model, std::mt19937_64& rng) {
 
 LocalFrame LocalFrame::identity() { return LocalFrame{}; }
 
-Vec2 LocalFrame::perceive(Vec2 true_offset, std::mt19937_64& rng) const {
+StagedOffset LocalFrame::stage(Vec2 true_offset, std::mt19937_64& rng) const {
   Vec2 v = true_offset;
   if (reflect_) v.y = -v.y;
   // Vec2::rotated(rotation_)'s arithmetic, with the trig hoisted.
   v = {cos_ * v.x - sin_ * v.y, sin_ * v.x + cos_ * v.y};
+  // finish() returns a zero offset before its distance factor: hypot(v)
+  // is zero exactly when both coordinates are, and then nothing is drawn.
+  if (distance_delta_ > 0.0 && !(v.x == 0.0 && v.y == 0.0)) {
+    std::uniform_real_distribution<double> noise(-distance_delta_, distance_delta_);
+    return {v, 1.0 + noise(rng)};
+  }
+  return {v, 1.0};
+}
+
+Vec2 LocalFrame::finish(StagedOffset staged) const {
+  const Vec2 v = staged.offset;
   const double d = v.norm();
   if (d == 0.0) return v;
-  double theta = v.angle();
-  theta = distortion_.apply(theta);
-  double perceived_d = d;
-  if (distance_delta_ > 0.0) {
-    std::uniform_real_distribution<double> noise(-distance_delta_, distance_delta_);
-    perceived_d = d * (1.0 + noise(rng));
-  }
-  return geom::unit(theta) * perceived_d;
+  const double theta = distortion_.apply(v.angle());
+  // Without a draw the factor is 1 and d * 1 == d.
+  return geom::unit(theta) * (d * staged.scale);
 }
 
 Vec2 LocalFrame::intent_to_global(Vec2 local_destination) const {

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <random>
+#include <string_view>
 
 #include "geometry/vec2.hpp"
 
@@ -47,6 +48,23 @@ struct ErrorModel {
   [[nodiscard]] bool exact() const {
     return distance_delta == 0.0 && skew_lambda == 0.0 && motion_quad_coeff == 0.0;
   }
+
+  /// Throws std::invalid_argument, naming `context` and the field, unless
+  /// distance_delta and skew_lambda are finite and in [0, 1) and
+  /// motion_quad_coeff is finite and >= 0.
+  void validate(std::string_view context) const;
+};
+
+/// A neighbour staged for perception (LocalFrame::stage): its true offset
+/// after reflection and rotation — exact arithmetic — and its distance
+/// factor, 1 + the neighbour's distance-noise draw (1 without a draw).
+struct StagedOffset {
+  geom::Vec2 offset;
+  double scale = 1.0;
+
+  /// The perceived point without its polar round trip: in a frame without
+  /// skew it lies within a few ulps of |offset| of LocalFrame::finish().
+  [[nodiscard]] geom::Vec2 proxy() const { return offset * scale; }
 };
 
 /// A robot's private coordinate system for one activation, plus the sampled
@@ -62,8 +80,22 @@ class LocalFrame {
 
   /// Map a true global displacement (neighbour - self) into perceived local
   /// coordinates, applying rotation/reflection, angle distortion and a fresh
-  /// per-observation distance error drawn from `rng`.
-  [[nodiscard]] geom::Vec2 perceive(geom::Vec2 true_offset, std::mt19937_64& rng) const;
+  /// per-observation distance error drawn from `rng`: finish(stage(...)).
+  [[nodiscard]] geom::Vec2 perceive(geom::Vec2 true_offset, std::mt19937_64& rng) const {
+    return finish(stage(true_offset, rng));
+  }
+
+  /// perceive()'s first half: reflection and rotation, and the distance
+  /// draw (none for a zero rotated offset). All of perceive()'s RNG use.
+  [[nodiscard]] StagedOffset stage(geom::Vec2 true_offset, std::mt19937_64& rng) const;
+
+  /// perceive()'s second half: the polar round trip through the angle
+  /// distortion and the distance factor. Pure; libm only.
+  [[nodiscard]] geom::Vec2 finish(StagedOffset staged) const;
+
+  /// Whether the frame distorts angles (skew > 0): then a staged proxy is
+  /// no close bound on the perceived point.
+  [[nodiscard]] bool skewed() const { return distortion_.skew() > 0.0; }
 
   /// Map an intended local destination back to a true global displacement.
   /// Distance is preserved; the angle passes through the inverse distortion

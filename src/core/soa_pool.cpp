@@ -1,36 +1,8 @@
 #include "core/soa_pool.hpp"
 
-#include <cmath>
-#include <limits>
-
-#include "core/spatial_index.hpp"
-
 namespace cohesion::core {
 
 using geom::Vec2;
-
-CertifiedBallBounds certified_ball_bounds(double b) {
-  // Degenerate defaults: no lane certified in (d2 >= 0 > -1 never passes),
-  // no lane certified out (d2 > inf never holds) — everything borderline.
-  CertifiedBallBounds out{-1.0, std::numeric_limits<double>::infinity()};
-  if (!std::isfinite(b) || b <= 0.0) return out;
-  const double lo = b * (1.0 - kSoaCertSlack);
-  const double hi = b * (1.0 + kSoaCertSlack);
-  const double in2 = lo * lo;
-  const double out2 = hi * hi;
-  // Each bound is valid only if the slack survived rounding (it collapses
-  // for denormal b), squaring stayed finite, AND the squared bound is in
-  // the normal range. The last condition matters: for b near sqrt(DBL_MIN)
-  // the squared distances underflow — lo*lo can flush to 0 while a point
-  // with exact d > b also squares to 0, so d2 <= in2 would certify it
-  // inside; symmetrically a denormal out2 loses far more relative
-  // precision than the 1e-9 band budgets. A subnormal bound therefore
-  // stays degenerate and those lanes take the exact check.
-  constexpr double kMinNormal = std::numeric_limits<double>::min();
-  if (lo < b && std::isfinite(in2) && in2 >= kMinNormal) out.definite_in2 = in2;
-  if (hi > b && std::isfinite(out2) && out2 >= kMinNormal) out.definite_out2 = out2;
-  return out;
-}
 
 // ---------------------------------------------------------------------------
 // SoaSegmentPool
@@ -202,19 +174,10 @@ void SoaNeighborFilter::filter(Vec2 self, double radius, bool open_ball) {
     dy[i] = ddy;
     d2[i] = ddx * ddx + ddy * ddy;
   }
-  const double b = open_ball ? radius : radius + kVisibilityEpsilon;
-  const CertifiedBallBounds cb = certified_ball_bounds(b);
+  const VisibilityBall ball(self, radius, open_ball);
   survivors_.clear();
   for (std::size_t i = 0; i < m; ++i) {
-    const double q2 = d2[i];
-    if (q2 > cb.definite_out2) continue;  // certified invisible
-    if (!(q2 <= cb.definite_in2)) {
-      // Borderline band (or degenerate bounds, or NaN lanes): the exact
-      // scalar predicate decides — identical call to the scalar paths.
-      const double d = self.distance_to({px[i], py[i]});
-      const bool visible = open_ball ? (d < radius) : (d <= radius + kVisibilityEpsilon);
-      if (!visible) continue;
-    }
+    if (!ball.contains({px[i], py[i]}, d2[i])) continue;
     survivors_.push_back(static_cast<std::uint32_t>(i));
   }
 }

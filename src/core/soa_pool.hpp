@@ -24,45 +24,20 @@
 //    compiler FP contraction or vector width (architecture contract 12),
 //    while almost every candidate skips the hypot call.
 //
-// Certified bounds: for a ball of radius b (open: d < b; closed: d <= b),
-//   definite_in2  = (b * (1 - kSoaCertSlack))^2   — d2 <= it  => inside
-//   definite_out2 = (b * (1 + kSoaCertSlack))^2   — d2 >  it  => outside
-// with kSoaCertSlack = 1e-9, nine orders of magnitude wider than the
-// ~1e-16 relative error of d2 = dx*dx + dy*dy (with or without FMA) and of
-// hypot, so a misclassification would need an error 10^7 times larger than
-// double rounding allows. Degenerate radii (b <= 0, non-finite, or so
-// small/large that the slack rounds away or the square leaves the normal
-// range — underflow near sqrt(DBL_MIN) flushes squared distances toward 0
-// and would fake certificates) disable the corresponding bound, degrading
-// those lanes to the exact check — slow but still exact.
+// The certified bounds and their exact fallback are VisibilityBall
+// (core/spatial_index.hpp), the predicate every engine visibility test
+// shares.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "core/activation.hpp"
+#include "core/spatial_index.hpp"
 #include "core/types.hpp"
 #include "geometry/vec2.hpp"
 
 namespace cohesion::core {
-
-/// Relative half-width of the borderline band around the visibility radius
-/// inside which the SoA filter defers to the exact scalar predicate.
-inline constexpr double kSoaCertSlack = 1e-9;
-
-/// Squared-distance bounds certifying the exact ball predicate of radius b.
-/// d2 <= definite_in2 certifies the predicate true; d2 > definite_out2
-/// certifies it false; between them only the exact predicate decides.
-struct CertifiedBallBounds {
-  double definite_in2;
-  double definite_out2;
-};
-
-/// Bounds for the ball of radius `b` (open `d < b` or closed `d <= b` —
-/// both are certified by the same pair). Degenerate b (<= 0, non-finite,
-/// or where the slack is absorbed by rounding) disables the affected bound
-/// so every lane falls back to the exact predicate.
-[[nodiscard]] CertifiedBallBounds certified_ball_bounds(double b);
 
 /// SoA mirror of KinematicState's per-robot current segments. commit() is
 /// fed the same ActivationRecords in the same order, and position lanes are

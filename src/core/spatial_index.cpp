@@ -3,9 +3,33 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <utility>
 
 namespace cohesion::core {
+
+CertifiedBallBounds certified_ball_bounds(double b) {
+  // Degenerate defaults: no lane certified in (d2 >= 0 > -1 never passes),
+  // no lane certified out (d2 > inf never holds) — everything borderline.
+  CertifiedBallBounds out{-1.0, std::numeric_limits<double>::infinity()};
+  if (!std::isfinite(b) || b <= 0.0) return out;
+  const double lo = b * (1.0 - kSoaCertSlack);
+  const double hi = b * (1.0 + kSoaCertSlack);
+  const double in2 = lo * lo;
+  const double out2 = hi * hi;
+  // Each bound is valid only if the slack survived rounding (it collapses
+  // for denormal b), squaring stayed finite, AND the squared bound is in
+  // the normal range. The last condition matters: for b near sqrt(DBL_MIN)
+  // the squared distances underflow — lo*lo can flush to 0 while a point
+  // with exact d > b also squares to 0, so d2 <= in2 would certify it
+  // inside; symmetrically a denormal out2 loses far more relative
+  // precision than the 1e-9 band budgets. A subnormal bound therefore
+  // stays degenerate and those lanes take the exact check.
+  constexpr double kMinNormal = std::numeric_limits<double>::min();
+  if (lo < b && std::isfinite(in2) && in2 >= kMinNormal) out.definite_in2 = in2;
+  if (hi > b && std::isfinite(out2) && out2 >= kMinNormal) out.definite_out2 = out2;
+  return out;
+}
 
 namespace {
 
@@ -166,10 +190,7 @@ void SpatialGrid::neighbors_within(geom::Vec2 q, double r, bool open_ball,
   const std::vector<geom::Vec2>* pts = points_;
   enumerate(
       q, r,
-      [&](std::size_t i) {
-        const double d = q.distance_to((*pts)[i]);
-        return open_ball ? (d < r) : (d <= r + kVisibilityEpsilon);
-      },
+      [&, ball = VisibilityBall(q, r, open_ball)](std::size_t i) { return ball.contains((*pts)[i]); },
       out);
 }
 

@@ -40,6 +40,69 @@ namespace cohesion::core {
 /// (engine snapshots, visibility graphs, initial-pair stretch).
 inline constexpr double kVisibilityEpsilon = 1e-12;
 
+// Certified bounds: for a ball of radius b (open: d < b; closed: d <= b),
+//   definite_in2  = (b * (1 - kSoaCertSlack))^2   — d2 <= it  => inside
+//   definite_out2 = (b * (1 + kSoaCertSlack))^2   — d2 >  it  => outside
+// with kSoaCertSlack = 1e-9, nine orders of magnitude wider than the
+// ~1e-16 relative error of d2 = dx*dx + dy*dy (with or without FMA) and of
+// hypot, so a misclassification would need an error 10^7 times larger than
+// double rounding allows. Degenerate radii (b <= 0, non-finite, or so
+// small/large that the slack rounds away or the square leaves the normal
+// range — underflow near sqrt(DBL_MIN) flushes squared distances toward 0
+// and would fake certificates) disable the corresponding bound, degrading
+// those points to the exact check — slow but still exact.
+
+/// Relative half-width of the borderline band around the visibility radius
+/// inside which the squared-distance test defers to the exact predicate.
+inline constexpr double kSoaCertSlack = 1e-9;
+
+/// Squared-distance bounds certifying the exact ball predicate of radius b.
+/// d2 <= definite_in2 certifies the predicate true; d2 > definite_out2
+/// certifies it false; between them only the exact predicate decides.
+struct CertifiedBallBounds {
+  double definite_in2;
+  double definite_out2;
+};
+
+/// Bounds for the ball of radius `b` (open `d < b` or closed `d <= b` —
+/// both are certified by the same pair). Degenerate b (<= 0, non-finite,
+/// or where the slack is absorbed by rounding) disables the affected bound
+/// so every point falls back to the exact predicate.
+[[nodiscard]] CertifiedBallBounds certified_ball_bounds(double b);
+
+/// The visibility predicate around one observer: closed d <= r + 1e-12 or
+/// open d < r, with d from Vec2::distance_to. contains() decides on the
+/// squared distance wherever the certified bounds can and pays the exact
+/// hypot only in the band, so it always returns the exact predicate.
+class VisibilityBall {
+ public:
+  VisibilityBall(geom::Vec2 center, double radius, bool open_ball)
+      : center_(center),
+        radius_(radius),
+        open_ball_(open_ball),
+        bounds_(certified_ball_bounds(open_ball ? radius : radius + kVisibilityEpsilon)) {}
+
+  /// `d2` is p's squared distance from the centre as dx*dx + dy*dy of
+  /// p - centre (any rounding or contraction of it).
+  [[nodiscard]] bool contains(geom::Vec2 p, double d2) const {
+    if (d2 > bounds_.definite_out2) return false;  // certified invisible
+    if (d2 <= bounds_.definite_in2) return true;   // certified visible
+    // Borderline band (or degenerate bounds, or NaN): the exact predicate.
+    const double d = center_.distance_to(p);
+    return open_ball_ ? (d < radius_) : (d <= radius_ + kVisibilityEpsilon);
+  }
+  [[nodiscard]] bool contains(geom::Vec2 p) const {
+    const geom::Vec2 d = p - center_;
+    return contains(p, d.x * d.x + d.y * d.y);
+  }
+
+ private:
+  geom::Vec2 center_;
+  double radius_;
+  bool open_ball_;
+  CertifiedBallBounds bounds_;
+};
+
 /// Query scratch of both grids: ids marked in any order, repeats allowed,
 /// come out ascending and unique without a sort. One bit per id, plus a
 /// summary bit per 64-id word that is non-zero, so emitting costs

@@ -6,7 +6,6 @@
 #include <string>
 #include <tuple>
 
-#include "core/soa_pool.hpp"
 #include "core/spatial_index.hpp"
 
 namespace cohesion::core {

@@ -1,6 +1,8 @@
 #include "run/instantiate.hpp"
 
+#include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "run/registry.hpp"
 
@@ -12,6 +14,14 @@ RunInstance instantiate(const RunSpec& spec) {
   inst.algorithm = algorithms().get(spec.algorithm.type)(spec.algorithm.params);
   inst.initial = initials().get(spec.initial.type)(spec.n, spec.visibility_radius, seeds.initial,
                                                    spec.initial.params);
+  for (std::size_t i = 0; i < inst.initial.size(); ++i) {
+    const geom::Vec2 p = inst.initial[i];
+    if (!std::isfinite(p.x) || !std::isfinite(p.y)) {
+      throw std::runtime_error("initial \"" + spec.initial.type + "\": position " +
+                               std::to_string(i) + " is not finite (" + std::to_string(p.x) +
+                               ", " + std::to_string(p.y) + ")");
+    }
+  }
   inst.scheduler = schedulers().get(spec.scheduler.type)(inst.initial.size(), seeds.scheduler,
                                                          spec.scheduler.params);
   inst.config.visibility.radius = spec.visibility_radius;

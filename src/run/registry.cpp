@@ -132,7 +132,11 @@ void register_schedulers(Registry<SchedulerFactory>& r) {
 
 void register_errors(Registry<ErrorModelFactory>& r) {
   // "exact": identity frames, no noise — the validator/test setting.
-  r.add("exact", [](const Json&) {
+  r.add("exact", [](const Json& params) {
+    if (!params.entries().empty()) {
+      throw std::runtime_error("exact: takes no params (got \"" + params.entries().front().first +
+                               "\")");
+    }
     core::ErrorModel m;
     m.random_rotation = false;
     return m;
@@ -141,12 +145,16 @@ void register_errors(Registry<ErrorModelFactory>& r) {
   // whatever error magnitudes the params set (all default 0, which is the
   // engine's own default ErrorModel).
   r.add("noisy", [](const Json& params) {
+    reject_unknown_keys(params, "noisy", "",
+                        {"distance_delta", "skew_lambda", "motion_quad_coeff", "random_rotation",
+                         "allow_reflection"});
     core::ErrorModel m;
     m.distance_delta = params.number_or("distance_delta", m.distance_delta);
     m.skew_lambda = params.number_or("skew_lambda", m.skew_lambda);
     m.motion_quad_coeff = params.number_or("motion_quad_coeff", m.motion_quad_coeff);
     m.random_rotation = params.bool_or("random_rotation", m.random_rotation);
     m.allow_reflection = params.bool_or("allow_reflection", m.allow_reflection);
+    m.validate("noisy");
     return m;
   });
 }

@@ -19,7 +19,7 @@ using geom::Vec2;
 
 Snapshot snap(std::initializer_list<Vec2> neighbours) {
   Snapshot s;
-  for (const Vec2 p : neighbours) s.neighbours.push_back({p, false});
+  for (const Vec2 p : neighbours) s.neighbours().push_back({p, false});
   return s;
 }
 
@@ -28,7 +28,7 @@ Snapshot random_snapshot(std::mt19937_64& rng, int max_n, double max_r) {
   std::uniform_int_distribution<int> count(1, max_n);
   Snapshot s;
   for (int i = 0, n = count(rng); i < n; ++i) {
-    s.neighbours.push_back({unit(ang(rng)) * rad(rng), false});
+    s.neighbours().push_back({unit(ang(rng)) * rad(rng), false});
   }
   return s;
 }
@@ -54,7 +54,7 @@ TEST(Ando, RespectsAllSafeDisks) {
   for (int trial = 0; trial < 2000; ++trial) {
     const Snapshot s = random_snapshot(rng, 8, v);
     const Vec2 dest = algo.compute(s);
-    for (const auto& o : s.neighbours) {
+    for (const auto& o : s.neighbours()) {
       const geom::Circle disk = geom::ando_safe_region({0.0, 0.0}, o.position, v);
       EXPECT_TRUE(disk.contains(dest, 1e-7));
     }
@@ -69,7 +69,7 @@ TEST(Ando, MovesTowardSecCenter) {
     const Vec2 dest = algo.compute(s);
     if (dest.norm() < 1e-12) continue;
     std::vector<Vec2> pts{{0.0, 0.0}};
-    for (const auto& o : s.neighbours) pts.push_back(o.position);
+    for (const auto& o : s.neighbours()) pts.push_back(o.position);
     const Vec2 goal = geom::smallest_enclosing_circle(pts).center;
     // Destination is on the ray to the SEC centre.
     EXPECT_NEAR(dest.normalized().dot(goal.normalized()), 1.0, 1e-9);
@@ -97,7 +97,7 @@ TEST(Katreniak, DestinationInsideEveryRegion) {
     const Snapshot s = random_snapshot(rng, 8, 1.0);
     const double v_z = s.furthest_distance();
     const Vec2 dest = algo.compute(s);
-    for (const auto& o : s.neighbours) {
+    for (const auto& o : s.neighbours()) {
       const auto region = geom::katreniak_safe_region({0.0, 0.0}, o.position, v_z);
       EXPECT_TRUE(region.contains(dest, 1e-6))
           << "trial " << trial << " dest " << dest.x << "," << dest.y;

@@ -24,7 +24,7 @@ using geom::Vec2;
 
 Snapshot snap(std::initializer_list<Vec2> neighbours) {
   Snapshot s;
-  for (const Vec2 p : neighbours) s.neighbours.push_back({p, false});
+  for (const Vec2 p : neighbours) s.neighbours().push_back({p, false});
   return s;
 }
 
@@ -63,7 +63,7 @@ Vec2 reference_compute(const KknpsAlgorithm& algo, const Snapshot& snapshot) {
   const double v_y = snapshot.furthest_distance() / (1.0 + p.distance_delta);
   if (v_y <= 0.0) return {0.0, 0.0};
   std::vector<double> directions;
-  for (const auto& o : snapshot.neighbours) {
+  for (const auto& o : snapshot.neighbours()) {
     if (o.position.norm() > v_y / 2.0) directions.push_back(o.position.angle());
   }
   if (directions.empty()) return {0.0, 0.0};
@@ -92,19 +92,19 @@ TEST(Kknps, DestinationMatchesSortedReferenceBitForBit) {
     for (std::size_t i = 0; i < n; ++i) {
       const int shape = static_cast<int>(rng() % 8);
       if (shape < 4) {
-        s.neighbours.push_back({unit(start + width * u(rng)) * (0.05 + u(rng)), false});
+        s.neighbours().push_back({unit(start + width * u(rng)) * (0.05 + u(rng)), false});
       } else if (shape < 6) {
         const double dx = static_cast<double>(static_cast<int>(rng() % 9) - 4) * 0.05;
         const double dy = static_cast<double>(static_cast<int>(rng() % 9) - 4) * 0.05;
-        s.neighbours.push_back({{dx, dy}, false});
-      } else if (shape == 6 && !s.neighbours.empty()) {
-        s.neighbours.push_back(s.neighbours[rng() % s.neighbours.size()]);
+        s.neighbours().push_back({{dx, dy}, false});
+      } else if (shape == 6 && !s.neighbours().empty()) {
+        s.neighbours().push_back(s.neighbours()[rng() % s.neighbours().size()]);
       } else if (rng() % 2 == 0) {
-        s.neighbours.push_back({{0.0, -0.0}, false});
+        s.neighbours().push_back({{0.0, -0.0}, false});
       } else {  // non-finite: the V_Y fold must skip a NaN norm as before
         const double bad[] = {std::numeric_limits<double>::quiet_NaN(),
                               std::numeric_limits<double>::infinity()};
-        s.neighbours.push_back({{bad[rng() % 2], 0.5}, false});
+        s.neighbours().push_back({{bad[rng() % 2], 0.5}, false});
       }
     }
     const Vec2 got = algo.compute(s);
@@ -178,7 +178,7 @@ TEST(Kknps, CloseNeighboursDoNotAffectDestination) {
   const KknpsAlgorithm algo;
   const Snapshot without = snap({unit(0.3), unit(-0.2)});
   Snapshot with = without;
-  with.neighbours.push_back({unit(1.2) * 0.3, false});  // close: 0.3 <= V_Y/2
+  with.neighbours().push_back({unit(1.2) * 0.3, false});  // close: 0.3 <= V_Y/2
   EXPECT_TRUE(geom::almost_equal(algo.compute(without), algo.compute(with), 1e-12));
 }
 
@@ -226,7 +226,7 @@ TEST_P(KknpsProperty, MoveNeverExceedsVOver8) {
   for (int trial = 0; trial < 2000; ++trial) {
     Snapshot s;
     for (int i = 0, n = count(rng); i < n; ++i) {
-      s.neighbours.push_back({unit(ang(rng)) * rad(rng), false});
+      s.neighbours().push_back({unit(ang(rng)) * rad(rng), false});
     }
     const double v_y = s.furthest_distance();
     EXPECT_LE(algo.compute(s).norm(), v_y / 8.0 + 1e-12);
@@ -242,12 +242,12 @@ TEST_P(KknpsProperty, DestinationRespectsAllDistantSafeRegions) {
   for (int trial = 0; trial < 2000; ++trial) {
     Snapshot s;
     for (int i = 0, n = count(rng); i < n; ++i) {
-      s.neighbours.push_back({unit(ang(rng)) * rad(rng), false});
+      s.neighbours().push_back({unit(ang(rng)) * rad(rng), false});
     }
     const Vec2 dest = algo.compute(s);
     const double v_y = s.furthest_distance();
     const double r = v_y / (8.0 * static_cast<double>(k));
-    for (const auto& o : s.neighbours) {
+    for (const auto& o : s.neighbours()) {
       if (o.position.norm() > v_y / 2.0) {
         const geom::Circle safe = geom::kknps_safe_region({0.0, 0.0}, o.position, r);
         EXPECT_TRUE(safe.contains(dest, 1e-9))
@@ -267,7 +267,7 @@ TEST_P(KknpsProperty, ScaleEquivalence) {
   std::uniform_real_distribution<double> ang(-kPi, kPi), rad(0.05, 1.0);
   for (int trial = 0; trial < 500; ++trial) {
     Snapshot s;
-    for (int i = 0; i < 5; ++i) s.neighbours.push_back({unit(ang(rng)) * rad(rng), false});
+    for (int i = 0; i < 5; ++i) s.neighbours().push_back({unit(ang(rng)) * rad(rng), false});
     const Vec2 d1 = algo1.compute(s);
     const Vec2 dk = algok.compute(s);
     EXPECT_TRUE(geom::almost_equal(dk, d1 / static_cast<double>(k), 1e-12));
@@ -282,10 +282,10 @@ TEST_P(KknpsProperty, RotationEquivariance) {
   std::uniform_real_distribution<double> ang(-kPi, kPi), rad(0.05, 1.0);
   for (int trial = 0; trial < 500; ++trial) {
     Snapshot s;
-    for (int i = 0; i < 4; ++i) s.neighbours.push_back({unit(ang(rng)) * rad(rng), false});
+    for (int i = 0; i < 4; ++i) s.neighbours().push_back({unit(ang(rng)) * rad(rng), false});
     const double theta = ang(rng);
     Snapshot rotated;
-    for (const auto& o : s.neighbours) rotated.neighbours.push_back({o.position.rotated(theta), false});
+    for (const auto& o : s.neighbours()) rotated.neighbours().push_back({o.position.rotated(theta), false});
     EXPECT_TRUE(
         geom::almost_equal(algo.compute(rotated), algo.compute(s).rotated(theta), 1e-9));
   }

@@ -32,6 +32,18 @@ std::vector<ObservedRobot> observed(const std::vector<Vec2>& points) {
   return out;
 }
 
+/// The kernel on an exact snapshot of `nb`, written back.
+void collapse(ColocationIndex& index, std::vector<ObservedRobot>& nb) {
+  Snapshot s(nb);
+  index.collapse(s);
+  nb = s.neighbours();
+}
+void flag(ColocationIndex& index, std::vector<ObservedRobot>& nb) {
+  Snapshot s(nb);
+  index.flag(s);
+  nb = s.neighbours();
+}
+
 void expect_same(const std::vector<ObservedRobot>& got, const std::vector<ObservedRobot>& want,
                  std::uint64_t seed) {
   ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
@@ -84,7 +96,7 @@ std::vector<ObservedRobot> random_snapshot(std::uint64_t seed) {
 TEST(Colocation, CollapseKeepsFirstOfEachLocationInOrder) {
   ColocationIndex index;
   auto nb = observed({{0.5, 0.5}, {0.1, 0.2}, {0.5, 0.5}, {0.1, 0.2 + 0.5e-12}, {0.3, 0.0}});
-  index.collapse(nb);
+  collapse(index, nb);
   ASSERT_EQ(nb.size(), 3u);
   EXPECT_EQ(nb[0].position, Vec2(0.5, 0.5));
   EXPECT_EQ(nb[1].position, Vec2(0.1, 0.2));
@@ -97,17 +109,17 @@ TEST(Colocation, ChainsCollapseGreedilyAgainstKeptOnly) {
   const double a = 0.7e-12, b = 1.4e-12;
   ColocationIndex index;
   auto ends_kept = observed({{0.0, 0.0}, {a, 0.0}, {b, 0.0}});
-  index.collapse(ends_kept);
+  collapse(index, ends_kept);
   ASSERT_EQ(ends_kept.size(), 2u);
   EXPECT_EQ(ends_kept[1].position.x, b);
 
   auto middle_kept = observed({{a, 0.0}, {0.0, 0.0}, {b, 0.0}});
-  index.collapse(middle_kept);
+  collapse(index, middle_kept);
   ASSERT_EQ(middle_kept.size(), 1u);
   EXPECT_EQ(middle_kept[0].position.x, a);
 
   auto flagged = observed({{0.0, 0.0}, {a, 0.0}, {b, 0.0}, {5.0, 0.0}});
-  index.flag(flagged);
+  flag(index, flagged);
   EXPECT_TRUE(flagged[0].multiplicity && flagged[1].multiplicity && flagged[2].multiplicity);
   EXPECT_FALSE(flagged[3].multiplicity);
 }
@@ -117,9 +129,9 @@ TEST(Colocation, NonFinitePositionsAreNeverColocated) {
   const double inf = std::numeric_limits<double>::infinity();
   ColocationIndex index;
   auto nb = observed({{nan, 0.0}, {nan, 0.0}, {inf, 1.0}, {inf, 1.0}, {0.0, 0.0}});
-  index.collapse(nb);
+  collapse(index, nb);
   EXPECT_EQ(nb.size(), 5u);
-  index.flag(nb);
+  flag(index, nb);
   for (const auto& o : nb) EXPECT_FALSE(o.multiplicity);
 }
 
@@ -135,10 +147,10 @@ TEST(Colocation, DenseGridMatchesReference) {
   for (const bool detect : {false, true}) {
     auto got = observed(pts), want = observed(pts);
     if (detect) {
-      index.flag(got);
+      flag(index, got);
       oracles::flag_colocated(want);
     } else {
-      index.collapse(got);
+      collapse(index, got);
       oracles::collapse_colocated(want);
     }
     expect_same(got, want, detect);
@@ -157,10 +169,10 @@ TEST(Colocation, GatheredClusterCostsLinearWork) {
   for (const bool detect : {false, true}) {
     auto got = observed(pts), want = observed(pts);
     if (detect) {
-      index.flag(got);
+      flag(index, got);
       oracles::flag_colocated(want);
     } else {
-      index.collapse(got);
+      collapse(index, got);
       oracles::collapse_colocated(want);
     }
     expect_same(got, want, detect);
@@ -174,12 +186,12 @@ void expect_matches_reference(ColocationIndex& index, std::vector<Vec2> pts,
   for (std::uint64_t order = 0; order < 4; ++order) {
     if (order > 0) std::shuffle(pts.begin(), pts.end(), std::mt19937_64(order));
     auto got = observed(pts), want = observed(pts);
-    index.collapse(got);
+    collapse(index, got);
     oracles::collapse_colocated(want);
     expect_same(got, want, tag * 10 + order);
     got = observed(pts);
     want = observed(pts);
-    index.flag(got);
+    flag(index, got);
     oracles::flag_colocated(want);
     expect_same(got, want, tag * 10 + order);
   }
@@ -237,7 +249,7 @@ TEST(Colocation, PartnersAcrossZeroAreFound) {
   auto nb = observed({{kColocationEps, 0.0}, {-1e-30, 0.0}, {0.0, -kColocationEps},
                       {0.0, 1e-30}});
   auto want = nb;
-  index.flag(nb);
+  flag(index, nb);
   oracles::flag_colocated(want);
   expect_same(nb, want, 0);
   for (const auto& o : nb) EXPECT_TRUE(o.multiplicity);
@@ -258,12 +270,12 @@ TEST(Colocation, EpsStripColumnCostsLinearWork) {
   std::shuffle(pts.begin(), pts.end(), std::mt19937_64(11));
   ColocationIndex index;
   auto got = observed(pts), want = observed(pts);
-  index.flag(got);
+  flag(index, got);
   oracles::flag_colocated(want);
   expect_same(got, want, 0);
   EXPECT_LE(index.probes(), 4 * m);
   got = observed(pts);
-  index.collapse(got);
+  collapse(index, got);
   EXPECT_EQ(got.size(), m);
   EXPECT_LE(index.probes(), 4 * m);
 }
@@ -274,13 +286,13 @@ TEST(Colocation, DifferentialFuzzAgainstAllPairsReference) {
   for (std::uint64_t seed = 1; seed <= 3000; ++seed) {
     const auto snapshot = random_snapshot(seed);
     auto got = snapshot, want = snapshot;
-    index.collapse(got);
+    collapse(index, got);
     oracles::collapse_colocated(want);
     expect_same(got, want, seed);
 
     got = snapshot;
     want = snapshot;
-    index.flag(got);
+    flag(index, got);
     oracles::flag_colocated(want);
     expect_same(got, want, seed);
     if (HasFailure()) return;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "algo/baselines.hpp"
 #include "algo/kknps.hpp"
 #include "sched/asynchronous.hpp"
@@ -18,7 +20,7 @@ class ChaseFirst final : public Algorithm {
  public:
   [[nodiscard]] Vec2 compute(const Snapshot& s) const override {
     if (s.empty()) return {0.0, 0.0};
-    return s.neighbours[0].position * 0.5;
+    return s.neighbours()[0].position * 0.5;
   }
   [[nodiscard]] std::string_view name() const override { return "ChaseFirst"; }
 };
@@ -38,6 +40,31 @@ TEST(Engine, EmptyConfigurationThrows) {
   const algo::NullAlgorithm null;
   sched::ScriptedScheduler s({});
   EXPECT_THROW(Engine({}, null, s, {}), std::invalid_argument);
+}
+
+TEST(Engine, RejectsOutOfRangeErrorModels) {
+  const algo::NullAlgorithm null;
+  sched::FSyncScheduler sched(2);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {-0.1, 1.0, 2.0, nan, inf}) {
+    EngineConfig c;
+    c.error.distance_delta = bad;
+    EXPECT_THROW(Engine({{0.0, 0.0}, {0.5, 0.0}}, null, sched, c), std::invalid_argument) << bad;
+    c = {};
+    c.error.skew_lambda = bad;
+    EXPECT_THROW(Engine({{0.0, 0.0}, {0.5, 0.0}}, null, sched, c), std::invalid_argument) << bad;
+  }
+  for (const double bad : {-1e-9, nan, inf}) {
+    EngineConfig c;
+    c.error.motion_quad_coeff = bad;
+    EXPECT_THROW(Engine({{0.0, 0.0}, {0.5, 0.0}}, null, sched, c), std::invalid_argument) << bad;
+  }
+  EngineConfig ok;
+  ok.error.distance_delta = 0.5;
+  ok.error.skew_lambda = 0.5;
+  ok.error.motion_quad_coeff = 3.0;
+  EXPECT_NO_THROW(Engine({{0.0, 0.0}, {0.5, 0.0}}, null, sched, ok));
 }
 
 TEST(Engine, NilAlgorithmNeverMoves) {
@@ -158,7 +185,7 @@ TEST(Engine, PerceptionHookOverridesSnapshot) {
   Engine engine({{0.0, 0.0}, {1.0, 0.0}}, chase, sched, exact_config(2.0));
   engine.set_perception_hook([](RobotId, Time, const Snapshot&) {
     Snapshot fake;
-    fake.neighbours.push_back({{0.0, 1.0}, false});
+    fake.neighbours().push_back({{0.0, 1.0}, false});
     return fake;
   });
   engine.run(10);

@@ -95,6 +95,30 @@ TEST(LocalFrame, DistanceErrorBounded) {
   }
 }
 
+TEST(LocalFrame, StageDrawsOnlyForNonZeroOffsets) {
+  // perceive() = finish(stage()): a zero rotated offset takes no distance
+  // draw (the RNG stream is part of the engine's contract), any other one
+  // takes exactly one.
+  ErrorModel model;
+  model.distance_delta = 0.1;
+  model.allow_reflection = true;
+  std::mt19937_64 rng(21);
+  const LocalFrame f = LocalFrame::sample(model, rng);
+  for (const Vec2 zero : {Vec2{0.0, 0.0}, Vec2{-0.0, 0.0}, Vec2{0.0, -0.0}}) {
+    const std::mt19937_64 before = rng;
+    const StagedOffset s = f.stage(zero, rng);
+    EXPECT_TRUE(rng == before);
+    EXPECT_EQ(s.scale, 1.0);
+  }
+  std::mt19937_64 once = rng;
+  once.discard(1);
+  const StagedOffset s = f.stage({1e-300, 0.0}, rng);
+  EXPECT_TRUE(rng == once);
+  EXPECT_NE(s.scale, 1.0);
+  // finish() is pure: the same staged offset always perceives the same.
+  EXPECT_EQ(f.finish(s), f.finish(s));
+}
+
 TEST(LocalFrame, RotationPreservesDistances) {
   ErrorModel model;
   model.random_rotation = true;

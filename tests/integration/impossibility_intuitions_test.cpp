@@ -40,11 +40,11 @@ TEST(AngleErrorFreeze, ColinearPerceptionFreezesPolygon) {
   // through the observer) — admissible under absolute angle error.
   engine.set_perception_hook([](RobotId, Time, const Snapshot& honest) {
     Snapshot flat = honest;
-    if (flat.neighbours.size() == 2) {
-      const double d0 = flat.neighbours[0].position.norm();
-      const double d1 = flat.neighbours[1].position.norm();
-      flat.neighbours[0].position = {d0, 0.0};
-      flat.neighbours[1].position = {-d1, 0.0};
+    if (flat.neighbours().size() == 2) {
+      const double d0 = flat.neighbours()[0].position.norm();
+      const double d1 = flat.neighbours()[1].position.norm();
+      flat.neighbours()[0].position = {d0, 0.0};
+      flat.neighbours()[1].position = {-d1, 0.0};
     }
     return flat;
   });
@@ -75,8 +75,8 @@ TEST(ForcedMotion, SkewBoundedErrorCannotHideMacroscopicTurns) {
   const algo::KknpsAlgorithm algo({.k = 1});
   core::Snapshot snap;
   const double phi = 0.5;  // macroscopic turn
-  snap.neighbours.push_back({geom::unit(geom::kPi - phi / 2.0), false});
-  snap.neighbours.push_back({geom::unit(-geom::kPi + phi / 2.0).rotated(phi), false});
+  snap.neighbours().push_back({geom::unit(geom::kPi - phi / 2.0), false});
+  snap.neighbours().push_back({geom::unit(-geom::kPi + phi / 2.0).rotated(phi), false});
   // Whatever small skew does to these directions, the angular gap stays
   // > pi and the computed move is non-nil.
   EXPECT_GT(algo.compute(snap).norm(), 0.0);
@@ -90,8 +90,8 @@ TEST(ForcedMotion, SpiralVictimMovesExactlyWhenAboveTolerance) {
   const algo::LensMidpointAlgorithm victim({.colinearity_tolerance = tol});
   auto make = [](double dev) {
     core::Snapshot s;
-    s.neighbours.push_back({{-1.0, 0.0}, false});
-    s.neighbours.push_back({geom::unit(dev), false});
+    s.neighbours().push_back({{-1.0, 0.0}, false});
+    s.neighbours().push_back({geom::unit(dev), false});
     return s;
   };
   EXPECT_GT(victim.compute(make(2.0 * tol)).norm(), 0.0);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "algo/kknps.hpp"
+#include "run/instantiate.hpp"
+#include "run/spec.hpp"
 
 namespace cohesion::run {
 namespace {
@@ -110,6 +112,50 @@ TEST(Registry, KknpsRejectsUnknownOrInvalidParams) {
   // Out-of-range values reach the constructor's checks.
   EXPECT_THROW((void)algorithms().get("kknps")(Json::parse(R"({"halfplane_tolerance": -0.1})")),
                std::invalid_argument);
+}
+
+TEST(Registry, ErrorFactoriesRejectUnknownKeysAndBadRanges) {
+  // A misspelled key names the nearest known one instead of running exact.
+  try {
+    (void)errors().get("noisy")(Json::parse(R"({"distance_delat": 0.05})"));
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("noisy"), std::string::npos) << what;
+    EXPECT_NE(what.find("\"distance_delat\""), std::string::npos) << what;
+    EXPECT_NE(what.find("\"distance_delta\""), std::string::npos) << what;
+  }
+  EXPECT_THROW((void)errors().get("exact")(Json::parse(R"({"distance_delta": 0})")),
+               std::runtime_error);
+  // Every documented key is accepted, at the edges of its range.
+  const core::ErrorModel m = errors().get("noisy")(Json::parse(
+      R"({"distance_delta": 0, "skew_lambda": 0.999, "motion_quad_coeff": 0,
+          "random_rotation": false, "allow_reflection": true})"));
+  EXPECT_EQ(m.skew_lambda, 0.999);
+  // Out of range: negative or >= 1 delta and skew, a negative coefficient.
+  // (JSON cannot spell a non-finite number; Engine.RejectsOutOfRangeError-
+  // Models covers those through the same check.)
+  for (const char* bad : {R"({"distance_delta": -0.1})", R"({"distance_delta": 1})",
+                          R"({"skew_lambda": -1e-9})", R"({"skew_lambda": 1.0})",
+                          R"({"motion_quad_coeff": -1})"}) {
+    EXPECT_THROW((void)errors().get("noisy")(Json::parse(bad)), std::invalid_argument) << bad;
+  }
+}
+
+TEST(Registry, InstantiateRejectsNonFiniteInitialPositions) {
+  RunSpec spec;
+  spec.n = 16;
+  spec.initial = {.type = "grid", .params = Json::parse(R"({"spacing": 1e308})")};
+  try {
+    (void)instantiate(spec);
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("initial \"grid\""), std::string::npos) << what;
+    EXPECT_NE(what.find("not finite"), std::string::npos) << what;
+  }
+  spec.initial.params = Json::parse(R"({"spacing": 0.5})");
+  EXPECT_NO_THROW((void)instantiate(spec));
 }
 
 TEST(Registry, SeedParamPinsOverDerivedSeed) {

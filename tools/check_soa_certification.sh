@@ -3,16 +3,17 @@
 # kernel, KAsync's batched robot selection (contract 2), the
 # cohesion-stretch sweep (core::InitialPairSweep, contract 10) and the
 # sort-free dense Look (the hashed co-location index, the grids' bitmap
-# candidate enumeration and geom::half_plane_gap) must be bit-identical to
-# their references, or the build is rejected. This script proves it under
+# candidate enumeration and geom::half_plane_gap) and lazy perception (the
+# staged snapshot, co-location on proxies and KKNPS's lazy rule) must be
+# bit-identical to their references, or the build is rejected. This script proves it under
 # the two configurations most likely to break bit-identity or memory
 # safety:
 #
 #   asan    -DCOHESION_SANITIZE=address  — the 500-seed differential fuzz,
 #           the pool/filter property tests, the selection fuzz, the
-#           2400-case stretch-sweep fuzz, the co-location, grid-enumeration
-#           and half-plane-gap fuzzes with every allocation and gather
-#           bounds-checked;
+#           2400-case stretch-sweep fuzz, the co-location, grid-enumeration,
+#           half-plane-gap and lazy-KKNPS fuzzes with every allocation and
+#           gather bounds-checked;
 #   native  -DCOHESION_NATIVE=ON         — the same suites compiled with
 #           -march=native (widest vectors + FMA contraction the host
 #           supports), demonstrating the certified-band design — the SoA
@@ -24,7 +25,8 @@
 # -DCOHESION_SOA_CERT_ONLY=ON to the library plus tests/core/soa_*.cpp,
 # tests/core/stretch_sweep_test.cpp, tests/core/colocation_test.cpp,
 # tests/core/grid_enumeration_test.cpp,
-# tests/geometry/half_plane_gap_test.cpp and
+# tests/geometry/half_plane_gap_test.cpp,
+# tests/algo/lazy_kknps_test.cpp and
 # tests/sched/kasync_selection_test.cpp, so
 # the battery stays cheap enough for tier-1 (the `soa_certification` ctest
 # test runs this script). A configuration whose toolchain flags do not work
