@@ -16,12 +16,13 @@
 // or early-stop rule fails with an error that says so, instead of silently
 // mixing incompatible outcomes.
 //
-// Crash tolerance: every append is a single write(2) of a complete line
-// (O_APPEND), fsync'd every `fsync_every` outcomes. A crash can therefore
-// leave at most one torn line, and only at the tail; load() drops it and
-// truncates the file back to the last complete line before appending
-// resumes. Malformed JSON anywhere *before* the final line is not a crash
-// artifact and is rejected as corruption.
+// Crash tolerance is run::LineJournal's (run/journal.hpp): every append is
+// a single write(2) of a complete line (O_APPEND), fsync'd every
+// `fsync_every` outcomes. A crash can therefore leave at most one torn
+// line, and only at the tail; resume() drops it and truncates the file
+// back to the last complete line before appending resumes. Malformed JSON
+// anywhere *before* the final line is not a crash artifact and is
+// rejected as corruption.
 #pragma once
 
 #include <cstddef>
@@ -31,6 +32,7 @@
 #include <vector>
 
 #include "run/batch_runner.hpp"
+#include "run/journal.hpp"
 #include "run/spec.hpp"
 
 namespace cohesion::run {
@@ -84,12 +86,9 @@ class CheckpointJournal {
   CheckpointJournal& operator=(const CheckpointJournal&) = delete;
 
  private:
-  CheckpointJournal(int fd, std::string path, std::size_t fsync_every);
+  explicit CheckpointJournal(std::unique_ptr<LineJournal> journal);
 
-  int fd_ = -1;
-  std::string path_;
-  std::size_t fsync_every_ = 1;
-  std::size_t since_sync_ = 0;
+  std::unique_ptr<LineJournal> journal_;
   std::string error_;  ///< first append failure; latched, guarded by mutex_
   mutable std::mutex mutex_;
 };

@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "run/exit_codes.hpp"
+
 namespace cohesion::run {
 
 namespace fs = std::filesystem;
@@ -137,6 +139,23 @@ Json load_spec_file(const std::string& path) {
   // their plain form, chain errors begin once an "extends" is followed.
   Json doc = Json::parse_file(path);
   return resolve_in_chain(std::move(doc), fs::path(path).parent_path().string(), chain);
+}
+
+ExperimentSpec load_experiment_file(const std::string& path) {
+  {
+    // Distinguish the unreadable file (transient: not copied yet, NFS
+    // hiccup) from the unparseable one (permanent) before parsing.
+    std::ifstream probe(path);
+    if (!probe) throw TransientError("cannot open spec file " + path);
+  }
+  // Preset layering ("extends") resolves here — before expansion, and
+  // therefore before any fingerprint (checkpoint or cache) is computed.
+  const Json doc = load_spec_file(path);
+  if (doc.contains("base")) return ExperimentSpec::from_json(doc);
+  ExperimentSpec experiment;
+  experiment.base = RunSpec::from_json(doc);
+  experiment.name = experiment.base.name;
+  return experiment;
 }
 
 }  // namespace cohesion::run

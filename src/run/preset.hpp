@@ -32,6 +32,7 @@
 #include <string>
 
 #include "run/json.hpp"
+#include "run/spec.hpp"
 
 namespace cohesion::run {
 
@@ -45,6 +46,12 @@ void deep_merge(Json& base, const Json& overlay);
 /// Throws std::runtime_error naming the preset chain on cycles, missing
 /// bases, or malformed "extends" values.
 [[nodiscard]] Json load_spec_file(const std::string& path);
+
+/// The experiment every entry point runs: load_spec_file, then wrap a
+/// bare RunSpec (no "base") as a one-run experiment. An unreadable file
+/// throws run::TransientError (it may not have been copied yet); a
+/// malformed one throws std::runtime_error (permanent).
+[[nodiscard]] ExperimentSpec load_experiment_file(const std::string& path);
 
 /// Resolve an already-parsed document against bases located relative to
 /// `source_dir` (the directory of the file `doc` came from; "" means the

@@ -33,6 +33,8 @@
 
 namespace cohesion::run {
 
+inline constexpr const char* kPartialReportFormat = "cohesion-partial-report/1";
+
 /// One process's slice of a sweep: shard `index` of `count` (0-based).
 struct Shard {
   std::size_t index = 0;

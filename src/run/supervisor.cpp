@@ -1,102 +1,29 @@
 #include "run/supervisor.hpp"
 
-#include <fcntl.h>
 #include <signal.h>
-#include <sys/stat.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 
 #include "run/exit_codes.hpp"
-#include "run/shard.hpp"
-#include "run/spec.hpp"
+#include "run/preset.hpp"
+#include "serve/job_table.hpp"
+#include "serve/runner.hpp"
 
 namespace cohesion::run {
 
 namespace {
 
 namespace fs = std::filesystem;
-using Clock = std::chrono::steady_clock;
-
-constexpr const char* kPartialFormat = "cohesion-partial-report/1";
-constexpr const char* kSupervisedFormat = "cohesion-supervised-partial/1";
-
-double seconds_between(Clock::time_point from, Clock::time_point to) {
-  return std::chrono::duration<double>(to - from).count();
-}
-
-/// The cohesion_run binary next to the current executable — the right
-/// default for both the cohesion_launch CLI and the test binary, which
-/// live in the same build tree as their workers.
-std::string sibling_runner() {
-  char buf[4096];
-  const ::ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-  if (n <= 0) return "cohesion_run";
-  buf[n] = '\0';
-  const std::string exe(buf);
-  const std::size_t slash = exe.rfind('/');
-  if (slash == std::string::npos) return "cohesion_run";
-  return exe.substr(0, slash + 1) + "cohesion_run";
-}
-
-/// Cheap heartbeat read: journal size and complete-line count. No JSON
-/// parsing — growth is the heartbeat, lines arm fault triggers.
-struct JournalStat {
-  std::size_t bytes = 0;
-  std::size_t outcome_lines = 0;  ///< complete lines minus the header
-};
-
-JournalStat stat_journal(const std::string& path) {
-  JournalStat s;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return s;
-  std::size_t lines = 0;
-  char chunk[1 << 14];
-  while (in.read(chunk, sizeof(chunk)) || in.gcount() > 0) {
-    const std::streamsize got = in.gcount();
-    s.bytes += static_cast<std::size_t>(got);
-    lines += static_cast<std::size_t>(
-        std::count(chunk, chunk + got, '\n'));
-    if (got < static_cast<std::streamsize>(sizeof(chunk))) break;
-  }
-  s.outcome_lines = lines > 0 ? lines - 1 : 0;  // line 1 is the header
-  return s;
-}
-
-/// Everything the supervisor tracks about one shard beyond its public
-/// ShardStatus. The lease is (last_progress, journal growth); `retained`
-/// accumulates outcomes recovered from dead attempts so a retry that
-/// starts over (or a final partial report) never loses them.
-struct ShardState {
-  ShardStatus status;
-  ::pid_t pid = -1;
-  Clock::time_point last_progress{};
-  Clock::time_point retry_at{};
-  std::size_t journal_bytes = 0;
-  bool corrupt_pending = false;  ///< corrupt fault fired; scribble tail at reap
-  std::vector<RunOutcome> retained;
-  Json partial;  ///< parsed partial report once collected
-  std::vector<char> fault_fired;  ///< parallel to SupervisorOptions::faults
-
-  std::string journal_path;
-  std::string partial_path;
-  std::string log_path;
-};
-
-bool is_terminal(const ShardState& s) {
-  return s.status.state == ShardStatus::State::done ||
-         s.status.state == ShardStatus::State::failed;
-}
+using State = ShardStatus::State;
 
 void append_torn_tail(const std::string& path) {
   // A newline-free fragment of a plausible outcome line: exactly what a
@@ -104,6 +31,15 @@ void append_torn_tail(const std::string& path) {
   std::ofstream out(path, std::ios::binary | std::ios::app);
   out << R"({"index": 4294967295, "variant": 0, "repe)";
 }
+
+/// A lease a local worker holds, with the runner executing it.
+struct Active {
+  serve::Lease lease;
+  serve::RunnerProcess runner;
+  std::size_t read_bytes = ~std::size_t{0};  ///< journal size at the last outcome read
+  std::size_t sent = 0;                      ///< journal outcomes already heartbeated
+  bool corrupt_pending = false;  ///< corrupt fault fired: scribble the tail once reaped
+};
 
 }  // namespace
 
@@ -191,34 +127,35 @@ const char* ShardStatus::state_name() const {
   return "?";
 }
 
+bool supersede(RunOutcome& kept, const RunOutcome& incoming) {
+  const bool kept_ok = kept.error.empty();
+  if (kept_ok && incoming.error.empty()) {
+    // Outcomes are deterministic functions of the grid position, so two
+    // completed attempts must agree exactly; a difference means the
+    // attempts ran different specs (or nondeterminism crept in) and no
+    // silent choice between them is right.
+    if (kept.to_json().dump() != incoming.to_json().dump()) {
+      throw std::runtime_error(
+          "conflicting completed outcomes for grid index " + std::to_string(incoming.index) +
+          " — attempts disagree on a deterministic run (different spec or "
+          "nondeterministic engine); refusing to pick one");
+    }
+    return false;
+  }
+  if (kept_ok) return false;  // a completed outcome outlives a later error
+  // A completed outcome supersedes an environmental error; between two
+  // errors, the later attempt's wins.
+  kept = incoming;
+  return true;
+}
+
 std::vector<RunOutcome> merge_attempt_outcomes(
     const std::vector<std::vector<RunOutcome>>& attempts) {
   std::map<std::size_t, RunOutcome> by_index;
   for (const std::vector<RunOutcome>& attempt : attempts) {
     for (const RunOutcome& o : attempt) {
       const auto [it, fresh] = by_index.try_emplace(o.index, o);
-      if (fresh) continue;
-      RunOutcome& kept = it->second;
-      const bool kept_ok = kept.error.empty();
-      const bool new_ok = o.error.empty();
-      if (kept_ok && new_ok) {
-        // Outcomes are deterministic functions of the grid position, so two
-        // completed attempts must agree exactly; a difference means the
-        // attempts ran different specs (or nondeterminism crept in) and no
-        // silent choice between them is right.
-        if (kept.to_json().dump() != o.to_json().dump()) {
-          throw std::runtime_error(
-              "attempt merge: conflicting completed outcomes for grid index " +
-              std::to_string(o.index) +
-              " — attempts disagree on a deterministic run (different spec or "
-              "nondeterministic engine); refusing to pick one");
-        }
-      } else if (!kept_ok && new_ok) {
-        kept = o;  // a completed outcome supersedes an environmental error
-      } else if (!kept_ok && !new_ok) {
-        kept = o;  // between two errors, the later attempt's wins
-      }
-      // kept_ok && !new_ok: keep the completed outcome.
+      if (!fresh) supersede(it->second, o);
     }
   }
   std::vector<RunOutcome> out;
@@ -259,407 +196,220 @@ SupervisorResult Supervisor::run() {
   if (options_.retry.max_attempts == 0) {
     throw std::runtime_error("supervisor: max_attempts must be >= 1");
   }
-  if (options_.runner.empty()) options_.runner = sibling_runner();
+  if (options_.runner.empty()) options_.runner = serve::sibling_runner();
   if (::access(options_.runner.c_str(), X_OK) != 0) {
     throw std::runtime_error("supervisor: runner " + options_.runner + " is not executable");
   }
-
-  // Parse the spec up front: total_runs for progress/coverage, and a spec
-  // error is the supervisor's to report, not N workers' to rediscover.
-  const Json doc = Json::parse_file(options_.spec_path);
-  ExperimentSpec experiment;
-  if (doc.contains("base")) {
-    experiment = ExperimentSpec::from_json(doc);
-  } else {
-    experiment.base = RunSpec::from_json(doc);
-    experiment.name = experiment.base.name;
-  }
-  const std::size_t total_runs =
-      experiment.variant_count() * std::max<std::size_t>(experiment.repeats, 1);
-
+  // A spec error is the supervisor's to report, not N runners' to rediscover.
+  const ExperimentSpec experiment = load_experiment_file(options_.spec_path);
   std::error_code ec;
   fs::create_directories(options_.work_dir, ec);
   if (ec) {
     throw std::runtime_error("supervisor: cannot create work dir " + options_.work_dir + " (" +
                              ec.message() + ")");
   }
+  // Every runner reads the resolved echo — the spec its lease carries.
+  const std::string spec_path = options_.work_dir + "/spec.json";
+  {
+    std::ofstream out(spec_path);
+    if (!out) throw TransientError("supervisor: cannot write " + spec_path);
+    out << experiment.to_json().dump(2) << '\n';
+  }
 
   const auto event = [&](const std::string& line) {
     if (options_.on_event) options_.on_event(line);
   };
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto now = [&] {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  };
 
-  std::vector<ShardState> shards(options_.shards);
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    ShardState& s = shards[i];
-    const std::string stem = options_.work_dir + "/shard_" + std::to_string(i);
-    s.journal_path = stem + ".ckpt";
-    s.partial_path = stem + ".partial.json";
-    s.log_path = stem + ".log";
-    s.fault_fired.assign(options_.faults.size(), 0);
+  serve::JobTable table(serve::ServeConfig{.retry = options_.retry,
+                                           .lease_timeout_seconds = options_.lease.timeout_seconds});
+  serve::Effects effects;  // the supervisor narrates through on_event; table notes are dropped
+  const std::uint64_t job = table.add_job("", experiment.to_json(), now(), effects);
+  std::vector<std::uint64_t> workers(options_.shards);
+  for (std::size_t i = 0; i < workers.size(); ++i) {
+    workers[i] = table.worker_joined("local-" + std::to_string(i));
   }
+  std::vector<std::optional<Active>> slots(options_.shards);
+  const std::size_t partition =
+      std::min(options_.shards, std::max<std::size_t>(experiment.variant_count(), 1));
+  const std::size_t total_runs =
+      experiment.variant_count() * std::max<std::size_t>(experiment.repeats, 1);
+  const std::size_t cap = options_.max_parallel == 0
+                              ? slots.size()
+                              : std::min(options_.max_parallel, slots.size());
+  std::vector<ShardStatus> shards(partition);
+  std::vector<char> fault_fired(options_.faults.size(), 0);
 
-  const auto spawn = [&](std::size_t index) {
-    ShardState& s = shards[index];
-    fs::remove(s.partial_path, ec);  // a stale partial must never masquerade as coverage
-    ++s.status.attempts;
-    s.corrupt_pending = false;
-    std::vector<std::string> args = {
-        options_.runner,
-        options_.spec_path,
-        "--shard",
-        std::to_string(index) + "/" + std::to_string(options_.shards),
-        "--resume",
-        s.journal_path,
-        "--out",
-        s.partial_path,
-        "--threads",
-        std::to_string(std::max<std::size_t>(options_.worker_threads, 1)),
-    };
-    if (options_.throttle_ms > 0) {
-      args.push_back("--throttle-ms");
-      args.push_back(std::to_string(options_.throttle_ms));
+  // Narrate what the table made of a lease that just ended.
+  const auto settle = [&](std::size_t s, const std::string& how, bool permanent) {
+    const std::string who = "shard " + std::to_string(s);
+    const std::string attempts = std::to_string(shards[s].attempts);
+    switch (table.shard_state(job, s)) {
+      case State::done:
+        event(who + " done (" + how + ", attempt " + attempts + ")");
+        break;
+      case State::failed:
+        event(who + (permanent ? " FAILED permanently: " + how
+                               : " FAILED: retry budget exhausted after " + attempts +
+                                     " attempts (last: " + how + ")"));
+        break;
+      default:
+        event(who + " died (" + how + "); retry " + std::to_string(shards[s].attempts + 1) +
+              "/" + std::to_string(options_.retry.max_attempts) + " after backoff");
     }
-    const ::pid_t pid = ::fork();
-    if (pid < 0) {
-      // Treat like any other transient death; the retry path owns it.
-      s.status.last_failure = std::string("fork failed (") + std::strerror(errno) + ")";
-      s.status.state = s.status.attempts >= options_.retry.max_attempts
-                           ? ShardStatus::State::failed
-                           : ShardStatus::State::backoff;
-      s.retry_at = Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                      std::chrono::duration<double>(options_.retry.backoff_seconds(
-                                          index, s.status.attempts)));
-      return;
-    }
-    if (pid == 0) {
-      const int log = ::open(s.log_path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-      if (log >= 0) {
-        ::dup2(log, STDOUT_FILENO);
-        ::dup2(log, STDERR_FILENO);
-        if (log > STDERR_FILENO) ::close(log);
-      }
-      std::vector<char*> argv;
-      argv.reserve(args.size() + 1);
-      for (std::string& a : args) argv.push_back(a.data());
-      argv.push_back(nullptr);
-      ::execv(argv[0], argv.data());
-      ::_exit(127);  // exec failure — reported through the exit status
-    }
-    s.pid = pid;
-    s.status.state = ShardStatus::State::running;
-    s.journal_bytes = stat_journal(s.journal_path).bytes;
-    s.last_progress = Clock::now();
-    event("shard " + std::to_string(index) + " attempt " + std::to_string(s.status.attempts) +
-          " launched (pid " + std::to_string(pid) + ")");
   };
 
-  // A dead worker's journal still holds fsync'd outcomes; fold them into
-  // `retained` so no completed run is ever lost — not to a retry that
-  // starts a fresh journal, and not to a shard that fails for good.
-  const auto retain_journal = [&](ShardState& s) {
-    std::vector<RunOutcome> journaled;
-    read_journal_outcomes(s.journal_path, journaled);
+  // A reaped (or stopped) runner completes or fails its lease. `why`
+  // overrides the exit's own reason (a lease that expired first).
+  const auto finish = [&](std::optional<Active>& slot, const serve::RunnerExit& exit,
+                          const std::string& why = {}) {
+    Active& a = *slot;
+    const std::size_t s = a.lease.shard;
+    if (a.corrupt_pending) append_torn_tail(a.runner.journal());
+    const std::vector<RunOutcome> outcomes = a.runner.outcomes();
+    shards[s].journal_lines = a.runner.stat().outcome_lines;
+    const std::uint64_t lease_id = a.lease.id;
+    slot.reset();
+    if (exit.covered && why.empty()) {
+      table.complete(lease_id, outcomes, now(), effects);
+      settle(s, "exit " + std::to_string(exit.exit_code), false);
+      return;
+    }
+    const std::string reason = why.empty() ? exit.reason : why;
+    shards[s].last_failure = reason;
+    table.fail(lease_id, exit.exit_code, reason, outcomes, now(), effects);
+    settle(s, reason, why.empty() && !exit_code_retryable(exit.exit_code));
+  };
+
+  const auto launch = [&](std::optional<Active>& slot, const serve::Lease& lease) {
+    const std::size_t s = lease.shard;
+    const std::size_t attempt = ++shards[s].attempts;
+    serve::RunnerLaunch spec{.runner = options_.runner,
+                             .spec_path = spec_path,
+                             .shard = s,
+                             .of = lease.of,
+                             .stem = options_.work_dir + "/shard_" + std::to_string(s),
+                             .threads = options_.worker_threads,
+                             .throttle_ms = options_.throttle_ms};
     try {
-      s.retained = merge_attempt_outcomes({s.retained, journaled});
-    } catch (const std::exception& e) {
-      event(std::string("WARNING: ") + e.what());
-    }
-  };
-
-  const auto on_death = [&](std::size_t index, const std::string& reason, bool permanent) {
-    ShardState& s = shards[index];
-    s.pid = -1;
-    s.status.last_failure = reason;
-    retain_journal(s);
-    if (permanent) {
-      s.status.state = ShardStatus::State::failed;
-      event("shard " + std::to_string(index) + " FAILED permanently: " + reason);
+      slot.emplace(Active{.lease = lease, .runner = serve::RunnerProcess::spawn(spec)});
+    } catch (const TransientError& e) {
+      shards[s].last_failure = e.what();
+      table.fail(lease.id, kExitTransient, e.what(), {}, now(), effects);
+      settle(s, e.what(), false);
       return;
     }
-    if (s.status.attempts >= options_.retry.max_attempts) {
-      s.status.state = ShardStatus::State::failed;
-      event("shard " + std::to_string(index) + " FAILED: retry budget exhausted after " +
-            std::to_string(s.status.attempts) + " attempts (last: " + reason + ")");
+    event("shard " + std::to_string(s) + " attempt " + std::to_string(attempt) +
+          " launched (pid " + std::to_string(slot->runner.pid()) + ")");
+  };
+
+  // Heartbeat one running lease from its journal, then fire armed faults.
+  const auto watch = [&](std::optional<Active>& slot) {
+    Active& a = *slot;
+    const std::size_t s = a.lease.shard;
+    const serve::JournalStat js = a.runner.stat();
+    shards[s].journal_lines = js.outcome_lines;
+    std::vector<RunOutcome> fresh;
+    if (js.bytes != a.read_bytes) {
+      a.read_bytes = js.bytes;
+      std::vector<RunOutcome> all = a.runner.outcomes();
+      fresh.assign(all.begin() + static_cast<std::ptrdiff_t>(std::min(a.sent, all.size())),
+                   all.end());
+      a.sent = all.size();
+    }
+    if (!table.heartbeat(a.lease.id, js.bytes, js.outcome_lines, fresh, now(), effects)) {
+      if (table.job_terminal(job)) return;  // nothing left to run; stopped below
+      // Only tick() revokes a local lease: the journal was silent too long.
+      const std::string reason = "lease expired (no journal progress for " +
+                                 std::to_string(options_.lease.timeout_seconds) + "s)";
+      event("shard " + std::to_string(s) + " " + reason + "; stopping its runner");
+      finish(slot, a.runner.stop(), reason);
       return;
     }
-    const double delay = options_.retry.backoff_seconds(index, s.status.attempts);
-    s.status.state = ShardStatus::State::backoff;
-    s.retry_at = Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                    std::chrono::duration<double>(delay));
-    event("shard " + std::to_string(index) + " died (" + reason + "); retry " +
-          std::to_string(s.status.attempts + 1) + "/" +
-          std::to_string(options_.retry.max_attempts) + " in " + std::to_string(delay) + "s");
-  };
-
-  const auto try_collect_partial = [&](ShardState& s, std::size_t index,
-                                       std::string& why) -> bool {
-    try {
-      Json p = Json::parse_file(s.partial_path);
-      if (!p.is_object() || p.string_or("format", "") != kPartialFormat) {
-        why = "not a partial report";
-        return false;
-      }
-      if (static_cast<std::size_t>(p.at("shard").at("index").as_uint()) != index) {
-        why = "partial report belongs to another shard";
-        return false;
-      }
-      std::vector<RunOutcome> outcomes;
-      for (const Json& r : p.at("runs").items()) outcomes.push_back(RunOutcome::from_json(r));
-      s.retained = merge_attempt_outcomes({s.retained, outcomes});
-      s.partial = std::move(p);
-      return true;
-    } catch (const std::exception& e) {
-      why = e.what();
-      return false;
-    }
-  };
-
-  // One pass over a running shard: heartbeat from the journal, armed fault
-  // triggers, then the lease check. Reaping happens separately so a kill
-  // issued here is observed (and classified) on a later pass.
-  const auto poll_running = [&](std::size_t index) {
-    ShardState& s = shards[index];
-    const JournalStat js = stat_journal(s.journal_path);
-    if (js.bytes > s.journal_bytes) {
-      s.journal_bytes = js.bytes;
-      s.last_progress = Clock::now();
-    }
-    s.status.journal_lines = js.outcome_lines;
-
     for (std::size_t f = 0; f < options_.faults.size(); ++f) {
       const FaultPlan& fault = options_.faults[f];
-      if (s.fault_fired[f] || fault.shard != index || fault.attempt != s.status.attempts ||
+      if (fault_fired[f] || fault.shard != s || fault.attempt != shards[s].attempts ||
           js.outcome_lines < fault.after_lines) {
         continue;
       }
-      s.fault_fired[f] = 1;
-      event("fault injected on shard " + std::to_string(index) + ": " + fault.describe());
-      switch (fault.kind) {
-        case FaultPlan::Kind::kill:
-          ::kill(s.pid, SIGKILL);
-          break;
-        case FaultPlan::Kind::stall:
-          // The worker lives but its heartbeat stops; only the lease can
-          // catch this, which is exactly what the harness verifies.
-          ::kill(s.pid, SIGSTOP);
-          break;
-        case FaultPlan::Kind::corrupt:
-          ::kill(s.pid, SIGKILL);
-          s.corrupt_pending = true;
-          break;
-      }
-    }
-
-    if (seconds_between(s.last_progress, Clock::now()) > options_.lease.timeout_seconds) {
-      // Lease expired: no journal growth for the whole window. SIGKILL is
-      // safe on live, wedged and SIGSTOPped processes alike.
-      ::kill(s.pid, SIGKILL);
-      int st = 0;
-      ::waitpid(s.pid, &st, 0);
-      on_death(index,
-               "lease expired (no journal progress for " +
-                   std::to_string(options_.lease.timeout_seconds) + "s)",
-               /*permanent=*/false);
+      fault_fired[f] = 1;
+      event("fault injected on shard " + std::to_string(s) + ": " + fault.describe());
+      // A stall keeps the runner alive with its heartbeat stopped: only the
+      // lease can catch it, which is exactly what the harness verifies.
+      a.runner.signal(fault.kind == FaultPlan::Kind::stall ? SIGSTOP : SIGKILL);
+      a.corrupt_pending = a.corrupt_pending || fault.kind == FaultPlan::Kind::corrupt;
     }
   };
 
-  const auto reap = [&](std::size_t index) {
-    ShardState& s = shards[index];
-    int st = 0;
-    const ::pid_t got = ::waitpid(s.pid, &st, WNOHANG);
-    if (got != s.pid) return;
-    s.pid = -1;
-    if (s.corrupt_pending) {
-      append_torn_tail(s.journal_path);
-      s.corrupt_pending = false;
-    }
-    if (WIFEXITED(st)) {
-      const int code = WEXITSTATUS(st);
-      // Any exit that left a complete partial report covers the shard —
-      // including exit 1 from in-report run errors, which the merged
-      // report carries exactly like a single-process run would.
-      std::string why;
-      if (try_collect_partial(s, index, why)) {
-        s.status.state = ShardStatus::State::done;
-        s.status.journal_lines = stat_journal(s.journal_path).outcome_lines;
-        event("shard " + std::to_string(index) + " done (exit " + std::to_string(code) +
-              ", attempt " + std::to_string(s.status.attempts) + ")");
-        return;
-      }
-      if (code == kExitSuccess) {
-        on_death(index, "exit 0 but partial report unusable (" + why + ")",
-                 /*permanent=*/false);
-      } else {
-        on_death(index, "exit code " + std::to_string(code),
-                 /*permanent=*/!exit_code_retryable(code));
-      }
-      return;
-    }
-    if (WIFSIGNALED(st)) {
-      on_death(index, std::string("killed by signal ") + std::to_string(WTERMSIG(st)),
-               /*permanent=*/false);
-    }
-  };
-
-  // Everything recovered so far, shard by shard: collected partials and
-  // retained journal outcomes for the dead, the live journal view for the
-  // running. Attempt-supersedes keeps it one outcome per index.
-  const auto recovered_outcomes = [&]() -> std::vector<RunOutcome> {
-    std::vector<std::vector<RunOutcome>> per_shard;
-    for (ShardState& s : shards) {
-      if (s.status.state == ShardStatus::State::done) {
-        per_shard.push_back(s.retained);
-        continue;
-      }
-      std::vector<RunOutcome> live;
-      read_journal_outcomes(s.journal_path, live);
-      try {
-        per_shard.push_back(merge_attempt_outcomes({s.retained, live}));
-      } catch (const std::exception& e) {
-        event(std::string("WARNING: ") + e.what());
-        per_shard.push_back(s.retained);
-      }
-    }
-    std::vector<RunOutcome> all;
-    for (std::vector<RunOutcome>& v : per_shard) {
-      all.insert(all.end(), std::make_move_iterator(v.begin()),
-                 std::make_move_iterator(v.end()));
-    }
-    std::sort(all.begin(), all.end(),
-              [](const RunOutcome& a, const RunOutcome& b) { return a.index < b.index; });
-    return all;
-  };
-
-  event("supervising " + std::to_string(options_.shards) + " shards of " + options_.spec_path +
-        " (" + std::to_string(total_runs) + " runs, max " +
+  event("supervising " + std::to_string(partition) + " shards of " + options_.spec_path + " (" +
+        std::to_string(total_runs) + " runs, max " +
         std::to_string(options_.retry.max_attempts) + " attempts/shard, lease " +
         std::to_string(options_.lease.timeout_seconds) + "s)");
 
-  Clock::time_point last_status = Clock::now();
-  while (true) {
+  double last_status = now();
+  while (!table.job_terminal(job)) {
     std::size_t running = 0;
-    for (const ShardState& s : shards) {
-      if (s.status.state == ShardStatus::State::running) ++running;
-    }
-    const std::size_t cap =
-        options_.max_parallel == 0 ? shards.size() : options_.max_parallel;
-    for (std::size_t i = 0; i < shards.size() && running < cap; ++i) {
-      ShardState& s = shards[i];
-      const bool due_retry =
-          s.status.state == ShardStatus::State::backoff && Clock::now() >= s.retry_at;
-      if (s.status.state == ShardStatus::State::pending || due_retry) {
-        spawn(i);
-        if (s.status.state == ShardStatus::State::running) ++running;
+    for (std::optional<Active>& slot : slots) {
+      if (!slot) continue;
+      if (const std::optional<serve::RunnerExit> exit = slot->runner.poll()) {
+        finish(slot, *exit);
+      } else {
+        ++running;
       }
     }
-
-    for (std::size_t i = 0; i < shards.size(); ++i) {
-      if (shards[i].status.state != ShardStatus::State::running) continue;
-      reap(i);
-      if (shards[i].status.state == ShardStatus::State::running) poll_running(i);
+    for (std::size_t i = 0; i < slots.size() && running < cap && !table.job_terminal(job); ++i) {
+      if (slots[i]) continue;
+      const std::optional<serve::Lease> lease = table.request_lease(workers[i], now(), effects);
+      if (!lease) break;
+      launch(slots[i], *lease);
+      if (slots[i]) ++running;
     }
-
-    const bool all_terminal =
-        std::all_of(shards.begin(), shards.end(), [](const ShardState& s) {
-          return is_terminal(s);
-        });
-    if (all_terminal) break;
-
-    if (seconds_between(last_status, Clock::now()) >= options_.lease.status_interval_seconds) {
-      last_status = Clock::now();
-      const std::vector<RunOutcome> all = recovered_outcomes();
-      std::size_t done = 0, in_flight = 0, backoff = 0, failed = 0;
-      for (const ShardState& s : shards) {
-        switch (s.status.state) {
-          case ShardStatus::State::done: ++done; break;
-          case ShardStatus::State::running: ++in_flight; break;
-          case ShardStatus::State::backoff: ++backoff; break;
-          case ShardStatus::State::failed: ++failed; break;
-          case ShardStatus::State::pending: break;
-        }
-      }
-      event("progress: " + std::to_string(all.size()) + "/" + std::to_string(total_runs) +
-            " runs; shards " + std::to_string(done) + " done, " + std::to_string(in_flight) +
-            " running, " + std::to_string(backoff) + " backoff, " + std::to_string(failed) +
-            " failed; partial aggregate: " + BatchRunner::aggregate(all).to_json().dump());
+    for (std::optional<Active>& slot : slots) {
+      if (slot) watch(slot);
     }
+    table.tick(now(), effects);
+    effects = {};
 
+    if (now() - last_status >= options_.lease.status_interval_seconds) {
+      last_status = now();
+      std::map<State, std::size_t> count;
+      for (std::size_t s = 0; s < partition; ++s) ++count[table.shard_state(job, s)];
+      const Json status = table.status_json().at("jobs").items().front();
+      event("progress: " + std::to_string(status.uint_or("covered_runs", 0)) + "/" +
+            std::to_string(total_runs) + " runs; shards " + std::to_string(count[State::done]) +
+            " done, " + std::to_string(count[State::running]) + " running, " +
+            std::to_string(count[State::backoff]) + " backoff, " +
+            std::to_string(count[State::failed]) + " failed; partial aggregate: " +
+            status.at("aggregate").dump());
+    }
     std::this_thread::sleep_for(std::chrono::duration<double>(
         std::max(options_.lease.poll_interval_seconds, 0.001)));
+  }
+  // Runners still alive once the job settled have nothing left to add
+  // beyond what they journaled; their outcomes fold in as they stop.
+  for (std::optional<Active>& slot : slots) {
+    if (slot) finish(slot, slot->runner.stop());
   }
 
   SupervisorResult result;
   result.total_runs = total_runs;
-  for (ShardState& s : shards) result.shards.push_back(s.status);
-
-  const bool all_done = std::all_of(shards.begin(), shards.end(), [](const ShardState& s) {
-    return s.status.state == ShardStatus::State::done;
-  });
-  if (all_done) {
-    std::vector<Json> partials;
-    partials.reserve(shards.size());
-    for (ShardState& s : shards) partials.push_back(std::move(s.partial));
-    try {
-      result.report = merge_partial_reports(partials);
-      result.complete = true;
-      result.covered_runs = total_runs;
-      const std::size_t errors =
-          static_cast<std::size_t>(result.report.at("aggregate").at("errors").as_uint());
-      result.exit_code = errors == 0 ? kExitSuccess : kExitPermanent;
-      event("complete: merged " + std::to_string(shards.size()) + " partial reports (" +
-            std::to_string(total_runs) + " runs" +
-            (errors > 0 ? ", " + std::to_string(errors) + " run errors" : "") + ")");
-      return result;
-    } catch (const std::exception& e) {
-      // Partials that refuse to merge degrade to the partial document —
-      // an explicit inconsistency report, never a silent wrong answer.
-      event(std::string("merge failed: ") + e.what());
-      result.report = Json::object();
-      result.report.set("merge_error", std::string(e.what()));
-    }
-  }
-
-  // Degraded output: every recovered outcome plus an explicit statement of
-  // what is NOT covered.
-  const std::vector<RunOutcome> all = recovered_outcomes();
-  Json merge_err = result.report.is_object() && result.report.contains("merge_error")
-                       ? std::move(result.report)
-                       : Json::object();
-  Json out = Json::object();
-  out.set("format", kSupervisedFormat);
-  out.set("complete", false);
-  out.set("spec", options_.spec_path);
-  out.set("total_runs", total_runs);
-  out.set("covered_runs", all.size());
-  JsonArray uncovered;
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    if (shards[i].status.state != ShardStatus::State::done) uncovered.push_back(Json(i));
-  }
-  out.set("uncovered_shards", Json(std::move(uncovered)));
-  JsonArray shard_docs;
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    const ShardStatus& st = shards[i].status;
-    Json sd = Json::object();
-    sd.set("index", i);
-    sd.set("state", st.state_name());
-    sd.set("attempts", st.attempts);
-    sd.set("journal_lines", st.journal_lines);
-    if (!st.last_failure.empty()) sd.set("last_failure", st.last_failure);
-    shard_docs.push_back(std::move(sd));
-  }
-  out.set("shards", Json(std::move(shard_docs)));
-  if (merge_err.contains("merge_error")) out.set("merge_error", merge_err.at("merge_error"));
-  out.set("aggregate", BatchRunner::aggregate(all).to_json());
-  JsonArray runs;
-  for (const RunOutcome& o : all) runs.push_back(o.to_json());
-  out.set("runs", Json(std::move(runs)));
-
-  result.report = std::move(out);
-  result.complete = false;
-  result.covered_runs = all.size();
-  result.exit_code = kExitPermanent;
-  event("INCOMPLETE: " + std::to_string(all.size()) + "/" + std::to_string(total_runs) +
-        " runs covered; see uncovered_shards in the partial report");
+  for (std::size_t s = 0; s < partition; ++s) shards[s].state = table.shard_state(job, s);
+  result.shards = std::move(shards);
+  result.report = table.job_report(job);
+  result.complete = table.job_done(job);
+  result.covered_runs =
+      result.complete ? total_runs
+                      : static_cast<std::size_t>(result.report.at("covered_runs").as_uint());
+  result.exit_code = table.job_exit_code(job);
+  event(result.complete
+            ? "complete: " + std::to_string(total_runs) + " runs (exit " +
+                  std::to_string(result.exit_code) + ")"
+            : "INCOMPLETE: " + std::to_string(result.covered_runs) + "/" +
+                  std::to_string(total_runs) +
+                  " runs covered; see uncovered_shards in the partial report");
   return result;
 }
 

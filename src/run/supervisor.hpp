@@ -1,46 +1,35 @@
-// Fault-tolerant sweep supervision: launch `cohesion_run --shard i/N`
-// worker processes, watch each shard under a lease, and retry dead shards
-// until the sweep's merged report is byte-identical to the single-process
-// `--no-timing` report — or, when a shard exhausts its retry budget, emit
-// a coverage-annotated partial report instead of nothing.
+// Fault-tolerant sweep supervision on one host: cohesion_launch runs a
+// sweep's `cohesion_run --shard i/N` workers as local children, watches
+// each shard under a lease, and retries dead shards until the report is
+// byte-identical to the single-process `--no-timing` report — or, when a
+// shard exhausts its retry budget, emits the coverage-annotated
+// "cohesion-supervised-partial/1" document instead of nothing.
 //
-// The moving parts:
+// Supervisor::run() is a thin in-process front end of serve::JobTable,
+// the same core the cohesion_serve daemon runs:
 //
-//   * Lease/heartbeat. A worker's heartbeat is its checkpoint journal:
-//     every completed run appends one fsync'd line, so journal growth
-//     (bytes + complete lines) is progress. A shard whose journal stops
-//     growing for LeaseConfig::timeout_seconds has lost its lease — the
-//     supervisor SIGKILLs whatever is left of it and treats it as a
-//     transient death. No in-band protocol, no pipes: a worker that is
-//     alive but wedged (or SIGSTOPped) is indistinguishable from a dead
-//     one, which is exactly the point.
-//   * Retry with exponential backoff + deterministic jitter. Transient
-//     deaths (signals, lease expiry, exit codes 3/4) are relaunched with
-//     `--resume` against the same journal, so completed runs are never
-//     recomputed; RetryPolicy caps attempts and spreads relaunches with a
-//     seeded jitter source (pure function of shard + attempt — asserted
-//     in tests, so backoff schedules are reproducible). Permanent exits
-//     (1/2: bad spec, fingerprint mismatch) fail the shard immediately.
-//   * Degraded output. While shards are in flight the supervisor streams
-//     progress + a partial aggregate (folded over every journaled outcome
-//     so far) through SupervisorOptions::on_event. When every shard
-//     completes, the partial reports merge byte-identically
-//     (run::merge_partial_reports); when any shard fails for good, the
-//     result is a "cohesion-supervised-partial/1" document that names the
-//     uncovered shards and still carries everything recovered from their
-//     journals — never a silent wrong answer.
-//   * Fault injection. FaultPlan sabotages a specific (shard, attempt)
-//     from the supervisor's poll loop — SIGKILL after k journal lines,
-//     SIGSTOP (a heartbeat stall the lease must catch), or kill + corrupt
-//     the journal tail (which `--resume` must truncate away). The
-//     injection matrix is driven by tests/run/launch_e2e_test.cpp and the
-//     fault_sweep stage of bench/run_benches.sh; the acceptance bar is
-//     byte-identity of the supervised report under every schedule.
+//   * The resolved experiment is submitted with add_job, exactly as
+//     `cohesion_serve --submit` does, and `shards` local workers register,
+//     so the partition is min(shards, variants): `--shard i/N` whenever
+//     shards <= variants.
+//   * Up to `max_parallel` runners live at once (serve/runner starts,
+//     watches, classifies and stops them). Every poll stats each journal
+//     and heartbeats the table with the fresh outcomes, fires armed
+//     faults, then ticks the table: a journal silent for
+//     LeaseConfig::timeout_seconds expires its lease (wedged == dead), and
+//     the runner is killed. Reaped runners complete or fail their lease;
+//     the table owns retry budgets, seeded backoff (RetryPolicy), the
+//     attempt-supersedes fold and the final report.
+//   * Fault injection. FaultPlan sabotages a (shard, attempt) — the lease
+//     shard index and the n-th lease granted for it — from the poll loop:
+//     SIGKILL after k journal lines, SIGSTOP (a heartbeat stall the lease
+//     must catch), or kill + a torn journal tail (which `--resume` must
+//     truncate away). The injection matrix is driven by
+//     tests/run/launch_e2e_test.cpp and the fault_sweep stage of
+//     bench/run_benches.sh; the bar is byte-identity under every schedule.
 //
-// Single-host first: workers are fork/exec'd children on this machine.
-// The multi-host story composes on top (each host runs one supervisor
-// over its own shard range; journals and partials are plain files) — see
-// docs/operations.md.
+// Multi-host sweeps use the same core over the wire: cohesion_serve (see
+// docs/operations.md).
 #pragma once
 
 #include <cstddef>
@@ -106,7 +95,7 @@ struct FaultPlan {
 struct ShardStatus {
   enum class State { pending, running, backoff, done, failed };
   State state = State::pending;
-  std::size_t attempts = 0;       ///< launches so far
+  std::size_t attempts = 0;       ///< leases granted for this shard so far
   std::size_t journal_lines = 0;  ///< completed-outcome lines last observed
   std::string last_failure;       ///< most recent death, human-readable
   [[nodiscard]] const char* state_name() const;
@@ -137,24 +126,24 @@ struct SupervisorResult {
   int exit_code = 1;             ///< suggested process exit (run/exit_codes.hpp)
 };
 
-/// Collapse per-attempt outcome lists for one shard into exactly one
-/// outcome per grid index — the merge a supervisor needs when a retry's
-/// journal overlaps its dead predecessor's. Semantics (attempt-supersedes):
-///   * an index only one attempt produced keeps that outcome;
-///   * two *completed* outcomes (no `error`) for the same index must be
-///     byte-identical (outcomes are deterministic — a difference means the
-///     attempts ran different specs or the engine is nondeterministic) or
-///     the merge throws std::runtime_error naming the index;
-///   * a completed outcome supersedes an errored one in either direction
-///     (the error was environmental; the completed result is the run's one
-///     true outcome); between two errored outcomes the later attempt wins.
-/// Returns outcomes sorted by grid index.
+/// The attempt-supersedes rule for two outcomes of one grid index: fold
+/// `incoming` into `kept`, returning true when it replaced `kept`. Two
+/// completed outcomes must be byte-identical (otherwise std::runtime_error
+/// naming the index); a completed outcome supersedes an errored one in
+/// either direction; between two errored ones the incoming one wins.
+bool supersede(RunOutcome& kept, const RunOutcome& incoming);
+
+/// Collapse per-attempt outcome lists into exactly one outcome per grid
+/// index — the merge a retry's journal needs when it overlaps its dead
+/// predecessor's. Attempts fold in order with `supersede` (so between two
+/// errors the later attempt wins); a conflict throws std::runtime_error
+/// naming the index. Returns outcomes sorted by grid index.
 std::vector<RunOutcome> merge_attempt_outcomes(
     const std::vector<std::vector<RunOutcome>>& attempts);
 
 /// Read every complete outcome line of a checkpoint journal (header
-/// skipped, torn tail ignored) without validating fingerprints — the
-/// supervisor's heartbeat/partial-aggregate view of a worker's progress.
+/// skipped, torn tail ignored) without validating fingerprints — a
+/// heartbeat view of a runner's progress.
 /// Returns false when the file is missing/empty. Unparseable complete
 /// lines are skipped (a live worker may be mid-write of weird state; the
 /// authoritative read is the worker's own resume).

@@ -21,24 +21,29 @@ const JobTable::JobState& JobTable::job_or_throw(std::uint64_t job) const {
   return it->second;
 }
 
-std::uint64_t JobTable::add_job(const std::string& name, const Json& experiment_echo,
-                                double now, Effects& effects) {
+JobTable::JobState JobTable::make_job(std::uint64_t id, const std::string& name,
+                                     const Json& experiment_echo, double now) {
   // Parse first: an invalid spec must fail the submit, not a worker later.
   const run::ExperimentSpec spec = run::ExperimentSpec::from_json(experiment_echo);
   JobState j;
-  j.id = next_job_++;
+  j.id = id;
   j.name = name.empty() ? spec.name : name;
   // Store the *normalized* echo. The JSON round trip is exact, so these are
   // the same bytes a single-process report's experiment echo carries —
-  // which is what makes the final report byte-identical (contract 13).
+  // which is what makes the final report byte-identical (contract 9).
   j.echo = spec.to_json();
   j.variants = spec.variant_count();
   j.repeats = std::max<std::size_t>(spec.repeats, 1);
   j.total_runs = j.variants * j.repeats;
   j.attempts.assign(j.variants, 0);
   j.retry_at.assign(j.variants, now);
-  j.partition = 1;
-  const std::uint64_t id = j.id;
+  return j;
+}
+
+std::uint64_t JobTable::add_job(const std::string& name, const Json& experiment_echo,
+                                double now, Effects& effects) {
+  JobState j = make_job(next_job_, name, experiment_echo, now);
+  const std::uint64_t id = next_job_++;
   effects.notes.push_back("job " + std::to_string(id) + " (" + j.name + "): " +
                           std::to_string(j.total_runs) + " runs over " +
                           std::to_string(j.variants) + " variants");
@@ -47,18 +52,7 @@ std::uint64_t JobTable::add_job(const std::string& name, const Json& experiment_
 }
 
 void JobTable::replay_job(std::uint64_t id, const std::string& name, const Json& experiment_echo) {
-  const run::ExperimentSpec spec = run::ExperimentSpec::from_json(experiment_echo);
-  JobState j;
-  j.id = id;
-  j.name = name.empty() ? spec.name : name;
-  j.echo = spec.to_json();
-  j.variants = spec.variant_count();
-  j.repeats = std::max<std::size_t>(spec.repeats, 1);
-  j.total_runs = j.variants * j.repeats;
-  j.attempts.assign(j.variants, 0);
-  j.retry_at.assign(j.variants, 0.0);
-  j.partition = 1;
-  jobs_[id] = std::move(j);
+  jobs_[id] = make_job(id, name, experiment_echo, 0.0);
   next_job_ = std::max(next_job_, id + 1);
 }
 
@@ -88,11 +82,8 @@ void JobTable::worker_left(std::uint64_t worker, double now, Effects& effects) {
     if (lease.worker == worker) held.push_back(id);
   }
   for (const std::uint64_t id : held) {
-    LeaseState lease = leases_.at(id);
-    leases_.erase(id);
-    revoked_[id] = lease.job;
+    const LeaseState lease = revoke(id);
     JobState& j = job_or_throw(lease.job);
-    j.leased_shards.erase(lease.shard);
     j.last_failure = "worker connection lost (lease " + std::to_string(id) + ", shard " +
                      std::to_string(lease.shard) + "/" + std::to_string(lease.of) + ")";
     effects.notes.push_back("job " + std::to_string(lease.job) + ": " + j.last_failure);
@@ -139,36 +130,17 @@ void JobTable::record_outcomes(JobState& j, const std::vector<run::RunOutcome>& 
       effects.fresh.emplace_back(j.id, o);
       continue;
     }
-    // Attempt-supersedes fold, same semantics as merge_attempt_outcomes:
-    // completed beats errored; two completed must be byte-identical; two
-    // errored — the later arrival wins.
-    const bool have_completed = it->second.error.empty();
-    const bool new_completed = o.error.empty();
-    if (have_completed && new_completed) {
-      if (it->second.to_json().dump() != o.to_json().dump()) {
-        // Two workers computed the same grid index and disagreed: either
-        // they ran different specs or the engine is nondeterministic.
-        // Never pick one silently — fail the job, naming the index.
-        j.failed = true;
-        j.merge_error = "conflicting completed outcomes for run index " +
-                        std::to_string(o.index) +
-                        " — attempts produced different bytes for the same grid position";
-        effects.failed_jobs.push_back(j.id);
-        effects.notes.push_back("job " + std::to_string(j.id) + ": " + j.merge_error);
-        return;
-      }
-      continue;  // identical duplicate — not fresh
+    try {
+      if (run::supersede(it->second, o)) effects.fresh.emplace_back(j.id, o);
+    } catch (const std::runtime_error& e) {
+      // Two workers computed the same grid index and disagreed: never pick
+      // one silently — fail the job, naming the index.
+      j.failed = true;
+      j.merge_error = e.what();
+      effects.failed_jobs.push_back(j.id);
+      effects.notes.push_back("job " + std::to_string(j.id) + ": " + j.merge_error);
+      return;
     }
-    if (!have_completed && new_completed) {
-      it->second = o;
-      effects.fresh.emplace_back(j.id, o);
-      continue;
-    }
-    if (!have_completed && !new_completed) {
-      it->second = o;
-      effects.fresh.emplace_back(j.id, o);
-    }
-    // have_completed && !new_completed: keep the completed outcome.
   }
 }
 
@@ -289,13 +261,7 @@ bool JobTable::heartbeat(std::uint64_t lease_id, std::size_t journal_bytes,
                          Effects& effects) {
   auto it = leases_.find(lease_id);
   if (it == leases_.end()) {
-    // Revoked or unknown: the data is still welcome, the lease is not.
-    auto rv = revoked_.find(lease_id);
-    if (rv != revoked_.end() && jobs_.count(rv->second)) {
-      JobState& j = jobs_.at(rv->second);
-      record_outcomes(j, outcomes, effects);
-      check_terminal(j, effects);
-    }
+    fold_late(lease_id, outcomes, effects);  // the data is welcome, the lease is not
     return false;
   }
   LeaseState& lease = it->second;
@@ -316,22 +282,10 @@ bool JobTable::heartbeat(std::uint64_t lease_id, std::size_t journal_bytes,
 
 void JobTable::complete(std::uint64_t lease_id, const std::vector<run::RunOutcome>& outcomes,
                         double now, Effects& effects) {
-  auto it = leases_.find(lease_id);
-  if (it == leases_.end()) {
-    auto rv = revoked_.find(lease_id);
-    if (rv != revoked_.end() && jobs_.count(rv->second)) {
-      JobState& j = jobs_.at(rv->second);
-      record_outcomes(j, outcomes, effects);
-      check_terminal(j, effects);
-    }
-    return;
-  }
-  const LeaseState lease = it->second;
-  leases_.erase(it);
-  revoked_[lease_id] = lease.job;
+  const std::optional<LeaseState> ended = end_lease(lease_id, outcomes, effects);
+  if (!ended) return;
+  const LeaseState& lease = *ended;
   JobState& j = job_or_throw(lease.job);
-  j.leased_shards.erase(lease.shard);
-  record_outcomes(j, outcomes, effects);
   // A "complete" that left shard variants uncovered is a short delivery —
   // treat it as one failed attempt so the budget still bounds it.
   bool uncovered = false;
@@ -350,22 +304,10 @@ void JobTable::complete(std::uint64_t lease_id, const std::vector<run::RunOutcom
 void JobTable::fail(std::uint64_t lease_id, int exit_code, const std::string& reason,
                     const std::vector<run::RunOutcome>& outcomes, double now,
                     Effects& effects) {
-  auto it = leases_.find(lease_id);
-  if (it == leases_.end()) {
-    auto rv = revoked_.find(lease_id);
-    if (rv != revoked_.end() && jobs_.count(rv->second)) {
-      JobState& j = jobs_.at(rv->second);
-      record_outcomes(j, outcomes, effects);
-      check_terminal(j, effects);
-    }
-    return;
-  }
-  const LeaseState lease = it->second;
-  leases_.erase(it);
-  revoked_[lease_id] = lease.job;
+  const std::optional<LeaseState> ended = end_lease(lease_id, outcomes, effects);
+  if (!ended) return;
+  const LeaseState& lease = *ended;
   JobState& j = job_or_throw(lease.job);
-  j.leased_shards.erase(lease.shard);
-  record_outcomes(j, outcomes, effects);
   const bool poison = !run::exit_code_retryable(exit_code) && exit_code != run::kExitSuccess;
   j.last_failure = "shard " + std::to_string(lease.shard) + "/" + std::to_string(lease.of) +
                    " failed (exit " + std::to_string(exit_code) + "): " + reason;
@@ -378,26 +320,42 @@ void JobTable::fail(std::uint64_t lease_id, int exit_code, const std::string& re
 void JobTable::release(std::uint64_t lease_id, const std::vector<run::RunOutcome>& outcomes,
                        double now, Effects& effects) {
   (void)now;
-  auto it = leases_.find(lease_id);
-  if (it == leases_.end()) {
-    auto rv = revoked_.find(lease_id);
-    if (rv != revoked_.end() && jobs_.count(rv->second)) {
-      JobState& j = jobs_.at(rv->second);
-      record_outcomes(j, outcomes, effects);
-      check_terminal(j, effects);
-    }
-    return;
-  }
-  const LeaseState lease = it->second;
-  leases_.erase(it);
-  revoked_[lease_id] = lease.job;
+  const std::optional<LeaseState> ended = end_lease(lease_id, outcomes, effects);
+  if (!ended) return;
+  const LeaseState& lease = *ended;
   JobState& j = job_or_throw(lease.job);
-  j.leased_shards.erase(lease.shard);
-  record_outcomes(j, outcomes, effects);
   effects.notes.push_back("job " + std::to_string(j.id) + ": lease " +
                           std::to_string(lease_id) + " released (shard " +
                           std::to_string(lease.shard) + "/" + std::to_string(lease.of) + ")");
   check_terminal(j, effects);
+}
+
+JobTable::LeaseState JobTable::revoke(std::uint64_t lease_id) {
+  const LeaseState lease = leases_.at(lease_id);
+  leases_.erase(lease_id);
+  revoked_[lease_id] = lease.job;
+  job_or_throw(lease.job).leased_shards.erase(lease.shard);
+  return lease;
+}
+
+void JobTable::fold_late(std::uint64_t lease_id, const std::vector<run::RunOutcome>& outcomes,
+                         Effects& effects) {
+  auto rv = revoked_.find(lease_id);
+  if (rv == revoked_.end() || jobs_.count(rv->second) == 0) return;
+  JobState& j = jobs_.at(rv->second);
+  record_outcomes(j, outcomes, effects);
+  check_terminal(j, effects);
+}
+
+std::optional<JobTable::LeaseState> JobTable::end_lease(
+    std::uint64_t lease_id, const std::vector<run::RunOutcome>& outcomes, Effects& effects) {
+  if (leases_.count(lease_id) == 0) {
+    fold_late(lease_id, outcomes, effects);
+    return std::nullopt;
+  }
+  const LeaseState lease = revoke(lease_id);
+  record_outcomes(job_or_throw(lease.job), outcomes, effects);
+  return lease;
 }
 
 void JobTable::tick(double now, Effects& effects) {
@@ -406,11 +364,8 @@ void JobTable::tick(double now, Effects& effects) {
     if (now - lease.last_progress > config_.lease_timeout_seconds) expired.push_back(id);
   }
   for (const std::uint64_t id : expired) {
-    const LeaseState lease = leases_.at(id);
-    leases_.erase(id);
-    revoked_[id] = lease.job;
+    const LeaseState lease = revoke(id);
     JobState& j = job_or_throw(lease.job);
-    j.leased_shards.erase(lease.shard);
     j.last_failure = "lease " + std::to_string(id) + " expired (shard " +
                      std::to_string(lease.shard) + "/" + std::to_string(lease.of) +
                      ": journal silent past " +
@@ -448,6 +403,24 @@ void JobTable::check_terminal(JobState& j, Effects& effects) {
                           ": FAILED — every uncovered variant exhausted its attempts");
 }
 
+run::ShardStatus::State JobTable::shard_state(std::uint64_t job, std::size_t shard) const {
+  using State = run::ShardStatus::State;
+  const JobState& j = job_or_throw(job);
+  bool covered = true;
+  bool poisoned = false;
+  bool attempted = false;
+  for (std::size_t v = shard; v < j.variants; v += j.partition) {
+    if (variant_covered(j, v)) continue;
+    covered = false;
+    poisoned = poisoned || variant_poisoned(j, v);
+    attempted = attempted || j.attempts[v] > 0;
+  }
+  if (covered) return State::done;
+  if (poisoned) return State::failed;
+  if (j.leased_shards.count(shard) != 0) return State::running;
+  return attempted ? State::backoff : State::pending;
+}
+
 bool JobTable::job_exists(std::uint64_t job) const { return jobs_.count(job) != 0; }
 bool JobTable::job_done(std::uint64_t job) const { return job_or_throw(job).done; }
 bool JobTable::job_failed(std::uint64_t job) const { return job_or_throw(job).failed; }
@@ -471,7 +444,7 @@ Json JobTable::job_report(std::uint64_t job) const {
   for (const auto& [index, o] : j.outcomes) all.push_back(o);  // map: index order
   if (j.done) return run::BatchRunner::report_json_from(j.echo, all);
 
-  // Degraded output, per contract 13: everything recovered plus an
+  // Degraded output, per contract 9: everything recovered plus an
   // explicit statement of what is NOT covered — never a silent wrong
   // answer.
   Json out = Json::object();

@@ -1,8 +1,11 @@
-// The daemon's brain, factored out of all socket/process concerns so every
-// scheduling decision is unit-testable with an injected clock: jobs,
-// workers, shard leases, elastic re-partitioning and retry/poisoning are
-// pure state transitions on this table; the daemon loop (serve/daemon)
-// just moves messages between it and the wire.
+// The one orchestration core, factored out of all socket/process concerns
+// so every scheduling decision is unit-testable with an injected clock:
+// jobs, workers, shard leases, elastic re-partitioning and retry/poisoning
+// are pure state transitions on this table. Two front ends move messages
+// between it and the world: the daemon loop (serve/daemon) over the wire,
+// and run::Supervisor (cohesion_launch) in-process with local workers.
+// Either way the cohesion_run runners are started, watched, classified and
+// stopped by serve/runner.
 //
 // Scheduling model:
 //
@@ -12,15 +15,15 @@
 //     variant count) and changed elastically when workers join or die.
 //     Global grid indices and derived seeds never depend on N, so
 //     outcomes collected under different widths merge exactly
-//     (run::merge_attempt_outcomes semantics) — that is what makes
-//     re-partitioning safe (contract 13).
+//     (run::supersede, the rule run::merge_attempt_outcomes folds with) —
+//     that is what makes re-partitioning safe (contract 9).
 //   * A lease binds (job, shard, N) to a worker. The heartbeat is the
 //     worker's checkpoint-journal growth, relayed as (bytes, lines) plus
 //     the newly journaled outcomes; a lease whose journal stops growing
-//     for lease_timeout_seconds is expired by tick() — wedged == dead,
-//     same philosophy as run/supervisor. Expired/failed leases put their
-//     uncovered variants under RetryPolicy seeded backoff; a variant that
-//     exhausts max_attempts is poisoned.
+//     for lease_timeout_seconds is expired by tick() — wedged == dead: a
+//     SIGSTOPped runner is indistinguishable from a dead one, by design.
+//     Expired/failed leases put their uncovered variants under RetryPolicy
+//     seeded backoff; a variant that exhausts max_attempts is poisoned.
 //   * Re-partitioning revokes outstanding leases *gracefully*: the lease
 //     id moves to a revoked set, the worker learns on its next heartbeat,
 //     SIGTERMs its runner (journal flushes) and returns every journaled
@@ -145,6 +148,12 @@ class JobTable {
   /// 1 (done with run errors, or failed).
   [[nodiscard]] int job_exit_code(std::uint64_t job) const;
 
+  /// One shard of the job's current partition, for a caller that keeps a
+  /// fixed width (cohesion_launch): done when every variant is covered,
+  /// failed when an uncovered variant is poisoned, running while leased,
+  /// backoff after a failed attempt, pending before the first.
+  [[nodiscard]] run::ShardStatus::State shard_state(std::uint64_t job, std::size_t shard) const;
+
   /// done → the byte-identical single-process `--no-timing` report;
   /// failed → the cohesion-supervised-partial/1 document. Throws while
   /// the job is still running.
@@ -185,6 +194,9 @@ class JobTable {
     std::string last_failure;
   };
 
+  /// Parse + normalize an experiment echo into a fresh job (add/replay).
+  JobState make_job(std::uint64_t id, const std::string& name, const Json& experiment_echo,
+                    double now);
   JobState& job_or_throw(std::uint64_t job);
   const JobState& job_or_throw(std::uint64_t job) const;
   [[nodiscard]] bool variant_covered(const JobState& j, std::size_t v) const;
@@ -199,6 +211,16 @@ class JobTable {
   void repartition(JobState& j, std::size_t new_n, Effects& effects);
   void check_terminal(JobState& j, Effects& effects);
   [[nodiscard]] std::size_t active_lease_count(std::uint64_t job) const;
+  /// Move an active lease to the revoked set and free its shard.
+  LeaseState revoke(std::uint64_t lease_id);
+  /// Outcomes arriving on a revoked lease still fold into its job.
+  void fold_late(std::uint64_t lease_id, const std::vector<run::RunOutcome>& outcomes,
+                 Effects& effects);
+  /// complete/fail/release: revoke the lease and fold its outcomes. nullopt
+  /// (after a fold_late) when the lease was no longer active.
+  std::optional<LeaseState> end_lease(std::uint64_t lease_id,
+                                      const std::vector<run::RunOutcome>& outcomes,
+                                      Effects& effects);
   std::optional<Lease> try_lease_job(JobState& j, std::uint64_t worker, double now,
                                      Effects& effects);
 

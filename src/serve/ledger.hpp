@@ -1,9 +1,10 @@
 // Append-only job ledger: the daemon's crash-safe memory.
 //
-// Same durability design as the checkpoint journal (run/checkpoint.hpp):
-// one '\n'-terminated JSON document per line, each append a single
-// write(2) on an O_APPEND fd, fsync'd per event — a crash can tear at
-// most the final line, and load() drops + truncates it. The file:
+// A typed wrapper over run::LineJournal (run/journal.hpp), the same
+// primitive under the checkpoint journal: one '\n'-terminated JSON
+// document per line, each append a single write(2) on an O_APPEND fd,
+// fsync'd per event — a crash can tear at most the final line, and open()
+// drops + truncates it. The file:
 //
 //   line 1   header: {"format": "cohesion-serve-ledger/1"}
 //   line 2+  events, in arrival order:
@@ -21,7 +22,7 @@
 // restart every previously-leased shard is simply unleased again; the
 // outcomes already journaled make the re-lease cheap (workers resume from
 // their own checkpoints), and the merged result is byte-identical either
-// way — that is what contract 13 is for.
+// way — that is what contract 9 is for.
 #pragma once
 
 #include <cstddef>
@@ -29,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "run/journal.hpp"
 #include "run/json.hpp"
 
 namespace cohesion::serve {
@@ -72,9 +74,8 @@ class JobLedger {
   JobLedger& operator=(const JobLedger&) = delete;
 
  private:
-  JobLedger(int fd, std::string path);
-  int fd_ = -1;
-  std::string path_;
+  explicit JobLedger(std::unique_ptr<run::LineJournal> journal);
+  std::unique_ptr<run::LineJournal> journal_;
 };
 
 }  // namespace cohesion::serve

@@ -11,22 +11,22 @@
 //     plus the newly journaled outcomes in each heartbeat — the daemon's
 //     lease clock *and* its streamed partial aggregate in one message.
 //   * A heartbeat answered valid=false means the lease is gone (revoked
-//     by an elastic re-partition, or expired): SIGTERM the runner (its
-//     journal flushes — exit 4 contract), hand every journaled outcome
-//     back via "release", and request fresh work.
-//   * Runner exits classify exactly like run/supervisor: a usable partial
-//     report covers the shard (exit 0, or exit 1 whose report carries the
-//     in-run errors); retryable exits (3/4/5, signals) are reported as
-//     transient failures the daemon re-leases under backoff; permanent
-//     exits (1 with no usable partial, 2) poison the shard's variants.
+//     by an elastic re-partition, or expired): stop the runner (SIGTERM +
+//     SIGCONT, its journal flushes — exit 4 contract; SIGKILL after
+//     serve::kRunnerStopGraceSeconds), hand every journaled outcome back
+//     via "release", and request fresh work.
+//   * Spawning, journal reads, exit classification and the bounded stop
+//     are serve/runner's — the one runner lifecycle cohesion_launch uses
+//     too. A covered exit completes the lease; any other exit fails it
+//     with its code, and the daemon decides retry versus poison.
 //   * Connect failures — daemon not up yet, daemon restarting — retry
 //     under exponential backoff up to connect_attempts, then exit 5
 //     (run::kExitTransientNetwork): an outer supervisor (compose,
 //     systemd) knows relaunching may fix it. A connection lost mid-lease
 //     stops the runner and re-enters the same connect loop; the daemon
 //     reclaims the lease via the dropped connection.
-//   * SIGTERM/SIGINT (WorkerOptions::stop): SIGTERM the runner, wait for
-//     its journal flush, release the lease, exit run::kExitInterrupted —
+//   * SIGTERM/SIGINT (WorkerOptions::stop): stop the runner (bounded, as
+//     above), release the lease, exit run::kExitInterrupted —
 //     the same graceful-stop contract as cohesion_run.
 #pragma once
 

@@ -239,6 +239,49 @@ TEST_F(LaunchE2E, LaunchCliWritesTheByteIdenticalReportUnderAFault) {
   EXPECT_EQ(read_file(out), expected_report() + "\n");
 }
 
+TEST_F(LaunchE2E, MaxParallelOneRunsOneShardAtATimeByteIdentical) {
+  SupervisorOptions o = base_options();
+  o.throttle_ms = 0;
+  o.max_parallel = 1;
+  const SupervisorResult r = Supervisor(o).run();
+  EXPECT_TRUE(r.complete);
+  EXPECT_EQ(r.report.dump(2), expected_report());
+  ASSERT_EQ(r.shards.size(), 3u);
+  for (const ShardStatus& s : r.shards) {
+    EXPECT_EQ(s.state, ShardStatus::State::done);
+    EXPECT_EQ(s.attempts, 1u);
+  }
+  // Never two runners at once: every launch follows the previous shard's end.
+  std::size_t live = 0;
+  for (const std::string& e : events_) {
+    if (e.find(" launched (pid ") != std::string::npos) {
+      ++live;
+      EXPECT_LE(live, 1u) << e;
+    } else if (e.find(" done (") != std::string::npos) {
+      --live;
+    }
+  }
+}
+
+TEST_F(LaunchE2E, ChildSpecResolvesItsExtendsBaseInResultAndPartialDocument) {
+  // The sweep lives in the base; the child only renames it. A supervised
+  // run must see the resolved 9-run grid, not a 1-run bare RunSpec.
+  const std::string base = dir_ + "/base.json";
+  fs::rename(spec_path_, base);
+  const std::string child = dir_ + "/child.json";
+  std::ofstream(child) << R"({"extends": "base.json", "name": "child"})" << '\n';
+  SupervisorOptions o = base_options();
+  o.spec_path = child;
+  o.retry.max_attempts = 1;
+  o.faults.push_back(FaultPlan::parse("kill:shard=0,after=0"));
+  const SupervisorResult r = Supervisor(o).run();
+  EXPECT_FALSE(r.complete);
+  EXPECT_EQ(r.total_runs, 9u);
+  EXPECT_EQ(r.report.string_or("format", ""), "cohesion-supervised-partial/1");
+  EXPECT_EQ(r.report.at("total_runs").as_uint(), 9u);
+  EXPECT_EQ(r.report.at("spec").string_or("name", ""), "child");
+}
+
 // --- worker SIGTERM -> flush -> resume --------------------------------------
 
 TEST_F(LaunchE2E, SigtermFlushesTheJournalAndResumeReproducesTheReport) {

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -25,6 +26,7 @@
 #include "run/batch_runner.hpp"
 #include "run/exit_codes.hpp"
 #include "run/spec.hpp"
+#include "run/supervisor.hpp"
 #include "serve/job_table.hpp"
 
 namespace cohesion::serve {
@@ -342,6 +344,45 @@ TEST_F(ServeE2E, RetryExhaustionDegradesToSupervisedPartial) {
   EXPECT_GE(doc.at("uncovered_shards").items().size(), 1u);
   EXPECT_NE(doc.string_or("last_failure", "").find("exit 3"), std::string::npos);
   EXPECT_TRUE(daemon_log_contains("[retryable]")) << daemon_log();
+}
+
+TEST_F(ServeE2E, LaunchAndServeRetryExhaustionEmitOnePartialSchema) {
+  const std::string bad_runner = dir_ + "/bad_runner.sh";
+  {
+    std::ofstream out(bad_runner);
+    out << "#!/bin/sh\nexit 3\n";
+  }
+  fs::permissions(bad_runner, fs::perms::owner_all | fs::perms::group_exec |
+                                  fs::perms::others_exec);
+
+  start_daemon({"--max-attempts", "2", "--lease-timeout", "5"});
+  const ::pid_t submit = start_submit_wait();
+  start_worker("w1", 0, {"--runner", bad_runner});
+  ASSERT_EQ(wait_code(submit), run::kExitPermanent)
+      << daemon_log() << read_file(dir_ + "/submit.log");
+  const Json served = Json::parse_file(dir_ + "/report.json");
+
+  run::SupervisorOptions o;
+  o.runner = bad_runner;
+  o.spec_path = spec_path_;
+  o.shards = 3;
+  o.work_dir = dir_ + "/launch.work";
+  o.retry.max_attempts = 2;
+  o.retry.base_delay_seconds = 0.05;
+  o.retry.max_delay_seconds = 0.2;
+  o.lease.poll_interval_seconds = 0.01;
+  const run::SupervisorResult launched = run::Supervisor(o).run();
+  ASSERT_FALSE(launched.complete);
+
+  const auto keys = [](const Json& doc) {
+    std::vector<std::string> out;
+    for (const auto& [key, value] : doc.entries()) out.push_back(key);
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  EXPECT_EQ(served.string_or("format", ""), kSupervisedPartialFormat);
+  EXPECT_EQ(launched.report.string_or("format", ""), kSupervisedPartialFormat);
+  EXPECT_EQ(keys(launched.report), keys(served));
 }
 
 TEST_F(ServeE2E, SigtermedWorkerReleasesLeaseSuccessorCompletes) {
