@@ -128,17 +128,15 @@ double proposals_per_second(std::size_t n, bool indexed, std::size_t proposals) 
   return static_cast<double>(proposals) / secs;
 }
 
-/// Engine-level KAsync activation throughput with the spatial index in
-/// incremental vs rebuild-per-Look-time mode (the PR 3 tentpole axis; the
-/// JSON-tracked counterpart lives in bench_spatial_scaling).
-double engine_activations_per_second(std::size_t n, bool incremental, bool heap_selection,
+/// Engine-level KAsync activation throughput (the JSON-tracked
+/// counterpart lives in bench_spatial_scaling).
+double engine_activations_per_second(std::size_t n, bool heap_selection,
                                      std::size_t activations) {
   const algo::KknpsAlgorithm algo({.k = 1});
   const auto initial = metrics::grid_configuration(n, 0.75);
   sched::KAsyncScheduler sched(n, {.seed = 11, .heap_selection = heap_selection});
   core::EngineConfig cfg;
   cfg.visibility.radius = 1.0;
-  cfg.incremental_index = incremental;
   core::Engine engine(initial, algo, sched, cfg);
   const auto t0 = std::chrono::steady_clock::now();
   const std::size_t done = engine.run(activations);
@@ -224,22 +222,18 @@ int main() {
   }
   sched_table.print();
 
-  std::cout << "\nEngine-level KAsync throughput: incremental cell maintenance (re-bucket\n"
-            << "only the just-moved robot's segment) vs full grid rebuild at every\n"
-            << "distinct Look time. Async Looks all have distinct times, so the rebuild\n"
-            << "path pays O(n) per activation; the incremental path pays O(1) amortized\n"
-            << "plus the candidate scan. The residual O(n) term is then the scheduler's\n"
-            << "own tie-jitter selection (n batched RNG draws per proposal); the fast\n"
-            << "column removes it too via the opt-in heap selection (a different but\n"
-            << "equally valid seeded stream):\n\n";
-  metrics::Table engine_table(
-      {"n", "activations", "incremental/s", "rebuild/s", "speedup", "fast/s (heap sel)"});
+  std::cout << "\nEngine-level KAsync throughput with incremental cell maintenance\n"
+            << "(re-bucket only the just-moved robot's segment: O(1) amortized per\n"
+            << "activation plus the candidate scan). The residual O(n) term is the\n"
+            << "scheduler's own tie-jitter selection (n batched RNG draws per\n"
+            << "proposal); the fast column removes it too via the opt-in heap\n"
+            << "selection (a different but equally valid seeded stream):\n\n";
+  metrics::Table engine_table({"n", "activations", "jitter sel/s", "heap sel/s", "speedup"});
   for (const std::size_t n : {1024u, 4096u}) {
     const std::size_t activations = n * 8;
-    const double incremental = engine_activations_per_second(n, true, false, activations);
-    const double rebuild = engine_activations_per_second(n, false, false, activations);
-    const double fast = engine_activations_per_second(n, true, true, activations);
-    engine_table.add_row(n, activations, incremental, rebuild, incremental / rebuild, fast);
+    const double jitter = engine_activations_per_second(n, false, activations);
+    const double fast = engine_activations_per_second(n, true, activations);
+    engine_table.add_row(n, activations, jitter, fast, fast / jitter);
   }
   engine_table.print();
   return 0;

@@ -1,26 +1,15 @@
-// E13 — spatial-index scaling: engine throughput across the three snapshot
-// paths — brute-force reference (EngineConfig::use_spatial_index = false),
-// per-Look-time grid rebuild (incremental_index = false) and incremental
-// cell maintenance (the default) — across swarm sizes n in {16, 64, 256,
-// 1024, 4096}. All three produce bit-identical traces (see
-// tests/core/engine_equivalence_test.cpp); only the work per Look differs:
+// E13 — spatial-index scaling: engine throughput of the one snapshot feed,
+// incremental cell maintenance (O(segment cells) per commit + O(candidates)
+// per query, regardless of how Look times are distributed), across swarm
+// sizes n in {16, 64, 256, 1024, 4096}. The reference engine that
+// certifies its traces bit for bit is the test oracle
+// tests/oracles/engine_oracle.hpp.
 //
-//   brute        O(n log k) per snapshot
-//   rebuild      O(n) per *distinct Look time* — amortizes to O(1)-ish per
-//                Look under FSync (one rebuild serves a whole round), but
-//                stays O(n) per activation under async schedulers
-//   incremental  O(segment cells) per commit + O(candidates) per query,
-//                regardless of how Look times are distributed
-//
-// The interesting axis is therefore incremental-vs-rebuild under KAsync,
-// where every Look has a distinct time: acceptance for PR 3 is >= 1.3x at
-// n = 4096 (BM_KAsyncFast vs the PR 2 BM_KAsyncGrid number). Once the
-// rebuild is gone the scheduler's own tie-jitter selection (n RNG draws
-// per proposal, batched and vectorized but still ~4 ns per robot) is the
-// next O(n)-per-activation term, so the KAsync series carries a fourth
-// variant, BM_KAsyncFast = incremental index + the scheduler's opt-in
-// heap selection. The brute-force series stops at 1024 — beyond that a
-// single reference run dominates the whole bench.
+// Under KAsync every Look has a distinct time; with the index O(1) per
+// activation, the scheduler's own tie-jitter selection (n RNG draws per
+// proposal, batched and vectorized but still ~4 ns per robot) is the next
+// O(n)-per-activation term, so the KAsync series carries a second
+// variant, BM_KAsyncFast = the scheduler's opt-in heap selection.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -37,18 +26,14 @@ namespace {
 
 constexpr std::size_t kActivationsPerRobot = 8;
 
-enum class Mode { kBrute, kRebuild, kIncremental };
-
-core::EngineConfig config_for(Mode mode, bool soa = false) {
+core::EngineConfig config_for(bool soa) {
   core::EngineConfig cfg;
   cfg.visibility.radius = 1.0;
-  cfg.use_spatial_index = mode != Mode::kBrute;
-  cfg.incremental_index = mode == Mode::kIncremental;
   cfg.soa_kernel = soa;
   return cfg;
 }
 
-void run_fsync(benchmark::State& state, Mode mode, bool soa = false) {
+void run_fsync(benchmark::State& state, bool soa = false) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const algo::KknpsAlgorithm algo({.k = 1});
   const auto initial =
@@ -57,7 +42,7 @@ void run_fsync(benchmark::State& state, Mode mode, bool soa = false) {
   for (auto _ : state) {
     state.PauseTiming();
     sched::FSyncScheduler sched(n);
-    core::Engine engine(initial, algo, sched, config_for(mode, soa));
+    core::Engine engine(initial, algo, sched, config_for(soa));
     state.ResumeTiming();
     benchmark::DoNotOptimize(engine.run(activations));
   }
@@ -65,8 +50,7 @@ void run_fsync(benchmark::State& state, Mode mode, bool soa = false) {
                           static_cast<int64_t>(activations));
 }
 
-void run_kasync(benchmark::State& state, Mode mode, bool heap_selection = false,
-                bool soa = false) {
+void run_kasync(benchmark::State& state, bool heap_selection = false, bool soa = false) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const algo::KknpsAlgorithm algo({.k = 1});
   const auto initial =
@@ -75,7 +59,7 @@ void run_kasync(benchmark::State& state, Mode mode, bool heap_selection = false,
   for (auto _ : state) {
     state.PauseTiming();
     sched::KAsyncScheduler sched(n, {.seed = 11, .heap_selection = heap_selection});
-    core::Engine engine(initial, algo, sched, config_for(mode, soa));
+    core::Engine engine(initial, algo, sched, config_for(soa));
     state.ResumeTiming();
     benchmark::DoNotOptimize(engine.run(activations));
   }
@@ -83,54 +67,33 @@ void run_kasync(benchmark::State& state, Mode mode, bool heap_selection = false,
                           static_cast<int64_t>(activations));
 }
 
-// "Grid" keeps naming continuity with the PR 1/PR 2 trajectory in
-// bench/out/BENCH_engine.json: it was the rebuild-per-Look-time path then
-// and still measures exactly that path.
-void BM_FSyncGrid(benchmark::State& state) { run_fsync(state, Mode::kRebuild); }
-void BM_FSyncIncremental(benchmark::State& state) { run_fsync(state, Mode::kIncremental); }
-void BM_FSyncBrute(benchmark::State& state) { run_fsync(state, Mode::kBrute); }
-void BM_KAsyncGrid(benchmark::State& state) { run_kasync(state, Mode::kRebuild); }
-void BM_KAsyncIncremental(benchmark::State& state) { run_kasync(state, Mode::kIncremental); }
-void BM_KAsyncBrute(benchmark::State& state) { run_kasync(state, Mode::kBrute); }
-// The full PR 3 fast path: incremental index + the scheduler's opt-in
-// O(log n) heap selection (Params::heap_selection; a different but equally
-// valid seeded stream). With both O(n)-per-activation costs gone this is
-// the KAsync configuration a production deployment would run.
-void BM_KAsyncFast(benchmark::State& state) {
-  run_kasync(state, Mode::kIncremental, /*heap_selection=*/true);
-}
-// PR 9 SoA snapshot kernel (EngineConfig::soa_kernel) A/B pairs, same
-// binary, registered adjacent to their scalar twins so an interleaved run
-// measures both under the same thermal/clock conditions. FSync pairs with
-// the rebuild path (under FSync the incremental path's cross-round
-// position memoization beats re-evaluating segment lanes, so grid + SoA is
-// the honest win there); KAsync pairs with BM_KAsyncFast, the production
-// configuration. Both produce bit-identical traces to their twins —
-// enforced by the soa_certification battery (architecture contract 12).
-void BM_FSyncSoA(benchmark::State& state) {
-  run_fsync(state, Mode::kRebuild, /*soa=*/true);
-}
+void BM_FSyncIncremental(benchmark::State& state) { run_fsync(state); }
+void BM_KAsyncIncremental(benchmark::State& state) { run_kasync(state); }
+// The full fast path: incremental index + the scheduler's opt-in O(log n)
+// heap selection (Params::heap_selection; a different but equally valid
+// seeded stream). With both O(n)-per-activation costs gone this is the
+// KAsync configuration a production deployment would run.
+void BM_KAsyncFast(benchmark::State& state) { run_kasync(state, /*heap_selection=*/true); }
+// SoA snapshot kernel (EngineConfig::soa_kernel) A/B pairs, same binary,
+// registered adjacent to their scalar twins so an interleaved run measures
+// both under the same thermal/clock conditions: BM_FSyncSoA against
+// BM_FSyncIncremental, BM_KAsyncFastSoA against BM_KAsyncFast. Both
+// produce bit-identical traces to their twins — enforced by the
+// soa_certification battery (architecture contract 12).
+void BM_FSyncSoA(benchmark::State& state) { run_fsync(state, /*soa=*/true); }
 void BM_KAsyncFastSoA(benchmark::State& state) {
-  run_kasync(state, Mode::kIncremental, /*heap_selection=*/true, /*soa=*/true);
+  run_kasync(state, /*heap_selection=*/true, /*soa=*/true);
 }
 
-BENCHMARK(BM_FSyncGrid)->Arg(16)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_FSyncSoA)->Arg(16)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096)
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_FSyncIncremental)->Arg(16)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_FSyncBrute)->Arg(16)->Arg(64)->Arg(256)->Arg(1024)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_KAsyncGrid)->Arg(16)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096)
+BENCHMARK(BM_FSyncSoA)->Arg(16)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_KAsyncIncremental)->Arg(16)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_KAsyncFast)->Arg(16)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_KAsyncFastSoA)->Arg(16)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_KAsyncBrute)->Arg(16)->Arg(64)->Arg(256)->Arg(1024)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -366,7 +366,7 @@ fi
 # SoA snapshot-kernel A/B (architecture contract 12): the scalar and SoA
 # kernels live in the same binary (EngineConfig::soa_kernel), so
 # bench_spatial_scaling re-runs the two A/B pairs at n=4096 —
-# BM_FSyncGrid vs BM_FSyncSoA and BM_KAsyncFast vs BM_KAsyncFastSoA —
+# BM_FSyncIncremental vs BM_FSyncSoA and BM_KAsyncFast vs BM_KAsyncFastSoA —
 # interleaved with repetitions, immune to the clock drift that makes
 # cross-binary comparisons meaningless here. Alongside the timing, the
 # declarative kasync sweep is run once with soa_kernel on: its report
@@ -380,7 +380,7 @@ if [ -x "$BUILD_DIR/bench_spatial_scaling" ] && [ -x "$BUILD_DIR/cohesion_run" ]
    && [ -f bench/specs/kasync_sweep.json ]; then
   echo "== soa sweep (scalar vs SoA kernel: same-binary n=4096 A/B + report byte-identity)"
   "$BUILD_DIR/bench_spatial_scaling" \
-      --benchmark_filter='(BM_FSyncGrid|BM_FSyncSoA|BM_KAsyncFast|BM_KAsyncFastSoA)/4096' \
+      --benchmark_filter='(BM_FSyncIncremental|BM_FSyncSoA|BM_KAsyncFast|BM_KAsyncFastSoA)/4096' \
       --benchmark_min_time="${BENCH_SOA_MIN_TIME:-0.3}" \
       --benchmark_repetitions="${BENCH_SOA_REPETITIONS:-5}" \
       --benchmark_report_aggregates_only \
@@ -425,7 +425,7 @@ def speedup(soa, scalar):
 json.dump({
     "benchmark": "bench_spatial_scaling n=4096, median of repetitions, same binary",
     "median_activations_per_second": {k: round(v, 1) for k, v in medians.items()},
-    "speedup_fsync_soa_over_grid": speedup("BM_FSyncSoA", "BM_FSyncGrid"),
+    "speedup_fsync_soa_over_incremental": speedup("BM_FSyncSoA", "BM_FSyncIncremental"),
     "speedup_kasync_fast_soa_over_fast": speedup("BM_KAsyncFastSoA", "BM_KAsyncFast"),
     "report_byte_identity": "pass",
 }, open(target, "w"))
@@ -601,7 +601,7 @@ if "cache_sweep" in summary:
 if "soa_sweep" in summary:
     s = summary["soa_sweep"]
     print(f"  soa sweep: KAsyncFast SoA/scalar {s['speedup_kasync_fast_soa_over_fast']}x, "
-          f"FSync SoA/grid {s['speedup_fsync_soa_over_grid']}x "
+          f"FSync SoA/incremental {s['speedup_fsync_soa_over_incremental']}x "
           f"(n=4096 medians, report byte-identity {s['report_byte_identity']})")
 if "serve_sweep" in summary:
     s = summary["serve_sweep"]

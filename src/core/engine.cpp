@@ -25,33 +25,18 @@ Engine::Engine(std::vector<Vec2> initial, const Algorithm& algorithm, Scheduler&
   // Staged perception's bands assume these ranges (core/snapshot.hpp).
   config_.error.validate("Engine: error");
   if (!config_.record_history) {
-    if (!config_.use_spatial_index) {
-      throw std::invalid_argument(
-          "Engine: record_history = false requires use_spatial_index — the reference "
-          "scan path reconstructs positions from the Trace");
-    }
     // The scheduler's 1e-12 look-ordering slack can query one segment back;
     // without a Trace that history must live in the kinematic state.
     kin_.set_keep_previous(true);
-  }
-  if (config_.soa_kernel && !config_.use_spatial_index) {
-    throw std::invalid_argument(
-        "Engine: soa_kernel requires use_spatial_index — the SoA filter sits "
-        "behind the grid candidate queries, and the brute-force scan is the "
-        "scalar reference it is certified against");
   }
   double max_radius = config_.visibility.radius;
   if (!config_.visibility.per_robot_radii.empty()) {
     max_radius = *std::max_element(config_.visibility.per_robot_radii.begin(),
                                    config_.visibility.per_robot_radii.end());
   }
-  grid_.set_cell_size(max_radius);
-  if (config_.use_spatial_index && config_.incremental_index) {
-    kin_.set_track_dirty(true);
-    inc_grid_.reset(max_radius, trace_.initial_configuration());
-    positions_now_.resize(trace_.robot_count());
-    pos_epoch_.assign(trace_.robot_count(), 0);
-  }
+  index_.reset(max_radius, trace_.initial_configuration());
+  positions_now_.resize(trace_.robot_count());
+  pos_epoch_.assign(trace_.robot_count(), 0);
   if (config_.soa_kernel) soa_segments_.reset(trace_.initial_configuration());
 }
 
@@ -60,48 +45,8 @@ Vec2 Engine::history_position(RobotId robot, Time t) const {
 }
 
 Vec2 Engine::position(RobotId robot, Time t) const {
-  if (config_.use_spatial_index && t >= kin_.segment_start(robot)) {
-    return kin_.position_at(robot, t);
-  }
-  return history_position(robot, t);
-}
-
-void Engine::refresh_grid(Time t) {
-  if (grid_valid_ && grid_time_ == t) return;
-  const std::size_t n = trace_.robot_count();
-  positions_now_.resize(n);
-  for (RobotId r = 0; r < n; ++r) {
-    // The cache is exact from the current segment's Look onward; the
-    // scheduler may propose a Look up to 1e-12 before the frontier, where
-    // only the Trace is.
-    positions_now_[r] = t >= kin_.segment_start(r) ? kin_.position_at(r, t)
-                                                   : history_position(r, t);
-  }
-  grid_.rebuild(positions_now_);
-  grid_time_ = t;
-  grid_valid_ = true;
-}
-
-void Engine::snapshot_via_grid(RobotId robot, Time t, Snapshot& snap) {
-  refresh_grid(t);
-  const Vec2 self = positions_now_[robot];
-  const double v = config_.visibility.radius_of(robot);
-  if (config_.soa_kernel) {
-    // SoA kernel: pull the same cell window unfiltered, gather the instant
-    // positions into lanes, and let the certified squared-distance filter
-    // make the (exact) visibility decisions.
-    grid_.candidates_within(self, v, neighbor_ids_);
-    soa_filter_.gather_positions(positions_now_, neighbor_ids_, robot);
-    soa_filter_.filter(self, v, config_.visibility.open_ball);
-    append_soa_survivors(snap);
-    return;
-  }
-  grid_.neighbors_within(self, v, config_.visibility.open_ball, neighbor_ids_);
-  snap.reserve(neighbor_ids_.size());
-  for (const std::size_t other : neighbor_ids_) {
-    if (other == robot) continue;
-    snap.stage(positions_now_[other] - self, rng_);
-  }
+  return t >= kin_.segment_start(robot) ? kin_.position_at(robot, t)
+                                        : history_position(robot, t);
 }
 
 Vec2 Engine::cached_position(RobotId robot) {
@@ -119,22 +64,22 @@ void Engine::snapshot_via_incremental(RobotId robot, Time t, Snapshot& snap) {
   // snapshot — between consecutive Look times that is the just-moved robot,
   // not all n. Their cached positions may describe the replaced segment.
   for (const RobotId r : kin_.dirty()) {
-    inc_grid_.update(r, kin_.segment_from(r), kin_.segment_realized(r), kin_.segment_end(r));
+    index_.update(r, kin_.segment_from(r), kin_.segment_realized(r), kin_.segment_end(r));
     pos_epoch_[r] = 0;
   }
   kin_.clear_dirty();
 
-  if (t < inc_time_) {
+  if (t < index_time_) {
     // The scheduler's 1e-12 look-ordering slack can place this Look before
     // the previous one, where positions live on segments the buckets no
     // longer cover (and collapsed robots may still be mid-move). Serve the
-    // query through the reference scan; the grid state remains consistent
-    // for the next forward query.
+    // query by a scan over history; the index stays consistent for the next
+    // forward query.
     snapshot_via_scan(robot, t, snap);
     return;
   }
-  inc_grid_.advance_to(t);
-  inc_time_ = t;
+  index_.advance_to(t);
+  index_time_ = t;
   if (pos_time_ != t) {
     pos_time_ = t;
     ++epoch_;
@@ -146,7 +91,7 @@ void Engine::snapshot_via_incremental(RobotId robot, Time t, Snapshot& snap) {
 
   const Vec2 self = cached_position(robot);
   const double v = config_.visibility.radius_of(robot);
-  inc_grid_.candidates_near(self, v, neighbor_ids_);
+  index_.candidates_near(self, v, neighbor_ids_);
   if (config_.soa_kernel) {
     // SoA kernel: evaluate every candidate's segment at t straight from the
     // SoA lanes (KinematicState::eval's exact arithmetic, vectorizably —
@@ -167,18 +112,15 @@ void Engine::snapshot_via_incremental(RobotId robot, Time t, Snapshot& snap) {
 }
 
 void Engine::snapshot_via_scan(RobotId robot, Time t, Snapshot& snap) {
-  // The reference path proper always has a Trace (ctor contract); the
-  // incremental path's backward-time fallback may not, and goes through the
-  // bounded history instead — bit-identical wherever both can answer.
+  // history_position reads the Trace, or the bounded history without one —
+  // bit-identical wherever both can answer.
   const Vec2 self = history_position(robot, t);
-  const double v = config_.visibility.radius_of(robot);
+  const VisibilityBall ball(self, config_.visibility.radius_of(robot),
+                            config_.visibility.open_ball);
   for (RobotId other = 0; other < trace_.robot_count(); ++other) {
     if (other == robot) continue;
     const Vec2 p = history_position(other, t);
-    const double d = self.distance_to(p);
-    const bool visible = config_.visibility.open_ball ? (d < v) : (d <= v + kVisibilityEpsilon);
-    if (!visible) continue;
-    snap.stage(p - self, rng_);
+    if (ball.contains(p)) snap.stage(p - self, rng_);
   }
 }
 
@@ -187,7 +129,7 @@ void Engine::append_soa_survivors(Snapshot& snap) {
   snap.reserve(m);
   for (std::size_t i = 0; i < m; ++i) {
     // Survivors are ascending by robot id with self removed, and the stored
-    // offset lanes are the scalar paths' `p - self` bit for bit — so this
+    // offset lanes are the scalar loop's `p - self` bit for bit — so this
     // staging loop draws RNG in exactly the scalar order and values.
     snap.stage(soa_filter_.survivor_offset(i), rng_);
   }
@@ -195,13 +137,7 @@ void Engine::append_soa_survivors(Snapshot& snap) {
 
 Snapshot Engine::honest_snapshot(RobotId robot, Time t, const LocalFrame& frame) {
   Snapshot snap(frame);
-  if (!config_.use_spatial_index) {
-    snapshot_via_scan(robot, t, snap);
-  } else if (config_.incremental_index) {
-    snapshot_via_incremental(robot, t, snap);
-  } else {
-    snapshot_via_grid(robot, t, snap);
-  }
+  snapshot_via_incremental(robot, t, snap);
   if (config_.visibility.multiplicity_detection) {
     colocation_.flag(snap);
   } else {
@@ -256,11 +192,6 @@ bool Engine::step() {
   if (config_.soa_kernel) soa_segments_.commit(rec);
   if (sink_) sink_->append(rec);
   end_time_ = std::max(end_time_, a.t_move_end);
-  // A commit leaves every position at its own Look time unchanged — except
-  // a zero-duration move (t_move_end == t_look), which teleports the robot
-  // to `realized` at that very instant; a grid built at this Look must not
-  // serve later Looks at it then.
-  if (grid_valid_ && a.t_move_end <= grid_time_) grid_valid_ = false;
   busy_until_[a.robot] = a.t_move_end;
   frontier_ = a.t_look;
   ++activation_counts_[a.robot];
@@ -307,7 +238,6 @@ std::vector<Vec2> Engine::current_configuration() const {
   // nothing further is scheduled". That instant is at or after every
   // committed Look, so the kinematic cache answers in O(n) total.
   const Time t = end_time_ + 1.0;
-  if (!config_.use_spatial_index) return trace_.configuration(t);
   std::vector<Vec2> out(trace_.robot_count());
   for (RobotId r = 0; r < out.size(); ++r) out[r] = kin_.position_at(r, t);
   return out;

@@ -18,17 +18,16 @@
 //    an O(1) interpolation of that segment, bit-identical to what the Trace
 //    would reconstruct.
 //
-// Each Look evaluates all current positions once through the cache, indexes
-// them in a uniform grid (SpatialGrid, cell side = the visibility radius),
-// and builds the snapshot from the <= 3x3 cells around the looking robot
-// instead of scanning all n robots. Consecutive Looks at the same time
-// (synchronous rounds) reuse the same grid: a commit leaves every position
-// at its own Look time unchanged, except a zero-duration move — which drops
-// the cached grid (see Engine::step). The pre-index brute-force path
-// is kept, selectable via EngineConfig::use_spatial_index = false, as the
-// reference for equivalence tests and speedup benchmarks; both paths apply
-// the identical visibility predicate and draw RNG in the identical order,
-// so they produce bit-identical traces.
+// Each Look gathers candidates from an IncrementalGrid, which buckets every
+// robot by the cells of its current trajectory segment and re-buckets only
+// the robots a commit touched, so neither a Look nor a commit pays O(n).
+// Candidates are evaluated through the kinematic cache (or the SoA lanes,
+// with EngineConfig::soa_kernel) and filtered with the exact visibility
+// predicate; a Look placed before the previous one by the scheduler's
+// 1e-12 slack is served by a scan over history instead. The brute-force
+// reference engine every result is certified against lives in the tests
+// (tests/oracles/engine_oracle.hpp): it applies the same predicate and
+// draws RNG in the same order, so both commit bit-identical traces.
 #pragma once
 
 #include <functional>
@@ -67,35 +66,21 @@ struct EngineConfig {
   VisibilityModel visibility;
   ErrorModel error;
   std::uint64_t seed = 1;
-  /// Grid + kinematic-cache hot path. false selects the reference
-  /// brute-force scan over the Trace (bit-identical results, O(n log k)
-  /// per snapshot) — used by equivalence tests and scaling benchmarks.
-  bool use_spatial_index = true;
-  /// Incremental cell maintenance (IncrementalGrid): robots are re-bucketed
-  /// only when their trajectory segment changes, so async schedulers —
-  /// whose every Look has a distinct time — stop paying an O(n) grid
-  /// rebuild per activation. false selects the per-Look-time full rebuild,
-  /// kept as the bit-identical reference for equivalence tests and the
-  /// incremental-vs-rebuild benchmark axis. Ignored when use_spatial_index
-  /// is false.
-  bool incremental_index = true;
   /// Structure-of-arrays snapshot kernel (src/core/soa_pool): candidate
-  /// positions are gathered into parallel coordinate lanes — evaluated
-  /// straight from an SoA segment pool on the incremental path — and
-  /// pre-filtered by a vectorizable squared-distance loop against certified
-  /// conservative bounds; only the narrow borderline band re-runs the exact
-  /// hypot predicate, so results stay bit-identical to the scalar reference
+  /// positions are evaluated straight from an SoA segment pool into
+  /// parallel coordinate lanes and pre-filtered by a vectorizable
+  /// squared-distance loop against certified conservative bounds; only the
+  /// narrow borderline band re-runs the exact hypot predicate, so results
+  /// stay bit-identical to the scalar reference
   /// (architecture contract 12, certified by tests/core/soa_equivalence_
   /// test.cpp under ASan and -march=native). false keeps the scalar
-  /// reference paths, which remain the default. Requires use_spatial_index
-  /// — the kernel sits behind the grid candidate queries.
+  /// filter, which remains the default.
   bool soa_kernel = false;
   /// Materialize the full activation history in the in-memory Trace. false
   /// selects the bounded-memory mode: the engine keeps only each robot's
   /// current + previous trajectory segment (O(robot count) state, not
   /// O(activation count)); history consumers attach through
-  /// set_trace_sink() instead. Requires use_spatial_index — the reference
-  /// scan path reads the Trace by construction.
+  /// set_trace_sink() instead.
   bool record_history = true;
 };
 
@@ -168,20 +153,16 @@ class Engine final : public SimulationView {
  private:
   /// The staged snapshot of `robot` at `t` in `frame`, co-location applied.
   [[nodiscard]] Snapshot honest_snapshot(RobotId robot, Time t, const LocalFrame& frame);
-  /// Visible-neighbor enumeration via grid cells (positions through the
-  /// kinematic cache, grid rebuilt per distinct look time).
-  void snapshot_via_grid(RobotId robot, Time t, Snapshot& snap);
   /// Visible-neighbor enumeration via the incrementally-maintained grid:
   /// candidate cells from IncrementalGrid, exact positions through the
-  /// kinematic cache, no per-Look-time rebuild.
+  /// kinematic cache (or the SoA lanes).
   void snapshot_via_incremental(RobotId robot, Time t, Snapshot& snap);
-  /// Reference visible-neighbor enumeration: full scan over Trace positions.
+  /// Visible-neighbor enumeration by a full scan over history positions:
+  /// the fallback for a Look placed before the previous one.
   void snapshot_via_scan(RobotId robot, Time t, Snapshot& snap);
   /// Stage the SoA filter's survivors into the snapshot — the same
-  /// ascending-id staging sequence the scalar loops produce.
+  /// ascending-id staging sequence the scalar loop produces.
   void append_soa_survivors(Snapshot& snap);
-  /// Ensure positions_now_/grid_ describe time `t`.
-  void refresh_grid(Time t);
   /// positions_now_[robot] at the incremental path's current query time,
   /// computed on first use per (robot, time) and invalidated on commit.
   [[nodiscard]] geom::Vec2 cached_position(RobotId robot);
@@ -205,23 +186,20 @@ class Engine final : public SimulationView {
   PerceptionHook perception_hook_;
   std::size_t look_materializations_ = 0;
 
-  SpatialGrid grid_;
-  std::vector<geom::Vec2> positions_now_;   // all positions at grid_time_
+  std::vector<geom::Vec2> positions_now_;   // positions at pos_time_, per stamp
   std::vector<std::size_t> neighbor_ids_;   // query scratch
   ColocationIndex colocation_;              // collapse/flag co-located neighbours
-  Time grid_time_ = 0.0;
-  bool grid_valid_ = false;
 
-  // Incremental path (config_.incremental_index): persistent buckets,
-  // per-robot position stamps instead of wholesale refreshes.
-  IncrementalGrid inc_grid_;
-  std::vector<std::uint64_t> pos_epoch_;  // positions_now_[r] valid iff == epoch_
-  std::uint64_t epoch_ = 1;               // bumped whenever pos_time_ changes
-  Time pos_time_ = 0.0;                   // time positions_now_ entries describe
-  Time inc_time_ = 0.0;                   // last incremental query time
+  // Persistent buckets, and per-robot position stamps instead of
+  // wholesale refreshes.
+  IncrementalGrid index_;
+  std::vector<std::uint64_t> pos_epoch_;    // positions_now_[r] valid iff == epoch_
+  std::uint64_t epoch_ = 1;                 // bumped whenever pos_time_ changes
+  Time pos_time_ = 0.0;                     // time positions_now_ entries describe
+  Time index_time_ = 0.0;                   // last forward query time
 
   // SoA kernel (config_.soa_kernel): segment lanes mirroring kin_, and the
-  // gather/filter scratch. Empty when the scalar paths are selected.
+  // gather/filter scratch. Empty when the scalar filter is selected.
   SoaSegmentPool soa_segments_;
   SoaNeighborFilter soa_filter_;
 };

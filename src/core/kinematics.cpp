@@ -35,7 +35,7 @@ void KinematicState::commit(const ActivationRecord& rec) {
   s.t_look = rec.activation.t_look;
   s.t_move_start = rec.activation.t_move_start;
   s.t_move_end = rec.activation.t_move_end;
-  if (track_dirty_) dirty_.push_back(rec.activation.robot);
+  dirty_.push_back(rec.activation.robot);
 }
 
 Vec2 KinematicState::eval(const Segment& s, Time t) {

@@ -68,17 +68,10 @@ class KinematicState {
   }
   [[nodiscard]] Time segment_end(RobotId robot) const { return segments_[robot].t_move_end; }
 
-  /// Dirty tracking for incremental index maintenance: when enabled, every
-  /// commit() records its robot id so a consumer can re-bucket exactly the
-  /// robots whose segments changed since it last drained the set. Between
-  /// two consecutive Look times that is the just-moved robot (plus any
-  /// same-time co-activators), never all n. Off by default — the reference
-  /// paths pay nothing.
-  void set_track_dirty(bool on) {
-    track_dirty_ = on;
-    if (!on) dirty_.clear();
-  }
-  /// Robots committed since the last clear_dirty(), in commit order. May
+  /// Robots committed since the last clear_dirty(), in commit order, so an
+  /// incremental spatial index can re-bucket exactly the robots whose
+  /// segments changed. Between two consecutive Look times that is the
+  /// just-moved robot (plus any same-time co-activators), never all n. May
   /// repeat a robot; consumers treat re-bucketing as idempotent.
   [[nodiscard]] const std::vector<RobotId>& dirty() const { return dirty_; }
   void clear_dirty() { dirty_.clear(); }
@@ -98,7 +91,6 @@ class KinematicState {
   std::vector<Segment> segments_;
   std::vector<Segment> previous_;  // keep_previous_ only: segment before current
   std::vector<RobotId> dirty_;
-  bool track_dirty_ = false;
   bool keep_previous_ = false;
 };
 

@@ -50,24 +50,6 @@ Vec2 SoaSegmentPool::position_at(RobotId robot, Time t) const {
 // SoaNeighborFilter
 // ---------------------------------------------------------------------------
 
-void SoaNeighborFilter::gather_positions(const std::vector<Vec2>& positions,
-                                         const std::vector<std::size_t>& candidates,
-                                         RobotId self) {
-  const std::size_t m = candidates.size();
-  ids_.clear();
-  px_.clear();
-  py_.clear();
-  ids_.reserve(m);
-  px_.reserve(m);
-  py_.reserve(m);
-  for (const std::size_t c : candidates) {
-    if (c == self) continue;
-    ids_.push_back(static_cast<std::uint32_t>(c));
-    px_.push_back(positions[c].x);
-    py_.push_back(positions[c].y);
-  }
-}
-
 namespace {
 
 // Pass 2 of gather_segments — branchless KinematicState::eval per lane:

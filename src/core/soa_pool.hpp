@@ -1,10 +1,9 @@
 // Structure-of-arrays pools for the vectorizable snapshot kernel
 // (EngineConfig::soa_kernel).
 //
-// The scalar snapshot paths pay one std::hypot per candidate — an exact
-// but expensive libm call — plus, on the incremental path, a branchy
-// per-candidate segment interpolation. This file provides the SoA
-// counterparts the kernel seam in Engine::honest_snapshot dispatches to:
+// The scalar snapshot loop pays a branchy per-candidate segment
+// interpolation and a per-candidate visibility test. This file provides the
+// SoA counterparts the kernel seam in Engine's snapshot feed dispatches to:
 //
 //  * SoaSegmentPool — every robot's current trajectory segment split into
 //    parallel coordinate/time lanes. gather-free evaluation of many robots
@@ -77,15 +76,10 @@ class SoaSegmentPool {
 /// Scratch buffers persist across queries; one instance per engine.
 class SoaNeighborFilter {
  public:
-  /// Load lanes from instant positions (the grid path: positions_now_ at
-  /// the current grid time), skipping `self`. Candidate order (ascending
-  /// from the index) is preserved, so survivors come out ascending too.
-  void gather_positions(const std::vector<geom::Vec2>& positions,
-                        const std::vector<std::size_t>& candidates, RobotId self);
-
-  /// Load lanes by evaluating each candidate's segment at time `t` (the
-  /// incremental path), skipping `self`. The per-lane select/lerp runs
-  /// KinematicState::eval's exact arithmetic, vectorizably.
+  /// Load lanes by evaluating each candidate's segment at time `t`,
+  /// skipping `self`. Candidate order (ascending from the index) is
+  /// preserved, so survivors come out ascending too. The per-lane
+  /// select/lerp runs KinematicState::eval's exact arithmetic, vectorizably.
   void gather_segments(const SoaSegmentPool& pool,
                        const std::vector<std::size_t>& candidates, RobotId self, Time t);
 
@@ -97,7 +91,7 @@ class SoaNeighborFilter {
 
   [[nodiscard]] std::size_t survivor_count() const { return survivors_.size(); }
   [[nodiscard]] std::size_t survivor_id(std::size_t i) const { return ids_[survivors_[i]]; }
-  /// The offset p - self of survivor i, bit-identical to the scalar paths'
+  /// The offset p - self of survivor i, bit-identical to the scalar loop's
   /// `p - self` (the filter's dx/dy lanes are exactly that subtraction).
   [[nodiscard]] geom::Vec2 survivor_offset(std::size_t i) const {
     return {dx_[survivors_[i]], dy_[survivors_[i]]};

@@ -164,15 +164,19 @@ void SpatialGrid::rebuild(const std::vector<geom::Vec2>& points) {
   }
 }
 
-template <class Keep>
-void SpatialGrid::enumerate(geom::Vec2 q, double r, Keep keep, std::vector<std::size_t>& out) {
+void SpatialGrid::neighbors_within(geom::Vec2 q, double r, bool open_ball,
+                                   std::vector<std::size_t>& out) {
   out.clear();
   if (points_ == nullptr || next_.empty()) return;
+  const std::vector<geom::Vec2>& pts = *points_;
+  const VisibilityBall ball(q, r, open_ball);
+  // Mark the points of every cell overlapping the ball's bounding square;
+  // a square covering more cells than there are points is a direct scan.
   const bool windowed = for_each_query_cell(q, r, inv_cell_, next_.size(), [&](std::uint64_t key) {
     const std::size_t slot = find_slot(key);
     if (slot_stamp_[slot] != stamp_) return;
     for (std::int32_t i = slot_head_[slot]; i >= 0; i = next_[i]) {
-      if (keep(static_cast<std::size_t>(i))) marks_.mark(static_cast<std::size_t>(i));
+      if (ball.contains(pts[i])) marks_.mark(static_cast<std::size_t>(i));
     }
   });
   if (windowed) {
@@ -181,22 +185,8 @@ void SpatialGrid::enumerate(geom::Vec2 q, double r, Keep keep, std::vector<std::
   }
   // Ids come out already ascending.
   for (std::size_t i = 0; i < next_.size(); ++i) {
-    if (keep(i)) out.push_back(i);
+    if (ball.contains(pts[i])) out.push_back(i);
   }
-}
-
-void SpatialGrid::neighbors_within(geom::Vec2 q, double r, bool open_ball,
-                                   std::vector<std::size_t>& out) {
-  const std::vector<geom::Vec2>* pts = points_;
-  enumerate(
-      q, r,
-      [&, ball = VisibilityBall(q, r, open_ball)](std::size_t i) { return ball.contains((*pts)[i]); },
-      out);
-}
-
-void SpatialGrid::candidates_within(geom::Vec2 q, double r, std::vector<std::size_t>& out) {
-  // The same cells neighbors_within examines, predicate deferred.
-  enumerate(q, r, [](std::size_t) { return true; }, out);
 }
 
 // ---------------------------------------------------------------------------

@@ -10,21 +10,19 @@
 // results are bit-identical to a brute-force scan over all points. Returned
 // ids are ascending by construction (IdBitmap, below: marked in a
 // point-sized bitmap, emitted in bit order, no sort), so callers that
-// consume neighbors in id order (e.g. the engine's RNG-drawing perception
-// loop) behave identically to the O(n) scan they replace.
+// consume neighbors in id order behave identically to the O(n) scan they
+// replace.
 //
 // The bucket table is open-addressed with stamp-based invalidation, so a
-// rebuild is O(n) with no per-rebuild allocation in steady state — cheap
-// enough to run once per distinct Look time in the engine hot path.
+// rebuild is O(n) with no per-rebuild allocation in steady state. Metrics
+// and visibility graphs query one configuration at a time this way.
 //
-// Rebuild-per-time is the right shape for synchronous schedulers (one
-// rebuild amortizes over a whole round of Looks), but async schedulers give
-// every Look a distinct time, turning it into O(n) per activation.
-// IncrementalGrid (below) is the persistently-maintained variant for that
-// regime: robots are bucketed by the cells of their *current trajectory
-// segment* — which covers the robot's exact position at every time the
-// segment is current — so buckets change only on commit (O(1) amortized),
-// never per Look time.
+// The engine's Looks each happen at their own time, which would cost a
+// rebuild per activation. IncrementalGrid (below) is the persistently
+// maintained variant for that regime: robots are bucketed by the cells of
+// their *current trajectory segment* — which covers the robot's exact
+// position at every time the segment is current — so buckets change only
+// on commit (O(1) amortized), never per Look time.
 #pragma once
 
 #include <cstdint>
@@ -142,13 +140,6 @@ class SpatialGrid {
   /// it is indexed; callers filter self-matches by id. `out` is overwritten.
   void neighbors_within(geom::Vec2 q, double r, bool open_ball, std::vector<std::size_t>& out);
 
-  /// Ids (ascending, unique) of every indexed point in the cells overlapping
-  /// the bounding square of the ball around `q` — the same cells
-  /// neighbors_within scans, without the predicate: a superset of both ball
-  /// variants for the caller (e.g. the SoA kernel) to filter exactly.
-  /// Includes the query point itself when indexed. `out` is overwritten.
-  void candidates_within(geom::Vec2 q, double r, std::vector<std::size_t>& out);
-
   [[nodiscard]] std::size_t size() const { return next_.size(); }
 
  private:
@@ -159,12 +150,6 @@ class SpatialGrid {
   /// where it would be inserted.
   [[nodiscard]] std::size_t find_slot(std::uint64_t key) const;
   void ensure_capacity(std::size_t point_count);
-  /// Mark every point in the cells overlapping the bounding square of the
-  /// ball around `q` that passes `keep(id)`, then emit the marks into
-  /// `out`. Falls back to a direct scan when the square covers more cells
-  /// than there are points.
-  template <class Keep>
-  void enumerate(geom::Vec2 q, double r, Keep keep, std::vector<std::size_t>& out);
 
   double cell_ = 1.0;
   double inv_cell_ = 1.0;
@@ -206,7 +191,7 @@ class SpatialGrid {
 /// min-heap of move-end times makes this O(log in-flight) amortized).
 /// Collapsing assumes queries never go back before the collapse time;
 /// the engine guards the scheduler's 1e-12 look-ordering slack by serving
-/// backward queries through the reference scan instead.
+/// backward queries through a scan over history instead.
 class IncrementalGrid {
  public:
   /// Rebuild from scratch: robot r bucketed at the (degenerate) segment

@@ -21,7 +21,8 @@
 // accumulator rejects that loudly rather than silently diverging from the
 // reference. Every per-sample position runs the identical interpolation
 // arithmetic as Trace::position, so the resulting report is bit-identical
-// to metrics::analyze_rescan on the materialized trace.
+// to the whole-trace rescan on the materialized trace (the test oracle
+// tests/oracles/analyze_oracle.hpp).
 #pragma once
 
 #include <cstddef>

@@ -48,13 +48,9 @@ struct ConvergenceReport {
 
 /// Analyze a trace: samples the configuration at every round boundary plus
 /// the end of the trace. Single forward pass over the records (via
-/// ConvergenceAccumulator) — no whole-trace position rescans.
+/// ConvergenceAccumulator) — no whole-trace position rescans. Bit-identical
+/// to the original rescan, kept as the test oracle
+/// tests/oracles/analyze_oracle.hpp.
 ConvergenceReport analyze(const core::Trace& trace, double v, double epsilon);
-
-/// The original rescan implementation — computes round boundaries from the
-/// full trace, then reconstructs the configuration at every sample via
-/// per-robot binary searches. Bit-identical to analyze(); kept as the
-/// oracle the single-pass and streaming paths are tested against.
-ConvergenceReport analyze_rescan(const core::Trace& trace, double v, double epsilon);
 
 }  // namespace cohesion::metrics

@@ -29,23 +29,8 @@ RunInstance instantiate(const RunSpec& spec) {
   inst.config.visibility.multiplicity_detection = spec.multiplicity_detection;
   inst.config.error = errors().get(spec.error.type)(spec.error.params);
   inst.config.seed = seeds.engine;
-  inst.config.use_spatial_index = spec.use_spatial_index;
-  inst.config.incremental_index = spec.incremental_index;
-  if (spec.soa_kernel && !spec.use_spatial_index) {
-    throw std::runtime_error(
-        "soa_kernel requires use_spatial_index: the SoA filter sits behind the "
-        "grid candidate queries (the scan path is its scalar reference)");
-  }
   inst.config.soa_kernel = spec.soa_kernel;
-  if (spec.trace.mode != "memory") {
-    if (!spec.use_spatial_index) {
-      throw std::runtime_error(
-          "trace.mode \"" + spec.trace.mode +
-          "\" requires use_spatial_index: the reference scan path reconstructs positions "
-          "from the in-memory Trace it would no longer have");
-    }
-    inst.config.record_history = false;
-  }
+  inst.config.record_history = spec.trace.mode == "memory";
   inst.engine = std::make_unique<core::Engine>(inst.initial, *inst.algorithm, *inst.scheduler,
                                                inst.config);
   return inst;

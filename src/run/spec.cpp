@@ -60,12 +60,13 @@ Json TraceSpec::to_json() const {
   return j;
 }
 
-TraceSpec TraceSpec::from_json(const Json& j) {
+TraceSpec TraceSpec::from_json(const Json& j, std::string_view path) {
   TraceSpec t;
   if (j.is_string()) {
     // Shorthand: "stream" == {"mode": "stream"}.
     t.mode = j.as_string();
   } else if (j.is_object()) {
+    reject_unknown_keys(j, "RunSpec", path, {"mode", "path", "flush_every", "index_every"});
     t.mode = j.string_or("mode", t.mode);
     t.path = j.string_or("path", t.path);
     t.flush_every = static_cast<std::size_t>(j.uint_or("flush_every", t.flush_every));
@@ -94,8 +95,10 @@ Json RunSpec::to_json() const {
   vis.set("open_ball", open_ball);
   vis.set("multiplicity", multiplicity_detection);
   j.set("visibility", vis);
-  j.set("use_spatial_index", use_spatial_index);
-  j.set("incremental_index", incremental_index);
+  // Retired engine switches, emitted as constants: spec bytes, run
+  // identities and cache keys have always hashed them.
+  j.set("use_spatial_index", true);
+  j.set("incremental_index", true);
   // Echoed only when enabled: existing specs (and their fingerprints,
   // cache keys and checkpoints) keep their exact bytes.
   if (soa_kernel) j.set("soa_kernel", true);
@@ -121,8 +124,15 @@ void require_object(const Json& block, const char* key) {
 
 }  // namespace
 
-RunSpec RunSpec::from_json(const Json& j) {
+RunSpec RunSpec::from_json(const Json& j, std::string_view path) {
   if (!j.is_object()) throw std::runtime_error("RunSpec must be a JSON object");
+  const std::string at(path);
+  // Every key to_json() emits is known, so checkpoint, cache and shard
+  // round trips parse; anything else (a typo like "stopp") is an error.
+  reject_unknown_keys(j, "RunSpec", at,
+                      {"name", "n", "seed", "algorithm", "scheduler", "error", "initial",
+                       "visibility", "use_spatial_index", "incremental_index", "soa_kernel",
+                       "stop", "trace"});
   RunSpec s;
   s.name = j.string_or("name", s.name);
   s.n = static_cast<std::size_t>(j.uint_or("n", s.n));
@@ -132,27 +142,33 @@ RunSpec RunSpec::from_json(const Json& j) {
   if (const Json* v = j.find("error")) s.error = FactorySpec::from_json(*v, "noisy");
   if (const Json* v = j.find("initial")) s.initial = FactorySpec::from_json(*v, "random");
   if (const Json* vis = j.find("visibility")) {
-    // Every key to_json() emits is known, so checkpoint, cache and shard
-    // round trips parse; anything else (a typo like "radus") is an error.
     require_object(*vis, "visibility");
-    reject_unknown_keys(*vis, "RunSpec", "visibility.", {"radius", "open_ball", "multiplicity"});
+    reject_unknown_keys(*vis, "RunSpec", at + "visibility.",
+                        {"radius", "open_ball", "multiplicity"});
     s.visibility_radius = vis->number_or("radius", s.visibility_radius);
     s.open_ball = vis->bool_or("open_ball", s.open_ball);
     s.multiplicity_detection = vis->bool_or("multiplicity", s.multiplicity_detection);
     if (!(std::isfinite(s.visibility_radius) && s.visibility_radius > 0.0)) {
       char got[32];
       std::snprintf(got, sizeof got, "%g", s.visibility_radius);
-      throw std::runtime_error(
-          std::string("RunSpec: visibility.radius must be a positive finite number (got ") + got +
-          ")");
+      throw std::runtime_error("RunSpec: " + at +
+                               "visibility.radius must be a positive finite number (got " + got +
+                               ")");
     }
   }
-  s.use_spatial_index = j.bool_or("use_spatial_index", s.use_spatial_index);
-  s.incremental_index = j.bool_or("incremental_index", s.incremental_index);
+  for (const char* retired : {"use_spatial_index", "incremental_index"}) {
+    if (!j.bool_or(retired, true)) {
+      throw std::runtime_error("RunSpec: \"" + at + retired +
+                               "\": false is no longer supported: the engine has one snapshot "
+                               "feed, and the reference paths false used to select live only in "
+                               "the test oracle tests/oracles/engine_oracle.hpp (omit the key or "
+                               "set it to true)");
+    }
+  }
   s.soa_kernel = j.bool_or("soa_kernel", s.soa_kernel);
   if (const Json* st = j.find("stop")) {
     require_object(*st, "stop");
-    reject_unknown_keys(*st, "RunSpec", "stop.",
+    reject_unknown_keys(*st, "RunSpec", at + "stop.",
                         {"epsilon", "max_activations", "check_every", "max_time"});
     s.stop.epsilon = st->number_or("epsilon", s.stop.epsilon);
     s.stop.max_activations =
@@ -160,7 +176,7 @@ RunSpec RunSpec::from_json(const Json& j) {
     s.stop.check_every = static_cast<std::size_t>(st->uint_or("check_every", s.stop.check_every));
     s.stop.max_time = st->number_or("max_time", s.stop.max_time);
   }
-  if (const Json* t = j.find("trace")) s.trace = TraceSpec::from_json(*t);
+  if (const Json* t = j.find("trace")) s.trace = TraceSpec::from_json(*t, at + "trace.");
   return s;
 }
 
@@ -207,6 +223,7 @@ Json EarlyStop::to_json() const {
 
 EarlyStop EarlyStop::from_json(const Json& j) {
   if (!j.is_object()) throw std::runtime_error("early_stop must be a JSON object");
+  reject_unknown_keys(j, "ExperimentSpec", "early_stop.", {"window", "epsilon", "metric"});
   EarlyStop e;
   e.window = static_cast<std::size_t>(j.uint_or("window", e.window));
   e.epsilon = j.number_or("epsilon", e.epsilon);
@@ -381,13 +398,20 @@ Json ExperimentSpec::to_json() const {
 
 ExperimentSpec ExperimentSpec::from_json(const Json& j) {
   if (!j.is_object()) throw std::runtime_error("ExperimentSpec must be a JSON object");
+  reject_unknown_keys(j, "ExperimentSpec", "", {"name", "base", "repeats", "early_stop", "sweep"});
   ExperimentSpec e;
   e.name = j.string_or("name", e.name);
-  e.base = RunSpec::from_json(j.at("base"));
+  e.base = RunSpec::from_json(j.at("base"), "base.");
   e.repeats = static_cast<std::size_t>(j.uint_or("repeats", e.repeats));
   if (const Json* es = j.find("early_stop")) e.early_stop = EarlyStop::from_json(*es);
   if (const Json* sweep = j.find("sweep")) {
     for (const Json& a : sweep->items()) {
+      const std::string at = "sweep[" + std::to_string(e.axes.size()) + "].";
+      if (!a.is_object()) {
+        throw std::runtime_error("ExperimentSpec: " + at.substr(0, at.size() - 1) +
+                                 " must be a JSON object");
+      }
+      reject_unknown_keys(a, "ExperimentSpec", at, {"path", "values"});
       SweepAxis axis;
       axis.path = a.at("path").as_string();
       axis.values = a.at("values").items();

@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/stop_condition.hpp"
@@ -80,7 +81,8 @@ struct TraceSpec {
   }
 
   [[nodiscard]] Json to_json() const;
-  static TraceSpec from_json(const Json& j);
+  /// `path` prefixes the key path an unknown-key error names.
+  static TraceSpec from_json(const Json& j, std::string_view path = "trace.");
 };
 
 /// Complete description of one run. Defaults reproduce the quickstart
@@ -96,19 +98,21 @@ struct RunSpec {
   double visibility_radius = 1.0;
   bool open_ball = false;
   bool multiplicity_detection = false;
-  bool use_spatial_index = true;
-  bool incremental_index = true;
   /// SoA/SIMD snapshot kernel (EngineConfig::soa_kernel) — bit-identical to
-  /// the scalar reference by architecture contract 12. Requires
-  /// use_spatial_index; instantiate() rejects the combination otherwise.
-  /// Serialized only when true, so existing spec bytes, fingerprints and
-  /// cache keys are untouched.
+  /// the scalar reference by architecture contract 12. Serialized only when
+  /// true, so existing spec bytes, fingerprints and cache keys are
+  /// untouched.
   bool soa_kernel = false;
   core::StopCondition stop;  ///< predicate is not serialized
   TraceSpec trace;           ///< history capture; default preserves old bytes
 
+  /// Also emits the retired engine switches "use_spatial_index" and
+  /// "incremental_index" as the constant true, which every spec's bytes,
+  /// fingerprints and cache keys have always carried.
   [[nodiscard]] Json to_json() const;
-  static RunSpec from_json(const Json& j);
+  /// Rejects unknown keys, and either retired switch set to false, naming
+  /// the key path (prefixed by `path`).
+  static RunSpec from_json(const Json& j, std::string_view path = "");
 };
 
 /// FNV-1a 64 of the resolved spec JSON — the run identity stamped into
@@ -127,7 +131,7 @@ struct RunSpec {
 /// name, which is display identity, not physics — two sweeps that resolve a
 /// variant to the same spec (same seed included) must share one cache entry
 /// even though their labels differ. Everything that *does* change the
-/// dynamics (n, seed, factories + params, visibility, index flags, stop
+/// dynamics (n, seed, factories + params, visibility, kernel flag, stop
 /// bounds) stays in the hash. The grid position (index/variant/repeat) is
 /// never hashed; it only reaches the outcome through the derived seed.
 /// Caveats (same as the checkpoint fingerprint): the programmatic

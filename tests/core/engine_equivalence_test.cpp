@@ -1,8 +1,9 @@
-// The spatially-indexed hot path must be indistinguishable from the
-// brute-force reference: same seeds -> same ActivationRecords, to the bit.
-// This holds because both paths examine the same visible set through the
-// same predicate and draw RNG in the same (ascending-id) order; these tests
-// sweep schedulers, error models and visibility variants to pin that down.
+// The engine's incremental snapshot feed must be indistinguishable from the
+// brute-force reference engine (tests/oracles/engine_oracle.hpp): same seeds
+// -> same ActivationRecords, to the bit. This holds because both examine the
+// same visible set through the same predicate and draw RNG in the same
+// (ascending-id) order; these tests sweep schedulers, error models and
+// visibility variants to pin that down.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -15,6 +16,7 @@
 #include "algo/kknps.hpp"
 #include "core/engine.hpp"
 #include "metrics/configurations.hpp"
+#include "oracles/engine_oracle.hpp"
 #include "sched/asynchronous.hpp"
 #include "sched/synchronous.hpp"
 
@@ -23,11 +25,13 @@ namespace {
 
 using geom::Vec2;
 
-void expect_identical_traces(const Trace& grid, const Trace& brute, std::uint64_t seed) {
-  ASSERT_EQ(grid.records().size(), brute.records().size()) << "seed " << seed;
-  for (std::size_t i = 0; i < grid.records().size(); ++i) {
-    const ActivationRecord& g = grid.records()[i];
-    const ActivationRecord& b = brute.records()[i];
+using oracles::EngineOracle;
+
+void expect_identical_traces(const Trace& got, const Trace& want, std::uint64_t seed) {
+  ASSERT_EQ(got.records().size(), want.records().size()) << "seed " << seed;
+  for (std::size_t i = 0; i < got.records().size(); ++i) {
+    const ActivationRecord& g = got.records()[i];
+    const ActivationRecord& b = want.records()[i];
     EXPECT_EQ(g.activation.robot, b.activation.robot) << "seed " << seed << " rec " << i;
     EXPECT_EQ(g.activation.t_look, b.activation.t_look) << "seed " << seed << " rec " << i;
     EXPECT_EQ(g.activation.t_move_start, b.activation.t_move_start)
@@ -80,15 +84,9 @@ std::vector<Vec2> make_initial(std::uint64_t seed, std::size_t n, double v) {
   }
 }
 
-/// The three snapshot paths under test: reference scan over the Trace,
-/// per-Look-time grid rebuild, and incremental cell maintenance.
-enum class IndexMode { kBrute, kRebuild, kIncremental };
-
-EngineConfig make_config(std::uint64_t seed, std::size_t n, IndexMode mode) {
+EngineConfig make_config(std::uint64_t seed, std::size_t n) {
   EngineConfig cfg;
   cfg.seed = seed * 7919 + 13;
-  cfg.use_spatial_index = mode != IndexMode::kBrute;
-  cfg.incremental_index = mode == IndexMode::kIncremental;
   cfg.visibility.radius = 1.0;
   cfg.visibility.open_ball = (seed / 2) % 2 == 1;
   cfg.visibility.multiplicity_detection = (seed / 4) % 2 == 1;
@@ -122,10 +120,9 @@ EngineConfig make_config(std::uint64_t seed, std::size_t n, IndexMode mode) {
 }
 
 TEST(EngineEquivalence, AllIndexModesProduceIdenticalTraces) {
-  // Three engines per seed — brute scan, rebuild grid, incremental grid —
-  // over randomized schedulers (FSync / SSync / k-Async / k-NestA), error
-  // models, visibility variants and initial configurations. All three must
-  // commit bit-identical traces.
+  // The engine against the reference engine over randomized schedulers
+  // (FSync / SSync / k-Async / k-NestA), error models, visibility variants
+  // and initial configurations. Both must commit bit-identical traces.
   const algo::KknpsAlgorithm kknps({.k = 1});
   const algo::AndoAlgorithm ando(1.0);
   for (std::uint64_t seed = 0; seed < 160; ++seed) {
@@ -134,77 +131,55 @@ TEST(EngineEquivalence, AllIndexModesProduceIdenticalTraces) {
     const Algorithm& algorithm = seed % 2 == 0 ? static_cast<const Algorithm&>(kknps)
                                                : static_cast<const Algorithm&>(ando);
 
-    const auto sched_inc = make_scheduler(seed, n);
-    Engine inc(initial, algorithm, *sched_inc, make_config(seed, n, IndexMode::kIncremental));
-    const auto sched_grid = make_scheduler(seed, n);
-    Engine grid(initial, algorithm, *sched_grid, make_config(seed, n, IndexMode::kRebuild));
-    const auto sched_brute = make_scheduler(seed, n);
-    Engine brute(initial, algorithm, *sched_brute, make_config(seed, n, IndexMode::kBrute));
+    const auto sched_engine = make_scheduler(seed, n);
+    Engine engine(initial, algorithm, *sched_engine, make_config(seed, n));
+    const auto sched_oracle = make_scheduler(seed, n);
+    EngineOracle oracle(initial, algorithm, *sched_oracle, make_config(seed, n));
 
     if (seed % 7 == 3) {  // fail-stop robots ride along unchanged
-      inc.crash(n / 2);
-      grid.crash(n / 2);
-      brute.crash(n / 2);
+      engine.crash(n / 2);
+      oracle.crash(n / 2);
     }
 
     const std::size_t steps = 150;
-    const std::size_t done_brute = brute.run(steps);
-    ASSERT_EQ(grid.run(steps), done_brute) << "seed " << seed;
-    ASSERT_EQ(inc.run(steps), done_brute) << "seed " << seed;
-    expect_identical_traces(grid.trace(), brute.trace(), seed);
-    expect_identical_traces(inc.trace(), brute.trace(), seed);
-    EXPECT_EQ(grid.current_diameter(), brute.current_diameter()) << "seed " << seed;
-    EXPECT_EQ(inc.current_diameter(), brute.current_diameter()) << "seed " << seed;
-    const auto cfg_grid = grid.current_configuration();
-    const auto cfg_inc = inc.current_configuration();
-    const auto cfg_brute = brute.current_configuration();
-    ASSERT_EQ(cfg_grid.size(), cfg_brute.size());
-    ASSERT_EQ(cfg_inc.size(), cfg_brute.size());
-    for (std::size_t r = 0; r < cfg_grid.size(); ++r) {
-      EXPECT_EQ(cfg_grid[r], cfg_brute[r]) << "seed " << seed << " robot " << r;
-      EXPECT_EQ(cfg_inc[r], cfg_brute[r]) << "seed " << seed << " robot " << r;
+    ASSERT_EQ(engine.run(steps), oracle.run(steps)) << "seed " << seed;
+    expect_identical_traces(engine.trace(), oracle.trace(), seed);
+    EXPECT_EQ(engine.current_diameter(), oracle.current_diameter()) << "seed " << seed;
+    const auto cfg_engine = engine.current_configuration();
+    const auto cfg_oracle = oracle.current_configuration();
+    ASSERT_EQ(cfg_engine.size(), cfg_oracle.size());
+    for (std::size_t r = 0; r < cfg_engine.size(); ++r) {
+      EXPECT_EQ(cfg_engine[r], cfg_oracle[r]) << "seed " << seed << " robot " << r;
     }
   }
 }
 
 TEST(EngineEquivalence, LargeSwarmSpotCheck) {
-  // One production-sized configuration: the grid path crosses many cells and
-  // the per-look rebuild is reused across a whole synchronous round, while
-  // the incremental path re-buckets one robot per commit.
+  // One production-sized configuration: the index crosses many cells and
+  // re-buckets one robot per commit across whole synchronous rounds.
   const algo::KknpsAlgorithm kknps({.k = 1});
   const std::size_t n = 512;
   const auto initial =
       metrics::random_connected_configuration(n, 0.4 * std::sqrt(double(n)), 1.0, 42);
-
-  sched::FSyncScheduler sched_inc(n);
   EngineConfig cfg;
   cfg.visibility.radius = 1.0;
-  Engine inc(initial, kknps, sched_inc, cfg);
 
-  sched::FSyncScheduler sched_grid(n);
-  cfg.incremental_index = false;
-  Engine grid(initial, kknps, sched_grid, cfg);
-
-  sched::FSyncScheduler sched_brute(n);
-  cfg.use_spatial_index = false;
-  Engine brute(initial, kknps, sched_brute, cfg);
+  sched::FSyncScheduler sched_engine(n);
+  Engine engine(initial, kknps, sched_engine, cfg);
+  sched::FSyncScheduler sched_oracle(n);
+  EngineOracle oracle(initial, kknps, sched_oracle, cfg);
 
   const std::size_t steps = n * 4;
-  const std::size_t done = brute.run(steps);
-  ASSERT_EQ(grid.run(steps), done);
-  ASSERT_EQ(inc.run(steps), done);
-  expect_identical_traces(grid.trace(), brute.trace(), 42);
-  expect_identical_traces(inc.trace(), brute.trace(), 42);
-  EXPECT_EQ(grid.current_diameter(), brute.current_diameter());
-  EXPECT_EQ(inc.current_diameter(), brute.current_diameter());
+  ASSERT_EQ(engine.run(steps), oracle.run(steps));
+  expect_identical_traces(engine.trace(), oracle.trace(), 42);
+  EXPECT_EQ(engine.current_diameter(), oracle.current_diameter());
 }
 
-TEST(EngineEquivalence, UnrestrictedAsyncLongRunIncrementalVsRebuild) {
+TEST(EngineEquivalence, UnrestrictedAsyncLongRunIncrementalVsOracle) {
   // The regime the incremental index exists for: unrestricted Async
-  // (k-Async with the bound removed) gives every Look a distinct time, so
-  // the rebuild path re-indexes all n robots per activation while the
-  // incremental path re-buckets only the just-moved one. A longer run than
-  // the fuzz harness's, across several seeds and swarm sizes.
+  // (k-Async with the bound removed) gives every Look a distinct time, and
+  // the index re-buckets only the just-moved robot. A longer run than the
+  // fuzz harness's, across several seeds and swarm sizes.
   const algo::KknpsAlgorithm kknps({.k = 2});
   for (const std::uint64_t seed : {3u, 17u, 90u}) {
     const std::size_t n = 32 + (seed % 3) * 48;
@@ -213,29 +188,27 @@ TEST(EngineEquivalence, UnrestrictedAsyncLongRunIncrementalVsRebuild) {
     sched::KAsyncScheduler::Params p;
     p.k = std::numeric_limits<std::size_t>::max();  // Async: no asynchrony bound
     p.seed = seed * 31 + 1;
-
-    sched::KAsyncScheduler sched_inc(n, p);
     EngineConfig cfg;
     cfg.visibility.radius = 1.0;
     cfg.error.distance_delta = 0.03;  // per-neighbour RNG draws pin the Look order
-    Engine inc(initial, kknps, sched_inc, cfg);
 
-    sched::KAsyncScheduler sched_grid(n, p);
-    cfg.incremental_index = false;
-    Engine grid(initial, kknps, sched_grid, cfg);
+    sched::KAsyncScheduler sched_engine(n, p);
+    Engine engine(initial, kknps, sched_engine, cfg);
+    sched::KAsyncScheduler sched_oracle(n, p);
+    EngineOracle oracle(initial, kknps, sched_oracle, cfg);
 
     const std::size_t steps = 2500;
-    ASSERT_EQ(inc.run(steps), grid.run(steps)) << "seed " << seed;
-    expect_identical_traces(inc.trace(), grid.trace(), seed);
-    EXPECT_EQ(inc.current_diameter(), grid.current_diameter()) << "seed " << seed;
+    ASSERT_EQ(engine.run(steps), oracle.run(steps)) << "seed " << seed;
+    expect_identical_traces(engine.trace(), oracle.trace(), seed);
+    EXPECT_EQ(engine.current_diameter(), oracle.current_diameter()) << "seed " << seed;
   }
 }
 
-TEST(EngineEquivalence, ZeroDurationMovesInvalidateSameTimeGrid) {
+TEST(EngineEquivalence, ZeroDurationMovesAreSeenAtTheirLookTime) {
   // A zero-duration move (t_move_end == t_look) relocates the robot *at*
-  // its Look time, so a grid built at that time must not be reused by later
-  // same-time Looks. Several robots commit instantaneous moves at t = 1 and
-  // observe each other at t = 1; grid and brute traces must still agree.
+  // its Look time, so later same-time Looks must see it at its new
+  // position. Several robots commit instantaneous moves at t = 1 and
+  // observe each other at t = 1; engine and oracle traces must agree.
   const algo::CogAlgorithm cog;
   const std::vector<Vec2> initial{{0.0, 0.0}, {0.5, 0.0}, {0.9, 0.3}, {0.2, 0.6}};
   const std::vector<Activation> script{
@@ -250,30 +223,24 @@ TEST(EngineEquivalence, ZeroDurationMovesInvalidateSameTimeGrid) {
   cfg.visibility.radius = 1.0;
   cfg.error.random_rotation = false;
 
-  sched::ScriptedScheduler sched_inc(script);
-  Engine inc(initial, cog, sched_inc, cfg);
-  sched::ScriptedScheduler sched_grid(script);
-  cfg.incremental_index = false;
-  Engine grid(initial, cog, sched_grid, cfg);
-  sched::ScriptedScheduler sched_brute(script);
-  cfg.use_spatial_index = false;
-  Engine brute(initial, cog, sched_brute, cfg);
+  sched::ScriptedScheduler sched_engine(script);
+  Engine engine(initial, cog, sched_engine, cfg);
+  sched::ScriptedScheduler sched_oracle(script);
+  EngineOracle oracle(initial, cog, sched_oracle, cfg);
 
-  const std::size_t done = brute.run(script.size());
-  ASSERT_EQ(grid.run(script.size()), done);
-  ASSERT_EQ(inc.run(script.size()), done);
-  expect_identical_traces(grid.trace(), brute.trace(), 0);
-  expect_identical_traces(inc.trace(), brute.trace(), 0);
+  ASSERT_EQ(oracle.run(script.size()), script.size());
+  ASSERT_EQ(engine.run(script.size()), script.size());
+  expect_identical_traces(engine.trace(), oracle.trace(), 0);
   // Robot 1 at t=1 must have seen robot 0 at its *post-teleport* position.
-  EXPECT_EQ(grid.trace().records()[1].from, brute.trace().records()[1].from);
+  EXPECT_EQ(engine.trace().records()[1].from, oracle.trace().records()[1].from);
 }
 
 TEST(EngineEquivalence, BackwardLookWithinSchedulerSlackStaysExact) {
   // The Scheduler contract allows a Look up to 1e-12 *before* the current
-  // frontier. The incremental path cannot serve such a query from its
+  // frontier. The incremental index cannot serve such a query from its
   // forward-maintained buckets (positions then live on already-replaced
-  // segments), so it must fall back to the reference scan for that Look —
-  // and resume incremental service afterwards. All three paths must agree.
+  // segments), so the engine must fall back to a scan for that Look — and
+  // resume incremental service afterwards. Engine and oracle must agree.
   const algo::CogAlgorithm cog;
   const std::vector<Vec2> initial{{0.0, 0.0}, {0.6, 0.0}, {0.3, 0.5}, {-0.4, 0.2}};
   const double eps = 5e-13;  // within the 1e-12 ordering slack
@@ -292,26 +259,25 @@ TEST(EngineEquivalence, BackwardLookWithinSchedulerSlackStaysExact) {
       {0, 5.0, 5.1, 5.2, 1.0},
       {1, 5.0 - 9e-13, 5.0, 5.1, 1.0},
       {2, 5.0 - 1.8e-12, 5.3, 5.4, 1.0},
+      // A backward Look that catches a robot mid-move: robot 0's move ends
+      // at t = 7, where its next Look replaces the segment, and robot 1
+      // looks just before, while robot 0 is still short of its end point.
+      {0, 6.0, 6.0, 7.0, 1.0},
+      {0, 7.0, 7.5, 8.0, 1.0},
+      {1, 7.0 - eps, 7.2, 7.4, 1.0},
   };
   EngineConfig cfg;
   cfg.visibility.radius = 1.0;
   cfg.error.random_rotation = false;
 
-  sched::ScriptedScheduler sched_inc(script);
-  Engine inc(initial, cog, sched_inc, cfg);
-  sched::ScriptedScheduler sched_grid(script);
-  cfg.incremental_index = false;
-  Engine grid(initial, cog, sched_grid, cfg);
-  sched::ScriptedScheduler sched_brute(script);
-  cfg.use_spatial_index = false;
-  Engine brute(initial, cog, sched_brute, cfg);
+  sched::ScriptedScheduler sched_engine(script);
+  Engine engine(initial, cog, sched_engine, cfg);
+  sched::ScriptedScheduler sched_oracle(script);
+  EngineOracle oracle(initial, cog, sched_oracle, cfg);
 
-  const std::size_t done = brute.run(script.size());
-  ASSERT_EQ(done, script.size());
-  ASSERT_EQ(grid.run(script.size()), done);
-  ASSERT_EQ(inc.run(script.size()), done);
-  expect_identical_traces(grid.trace(), brute.trace(), 0);
-  expect_identical_traces(inc.trace(), brute.trace(), 0);
+  ASSERT_EQ(oracle.run(script.size()), script.size());
+  ASSERT_EQ(engine.run(script.size()), script.size());
+  expect_identical_traces(engine.trace(), oracle.trace(), 0);
 }
 
 TEST(EngineEquivalence, ViewPositionsAgreeMidRun) {

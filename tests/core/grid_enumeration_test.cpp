@@ -118,15 +118,13 @@ TEST(SpatialGrid, EnumerationMatchesSortUniqueOfWindowCells) {
       const double radii[] = {0.0, 0.5, 1.0, 2.5, 40.0};
       const double r = radii[rng() % 5];
       const auto window = model_window(q, r, cell, n);
-      // The old enumeration: every chain of every window cell, then
-      // sort + unique.
+      // The old enumeration: every chain of every window cell, then the
+      // predicate, then sort + unique.
       multiset.clear();
       for (std::size_t i = 0; i < n; ++i) {
         const std::uint64_t key = model_key(model_cell(pts[i].x, cell), model_cell(pts[i].y, cell));
         if (!window || window->count(key) != 0) multiset.push_back(i);
       }
-      grid.candidates_within(q, r, got);
-      ASSERT_EQ(got, sort_unique(multiset)) << "seed " << seed << " query " << query;
       for (const bool open_ball : {false, true}) {
         std::erase_if(multiset, [&](std::size_t i) {
           const double d = q.distance_to(pts[i]);

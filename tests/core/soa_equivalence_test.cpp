@@ -1,8 +1,9 @@
 // Certification battery for architecture contract 12: the SoA snapshot
 // kernel (EngineConfig::soa_kernel) must be indistinguishable from the
-// scalar reference — same seeds -> same ActivationRecords, to the bit —
-// across every scheduler, error model, visibility variant, index mode and
-// history mode. tools/check_soa_certification.sh re-runs this file under
+// scalar filter and from the reference engine (tests/oracles/
+// engine_oracle.hpp) — same seeds -> same ActivationRecords, to the bit —
+// across every scheduler, error model, visibility variant and history
+// mode. tools/check_soa_certification.sh re-runs this file under
 // COHESION_SANITIZE=address and COHESION_NATIVE=ON (the `soa_certification`
 // ctest test), so a vector-width or UB regression fails tier-1.
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include "core/engine.hpp"
 #include "core/trace_sink.hpp"
 #include "metrics/configurations.hpp"
+#include "oracles/engine_oracle.hpp"
 #include "sched/asynchronous.hpp"
 #include "sched/synchronous.hpp"
 
@@ -25,6 +27,7 @@ namespace cohesion::core {
 namespace {
 
 using geom::Vec2;
+using oracles::EngineOracle;
 
 void expect_identical_records(const std::vector<ActivationRecord>& soa,
                               const std::vector<ActivationRecord>& ref, std::uint64_t seed) {
@@ -97,11 +100,9 @@ std::vector<Vec2> make_initial(std::uint64_t seed, std::size_t n, double v) {
   }
 }
 
-EngineConfig make_config(std::uint64_t seed, std::size_t n, bool soa, bool incremental) {
+EngineConfig make_config(std::uint64_t seed, std::size_t n, bool soa) {
   EngineConfig cfg;
   cfg.seed = seed * 7919 + 13;
-  cfg.use_spatial_index = true;
-  cfg.incremental_index = incremental;
   cfg.soa_kernel = soa;
   cfg.visibility.radius = 1.0;
   cfg.visibility.open_ball = (seed / 2) % 2 == 1;
@@ -136,50 +137,43 @@ EngineConfig make_config(std::uint64_t seed, std::size_t n, bool soa, bool incre
 }
 
 TEST(SoaEquivalence, FiveHundredSeedDifferentialFuzz) {
-  // 500 seeds x (SoA vs scalar) over both index modes (incremental cell
-  // maintenance and per-Look-time rebuild), all schedulers, all error
-  // models and all visibility variants. Also triangulated against the
-  // brute-force scan every 16th seed so the pair cannot drift together.
+  // 500 seeds x (SoA vs scalar vs reference engine) over all schedulers,
+  // all error models and all visibility variants. The reference engine
+  // scans every robot at its Trace position, so the two kernels cannot
+  // drift together.
   const algo::KknpsAlgorithm kknps({.k = 1});
   const algo::AndoAlgorithm ando(1.0);
   for (std::uint64_t seed = 0; seed < 500; ++seed) {
     const std::size_t n = 2 + seed % 29;
-    const bool incremental = (seed / 16) % 2 == 0;
     const auto initial = make_initial(seed, n, 1.0);
     const Algorithm& algorithm = seed % 2 == 0 ? static_cast<const Algorithm&>(kknps)
                                                : static_cast<const Algorithm&>(ando);
 
     const auto sched_soa = make_scheduler(seed, n);
-    Engine soa(initial, algorithm, *sched_soa, make_config(seed, n, true, incremental));
+    Engine soa(initial, algorithm, *sched_soa, make_config(seed, n, true));
     const auto sched_ref = make_scheduler(seed, n);
-    Engine ref(initial, algorithm, *sched_ref, make_config(seed, n, false, incremental));
+    Engine ref(initial, algorithm, *sched_ref, make_config(seed, n, false));
+    const auto sched_oracle = make_scheduler(seed, n);
+    EngineOracle oracle(initial, algorithm, *sched_oracle, make_config(seed, n, false));
 
     if (seed % 7 == 3) {  // fail-stop robots ride along unchanged
       soa.crash(n / 2);
       ref.crash(n / 2);
+      oracle.crash(n / 2);
     }
 
     const std::size_t steps = 120;
-    const std::size_t done = ref.run(steps);
+    const std::size_t done = oracle.run(steps);
     ASSERT_EQ(soa.run(steps), done) << "seed " << seed;
+    ASSERT_EQ(ref.run(steps), done) << "seed " << seed;
     expect_identical_records(soa.trace().records(), ref.trace().records(), seed);
-    EXPECT_EQ(soa.current_diameter(), ref.current_diameter()) << "seed " << seed;
+    expect_identical_records(soa.trace().records(), oracle.trace().records(), seed);
+    EXPECT_EQ(soa.current_diameter(), oracle.current_diameter()) << "seed " << seed;
     const auto cfg_soa = soa.current_configuration();
-    const auto cfg_ref = ref.current_configuration();
-    ASSERT_EQ(cfg_soa.size(), cfg_ref.size());
+    const auto cfg_oracle = oracle.current_configuration();
+    ASSERT_EQ(cfg_soa.size(), cfg_oracle.size());
     for (std::size_t r = 0; r < cfg_soa.size(); ++r) {
-      EXPECT_EQ(cfg_soa[r], cfg_ref[r]) << "seed " << seed << " robot " << r;
-    }
-
-    if (seed % 16 == 5) {
-      auto brute_cfg = make_config(seed, n, false, incremental);
-      brute_cfg.use_spatial_index = false;
-      brute_cfg.soa_kernel = false;
-      const auto sched_brute = make_scheduler(seed, n);
-      Engine brute(initial, algorithm, *sched_brute, brute_cfg);
-      if (seed % 7 == 3) brute.crash(n / 2);
-      ASSERT_EQ(brute.run(steps), done) << "seed " << seed;
-      expect_identical_records(soa.trace().records(), brute.trace().records(), seed);
+      EXPECT_EQ(cfg_soa[r], cfg_oracle[r]) << "seed " << seed << " robot " << r;
     }
   }
 }
@@ -199,15 +193,14 @@ TEST(SoaEquivalence, BoundedMemoryStreamModeMatchesMemoryPath) {
   // record_history = false: the engine keeps no Trace and feeds a TeeSink
   // instead (the stream-mode shape). The SoA kernel must produce the same
   // record stream as the scalar bounded-memory engine AND as its own
-  // memory-mode twin — across schedulers and both index modes.
+  // memory-mode twin — across schedulers.
   const algo::KknpsAlgorithm kknps({.k = 2});
   for (std::uint64_t seed = 1000; seed < 1120; ++seed) {
     const std::size_t n = 3 + seed % 23;
-    const bool incremental = (seed / 16) % 2 == 0;
     const auto initial = make_initial(seed, n, 1.0);
 
-    auto soa_cfg = make_config(seed, n, true, incremental);
-    auto ref_cfg = make_config(seed, n, false, incremental);
+    auto soa_cfg = make_config(seed, n, true);
+    auto ref_cfg = make_config(seed, n, false);
 
     // Bounded-memory SoA engine, records through a TeeSink fan-out.
     auto stream_cfg = soa_cfg;
@@ -244,9 +237,9 @@ TEST(SoaEquivalence, BoundedMemoryStreamModeMatchesMemoryPath) {
 }
 
 TEST(SoaEquivalence, ZeroDurationAndBackwardSlackScriptsStayExact) {
-  // The engine's two scheduler-slack subtleties, under the SoA kernel on
-  // both index modes vs the brute reference: a zero-duration move must
-  // invalidate the same-time grid, and a Look within the 1e-12 ordering
+  // The engine's two scheduler-slack subtleties, under the SoA kernel and
+  // the scalar filter vs the reference engine: a zero-duration move must be
+  // seen by later same-time Looks, and a Look within the 1e-12 ordering
   // slack *before* the frontier must be served by the scan fallback.
   const algo::CogAlgorithm cog;
   const std::vector<Vec2> initial{{0.0, 0.0}, {0.6, 0.0}, {0.3, 0.5}, {-0.4, 0.2}};
@@ -260,27 +253,24 @@ TEST(SoaEquivalence, ZeroDurationAndBackwardSlackScriptsStayExact) {
       {1, 3.0, 3.1, 3.4, 1.0},
       {2, 3.0 - eps, 3.0, 3.2, 0.7},      // backward again after real motion
       {3, 4.0, 4.2, 4.6, 1.0},
+      {0, 5.0, 5.0, 6.0, 1.0},            // moves until t = 6 ...
+      {0, 6.0, 6.5, 7.0, 1.0},            // ... where its next Look lands
+      {1, 6.0 - eps, 6.2, 6.4, 1.0},      // backward Look sees it mid-move
   };
   EngineConfig base;
   base.visibility.radius = 1.0;
   base.error.random_rotation = false;
 
-  for (const bool incremental : {true, false}) {
-    auto soa_cfg = base;
-    soa_cfg.incremental_index = incremental;
-    soa_cfg.soa_kernel = true;
-    sched::ScriptedScheduler sched_soa(script);
-    Engine soa(initial, cog, sched_soa, soa_cfg);
-
-    auto brute_cfg = base;
-    brute_cfg.use_spatial_index = false;
-    sched::ScriptedScheduler sched_brute(script);
-    Engine brute(initial, cog, sched_brute, brute_cfg);
-
-    const std::size_t done = brute.run(script.size());
-    ASSERT_EQ(done, script.size());
-    ASSERT_EQ(soa.run(script.size()), done);
-    expect_identical_records(soa.trace().records(), brute.trace().records(), incremental);
+  sched::ScriptedScheduler sched_oracle(script);
+  EngineOracle oracle(initial, cog, sched_oracle, base);
+  ASSERT_EQ(oracle.run(script.size()), script.size());
+  for (const bool soa_kernel : {true, false}) {
+    auto cfg = base;
+    cfg.soa_kernel = soa_kernel;
+    sched::ScriptedScheduler sched_engine(script);
+    Engine engine(initial, cog, sched_engine, cfg);
+    ASSERT_EQ(engine.run(script.size()), script.size());
+    expect_identical_records(engine.trace().records(), oracle.trace().records(), soa_kernel);
   }
 }
 
@@ -294,34 +284,16 @@ TEST(SoaEquivalence, LargeSwarmSpotCheck) {
 
   EngineConfig cfg;
   cfg.visibility.radius = 1.0;
+  sched::FSyncScheduler sched_oracle(n);
+  EngineOracle oracle(initial, kknps, sched_oracle, cfg);
+
   cfg.soa_kernel = true;
-  sched::FSyncScheduler sched_soa_inc(n);
-  Engine soa_inc(initial, kknps, sched_soa_inc, cfg);
-
-  cfg.incremental_index = false;
-  sched::FSyncScheduler sched_soa_grid(n);
-  Engine soa_grid(initial, kknps, sched_soa_grid, cfg);
-
-  cfg.use_spatial_index = false;
-  cfg.soa_kernel = false;
-  sched::FSyncScheduler sched_brute(n);
-  Engine brute(initial, kknps, sched_brute, cfg);
+  sched::FSyncScheduler sched_soa(n);
+  Engine soa(initial, kknps, sched_soa, cfg);
 
   const std::size_t steps = n * 4;
-  const std::size_t done = brute.run(steps);
-  ASSERT_EQ(soa_grid.run(steps), done);
-  ASSERT_EQ(soa_inc.run(steps), done);
-  expect_identical_records(soa_grid.trace().records(), brute.trace().records(), 42);
-  expect_identical_records(soa_inc.trace().records(), brute.trace().records(), 42);
-}
-
-TEST(SoaEquivalence, SoaKernelRequiresSpatialIndex) {
-  const algo::CogAlgorithm cog;
-  sched::FSyncScheduler sched(2);
-  EngineConfig cfg;
-  cfg.use_spatial_index = false;
-  cfg.soa_kernel = true;
-  EXPECT_THROW(Engine({{0.0, 0.0}, {0.5, 0.0}}, cog, sched, cfg), std::invalid_argument);
+  ASSERT_EQ(soa.run(steps), oracle.run(steps));
+  expect_identical_records(soa.trace().records(), oracle.trace().records(), 42);
 }
 
 }  // namespace

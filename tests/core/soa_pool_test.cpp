@@ -2,10 +2,10 @@
 // the SoA segment pool must mirror KinematicState bit-for-bit across
 // arbitrary commit histories, the certified squared-distance bounds must
 // never misclassify against the exact hypot predicate, and the neighbor
-// filter fed any sorted-unique candidate superset — from SpatialGrid's cell
-// window, IncrementalGrid's buckets (including its outlier list), or the
-// full id range — must reproduce the exact visible set, in ascending order,
-// with bit-identical offsets. Modeled on the 400-seed IncrementalGrid
+// filter fed any sorted-unique candidate superset — from IncrementalGrid's
+// buckets (including its outlier list) or the full id range — must
+// reproduce the exact visible set, in ascending order, with bit-identical
+// offsets. Modeled on the 400-seed IncrementalGrid
 // commit-history fuzz.
 #include <gtest/gtest.h>
 
@@ -39,6 +39,14 @@ std::vector<std::size_t> brute_visible(const std::vector<Vec2>& pts, std::size_t
     if (exact_visible(pts[self], pts[i], r, open_ball)) out.push_back(i);
   }
   return out;
+}
+
+/// Load `filter` with the candidates at the fixed points `pts`: robots
+/// settled in a SoaSegmentPool sit exactly at their points at any time.
+void gather_points(SoaNeighborFilter& filter, SoaSegmentPool& pool, const std::vector<Vec2>& pts,
+                   const std::vector<std::size_t>& candidates, std::size_t self) {
+  pool.reset(pts);
+  filter.gather_segments(pool, candidates, self, 0.0);
 }
 
 /// Survivor ids of a filter pass, plus a bit-identity check on the offsets.
@@ -158,11 +166,12 @@ TEST(SoaSegmentPool, MatchesKinematicStateBitExactlyAcrossCommitHistories) {
 
 TEST(SoaNeighborFilter, MatchesExactVisibleSetOnAnySortedUniqueSuperset) {
   // 400-seed fuzz over clustered point sets with exact-boundary pairs and
-  // duplicates: fed (a) the full id range and (b) SpatialGrid's unfiltered
-  // cell-window candidates, the filter must output exactly the brute
-  // visible set — ascending, unique, self removed — for open and closed
-  // balls. Superset choice must never change the result.
-  SpatialGrid grid;
+  // duplicates: fed (a) the full id range and (b) IncrementalGrid's
+  // candidates over settled robots, the filter must output exactly the
+  // brute visible set — ascending, unique, self removed — for open and
+  // closed balls. Superset choice must never change the result.
+  IncrementalGrid grid;
+  SoaSegmentPool pool;
   SoaNeighborFilter filter;
   std::vector<std::size_t> all_ids, cand;
   for (std::uint64_t seed = 0; seed < 400; ++seed) {
@@ -180,8 +189,7 @@ TEST(SoaNeighborFilter, MatchesExactVisibleSetOnAnySortedUniqueSuperset) {
       pts[2] = pts[0];
     }
 
-    grid.set_cell_size(r > 0.0 ? r : 1.0);
-    grid.rebuild(pts);
+    grid.reset(r, pts);
     all_ids.resize(n);
     std::iota(all_ids.begin(), all_ids.end(), std::size_t{0});
 
@@ -189,12 +197,12 @@ TEST(SoaNeighborFilter, MatchesExactVisibleSetOnAnySortedUniqueSuperset) {
       const Vec2 q = pts[self];
       const auto want = brute_visible(pts, self, r, open_ball);
 
-      filter.gather_positions(pts, all_ids, self);
+      gather_points(filter, pool, pts, all_ids, self);
       filter.filter(q, r, open_ball);
       EXPECT_EQ(survivors_of(filter, pts, q), want) << "seed " << seed << " full ids";
 
-      grid.candidates_within(q, r, cand);
-      // candidates_within must itself be a sorted-unique superset of the
+      grid.candidates_near(q, r, cand);
+      // candidates_near must itself be a sorted-unique superset of the
       // predicate-true set (plus self, which is indexed).
       EXPECT_TRUE(std::is_sorted(cand.begin(), cand.end()));
       EXPECT_EQ(std::adjacent_find(cand.begin(), cand.end()), cand.end());
@@ -202,7 +210,7 @@ TEST(SoaNeighborFilter, MatchesExactVisibleSetOnAnySortedUniqueSuperset) {
         EXPECT_TRUE(std::binary_search(cand.begin(), cand.end(), id))
             << "seed " << seed << " id " << id << " missing from candidates";
       }
-      filter.gather_positions(pts, cand, self);
+      gather_points(filter, pool, pts, cand, self);
       filter.filter(q, r, open_ball);
       EXPECT_EQ(survivors_of(filter, pts, q), want) << "seed " << seed << " grid candidates";
     }
@@ -286,11 +294,12 @@ TEST(SoaNeighborFilter, DegenerateInputsStayExact) {
                               {0.0, 0.0}, {0.5, 0.0},     {3e7, -4e7}};
   std::vector<std::size_t> ids(pts.size());
   std::iota(ids.begin(), ids.end(), std::size_t{0});
+  SoaSegmentPool pool;
   SoaNeighborFilter filter;
   for (const double r : {0.0, 1e-12, 0.5, 1e8, 1e200, 1e308, -2.0}) {
     for (const bool open_ball : {false, true}) {
       for (std::size_t self = 0; self < pts.size(); ++self) {
-        filter.gather_positions(pts, ids, self);
+        gather_points(filter, pool, pts, ids, self);
         filter.filter(pts[self], r, open_ball);
         EXPECT_EQ(survivors_of(filter, pts, pts[self]),
                   brute_visible(pts, self, r, open_ball))
@@ -303,8 +312,9 @@ TEST(SoaNeighborFilter, DegenerateInputsStayExact) {
 TEST(SoaNeighborFilter, GatherSkipsSelfAndPreservesAscendingOrder) {
   const std::vector<Vec2> pts{{0.0, 0.0}, {0.1, 0.0}, {0.2, 0.0}, {0.3, 0.0}};
   const std::vector<std::size_t> cands{0, 1, 2, 3};
+  SoaSegmentPool pool;
   SoaNeighborFilter filter;
-  filter.gather_positions(pts, cands, 2);
+  gather_points(filter, pool, pts, cands, 2);
   filter.filter(pts[2], 10.0, false);
   const std::vector<std::size_t> want{0, 1, 3};
   ASSERT_EQ(filter.survivor_count(), want.size());

@@ -351,9 +351,6 @@ TEST(KinematicState, DirtyTrackingRecordsCommitsSinceLastDrain) {
     a.realized_fraction = 1.0;
     kin.commit({a, initial[r], initial[r], initial[r], 0});
   };
-  commit(1, 1.0);
-  EXPECT_TRUE(kin.dirty().empty());  // off by default: reference paths pay nothing
-  kin.set_track_dirty(true);
   commit(2, 2.0);
   commit(0, 3.0);
   commit(2, 4.0);

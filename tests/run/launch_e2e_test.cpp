@@ -330,6 +330,29 @@ TEST_F(LaunchE2E, WorkerExitCodesDistinguishTransientFromPermanent) {
   EXPECT_EQ(run_tool({runner_}, log), kExitUsage);
 }
 
+TEST_F(LaunchE2E, MisspelledOrRetiredSpecKeysExitPermanentNamingTheKey) {
+  // A typo'd key, or a retired engine switch set to false, is a spec error:
+  // exit 1 with the key path named, never a run of some other experiment.
+  struct Case {
+    const char* doc;
+    const char* key;
+  };
+  const Case cases[] = {
+      {R"({"n": 4, "stopp": {"epsilon": 0.1}})", "\"stopp\""},
+      {R"({"n": 4, "use_spatial_index": false})", "\"use_spatial_index\""},
+      {R"({"n": 4, "incremental_index": false})", "\"incremental_index\""},
+      {R"({"base": {"n": 4, "incremental_index": false}})", "\"base.incremental_index\""},
+  };
+  const std::string spec = dir_ + "/bad_key.json";
+  const std::string log = dir_ + "/bad_key.log";
+  for (const Case& c : cases) {
+    std::ofstream(spec) << c.doc;
+    fs::remove(log);
+    EXPECT_EQ(run_tool({runner_, spec, "--no-timing"}, log), kExitPermanent) << c.doc;
+    EXPECT_NE(read_file(log).find(c.key), std::string::npos) << read_file(log);
+  }
+}
+
 TEST_F(LaunchE2E, MergeExitCodesDistinguishTransientFromPermanent) {
   const std::string merge = build_dir() + "/cohesion_merge";
   if (!fs::exists(merge)) GTEST_SKIP() << "cohesion_merge not built";

@@ -22,8 +22,6 @@ RunSpec sample_spec() {
   s.visibility_radius = 1.5;
   s.open_ball = true;
   s.multiplicity_detection = true;
-  s.use_spatial_index = false;
-  s.incremental_index = false;
   s.soa_kernel = true;
   s.stop.epsilon = 0.08;
   s.stop.max_activations = 1234;
@@ -43,8 +41,6 @@ TEST(RunSpec, JsonRoundTripIsExact) {
   EXPECT_EQ(back.stop.max_activations, 1234u);
   EXPECT_DOUBLE_EQ(back.stop.max_time, 75.5);
   EXPECT_TRUE(back.open_ball);
-  EXPECT_FALSE(back.use_spatial_index);
-  EXPECT_FALSE(back.incremental_index);
   EXPECT_TRUE(back.soa_kernel);
 }
 
@@ -55,9 +51,21 @@ TEST(RunSpec, DefaultsApplyForAbsentFields) {
   EXPECT_EQ(s.scheduler.type, "kasync");
   EXPECT_DOUBLE_EQ(s.visibility_radius, 1.0);
   EXPECT_DOUBLE_EQ(s.stop.epsilon, 0.05);
-  EXPECT_TRUE(s.use_spatial_index);
-  EXPECT_TRUE(s.incremental_index);
   EXPECT_FALSE(s.soa_kernel);
+}
+
+TEST(RunSpec, DefaultSpecBytesAndIdentityArePinned) {
+  // Literal bytes of the default spec, and its run identity, as emitted
+  // while the two retired engine switches were still RunSpec fields: the
+  // constant emission must keep every spec, fingerprint and cache key.
+  EXPECT_EQ(RunSpec{}.to_json().dump(),
+            R"({"name":"run","n":16,"seed":1,"algorithm":{"type":"kknps"},)"
+            R"("scheduler":{"type":"kasync"},"error":{"type":"noisy"},)"
+            R"("initial":{"type":"random"},)"
+            R"("visibility":{"radius":1.0,"open_ball":false,"multiplicity":false},)"
+            R"("use_spatial_index":true,"incremental_index":true,)"
+            R"("stop":{"epsilon":0.05,"max_activations":200000,"check_every":64,"max_time":0.0}})");
+  EXPECT_EQ(fingerprint_hex(run_identity(RunSpec{})), "0bbf861335e3e720");
 }
 
 TEST(RunSpec, SoaKernelSerializedOnlyWhenEnabled) {
@@ -99,6 +107,43 @@ TEST(RunSpec, UnknownVisibilityOrStopKeyNamesPathAndNearestKey) {
   // A block that is not an object is an error too, not a silent default.
   EXPECT_NE(from_json_error(Json::parse(R"({"visibility": 0.5})")), "");
   EXPECT_NE(from_json_error(Json::parse(R"({"stop": [1]})")), "");
+}
+
+TEST(RunSpec, RetiredIndexFlagsAcceptOnlyTrue) {
+  // Absent or true: the one snapshot feed, same spec as the default.
+  for (const char* doc : {R"({})", R"({"use_spatial_index": true, "incremental_index": true})"}) {
+    EXPECT_EQ(RunSpec::from_json(Json::parse(doc)).to_json().dump(), RunSpec{}.to_json().dump());
+  }
+  // false selected a reference path that now lives only in the tests: an
+  // error naming the key and the oracle, never a silent default.
+  for (const std::string key : {"use_spatial_index", "incremental_index"}) {
+    Json doc = Json::object();
+    doc.set(key, false);
+    const std::string what = from_json_error(doc);
+    EXPECT_NE(what.find("\"" + key + "\""), std::string::npos) << what;
+    EXPECT_NE(what.find("tests/oracles/engine_oracle.hpp"), std::string::npos) << what;
+    Json experiment = Json::object();
+    experiment.set("base", doc);
+    try {
+      (void)ExperimentSpec::from_json(experiment);
+      ADD_FAILURE() << key << ": false accepted inside an experiment base";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("\"base." + key + "\""), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(RunSpec, UnknownTopLevelOrTraceKeyNamesPathAndNearestKey) {
+  // Before, "stopp" ran the default stop rule and exit 0.
+  const std::string top = from_json_error(Json::parse(R"({"stopp": {"epsilon": 0.1}})"));
+  EXPECT_NE(top.find("unknown key \"stopp\""), std::string::npos) << top;
+  EXPECT_NE(top.find("nearest known: \"stop\""), std::string::npos) << top;
+
+  const std::string trace =
+      from_json_error(Json::parse(R"({"trace": {"mode": "stream", "pth": "x.cohtrace"}})"));
+  EXPECT_NE(trace.find("\"trace.pth\""), std::string::npos) << trace;
+  EXPECT_NE(trace.find("\"trace.path\""), std::string::npos) << trace;
 }
 
 TEST(RunSpec, EveryEmittedKeyParses) {
@@ -191,6 +236,47 @@ TEST(ExperimentSpec, EarlyStopRoundTripsExactly) {
   EXPECT_THROW(ExperimentSpec::from_json(
                    Json::parse(R"({"base": {"n": 4}, "early_stop": 3})")),
                std::runtime_error);
+}
+
+/// ExperimentSpec::from_json's error text, or "" when it parses.
+std::string experiment_error(const char* doc) {
+  try {
+    (void)ExperimentSpec::from_json(Json::parse(doc));
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ExperimentSpec, UnknownKeyAtAnyLevelNamesPathAndNearestKey) {
+  struct Case {
+    const char* doc;
+    const char* key;
+    const char* nearest;
+  };
+  const Case cases[] = {
+      {R"({"base": {}, "repeat": 4})", "\"repeat\"", "\"repeats\""},
+      {R"({"base": {"stopp": {}}})", "\"base.stopp\"", "\"base.stop\""},
+      {R"({"base": {"visibility": {"radus": 2}}})", "\"base.visibility.radus\"",
+       "\"base.visibility.radius\""},
+      {R"({"base": {"trace": {"flush_evry": 8}}})", "\"base.trace.flush_evry\"",
+       "\"base.trace.flush_every\""},
+      {R"({"base": {}, "early_stop": {"windw": 3}})", "\"early_stop.windw\"",
+       "\"early_stop.window\""},
+      {R"({"base": {}, "sweep": [{"path": "n", "values": [4]}, {"path": "n", "value": [8]}]})",
+       "\"sweep[1].value\"", "\"sweep[1].values\""},
+  };
+  for (const Case& c : cases) {
+    const std::string what = experiment_error(c.doc);
+    EXPECT_NE(what.find(std::string("unknown key ") + c.key), std::string::npos) << what;
+    EXPECT_NE(what.find(std::string("nearest known: ") + c.nearest), std::string::npos) << what;
+  }
+  // A sweep axis that is not an object is an error too.
+  EXPECT_NE(experiment_error(R"({"base": {}, "sweep": [3]})"), "");
+  // A sweep path into a key the schema does not know fails at expansion.
+  ExperimentSpec e;
+  e.axes.push_back({"stopp.epsilon", {Json(0.1)}});
+  EXPECT_THROW((void)e.expand(), std::runtime_error);
 }
 
 TEST(ExperimentSpec, ExpansionGridOrderAndOverrides) {

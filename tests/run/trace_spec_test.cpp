@@ -146,20 +146,14 @@ TEST(TraceSpec, RunOutcomeTraceFieldsRoundTripOnlyWhenSet) {
   EXPECT_EQ(back.to_json().dump(), j.dump());
 }
 
-TEST(TraceSpec, InstantiateRejectsBoundedModeWithoutSpatialIndex) {
+TEST(TraceSpec, InstantiateSelectsBoundedMemoryEngine) {
   RunSpec spec;
+  EXPECT_TRUE(instantiate(spec).config.record_history);  // memory mode
   spec.trace.mode = "stream";
   spec.trace.path = "x.cohtrace";
-  spec.use_spatial_index = false;
-  try {
-    (void)instantiate(spec);
-    FAIL() << "stream mode without the spatial index accepted";
-  } catch (const std::exception& e) {
-    EXPECT_NE(std::string(e.what()).find("use_spatial_index"), std::string::npos) << e.what();
-  }
-  spec.use_spatial_index = true;
-  const RunInstance inst = instantiate(spec);
-  EXPECT_FALSE(inst.config.record_history);  // bounded-memory engine
+  EXPECT_FALSE(instantiate(spec).config.record_history);  // bounded-memory engine
+  spec.trace.mode = "off";
+  EXPECT_FALSE(instantiate(spec).config.record_history);
 }
 
 TEST(TraceSpec, BatchRunnerStreamModeMatchesMemoryReportAndReplays) {

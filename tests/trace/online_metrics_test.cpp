@@ -20,6 +20,7 @@
 #include "metrics/configurations.hpp"
 #include "metrics/online.hpp"
 #include "metrics/stats.hpp"
+#include "oracles/analyze_oracle.hpp"
 #include "oracles/stretch_oracle.hpp"
 #include "sched/asynchronous.hpp"
 #include "sched/synchronous.hpp"
@@ -124,7 +125,7 @@ TEST(OnlineMetrics, TwoHundredSeedStreamRoundTripIsByteIdentical) {
     const core::Trace& trace = engine.trace();
 
     const metrics::ConvergenceReport reference = metrics::analyze(trace, v, epsilon);
-    const metrics::ConvergenceReport oracle = metrics::analyze_rescan(trace, v, epsilon);
+    const metrics::ConvergenceReport oracle = oracles::analyze_rescan(trace, v, epsilon);
     expect_identical_reports(reference, oracle, seed, "analyze vs rescan");
 
     StreamHeader header;
@@ -294,7 +295,7 @@ TEST(OnlineMetrics, BackwardLookWithinSlackMatchesOracle) {
   ASSERT_EQ(bounded.run(script.size()), script.size());
 
   const metrics::ConvergenceReport reference = metrics::analyze(memory.trace(), 1.0, 0.05);
-  expect_identical_reports(reference, metrics::analyze_rescan(memory.trace(), 1.0, 0.05), 0,
+  expect_identical_reports(reference, oracles::analyze_rescan(memory.trace(), 1.0, 0.05), 0,
                            "scripted rescan");
   expect_identical_reports(online.report(), reference, 0, "scripted live");
 }
@@ -337,7 +338,7 @@ TEST(OnlineMetrics, DenseStartStreamedMatchesMemoryAndRescan) {
       const core::Trace& trace = memory.trace();
       const metrics::ConvergenceReport reference = metrics::analyze(trace, v, epsilon);
       ASSERT_GE(reference.rounds, 1u);
-      expect_identical_reports(metrics::analyze_rescan(trace, v, epsilon), reference, n,
+      expect_identical_reports(oracles::analyze_rescan(trace, v, epsilon), reference, n,
                                "dense rescan");
       expect_identical_reports(online.report(), reference, n, "dense live");
 

@@ -6,6 +6,8 @@
 #     docs/architecture.md  (as "src/<subsystem>");
 #   * every bench/bench_*.cpp must be mentioned by filename in
 #     docs/benchmarks.md;
+#   * every tests/oracles/*.hpp test oracle must be mentioned by filename
+#     in docs/architecture.md (contract 3 lists the references);
 #   * every tools/*.cpp CLI tool must be mentioned by name in README.md
 #     and in docs/operations.md (the ops runbook covers every binary an
 #     operator can invoke);
@@ -44,6 +46,12 @@ for bench in bench/bench_*.cpp; do
   name=$(basename "$bench")
   grep -q "$name" docs/benchmarks.md ||
     complain "docs/benchmarks.md does not mention $name"
+done
+
+for oracle in tests/oracles/*.hpp; do
+  name=$(basename "$oracle")
+  grep -q "$name" docs/architecture.md ||
+    complain "docs/architecture.md does not name the test oracle $name"
 done
 
 for tool in tools/*.cpp; do
@@ -92,7 +100,8 @@ for phrase in cohesion-serve-ledger/1 cohesion-supervised-partial/1 docker-compo
     complain "docs/operations.md does not cover $phrase"
 done
 
-# Spec-level schema fields: documented with the rest of the spec schema.
+# Spec-level schema fields: documented with the rest of the spec schema
+# (use_spatial_index and incremental_index as retired keys).
 for field in early_stop max_time incremental_index use_spatial_index soa_kernel \
              trace flush_every index_every extends; do
   grep -q "$field" docs/experiments.md ||
@@ -128,6 +137,6 @@ for doc in docs/*.md; do
 done
 
 if [ "$fail" = 0 ]; then
-  echo "check_docs: OK (src subsystems, bench files, tools, CLI flags, spec fields and doc links all covered)"
+  echo "check_docs: OK (src subsystems, bench files, test oracles, tools, CLI flags, spec fields and doc links all covered)"
 fi
 exit "$fail"
