@@ -21,25 +21,14 @@
 // cell is a RunSpec (the "safe" column couples algo k to k_sched, which
 // makes the grid irregular — so the cells are expanded explicitly and
 // handed to run::BatchRunner as a run list), and the margin metric is a
-// trace-metric hook. A second section times scheduler proposals alone:
-// KAsyncScheduler's open-interval index (own-look rings + start-sorted
-// interval list with prefix-max ends; O(log n) per proposal) vs. the
-// legacy flat scan, whose dense per-interval count vectors cost O(n)
-// zeroing per proposal and O(n^2) live memory at n = 4096. The residual
-// cost common to both paths is the selection's n RNG draws per proposal,
-// which are part of the scheduler's seeded-stream contract (batched and
-// vectorized, ~4 ns per robot).
-#include <chrono>
+// trace-metric hook.
 #include <iostream>
 #include <thread>
 
-#include "algo/kknps.hpp"
 #include "core/engine.hpp"
-#include "metrics/configurations.hpp"
 #include "metrics/table.hpp"
 #include "run/batch_runner.hpp"
 #include "run/registry.hpp"
-#include "sched/asynchronous.hpp"
 
 using namespace cohesion;
 using geom::Vec2;
@@ -98,50 +87,6 @@ run::RunSpec cell_spec(std::size_t k_sched, const std::string& algo_type, std::s
   spec.stop.epsilon = -1.0;  // fixed-length run: no convergence stop
   spec.stop.max_activations = 12000;
   return spec;
-}
-
-/// Scheduler-only proposal throughput (no engine): the view is inert, the
-/// frontier advances with each proposal exactly as the engine would move it.
-double proposals_per_second(std::size_t n, bool indexed, std::size_t proposals) {
-  struct InertView final : core::SimulationView {
-    std::size_t n_robots = 0;
-    core::Time front = 0.0;
-    [[nodiscard]] std::size_t robot_count() const override { return n_robots; }
-    [[nodiscard]] core::Time busy_until(core::RobotId) const override { return 0.0; }
-    [[nodiscard]] core::Time frontier() const override { return front; }
-    [[nodiscard]] Vec2 position(core::RobotId, core::Time) const override { return {}; }
-    [[nodiscard]] std::size_t activations_of(core::RobotId) const override { return 0; }
-  };
-  sched::KAsyncScheduler::Params p;
-  p.k = 2;
-  p.seed = 99;
-  p.indexed_intervals = indexed;
-  sched::KAsyncScheduler scheduler(n, p);
-  InertView view;
-  view.n_robots = n;
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < proposals; ++i) {
-    const auto a = scheduler.next(view);
-    view.front = a->t_look;
-  }
-  const double secs = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  return static_cast<double>(proposals) / secs;
-}
-
-/// Engine-level KAsync activation throughput (the JSON-tracked
-/// counterpart lives in bench_spatial_scaling).
-double engine_activations_per_second(std::size_t n, bool heap_selection,
-                                     std::size_t activations) {
-  const algo::KknpsAlgorithm algo({.k = 1});
-  const auto initial = metrics::grid_configuration(n, 0.75);
-  sched::KAsyncScheduler sched(n, {.seed = 11, .heap_selection = heap_selection});
-  core::EngineConfig cfg;
-  cfg.visibility.radius = 1.0;
-  core::Engine engine(initial, algo, sched, cfg);
-  const auto t0 = std::chrono::steady_clock::now();
-  const std::size_t done = engine.run(activations);
-  const double secs = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  return static_cast<double>(done) / secs;
 }
 
 }  // namespace
@@ -209,32 +154,5 @@ int main() {
             << "growth (cf. the paper's remark (iii) in §3.1 that his algorithm fails\n"
             << "for sufficiently large k).\n";
 
-  std::cout << "\nScheduler-proposal throughput: indexed interval bookkeeping (binary\n"
-            << "search + prefix-max over the start-sorted open-interval list) vs the\n"
-            << "legacy flat scan (k = 2; the legacy path allocates + zeroes an n-entry\n"
-            << "count vector per proposal and walks every open interval):\n\n";
-  metrics::Table sched_table({"n", "proposals", "indexed/s", "legacy/s", "speedup"});
-  for (const std::size_t n : {1024u, 4096u}) {
-    const std::size_t proposals = 20000;
-    const double indexed = proposals_per_second(n, true, proposals);
-    const double legacy = proposals_per_second(n, false, proposals);
-    sched_table.add_row(n, proposals, indexed, legacy, indexed / legacy);
-  }
-  sched_table.print();
-
-  std::cout << "\nEngine-level KAsync throughput with incremental cell maintenance\n"
-            << "(re-bucket only the just-moved robot's segment: O(1) amortized per\n"
-            << "activation plus the candidate scan). The residual O(n) term is the\n"
-            << "scheduler's own tie-jitter selection (n batched RNG draws per\n"
-            << "proposal); the fast column removes it too via the opt-in heap\n"
-            << "selection (a different but equally valid seeded stream):\n\n";
-  metrics::Table engine_table({"n", "activations", "jitter sel/s", "heap sel/s", "speedup"});
-  for (const std::size_t n : {1024u, 4096u}) {
-    const std::size_t activations = n * 8;
-    const double jitter = engine_activations_per_second(n, false, activations);
-    const double fast = engine_activations_per_second(n, true, activations);
-    engine_table.add_row(n, activations, jitter, fast, fast / jitter);
-  }
-  engine_table.print();
   return 0;
 }

@@ -1,6 +1,7 @@
 #include "run/spec.hpp"
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <stdexcept>
 
@@ -305,20 +306,43 @@ std::string substitute_trace_path(std::string templ, const ExpandedRun& run) {
 
 std::size_t ExperimentSpec::variant_count() const {
   std::size_t count = 1;
-  for (const SweepAxis& axis : axes) {
-    if (axis.values.empty()) throw std::runtime_error("sweep axis \"" + axis.path + "\" has no values");
-    count *= axis.values.size();
+  for (std::size_t a = 0; a < axes.size(); ++a) {
+    const auto error = [&](const std::string& what) {
+      return std::runtime_error("ExperimentSpec: sweep[" + std::to_string(a) + "] (\"" +
+                                axes[a].path + "\") " + what);
+    };
+    if (axes[a].values.empty()) throw error("has no values");
+    if (__builtin_mul_overflow(count, axes[a].values.size(), &count)) {
+      throw error("overflows the variant count: the grid has more than " +
+                  std::to_string(SIZE_MAX) + " points");
+    }
   }
   return count;
 }
 
+std::size_t ExperimentSpec::run_count() const {
+  const std::size_t variants = variant_count();
+  std::size_t runs = 0;
+  if (__builtin_mul_overflow(variants, std::max<std::size_t>(repeats, 1), &runs)) {
+    throw std::runtime_error("ExperimentSpec: repeats = " + std::to_string(repeats) + " over " +
+                             std::to_string(variants) + " variants overflows the run count");
+  }
+  return runs;
+}
+
 std::vector<ExpandedRun> ExperimentSpec::expand() const {
+  const std::size_t total = run_count();
   const std::size_t variants = variant_count();
   const std::size_t reps = std::max<std::size_t>(repeats, 1);
   const Json base_json = base.to_json();
 
   std::vector<ExpandedRun> out;
-  out.reserve(variants * reps);
+  try {
+    out.reserve(total);
+  } catch (const std::exception&) {  // std::bad_alloc or std::length_error
+    throw std::runtime_error("ExperimentSpec: the sweep expands to " + std::to_string(total) +
+                             " runs, more than this process can hold");
+  }
   std::vector<std::size_t> odometer(axes.size(), 0);
   for (std::size_t v = 0; v < variants; ++v) {
     Json doc = base_json;

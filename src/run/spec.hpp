@@ -211,7 +211,12 @@ struct ExperimentSpec {
   /// Throws when shard_index >= shard_count or shard_count == 0.
   [[nodiscard]] std::vector<ExpandedRun> expand_shard(std::size_t shard_index,
                                                       std::size_t shard_count) const;
+  /// Grid points: the product of the axis sizes. Throws, naming the axis
+  /// index, when an axis is empty or the product overflows std::size_t.
   [[nodiscard]] std::size_t variant_count() const;
+  /// expand()'s size without expanding: variant_count() x max(repeats, 1).
+  /// Throws, naming `repeats`, when the product overflows std::size_t.
+  [[nodiscard]] std::size_t run_count() const;
 
   [[nodiscard]] Json to_json() const;
   static ExperimentSpec from_json(const Json& j);

@@ -235,8 +235,7 @@ SupervisorResult Supervisor::run() {
   std::vector<std::optional<Active>> slots(options_.shards);
   const std::size_t partition =
       std::min(options_.shards, std::max<std::size_t>(experiment.variant_count(), 1));
-  const std::size_t total_runs =
-      experiment.variant_count() * std::max<std::size_t>(experiment.repeats, 1);
+  const std::size_t total_runs = experiment.run_count();
   const std::size_t cap = options_.max_parallel == 0
                               ? slots.size()
                               : std::min(options_.max_parallel, slots.size());

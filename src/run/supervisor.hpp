@@ -25,8 +25,8 @@
 //     SIGKILL after k journal lines, SIGSTOP (a heartbeat stall the lease
 //     must catch), or kill + a torn journal tail (which `--resume` must
 //     truncate away). The injection matrix is driven by
-//     tests/run/launch_e2e_test.cpp and the fault_sweep stage of
-//     bench/run_benches.sh; the bar is byte-identity under every schedule.
+//     tests/run/launch_e2e_test.cpp, including all three kinds in one
+//     launch; the bar is byte-identity under every schedule.
 //
 // Multi-host sweeps use the same core over the wire: cohesion_serve (see
 // docs/operations.md).

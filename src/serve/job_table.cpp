@@ -34,7 +34,7 @@ JobTable::JobState JobTable::make_job(std::uint64_t id, const std::string& name,
   j.echo = spec.to_json();
   j.variants = spec.variant_count();
   j.repeats = std::max<std::size_t>(spec.repeats, 1);
-  j.total_runs = j.variants * j.repeats;
+  j.total_runs = spec.run_count();
   j.attempts.assign(j.variants, 0);
   j.retry_at.assign(j.variants, now);
   return j;

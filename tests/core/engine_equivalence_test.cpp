@@ -242,7 +242,9 @@ TEST(EngineEquivalence, BackwardLookWithinSchedulerSlackStaysExact) {
   // segments), so the engine must fall back to a scan for that Look — and
   // resume incremental service afterwards. Engine and oracle must agree.
   const algo::CogAlgorithm cog;
-  const std::vector<Vec2> initial{{0.0, 0.0}, {0.6, 0.0}, {0.3, 0.5}, {-0.4, 0.2}};
+  // Robots 4 and 5 sit out of the others' sight, for the move-end rows.
+  const std::vector<Vec2> initial{{0.0, 0.0},  {0.6, 0.0},  {0.3, 0.5},
+                                  {-0.4, 0.2}, {0.5, -2.7}, {0.0, -3.0}};
   const double eps = 5e-13;  // within the 1e-12 ordering slack
   const std::vector<Activation> script{
       {0, 1.0, 1.1, 1.6, 1.0},
@@ -265,10 +267,17 @@ TEST(EngineEquivalence, BackwardLookWithinSchedulerSlackStaysExact) {
       {0, 6.0, 6.0, 7.0, 1.0},
       {0, 7.0, 7.5, 8.0, 1.0},
       {1, 7.0 - eps, 7.2, 7.4, 1.0},
+      // Robot 4 moves toward robot 5, which Looks exactly at its move end
+      // and must read the end point, not the interpolation at fraction 1.
+      {4, 8.0, 8.1, 8.5, 1.0},
+      {5, 8.5, 8.6, 8.8, 1.0},
   };
   EngineConfig cfg;
   cfg.visibility.radius = 1.0;
   cfg.error.random_rotation = false;
+  // Motion error: an end point `from + d` is always `from + (end - from)`
+  // again in binary64; the perpendicular deviation makes ends that are not.
+  cfg.error.motion_quad_coeff = 0.1;
 
   sched::ScriptedScheduler sched_engine(script);
   Engine engine(initial, cog, sched_engine, cfg);
@@ -278,6 +287,11 @@ TEST(EngineEquivalence, BackwardLookWithinSchedulerSlackStaysExact) {
   ASSERT_EQ(oracle.run(script.size()), script.size());
   ASSERT_EQ(engine.run(script.size()), script.size());
   expect_identical_traces(engine.trace(), oracle.trace(), 0);
+  // The move-end rows discriminate only if that interpolation misses the
+  // end point in binary64 and the looker sees the mover alone.
+  const ActivationRecord& mover = oracle.trace().records()[14];
+  EXPECT_NE(mover.from.x + (mover.realized.x - mover.from.x) * 1.0, mover.realized.x);
+  EXPECT_EQ(oracle.trace().records().back().seen, 1u);
 }
 
 TEST(EngineEquivalence, ViewPositionsAgreeMidRun) {

@@ -240,9 +240,12 @@ TEST(SoaEquivalence, ZeroDurationAndBackwardSlackScriptsStayExact) {
   // The engine's two scheduler-slack subtleties, under the SoA kernel and
   // the scalar filter vs the reference engine: a zero-duration move must be
   // seen by later same-time Looks, and a Look within the 1e-12 ordering
-  // slack *before* the frontier must be served by the scan fallback.
+  // slack *before* the frontier must be served by the scan fallback. The
+  // last row Looks exactly at a neighbour's move end.
   const algo::CogAlgorithm cog;
-  const std::vector<Vec2> initial{{0.0, 0.0}, {0.6, 0.0}, {0.3, 0.5}, {-0.4, 0.2}};
+  // Robots 4 and 5 sit out of the others' sight, for the move-end rows.
+  const std::vector<Vec2> initial{{0.0, 0.0},  {0.6, 0.0},  {0.3, 0.5},
+                                  {-0.4, 0.2}, {0.5, -3.5}, {0.0, -3.0}};
   const double eps = 5e-13;
   const std::vector<Activation> script{
       {0, 1.0, 1.0, 1.0, 1.0},            // instantaneous move at the Look
@@ -256,14 +259,25 @@ TEST(SoaEquivalence, ZeroDurationAndBackwardSlackScriptsStayExact) {
       {0, 5.0, 5.0, 6.0, 1.0},            // moves until t = 6 ...
       {0, 6.0, 6.5, 7.0, 1.0},            // ... where its next Look lands
       {1, 6.0 - eps, 6.2, 6.4, 1.0},      // backward Look sees it mid-move
+      {4, 7.0, 7.1, 7.5, 1.0},            // robot 4 moves toward robot 5 ...
+      {5, 7.5, 7.6, 7.8, 1.0},            // ... which Looks exactly at its end
   };
   EngineConfig base;
   base.visibility.radius = 1.0;
   base.error.random_rotation = false;
+  // Motion error: an end point `from + d` is always `from + (end - from)`
+  // again in binary64; the perpendicular deviation makes ends that are not.
+  base.error.motion_quad_coeff = 0.1;
 
   sched::ScriptedScheduler sched_oracle(script);
   EngineOracle oracle(initial, cog, sched_oracle, base);
   ASSERT_EQ(oracle.run(script.size()), script.size());
+  // The move-end rows tell `t >= t_move_end` (the end point) from
+  // `t > t_move_end` (the lerp at fraction 1) only if that lerp misses the
+  // end point in binary64 and the looker sees the mover alone.
+  const ActivationRecord& mover = oracle.trace().records()[11];
+  EXPECT_NE(mover.from.x + (mover.realized.x - mover.from.x) * 1.0, mover.realized.x);
+  EXPECT_EQ(oracle.trace().records().back().seen, 1u);
   for (const bool soa_kernel : {true, false}) {
     auto cfg = base;
     cfg.soa_kernel = soa_kernel;

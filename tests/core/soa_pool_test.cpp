@@ -110,8 +110,8 @@ TEST(CertifiedBallBounds, NeverMisclassifyAcrossAdversarialRadii) {
 
 TEST(SoaSegmentPool, MatchesKinematicStateBitExactlyAcrossCommitHistories) {
   // Random committed segment histories — the exact inputs the engine feeds
-  // both tiers — with zero-duration moves, nil segments and multi-cell
-  // lurches. After every commit the pool must answer position_at
+  // both tiers — with zero-duration moves, nil segments, multi-cell
+  // lurches and end points off the interpolation at fraction 1. After every commit the pool must answer position_at
   // bit-identically to KinematicState at the Look time, mid-move, and far
   // in the future; a fresh commit must replace the robot's lanes
   // immediately (no stale entries).
@@ -142,7 +142,11 @@ TEST(SoaSegmentPool, MatchesKinematicStateBitExactlyAcrossCommitHistories) {
       const Vec2 from = kin.position_at(rob, a.t_look);
       const double reach = step % 11 == 0 ? 3.0 : 0.5;
       std::uniform_real_distribution<double> hop(-reach, reach);
-      const Vec2 realized = from + Vec2{hop(rng), hop(rng)};
+      // Two roundings, as the engine's motion error adds a deviation to
+      // `from + d`: an end point `from + d` alone always reads back exactly
+      // as `from + (end - from)`, so a query at t_move_end could not tell
+      // the end point from the interpolation at fraction 1.
+      const Vec2 realized = from + Vec2{hop(rng), hop(rng)} + Vec2{hop(rng), hop(rng)} * 0.01;
       const ActivationRecord rec{a, from, realized, realized, 0};
       kin.commit(rec);
       pool.commit(rec);
@@ -258,7 +262,11 @@ TEST(SoaNeighborFilter, GatherSegmentsMatchesScalarEvalThroughIncrementalCandida
       // segment-span cap, parking the robot on the outlier list.
       const double reach = step % 9 == 0 ? 40.0 * cell : 0.6 * cell;
       std::uniform_real_distribution<double> hop(-reach, reach);
-      const Vec2 realized = from + Vec2{hop(rng), hop(rng)};
+      // Two roundings, as the engine's motion error adds a deviation to
+      // `from + d`: an end point `from + d` alone always reads back exactly
+      // as `from + (end - from)`, so a query at t_move_end could not tell
+      // the end point from the interpolation at fraction 1.
+      const Vec2 realized = from + Vec2{hop(rng), hop(rng)} + Vec2{hop(rng), hop(rng)} * 0.01;
       const ActivationRecord rec{a, from, realized, realized, 0};
       kin.commit(rec);
       pool.commit(rec);

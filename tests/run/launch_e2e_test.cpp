@@ -5,7 +5,8 @@
 // single-process `--no-timing` report under every fault schedule — kill,
 // heartbeat stall, journal corruption — or an explicit partial report
 // naming the uncovered shards. Also covers the workers' exit-code
-// taxonomy and SIGTERM -> flush -> resume behavior end to end.
+// taxonomy, SIGTERM -> flush -> resume behavior and the bounded-memory
+// stream mode at n = 16384 end to end.
 #include <fcntl.h>
 #include <signal.h>
 #include <sys/wait.h>
@@ -13,10 +14,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -229,14 +232,35 @@ TEST_F(LaunchE2E, ExhaustedRetryBudgetYieldsPartialReportNamingTheShard) {
 TEST_F(LaunchE2E, LaunchCliWritesTheByteIdenticalReportUnderAFault) {
   const std::string launch = build_dir() + "/cohesion_launch";
   if (!fs::exists(launch)) GTEST_SKIP() << "cohesion_launch not built";
-  const std::string out = dir_ + "/report.json";
-  const int code = run_tool(
-      {launch, spec_path_, "--shards", "3", "--fault", "kill:shard=0,after=1",
-       "--throttle-ms", "50", "--backoff-base", "0.05", "--poll-interval", "0.01",
-       "--work-dir", dir_ + "/cli_work", "--out", out, "--quiet"},
-      dir_ + "/launch.log");
-  EXPECT_EQ(code, kExitSuccess) << read_file(dir_ + "/launch.log");
-  EXPECT_EQ(read_file(out), expected_report() + "\n");
+  // One kill, then all three fault kinds in one launch: SIGKILL a shard
+  // mid-journal, SIGSTOP another until its lease expires, kill + corrupt
+  // the third's journal tail. Each row lists the narration it must show.
+  struct Schedule {
+    std::vector<std::string> flags;
+    std::vector<std::string> events;
+  };
+  const Schedule schedules[] = {
+      {{"--fault", "kill:shard=0,after=1"}, {"fault injected on shard 0"}},
+      {{"--fault", "kill:shard=1,after=2", "--fault", "stall:shard=0,after=1", "--fault",
+        "corrupt:shard=2,after=1", "--lease-timeout", "1"},
+       {"fault injected on shard 0", "fault injected on shard 1", "fault injected on shard 2",
+        "shard 0 lease expired"}},
+  };
+  for (std::size_t i = 0; i < std::size(schedules); ++i) {
+    const std::string out = dir_ + "/report" + std::to_string(i) + ".json";
+    const std::string log = dir_ + "/launch" + std::to_string(i) + ".log";
+    std::vector<std::string> args = {launch, spec_path_, "--shards", "3", "--throttle-ms", "50",
+                                     "--backoff-base", "0.05", "--poll-interval", "0.01",
+                                     "--work-dir", dir_ + "/cli_work" + std::to_string(i),
+                                     "--out", out};
+    args.insert(args.end(), schedules[i].flags.begin(), schedules[i].flags.end());
+    EXPECT_EQ(run_tool(args, log), kExitSuccess) << "schedule " << i << "\n" << read_file(log);
+    EXPECT_EQ(read_file(out), expected_report() + "\n") << "schedule " << i;
+    for (const std::string& event : schedules[i].events) {
+      EXPECT_NE(read_file(log).find(event), std::string::npos)
+          << "schedule " << i << " lacks \"" << event << "\"\n" << read_file(log);
+    }
+  }
 }
 
 TEST_F(LaunchE2E, MaxParallelOneRunsOneShardAtATimeByteIdentical) {
@@ -331,10 +355,17 @@ TEST_F(LaunchE2E, WorkerExitCodesDistinguishTransientFromPermanent) {
 }
 
 TEST_F(LaunchE2E, MisspelledOrRetiredSpecKeysExitPermanentNamingTheKey) {
-  // A typo'd key, or a retired engine switch set to false, is a spec error:
-  // exit 1 with the key path named, never a run of some other experiment.
+  // A typo'd key, a retired engine switch set to false, or a sweep whose
+  // grid size overflows is a spec error: exit 1 with the key path named,
+  // never a run of some other experiment (an unchecked 2^64-point grid
+  // wraps to 0 runs).
+  std::string overflow = R"({"base": {"n": 4}, "sweep": [)";
+  for (int a = 0; a < 64; ++a) {
+    overflow += std::string(a == 0 ? "" : ",") + R"({"path": "seed", "values": [1, 2]})";
+  }
+  overflow += "]}";
   struct Case {
-    const char* doc;
+    std::string doc;
     const char* key;
   };
   const Case cases[] = {
@@ -342,6 +373,7 @@ TEST_F(LaunchE2E, MisspelledOrRetiredSpecKeysExitPermanentNamingTheKey) {
       {R"({"n": 4, "use_spatial_index": false})", "\"use_spatial_index\""},
       {R"({"n": 4, "incremental_index": false})", "\"incremental_index\""},
       {R"({"base": {"n": 4, "incremental_index": false}})", "\"base.incremental_index\""},
+      {overflow, "sweep[63] (\"seed\") overflows the variant count"},
   };
   const std::string spec = dir_ + "/bad_key.json";
   const std::string log = dir_ + "/bad_key.log";
@@ -351,6 +383,70 @@ TEST_F(LaunchE2E, MisspelledOrRetiredSpecKeysExitPermanentNamingTheKey) {
     EXPECT_EQ(run_tool({runner_, spec, "--no-timing"}, log), kExitPermanent) << c.doc;
     EXPECT_NE(read_file(log).find(c.key), std::string::npos) << read_file(log);
   }
+}
+
+// --- bounded-memory stream mode ------------------------------------------------
+
+/// Removes `keys` from a JSON object; absent keys are ignored.
+void drop_keys(Json& object, std::initializer_list<std::string_view> keys) {
+  std::erase_if(object.entries(), [&](const auto& entry) {
+    return std::find(keys.begin(), keys.end(), entry.first) != keys.end();
+  });
+}
+
+TEST_F(LaunchE2E, StreamModeRunStaysUnderRssCeilingAndMatchesMemoryAndReplay) {
+  // Contract 10 at n = 16384: bench/specs/stream_run.json (250 000
+  // activations) streamed through --trace-dir keeps no O(activations)
+  // state, so the whole process stays under a fixed 32 MB peak RSS (the
+  // in-memory run of the same spec needs ~41 MB). Its report equals the
+  // in-memory report once the trace fields are stripped, and
+  // cohesion_replay --check recomputes the metrics from the file byte for
+  // byte.
+  const std::string replay = build_dir() + "/cohesion_replay";
+  if (!fs::exists(replay)) GTEST_SKIP() << "cohesion_replay not built";
+  const std::string spec =
+      (fs::path(__FILE__).parent_path() / "../../bench/specs/stream_run.json").string();
+  const std::string traces = dir_ + "/traces";
+  const std::string stream_report = dir_ + "/stream.json";
+  const std::string memory_report = dir_ + "/memory.json";
+  const std::string stream_log = dir_ + "/stream.log";
+  const std::string memory_log = dir_ + "/memory.log";
+
+  // Two independent single-threaded processes: run them side by side.
+  const ::pid_t stream = spawn_tool({runner_, spec, "--no-timing", "--trace-dir", traces,
+                                     "--peak-rss", "--out", stream_report},
+                                    stream_log);
+  const ::pid_t memory =
+      spawn_tool({runner_, spec, "--no-timing", "--out", memory_report}, memory_log);
+  const int stream_code = wait_code(stream);
+  const int memory_code = wait_code(memory);
+  ASSERT_EQ(stream_code, kExitSuccess) << read_file(stream_log);
+  ASSERT_EQ(memory_code, kExitSuccess) << read_file(memory_log);
+
+  const std::string log = read_file(stream_log);
+  const std::string_view tag = "peak_rss_kb: ";
+  const std::size_t at = log.find(tag);
+  ASSERT_NE(at, std::string::npos) << log;
+#if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+  // Plain builds only: under ASan the shadow memory alone puts this run
+  // near 380 MB.
+  constexpr long kRssCeilingKb = 32768;
+  EXPECT_LE(std::stol(log.substr(at + tag.size())), kRssCeilingKb)
+      << "stream mode must not keep the activation history";
+#endif
+
+  Json streamed = Json::parse_file(stream_report);
+  drop_keys(*streamed.find("experiment")->find("base"), {"trace"});
+  for (Json& run : streamed.find("runs")->items()) {
+    drop_keys(run, {"trace_path", "trace_fingerprint"});
+  }
+  EXPECT_EQ(streamed.dump(2), Json::parse_file(memory_report).dump(2));
+
+  const std::string trace = traces + "/run_0.cohtrace";
+  ASSERT_TRUE(fs::exists(trace));
+  EXPECT_EQ(run_tool({replay, trace, "--check", stream_report}, dir_ + "/replay.log"),
+            kExitSuccess)
+      << read_file(dir_ + "/replay.log");
 }
 
 TEST_F(LaunchE2E, MergeExitCodesDistinguishTransientFromPermanent) {

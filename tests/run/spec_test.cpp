@@ -301,6 +301,53 @@ TEST(ExperimentSpec, ExpansionGridOrderAndOverrides) {
   for (std::size_t i = 0; i < runs.size(); ++i) EXPECT_EQ(runs[i].index, i);
 }
 
+/// The error text of `call`, or "" when it returns.
+template <typename F>
+std::string error_of(F call) {
+  try {
+    (void)call();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ExperimentSpec, GridSizeOverflowIsRejectedNamingTheAxisOrRepeats) {
+  // 64 two-valued axes are 2^64 grid points: an unchecked product wraps to
+  // 0 and the sweep would run nothing. Every size query names the axis.
+  ExperimentSpec e;
+  for (int a = 0; a < 64; ++a) e.axes.push_back({"seed", {Json(1), Json(2)}});
+  for (const std::string& what :
+       {error_of([&] { return e.variant_count(); }), error_of([&] { return e.run_count(); }),
+        error_of([&] { return e.expand(); }), error_of([&] { return e.expand_shard(0, 2); })}) {
+    EXPECT_NE(what.find("sweep[63] (\"seed\") overflows the variant count"), std::string::npos)
+        << what;
+  }
+
+  // 63 axes fit; doubling them through `repeats` does not.
+  e.axes.pop_back();
+  EXPECT_EQ(e.variant_count(), std::size_t{1} << 63);
+  EXPECT_EQ(e.run_count(), std::size_t{1} << 63);
+  e.repeats = 2;
+  EXPECT_NE(error_of([&] { return e.run_count(); }).find("repeats = 2"), std::string::npos);
+  EXPECT_NE(error_of([&] { return e.expand(); }).find("overflows the run count"),
+            std::string::npos);
+  // A count that fits but cannot be held is named too (no allocation is
+  // attempted: it exceeds the vector's max_size).
+  e.repeats = 1;
+  EXPECT_NE(error_of([&] { return e.expand(); })
+                .find("expands to 9223372036854775808 runs, more than this process can hold"),
+            std::string::npos);
+
+  // An empty axis is named by index as well.
+  ExperimentSpec empty;
+  empty.axes.push_back({"n", {Json(4)}});
+  empty.axes.push_back({"seed", {}});
+  EXPECT_NE(error_of([&] { return empty.variant_count(); })
+                .find("sweep[1] (\"seed\") has no values"),
+            std::string::npos);
+}
+
 TEST(ExperimentSpec, RootMergeAxisAppliesNestedOverrides) {
   ExperimentSpec e;
   e.base = sample_spec();

@@ -17,10 +17,15 @@
 #     spec schema fields) — greps below, extend when adding flags;
 #   * the core documentation set (README.md, docs/architecture.md,
 #     docs/benchmarks.md, docs/experiments.md, docs/operations.md) must
-#     exist and README.md must link every docs/ file.
+#     exist and README.md must link every docs/ file;
+#   * every repo path that README.md, docs/*.md or the verify skill notes
+#     name in an inline code span under src/ tools/ tests/ bench/
+#     perfbench/ docs/ examples/ must resolve: to a file or directory, a
+#     glob match, or a module stem with a .hpp/.cpp (which covers
+#     tools/<name> for tools/<name>.cpp).
 #
-# Run from anywhere; wired into bench/run_benches.sh and registered as the
-# `docs_check` ctest test so CI fails on rot.
+# Run from anywhere; registered as the `docs_check` ctest test so CI fails
+# on rot.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -136,7 +141,25 @@ for doc in docs/*.md; do
     complain "README.md does not link docs/$name"
 done
 
+# Named paths resolve. Fenced blocks are skipped (they hold commands and
+# their outputs); each file is joined into one line first so a code span
+# broken across lines still pairs its backticks.
+resolves() {  # resolves <path>
+  local p="$1"
+  [ -e "$p" ] || [ -e "$p.hpp" ] || [ -e "$p.cpp" ] ||
+    { [[ "$p" == *[*?[]* ]] && compgen -G "$p" > /dev/null; }
+}
+for doc in README.md docs/*.md .claude/skills/verify/SKILL.md; do
+  [ -f "$doc" ] || continue
+  while read -r path; do
+    resolves "$path" || complain "$doc names \`$path\`, which does not exist"
+  done < <(awk '/^[[:space:]]*```/ { fenced = !fenced; next } !fenced' "$doc" | tr '\n' ' ' |
+           grep -o '`[^`]*`' | tr -d '`' | tr -s ' \t' '\n' |
+           sed -E 's/^[("'"'"']+//; s/:[0-9]+$//; s/[),.;:"'"'"']+$//' |
+           grep -E '^(src|tools|tests|bench|perfbench|docs|examples)/' | sort -u)
+done
+
 if [ "$fail" = 0 ]; then
-  echo "check_docs: OK (src subsystems, bench files, test oracles, tools, CLI flags, spec fields and doc links all covered)"
+  echo "check_docs: OK (src subsystems, bench files, test oracles, tools, CLI flags, spec fields, doc links and named paths all covered)"
 fi
 exit "$fail"

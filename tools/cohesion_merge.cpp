@@ -1,8 +1,8 @@
 // cohesion_merge — combine the partial reports of a sharded sweep
 // (`cohesion_run sweep.json --shard i/N`) into the exact report a single
 // process would have produced: byte-identical to
-// `cohesion_run sweep.json --no-timing` (asserted in bench/run_benches.sh
-// and tests/run/shard_test.cpp).
+// `cohesion_run sweep.json --no-timing` (asserted in tests/run/shard_test.cpp
+// and, across real processes, tests/integration/cache_e2e_test.cpp).
 //
 //   cohesion_merge p0.json p1.json p2.json            # merged report, stdout
 //   cohesion_merge p*.json --out report.json          # ... to a file

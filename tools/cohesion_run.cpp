@@ -112,8 +112,9 @@ int usage(int code) {
   return code;
 }
 
-/// Peak resident set size in KB (Linux ru_maxrss unit), for the
-/// bounded-memory assertions in bench/run_benches.sh.
+/// Peak resident set size in KB (Linux ru_maxrss unit), for bounded-memory
+/// assertions such as the stream-mode RSS ceiling in
+/// tests/run/launch_e2e_test.cpp.
 long peak_rss_kb() {
   struct rusage ru {};
   getrusage(RUSAGE_SELF, &ru);
@@ -235,9 +236,7 @@ int main(int argc, char** argv) {
 
     run::Shard shard;
     std::vector<run::ExpandedRun> runs;
-    // Grid size without expanding: variants x repeats (expand()'s shape).
-    const std::size_t total_runs =
-        experiment.variant_count() * std::max<std::size_t>(experiment.repeats, 1);
+    const std::size_t total_runs = experiment.run_count();
     if (shard_arg.empty()) {
       runs = experiment.expand();
     } else {
