@@ -20,8 +20,25 @@ constexpr double kDiffFloor = 0x1p-80;
 // kEdgeSlop covers that, kDiffFloor and the roundings of the differences.
 constexpr double kWindowCoord = 64.0;
 constexpr double kEdgeSlop = 0x1p-46;
+// The certificate's h = eps + 2·max band + kCertFloor: twice kDiffFloor,
+// so a certified pair also clears colocated()'s proxy threshold.
+constexpr double kCertFloor = 0x1p-79;
+// Coarse cells per finite basis the certificate asks for at least.
+constexpr double kCertCellsPerBasis = 4.0;
 
 bool finite(geom::Vec2 p) { return std::isfinite(p.x) && std::isfinite(p.y); }
+
+/// floor(t) for |t| < 2^62, exactly and without libm or a branch.
+std::int64_t floor_of(double t) {
+  const auto c = static_cast<std::int64_t>(t);
+  return c - (static_cast<double>(c) > t ? 1 : 0);
+}
+
+/// The largest power of two not above v (v positive and normal): v with
+/// its mantissa cleared.
+double pow2_floor(double v) {
+  return std::bit_cast<double>(std::bit_cast<std::uint64_t>(v) & 0xfff0000000000000ULL);
+}
 
 /// trunc(fl(v / w)), exactly and without libm: below 2^52 through int64,
 /// which also folds -0 to +0; from 2^52 on (and at ±inf) every double is
@@ -90,6 +107,51 @@ void ColocationIndex::prepare(Snapshot& snapshot) {
   }
 }
 
+bool ColocationIndex::certify_apart() {
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  double x0 = inf, x1 = -inf, y0 = inf, y1 = -inf;
+  std::size_t count = 0;
+  for (const geom::Vec2 p : basis_) {
+    if (!finite(p)) continue;
+    if (std::abs(p.x) > kWindowCoord || std::abs(p.y) > kWindowCoord) return false;
+    x0 = std::min(x0, p.x);
+    x1 = std::max(x1, p.x);
+    y0 = std::min(y0, p.y);
+    y1 = std::max(y1, p.y);
+    ++count;
+  }
+  if (count < 2) return true;
+  const double h = kColocationEps + 2.0 * max_band_ + kCertFloor;
+  // Any power of two above 2h is a correct width. This one, the largest
+  // not above the side of kCertCellsPerBasis cells per basis, gives 1 to
+  // 4 times that many cells on a square box; a thin box gets at most
+  // twice as many columns (rows) plus two.
+  const double cells = kCertCellsPerBasis * static_cast<double>(count);
+  const double wx = x1 - x0, wy = y1 - y0;
+  const double w =
+      pow2_floor(std::max({std::sqrt(wx * wy / cells), std::max(wx, wy) / cells, 4.0 * h}));
+  const double inv = 1.0 / w;  // exact: w is a power of two
+  const double hs = h * inv;
+  const std::int64_t cx0 = floor_of(x0 * inv), cy0 = floor_of(y0 * inv);
+  const auto nx = static_cast<std::size_t>(floor_of(x1 * inv) - cx0 + 1);
+  const auto ny = static_cast<std::size_t>(floor_of(y1 * inv) - cy0 + 1);
+  occupied_.assign(nx * ny, 0);
+  for (const geom::Vec2 p : basis_) {
+    if (!finite(p)) continue;
+    const double tx = p.x * inv, ty = p.y * inv;
+    const std::int64_t cx = floor_of(tx), cy = floor_of(ty);
+    const auto col = static_cast<std::size_t>(cx - cx0);
+    const auto row = static_cast<std::size_t>(cy - cy0);
+    // A pair across an inner edge has its lower basis more than h below it.
+    if (col + 1 < nx && !(static_cast<double>(cx + 1) - tx > hs)) return false;
+    if (row + 1 < ny && !(static_cast<double>(cy + 1) - ty > hs)) return false;
+    std::uint8_t& cell = occupied_[row * nx + col];
+    if (cell != 0) return false;
+    cell = 1;
+  }
+  return true;
+}
+
 bool ColocationIndex::colocated(const Snapshot& snapshot, std::size_t i, std::size_t j) const {
   const geom::Vec2 a = snapshot.proxy(i), b = snapshot.proxy(j);
   const double ri = snapshot.exact(i) ? 0.0 : band_[i];
@@ -148,8 +210,10 @@ bool ColocationIndex::has_partner(const Snapshot& snapshot, std::uint32_t i, std
 void ColocationIndex::collapse(Snapshot& snapshot) {
   probes_ = 0;
   const std::size_t m = snapshot.size();
-  clear(m);
   prepare(snapshot);
+  certified_ = certify_apart();
+  if (certified_) return;  // every neighbour is kept
+  clear(m);
   // Kept neighbours are indexed, dropped ones are not. A non-finite
   // coordinate is never almost_equal to anything, so such neighbours are
   // kept and stay out of the index. A dropped neighbour may leave its own
@@ -170,10 +234,13 @@ void ColocationIndex::collapse(Snapshot& snapshot) {
 
 void ColocationIndex::flag(Snapshot& snapshot) {
   probes_ = 0;
+  certified_ = false;
   const std::size_t m = snapshot.size();
   if (m < 2) return;
-  clear(m);
   prepare(snapshot);
+  certified_ = certify_apart();
+  if (certified_) return;  // no neighbour shares its location
+  clear(m);
   for (std::uint32_t i = 0; i < m; ++i) {
     const geom::Vec2 p = basis_[i];
     if (finite(p)) insert(i, claim(cell_of(p.x), cell_of(p.y)));

@@ -31,6 +31,37 @@
 // widens by the bands, which stay below eps: proxies with |q.x| + |q.y| >
 // 32 are materialized first. Exact pairs take the exact predicate, so
 // results are bit-identical to the reference on exact positions.
+//
+// Most snapshots hold no co-located pair at all (a dense Look sees
+// hundreds of neighbours 0.05 apart), so both calls first try to certify
+// that, in one pass over coarse cells and without the hash table. With
+// b = max band and h = fl(eps + 2b + 2^-79), the certificate lays square
+// cells of a power-of-two width W > 2h over the plane, aligned to
+// multiples of W: 4 to 16 cells per finite basis over their bounding box
+// on a square box, a byte each, reused across calls. It holds iff every
+// finite basis sits alone in its cell and lies farther than h below the
+// upper edge of its cell on each axis where that edge is inner (not in the
+// top column or row). Then no pair is co-located, on proxies or exactly:
+// - Two bases in different cells differ in column (or row), c_i < c_j.
+//   With t = fl(x / W) and c = floor(t), the lower one passed
+//   fl((c_i + 1) - t_i) > h / W. Rounding is monotone and h / W is a
+//   double, so (c_i + 1)·W - x_i > h, while x_j >= c_j·W >= (c_i + 1)·W:
+//   x_j - x_i > h on that axis.
+// - t and h / W are exact: W is a power of two, and W > 2h with
+//   |x| <= 64 keeps |t| below 2^46, inside int64. (t rounds only for |x|
+//   below 2^-1000, by under 2^-1070.) So no product in the test rounds
+//   and FMA contraction cannot change it; h is at most two roundings of
+//   eps + 2b + 2^-79, within 2^-90 of it.
+// - Exact positions lie within a band of their bases, so they differ by
+//   more than eps + 2^-80 on that axis and the exact predicate fails. The
+//   proxy test fails too (the pair clears eps, both bands and the 2^-80
+//   floor), so the hash path would have materialized nothing either.
+// - Outer edges bound no pair, so the top column and row skip the
+//   margin. One basis (or none) certifies outright; a box flat on one
+//   axis has one column (or row) there, and coinciding bases share a
+//   cell. Non-finite bases are never co-located and are skipped. A basis
+//   beyond kWindowCoord declines the certificate, as does the first shared
+//   cell or near edge; then the hash path runs as before.
 #pragma once
 
 #include <cstddef>
@@ -53,6 +84,9 @@ class ColocationIndex {
   /// Chain entries the last call compared with the co-location predicate:
   /// its work, at most the occupancy of a query's cells per query.
   [[nodiscard]] std::size_t probes() const { return probes_; }
+  /// Whether the last call was decided by the coarse-cell certificate that
+  /// no pair is co-located, without touching the hash table.
+  [[nodiscard]] bool certified() const { return certified_; }
 
  private:
   struct Slot {
@@ -70,6 +104,9 @@ class ColocationIndex {
   /// Record each neighbour's band and cell basis, materializing proxies
   /// whose band would reach eps.
   void prepare(Snapshot& snapshot);
+  /// Whether the bases prepare() recorded are certainly pairwise apart:
+  /// the coarse-cell certificate above.
+  bool certify_apart();
   /// The co-location predicate on neighbours i and j: on proxies where
   /// their bands decide it, else on both exact positions.
   bool colocated(const Snapshot& snapshot, std::size_t i, std::size_t j) const;
@@ -90,11 +127,13 @@ class ColocationIndex {
   std::vector<geom::Vec2> basis_;   // per snapshot index: where it is cell-indexed
   std::vector<double> band_;        // per snapshot index: 0 once exact
   std::vector<std::uint8_t> keep_;  // collapse()'s survivors
+  std::vector<std::uint8_t> occupied_;  // certify_apart()'s coarse cells
   double max_band_ = 0.0;           // largest band in this snapshot
   std::uint32_t generation_ = 0;
   std::size_t mask_ = 0;
   int shift_ = 64;  // 64 - log2(slots_.size()), set by clear()
   std::size_t probes_ = 0;
+  bool certified_ = false;
 };
 
 }  // namespace cohesion::core

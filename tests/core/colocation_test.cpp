@@ -6,6 +6,9 @@
 // around eps that chain non-transitively, signed zeros, non-finite and
 // overflowing coordinates; the boundary tests on positions at and around
 // cell edges, where the cells' arithmetic changes regime, and DBL_MAX.
+// The certificate cases plant one pair at and around eps across the
+// coarse cells' edges (multiples of a power of two, so a dyadic anchor is
+// an edge whatever width a snapshot gets), on exact and staged snapshots.
 #include "core/colocation.hpp"
 
 #include <gtest/gtest.h>
@@ -19,6 +22,8 @@
 #include <random>
 #include <vector>
 
+#include "core/error_model.hpp"
+#include "metrics/configurations.hpp"
 #include "oracles/colocation_oracle.hpp"
 
 namespace cohesion::core {
@@ -176,6 +181,7 @@ TEST(Colocation, GatheredClusterCostsLinearWork) {
       oracles::collapse_colocated(want);
     }
     expect_same(got, want, detect);
+    EXPECT_FALSE(index.certified()) << "detect " << detect;
     EXPECT_LE(index.probes(), 4 * m) << "detect " << detect;
   }
 }
@@ -262,6 +268,7 @@ TEST(Colocation, PartnersAcrossZeroAreFound) {
 TEST(Colocation, EpsStripColumnCostsLinearWork) {
   // A column of m x values inside one eps-wide strip with y values far
   // apart: no pair is co-located, and every query's cells hold only itself.
+  // The y values reach past the certificate's window, so the hash decides.
   constexpr std::size_t m = 1000;
   std::vector<Vec2> pts;
   for (std::size_t i = 0; i < m; ++i) {
@@ -273,10 +280,12 @@ TEST(Colocation, EpsStripColumnCostsLinearWork) {
   flag(index, got);
   oracles::flag_colocated(want);
   expect_same(got, want, 0);
+  EXPECT_FALSE(index.certified());
   EXPECT_LE(index.probes(), 4 * m);
   got = observed(pts);
   collapse(index, got);
   EXPECT_EQ(got.size(), m);
+  EXPECT_FALSE(index.certified());
   EXPECT_LE(index.probes(), 4 * m);
 }
 
@@ -297,6 +306,264 @@ TEST(Colocation, DifferentialFuzzAgainstAllPairsReference) {
     expect_same(got, want, seed);
     if (HasFailure()) return;
   }
+}
+
+/// Both rules on `pts` against the reference; returns how many of the two
+/// calls the certificate decided.
+int expect_matches_reference_once(ColocationIndex& index, const std::vector<Vec2>& pts,
+                                  std::uint64_t tag) {
+  auto got = observed(pts), want = observed(pts);
+  collapse(index, got);
+  const int certified = index.certified() ? 1 : 0;
+  oracles::collapse_colocated(want);
+  expect_same(got, want, tag);
+  got = observed(pts);
+  want = observed(pts);
+  flag(index, got);
+  oracles::flag_colocated(want);
+  expect_same(got, want, tag);
+  return certified + (index.certified() ? 1 : 0);
+}
+
+/// A k x k lattice over [lo, hi)² with spacing (hi - lo) / k, jittered by
+/// up to a tenth of it: no two points come within 0.8 spacings, so coarse
+/// cells of at most half a spacing hold one point each.
+std::vector<Vec2> jittered_lattice(std::size_t k, double lo, double hi, std::mt19937_64& rng) {
+  const double step = (hi - lo) / static_cast<double>(k);
+  std::uniform_real_distribution<double> jitter(-0.1 * step, 0.1 * step);
+  std::vector<Vec2> pts;
+  for (std::size_t i = 0; i < k; ++i) {
+    for (std::size_t j = 0; j < k; ++j) {
+      pts.push_back({lo + (static_cast<double>(i) + 0.5) * step + jitter(rng),
+                     lo + (static_cast<double>(j) + 0.5) * step + jitter(rng)});
+    }
+  }
+  return pts;
+}
+
+/// `x` moved by `k` ulps (down for negative k).
+double ulps(double x, int k) {
+  const double to = k < 0 ? -std::numeric_limits<double>::infinity()
+                          : std::numeric_limits<double>::infinity();
+  for (int i = 0; i < std::abs(k); ++i) x = std::nextafter(x, to);
+  return x;
+}
+
+/// Separations at and around eps: eps and its neighbouring doubles, the
+/// coordinate's ulps around fl(anchor - eps) (as offsets), eps/2 and 2·eps.
+std::vector<double> separations(double anchor) {
+  constexpr double e = kColocationEps;
+  std::vector<double> out{e / 2, 2 * e};
+  for (int k = -3; k <= 3; ++k) {
+    out.push_back(ulps(e, k));
+    out.push_back(anchor - ulps(anchor - e, k));
+  }
+  return out;
+}
+
+TEST(Colocation, CertificateFuzzWithPlantedPairsAtCellEdges) {
+  // Sparse snapshots (a jittered lattice, which the certificate passes)
+  // with one planted pair whose separation straddles eps, placed across a
+  // coarse-cell edge (a dyadic anchor: cells are power-of-two wide and
+  // aligned to their width), near it, and at the bounding box's extremes.
+  // Every result must match the reference bit for bit, and the fuzz must
+  // see the certificate both decide and decline.
+  constexpr double e = kColocationEps;
+  const double anchors[] = {0.0, 0.5, -0.5, 0.25, -0.375, 0.125, 1.0, -1.0};
+  ColocationIndex index;
+  std::mt19937_64 rng(2024);
+  std::size_t decided = 0, declined = 0;
+  std::uint64_t tag = 0;
+  const std::size_t sides[] = {2, 3, 5, 8, 13, 21, 31};  // m up to ~960
+  for (const double anchor : anchors) {
+    for (const double d : separations(anchor)) {
+      // Near the edge: the pair shifted down by a few ulps, by eps/2, by
+      // eps and by 3·eps, so the lower point's margin crosses h.
+      for (const double shift : {0.0, ulps(anchor, -2) - anchor, -e / 2, -e, -3 * e}) {
+        for (const int shape : {0, 1, 2, 3}) {
+          const double top = anchor + shift, bottom = top - d, other = 0.6 * anchor + 0.01;
+          Vec2 lo{bottom, other}, hi{top, other};  // across a column edge
+          if (shape == 1) {                         // across a row edge
+            lo = {other, bottom};
+            hi = {other, top};
+          } else if (shape == 2) {  // across a corner
+            lo = {bottom, bottom};
+            hi = {top, top};
+          } else if (shape == 3) {  // across a column edge, eps/2 apart in y
+            hi.y += e / 2;
+          }
+          // The lattice keeps clear of the pair and of the box's outer
+          // rows, so anchors ±1 are the box's extremes.
+          std::vector<Vec2> pts;
+          for (const Vec2 p : jittered_lattice(sides[tag % 7], -0.95, 0.95, rng)) {
+            if (std::max(std::abs(p.x - lo.x), std::abs(p.y - lo.y)) > 0.3) pts.push_back(p);
+          }
+          const bool lo_first = rng() % 2 != 0;
+          for (const Vec2 p : {lo_first ? lo : hi, lo_first ? hi : lo}) {
+            pts.insert(pts.begin() + static_cast<std::ptrdiff_t>(rng() % (pts.size() + 1)), p);
+          }
+          const int c = expect_matches_reference_once(index, pts, ++tag);
+          decided += static_cast<std::size_t>(c);
+          declined += static_cast<std::size_t>(2 - c);
+          if (HasFailure()) return;
+        }
+      }
+    }
+  }
+  EXPECT_GT(decided, 300u);
+  EXPECT_GT(declined, 3000u);
+}
+
+TEST(Colocation, CertificateEdgeCasesMatchReference) {
+  constexpr double e = kColocationEps;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  ColocationIndex index;
+  std::uint64_t tag = 0;
+  // m = 0, 1, 2: nothing to certify, one basis, one pair either way.
+  for (const auto& pts : std::vector<std::vector<Vec2>>{
+           {}, {{0.3, 0.3}}, {{0.3, 0.3}, {0.3 + e, 0.3}}, {{0.3, 0.3}, {0.3 + 2 * e, 0.3}},
+           {{0.5, 0.5}, {0.5 - e / 2, 0.5}}, {{0.25, 0.0}, {ulps(0.25 - e, 1), 0.0}}}) {
+    expect_matches_reference_once(index, pts, ++tag);
+  }
+  // One shared x (then y) value: a box flat on one axis, with and without
+  // a pair eps apart on the other.
+  std::mt19937_64 rng(5);
+  for (const bool swap : {false, true}) {
+    for (const double gap : {e, 2 * e, 0.01}) {
+      std::vector<Vec2> pts;
+      for (int i = 0; i < 200; ++i) pts.push_back({0.125, -1.0 + 0.01 * i});
+      pts.push_back({0.125, 0.5 - gap});
+      if (swap) {
+        for (Vec2& p : pts) std::swap(p.x, p.y);
+      }
+      const int c = expect_matches_reference_once(index, pts, ++tag);
+      if (gap == 0.01) {
+        EXPECT_EQ(c, 0) << "duplicate site";
+      }
+    }
+    std::vector<Vec2> pts;
+    for (int i = 0; i < 200; ++i) pts.push_back({0.125, -1.0 + 0.01 * i + 0.001});
+    if (swap) {
+      for (Vec2& p : pts) std::swap(p.x, p.y);
+    }
+    EXPECT_EQ(expect_matches_reference_once(index, pts, ++tag), 2) << "flat box";
+  }
+  // Non-finite coordinates mixed into a certifiable snapshot: skipped, and
+  // the rest still certifies; with a planted pair it still matches.
+  const std::vector<Vec2> lattice = jittered_lattice(10, -1.0, 1.0, rng);
+  std::vector<Vec2> pts = lattice;
+  for (const Vec2 b : {Vec2{nan, 0.5}, Vec2{0.5, nan}, Vec2{inf, 0.5}, Vec2{-inf, -inf}}) {
+    pts.insert(pts.begin() + static_cast<std::ptrdiff_t>(rng() % pts.size()), b);
+  }
+  EXPECT_EQ(expect_matches_reference_once(index, pts, ++tag), 2) << "non-finite skipped";
+  pts.push_back({lattice[7].x + e, lattice[7].y});
+  EXPECT_EQ(expect_matches_reference_once(index, pts, ++tag), 0);
+  // Coordinates beyond the window (|coord| > 64): the certificate declines.
+  for (const double far : {64.5, -100.0, 1e300}) {
+    std::vector<Vec2> wide = jittered_lattice(10, -1.0, 1.0, rng);
+    wide.push_back({far, 0.0});
+    EXPECT_EQ(expect_matches_reference_once(index, wide, ++tag), 0) << far;
+    wide.push_back({far, e});
+    expect_matches_reference_once(index, wide, ++tag);
+  }
+  // Right at the window's edge the certificate still decides.
+  std::vector<Vec2> edge = jittered_lattice(10, -60.0, 60.0, rng);
+  edge.push_back({64.0, -64.0});
+  EXPECT_EQ(expect_matches_reference_once(index, edge, ++tag), 2);
+}
+
+/// The engine's Look on `offsets` through `frame` with the index, against
+/// perceiving every offset and the all-pairs reference; the same RNG
+/// stream feeds both. Returns whether the index's call was certified.
+bool expect_staged_matches_reference(ColocationIndex& index, const LocalFrame& frame,
+                                     const std::vector<Vec2>& offsets, bool detect,
+                                     std::uint64_t seed) {
+  std::mt19937_64 lazy_rng(seed), eager_rng(seed);
+  Snapshot snap(frame);
+  for (const Vec2 o : offsets) snap.stage(o, lazy_rng);
+  detect ? index.flag(snap) : index.collapse(snap);
+  const bool certified = index.certified();
+  std::vector<ObservedRobot> want;
+  for (const Vec2 o : offsets) want.push_back({frame.perceive(o, eager_rng), false});
+  detect ? oracles::flag_colocated(want) : oracles::collapse_colocated(want);
+  expect_same(snap.neighbours(), want, seed);
+  EXPECT_TRUE(lazy_rng == eager_rng) << "seed " << seed;
+  return certified;
+}
+
+TEST(Colocation, CertificateOnStagedSnapshotsMatchesReference) {
+  // Staged snapshots carry bands (2^-45 of each proxy's L1 norm), and the
+  // certificate's edge margin must cover them. A pair planted across the
+  // edge at x = 16 (a multiple of every cell width these snapshots get)
+  // with its proxies eps plus a few ulps apart is co-located on exact
+  // positions whenever the polar round trip pulls the two together; the
+  // sweep must contain such pairs. Frames with distance noise certify the
+  // lattice on their own.
+  constexpr double e = kColocationEps;
+  ColocationIndex index;
+  std::size_t proxy_apart_exact_colocated = 0, certified = 0;
+  std::uint64_t seed = 0;
+  for (int yi = 0; yi < 160; ++yi) {
+    const double y0 = 0.1 * yi + 0.013;
+    for (int k = -3; k <= 3; ++k) {
+      std::mt19937_64 rng(++seed);
+      std::vector<Vec2> offsets = jittered_lattice(12, -8.0, 8.0, rng);
+      const Vec2 lo{ulps(16.0 - e, k), y0}, hi{16.0, y0};
+      offsets.insert(offsets.begin() + static_cast<std::ptrdiff_t>(rng() % offsets.size()), lo);
+      offsets.push_back(hi);
+      const LocalFrame identity = LocalFrame::identity();
+      const Vec2 plo = identity.perceive(lo, rng), phi = identity.perceive(hi, rng);
+      if (hi.x - lo.x > e && geom::almost_equal(plo, phi, e)) ++proxy_apart_exact_colocated;
+      for (const bool detect : {false, true}) {
+        certified += expect_staged_matches_reference(index, identity, offsets, detect, seed);
+      }
+      if (HasFailure()) return;
+    }
+  }
+  EXPECT_GT(proxy_apart_exact_colocated, 0u);
+  EXPECT_EQ(certified, 0u) << "every planted pair lies within h of the edge";
+  // Distance noise and rotation: no pair lands within eps, and the
+  // certificate decides the jittered lattice with non-zero bands.
+  ErrorModel noisy;
+  noisy.distance_delta = 0.05;
+  noisy.allow_reflection = true;
+  for (std::uint64_t s = 1; s <= 200; ++s) {
+    std::mt19937_64 rng(s);
+    const LocalFrame frame = LocalFrame::sample(noisy, rng);
+    const double half = s % 2 ? 1.0 : 16.0;
+    const std::vector<Vec2> offsets = jittered_lattice(4 + s % 20, -half, half, rng);
+    certified += expect_staged_matches_reference(index, frame, offsets, s % 3 == 0, s * 7);
+    if (HasFailure()) return;
+  }
+  EXPECT_GT(certified, 150u);
+}
+
+TEST(Colocation, DenseGridLookCertifiesWithoutProbes) {
+  // The dense_fsync Looks: a 32 x 32 grid 0.05 apart seen with V = 1 in
+  // rotated frames, ~680 staged neighbours per Look. The certificate
+  // decides each outright: no hash claim, no probe.
+  const std::vector<Vec2> grid = metrics::grid_configuration(1024, 0.05);
+  ColocationIndex index;
+  std::size_t looks = 0, seen = 0;
+  for (std::size_t observer = 0; observer < grid.size(); observer += 37) {
+    const Vec2 self = grid[observer];
+    std::vector<Vec2> offsets;
+    for (const Vec2 p : grid) {
+      if (p != self && self.distance_to(p) <= 1.0) offsets.push_back(p - self);
+    }
+    std::mt19937_64 rng(observer);
+    const LocalFrame frame = LocalFrame::sample(ErrorModel{}, rng);
+    for (const bool detect : {false, true}) {
+      EXPECT_TRUE(expect_staged_matches_reference(index, frame, offsets, detect, observer))
+          << observer;
+      EXPECT_EQ(index.probes(), 0u) << observer;
+    }
+    ++looks;
+    seen += offsets.size();
+  }
+  EXPECT_GT(seen, 600 * looks);
+  EXPECT_LT(seen, 760 * looks);
 }
 
 }  // namespace

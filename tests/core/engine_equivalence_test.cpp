@@ -175,6 +175,35 @@ TEST(EngineEquivalence, LargeSwarmSpotCheck) {
   EXPECT_EQ(engine.current_diameter(), oracle.current_diameter());
 }
 
+TEST(EngineEquivalence, DenseGridFSyncMatchesAllPairsColocation) {
+  // The dense Look: n = 256 on a 0.05 grid with V = 1, so a Look sees up to
+  // 255 neighbours and the engine's co-location is the coarse-cell
+  // certificate, checked against the reference's all-pairs rules with and
+  // without multiplicity detection and distance noise. A second grid
+  // stacks 16 robots on occupied sites, so its Looks take the hash path.
+  const algo::KknpsAlgorithm kknps({.k = 1});
+  const std::size_t n = 256;
+  const auto grid = metrics::grid_configuration(n, 0.05);
+  auto stacked = grid;
+  for (std::size_t i = 0; i < 16; ++i) stacked[240 + i] = grid[13 * i];
+  for (std::uint64_t variant = 0; variant < 8; ++variant) {
+    const auto& initial = variant & 4 ? stacked : grid;
+    EngineConfig cfg;
+    cfg.visibility.radius = 1.0;
+    cfg.visibility.multiplicity_detection = (variant & 2) != 0;
+    cfg.error.distance_delta = variant & 1 ? 0.05 : 0.0;
+    sched::FSyncScheduler sched_engine(n);
+    Engine engine(initial, kknps, sched_engine, cfg);
+    sched::FSyncScheduler sched_oracle(n);
+    EngineOracle oracle(initial, kknps, sched_oracle, cfg);
+
+    const std::size_t steps = 3 * n;
+    ASSERT_EQ(engine.run(steps), oracle.run(steps)) << "variant " << variant;
+    expect_identical_traces(engine.trace(), oracle.trace(), variant);
+    EXPECT_GT(oracle.trace().records()[n / 2].seen, 200u) << "variant " << variant;
+  }
+}
+
 TEST(EngineEquivalence, UnrestrictedAsyncLongRunIncrementalVsOracle) {
   // The regime the incremental index exists for: unrestricted Async
   // (k-Async with the bound removed) gives every Look a distinct time, and

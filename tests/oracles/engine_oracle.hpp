@@ -1,13 +1,16 @@
 // Reference engine for core::Engine: the Look-Compute-Move loop with the
-// snapshot built by a full scan over Trace positions, O(n log k) per Look.
+// snapshot built by a full scan over Trace positions, O(n log k) per Look
+// (plus the all-pairs co-location below, quadratic in the neighbours).
 // It shares nothing with the engine's snapshot feed (no grid, no kinematic
 // cache, no SoA lanes, no certified band): every robot is reconstructed
 // from the Trace and tested with the model's raw predicate, d < V for an
 // open ball and d <= V + kVisibilityEpsilon for a closed one. Everything
 // else follows Engine::step draw for draw — frame sampling, ascending-id
-// Snapshot::stage, ColocationIndex flag/collapse, crash handling and
-// apply_motion_error — so a correct engine commits bit-identical records
-// (tests/core/engine_equivalence_test.cpp, soa_equivalence_test.cpp).
+// Snapshot::stage, crash handling and apply_motion_error — so a correct
+// engine commits bit-identical records (tests/core/engine_equivalence_test.cpp,
+// soa_equivalence_test.cpp). Co-location is resolved on every exact
+// perceived position by the all-pairs rules (colocation_oracle.hpp), not by
+// the production ColocationIndex, so its certificate and hash are checked too.
 #pragma once
 
 #include <cstddef>
@@ -16,13 +19,13 @@
 #include <vector>
 
 #include "core/algorithm.hpp"
-#include "core/colocation.hpp"
 #include "core/engine.hpp"
 #include "core/scheduler.hpp"
 #include "core/snapshot.hpp"
 #include "core/spatial_index.hpp"
 #include "core/trace.hpp"
 #include "geometry/convex_hull.hpp"
+#include "oracles/colocation_oracle.hpp"
 
 namespace cohesion::oracles {
 
@@ -73,9 +76,9 @@ class EngineOracle final : public core::SimulationView {
       if (visible) snap.stage(p - self, rng_);
     }
     if (config_.visibility.multiplicity_detection) {
-      colocation_.flag(snap);
+      flag_colocated(snap.neighbours());
     } else {
-      colocation_.collapse(snap);
+      collapse_colocated(snap.neighbours());
     }
 
     // Compute.
@@ -115,7 +118,6 @@ class EngineOracle final : public core::SimulationView {
   std::vector<bool> crashed_;
   core::Time frontier_ = 0.0;
   std::mt19937_64 rng_;
-  core::ColocationIndex colocation_;
 };
 
 }  // namespace cohesion::oracles
