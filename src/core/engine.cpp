@@ -37,7 +37,6 @@ Engine::Engine(std::vector<Vec2> initial, const Algorithm& algorithm, Scheduler&
   index_.reset(max_radius, trace_.initial_configuration());
   positions_now_.resize(trace_.robot_count());
   pos_epoch_.assign(trace_.robot_count(), 0);
-  if (config_.soa_kernel) soa_segments_.reset(trace_.initial_configuration());
 }
 
 Vec2 Engine::history_position(RobotId robot, Time t) const {
@@ -92,16 +91,6 @@ void Engine::snapshot_via_incremental(RobotId robot, Time t, Snapshot& snap) {
   const Vec2 self = cached_position(robot);
   const double v = config_.visibility.radius_of(robot);
   index_.candidates_near(self, v, neighbor_ids_);
-  if (config_.soa_kernel) {
-    // SoA kernel: evaluate every candidate's segment at t straight from the
-    // SoA lanes (KinematicState::eval's exact arithmetic, vectorizably —
-    // no per-candidate epoch bookkeeping), then filter with the certified
-    // squared-distance bounds.
-    soa_filter_.gather_segments(soa_segments_, neighbor_ids_, robot, t);
-    soa_filter_.filter(self, v, config_.visibility.open_ball);
-    append_soa_survivors(snap);
-    return;
-  }
   const VisibilityBall ball(self, v, config_.visibility.open_ball);
   snap.reserve(neighbor_ids_.size());
   for (const std::size_t other : neighbor_ids_) {
@@ -121,17 +110,6 @@ void Engine::snapshot_via_scan(RobotId robot, Time t, Snapshot& snap) {
     if (other == robot) continue;
     const Vec2 p = history_position(other, t);
     if (ball.contains(p)) snap.stage(p - self, rng_);
-  }
-}
-
-void Engine::append_soa_survivors(Snapshot& snap) {
-  const std::size_t m = soa_filter_.survivor_count();
-  snap.reserve(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    // Survivors are ascending by robot id with self removed, and the stored
-    // offset lanes are the scalar loop's `p - self` bit for bit — so this
-    // staging loop draws RNG in exactly the scalar order and values.
-    snap.stage(soa_filter_.survivor_offset(i), rng_);
   }
 }
 
@@ -189,7 +167,6 @@ bool Engine::step() {
   ActivationRecord rec{a, self, planned, realized, snap.size()};
   if (config_.record_history) trace_.record(rec);
   kin_.commit(rec);
-  if (config_.soa_kernel) soa_segments_.commit(rec);
   if (sink_) sink_->append(rec);
   end_time_ = std::max(end_time_, a.t_move_end);
   busy_until_[a.robot] = a.t_move_end;

@@ -21,13 +21,13 @@
 // Each Look gathers candidates from an IncrementalGrid, which buckets every
 // robot by the cells of its current trajectory segment and re-buckets only
 // the robots a commit touched, so neither a Look nor a commit pays O(n).
-// Candidates are evaluated through the kinematic cache (or the SoA lanes,
-// with EngineConfig::soa_kernel) and filtered with the exact visibility
-// predicate; a Look placed before the previous one by the scheduler's
-// 1e-12 slack is served by a scan over history instead. The brute-force
-// reference engine every result is certified against lives in the tests
-// (tests/oracles/engine_oracle.hpp): it applies the same predicate and
-// draws RNG in the same order, so both commit bit-identical traces.
+// Candidates are evaluated through the kinematic cache and filtered with
+// the exact visibility predicate; a Look placed before the previous one by
+// the scheduler's 1e-12 slack is served by a scan over history instead.
+// The brute-force reference engine every result is certified against
+// lives in the tests (tests/oracles/engine_oracle.hpp): it applies the
+// same predicate and draws RNG in the same order, so both commit
+// bit-identical traces.
 #pragma once
 
 #include <functional>
@@ -41,7 +41,6 @@
 #include "core/error_model.hpp"
 #include "core/kinematics.hpp"
 #include "core/scheduler.hpp"
-#include "core/soa_pool.hpp"
 #include "core/spatial_index.hpp"
 #include "core/stop_condition.hpp"
 #include "core/trace.hpp"
@@ -66,16 +65,6 @@ struct EngineConfig {
   VisibilityModel visibility;
   ErrorModel error;
   std::uint64_t seed = 1;
-  /// Structure-of-arrays snapshot kernel (src/core/soa_pool): candidate
-  /// positions are evaluated straight from an SoA segment pool into
-  /// parallel coordinate lanes and pre-filtered by a vectorizable
-  /// squared-distance loop against certified conservative bounds; only the
-  /// narrow borderline band re-runs the exact hypot predicate, so results
-  /// stay bit-identical to the scalar reference
-  /// (architecture contract 12, certified by tests/core/soa_equivalence_
-  /// test.cpp under ASan and -march=native). false keeps the scalar
-  /// filter, which remains the default.
-  bool soa_kernel = false;
   /// Materialize the full activation history in the in-memory Trace. false
   /// selects the bounded-memory mode: the engine keeps only each robot's
   /// current + previous trajectory segment (O(robot count) state, not
@@ -155,14 +144,11 @@ class Engine final : public SimulationView {
   [[nodiscard]] Snapshot honest_snapshot(RobotId robot, Time t, const LocalFrame& frame);
   /// Visible-neighbor enumeration via the incrementally-maintained grid:
   /// candidate cells from IncrementalGrid, exact positions through the
-  /// kinematic cache (or the SoA lanes).
+  /// kinematic cache.
   void snapshot_via_incremental(RobotId robot, Time t, Snapshot& snap);
   /// Visible-neighbor enumeration by a full scan over history positions:
   /// the fallback for a Look placed before the previous one.
   void snapshot_via_scan(RobotId robot, Time t, Snapshot& snap);
-  /// Stage the SoA filter's survivors into the snapshot — the same
-  /// ascending-id staging sequence the scalar loop produces.
-  void append_soa_survivors(Snapshot& snap);
   /// positions_now_[robot] at the incremental path's current query time,
   /// computed on first use per (robot, time) and invalidated on commit.
   [[nodiscard]] geom::Vec2 cached_position(RobotId robot);
@@ -197,11 +183,6 @@ class Engine final : public SimulationView {
   std::uint64_t epoch_ = 1;                 // bumped whenever pos_time_ changes
   Time pos_time_ = 0.0;                     // time positions_now_ entries describe
   Time index_time_ = 0.0;                   // last forward query time
-
-  // SoA kernel (config_.soa_kernel): segment lanes mirroring kin_, and the
-  // gather/filter scratch. Empty when the scalar filter is selected.
-  SoaSegmentPool soa_segments_;
-  SoaNeighborFilter soa_filter_;
 };
 
 }  // namespace cohesion::core

@@ -13,8 +13,8 @@ CertifiedBallBounds certified_ball_bounds(double b) {
   // no lane certified out (d2 > inf never holds) — everything borderline.
   CertifiedBallBounds out{-1.0, std::numeric_limits<double>::infinity()};
   if (!std::isfinite(b) || b <= 0.0) return out;
-  const double lo = b * (1.0 - kSoaCertSlack);
-  const double hi = b * (1.0 + kSoaCertSlack);
+  const double lo = b * (1.0 - kBandSlack);
+  const double hi = b * (1.0 + kBandSlack);
   const double in2 = lo * lo;
   const double out2 = hi * hi;
   // Each bound is valid only if the slack survived rounding (it collapses

@@ -39,9 +39,9 @@ namespace cohesion::core {
 inline constexpr double kVisibilityEpsilon = 1e-12;
 
 // Certified bounds: for a ball of radius b (open: d < b; closed: d <= b),
-//   definite_in2  = (b * (1 - kSoaCertSlack))^2   — d2 <= it  => inside
-//   definite_out2 = (b * (1 + kSoaCertSlack))^2   — d2 >  it  => outside
-// with kSoaCertSlack = 1e-9, nine orders of magnitude wider than the
+//   definite_in2  = (b * (1 - kBandSlack))^2   — d2 <= it  => inside
+//   definite_out2 = (b * (1 + kBandSlack))^2   — d2 >  it  => outside
+// with kBandSlack = 1e-9, nine orders of magnitude wider than the
 // ~1e-16 relative error of d2 = dx*dx + dy*dy (with or without FMA) and of
 // hypot, so a misclassification would need an error 10^7 times larger than
 // double rounding allows. Degenerate radii (b <= 0, non-finite, or so
@@ -52,7 +52,7 @@ inline constexpr double kVisibilityEpsilon = 1e-12;
 
 /// Relative half-width of the borderline band around the visibility radius
 /// inside which the squared-distance test defers to the exact predicate.
-inline constexpr double kSoaCertSlack = 1e-9;
+inline constexpr double kBandSlack = 1e-9;
 
 /// Squared-distance bounds certifying the exact ball predicate of radius b.
 /// d2 <= definite_in2 certifies the predicate true; d2 > definite_out2

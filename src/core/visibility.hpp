@@ -49,8 +49,8 @@ double worst_initial_pair_stretch(const std::vector<geom::Vec2>& initial,
 /// slot range and its four "forward" neighbour cells — O(n) memory, no
 /// stored pair list. A sweep enumerates every unordered pair of the same
 /// or adjacent cells once (a superset of the initially-visible pairs) and
-/// decides each pair with the certified squared-distance bands of the SoA
-/// kernel (core::certified_ball_bounds, contract 12):
+/// decides each pair with the certified squared-distance bands of the
+/// engine's visibility ball (core::certified_ball_bounds, contract 12):
 ///   1. initially visible? d2 against (V + 1e-12)^2; only the narrow band
 ///      (and degenerate bounds) runs the exact
 ///      `initial[a].distance_to(initial[b]) <= V + 1e-12`;

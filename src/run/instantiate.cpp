@@ -29,7 +29,6 @@ RunInstance instantiate(const RunSpec& spec) {
   inst.config.visibility.multiplicity_detection = spec.multiplicity_detection;
   inst.config.error = errors().get(spec.error.type)(spec.error.params);
   inst.config.seed = seeds.engine;
-  inst.config.soa_kernel = spec.soa_kernel;
   inst.config.record_history = spec.trace.mode == "memory";
   inst.engine = std::make_unique<core::Engine>(inst.initial, *inst.algorithm, *inst.scheduler,
                                                inst.config);

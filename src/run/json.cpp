@@ -516,6 +516,10 @@ void reject_unknown_keys(const Json& obj, std::string_view context, std::string_
   if (!obj.is_object()) return;
   for (const auto& [key, value] : obj.entries()) {
     if (std::find(known.begin(), known.end(), key) != known.end()) continue;
+    if (known.size() == 0) {
+      throw std::runtime_error(std::string(context) + ": unknown key \"" + std::string(prefix) +
+                               key + "\" (takes no keys)");
+    }
     const auto nearest = std::min_element(known.begin(), known.end(), [&](auto a, auto b) {
       return edit_distance(key, a) < edit_distance(key, b);
     });

@@ -112,8 +112,9 @@ class Json {
 /// Throws std::runtime_error naming the first key of object `obj` outside
 /// `known`, and the known key nearest to it, both under the key path
 /// `prefix`: `<context>: unknown key "<prefix><key>" (nearest known:
-/// "<prefix><known>")`. A misspelled key must not silently run the default.
-/// No-op for a non-object `obj`.
+/// "<prefix><known>")`, or `(takes no keys)` when `known` is empty. A
+/// misspelled key must not silently run the default. No-op for a non-object
+/// `obj`.
 void reject_unknown_keys(const Json& obj, std::string_view context, std::string_view prefix,
                          std::initializer_list<std::string_view> known);
 

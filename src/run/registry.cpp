@@ -54,6 +54,7 @@ void register_algorithms(Registry<AlgorithmFactory>& r) {
     return std::make_unique<algo::KknpsAlgorithm>(p);
   });
   r.add("kknps3d", [](const Json& params) -> std::unique_ptr<core::Algorithm> {
+    reject_unknown_keys(params, "kknps3d", "", {"k", "hull_tolerance"});
     algo::Kknps3dParams p;
     p.k = size_or(params, "k", p.k);
     p.hull_tolerance = params.number_or("hull_tolerance", p.hull_tolerance);
@@ -61,21 +62,27 @@ void register_algorithms(Registry<AlgorithmFactory>& r) {
   });
   r.add("ando", [](const Json& params) -> std::unique_ptr<core::Algorithm> {
     // v <= 0 selects the weakened "furthest neighbour" variant (footnote 9).
+    reject_unknown_keys(params, "ando", "", {"v"});
     return std::make_unique<algo::AndoAlgorithm>(params.number_or("v", 1.0));
   });
-  r.add("katreniak", [](const Json&) -> std::unique_ptr<core::Algorithm> {
+  r.add("katreniak", [](const Json& params) -> std::unique_ptr<core::Algorithm> {
+    reject_unknown_keys(params, "katreniak", "", {});
     return std::make_unique<algo::KatreniakAlgorithm>();
   });
-  r.add("cog", [](const Json&) -> std::unique_ptr<core::Algorithm> {
+  r.add("cog", [](const Json& params) -> std::unique_ptr<core::Algorithm> {
+    reject_unknown_keys(params, "cog", "", {});
     return std::make_unique<algo::CogAlgorithm>();
   });
-  r.add("gcm", [](const Json&) -> std::unique_ptr<core::Algorithm> {
+  r.add("gcm", [](const Json& params) -> std::unique_ptr<core::Algorithm> {
+    reject_unknown_keys(params, "gcm", "", {});
     return std::make_unique<algo::GcmAlgorithm>();
   });
-  r.add("null", [](const Json&) -> std::unique_ptr<core::Algorithm> {
+  r.add("null", [](const Json& params) -> std::unique_ptr<core::Algorithm> {
+    reject_unknown_keys(params, "null", "", {});
     return std::make_unique<algo::NullAlgorithm>();
   });
   r.add("lens_midpoint", [](const Json& params) -> std::unique_ptr<core::Algorithm> {
+    reject_unknown_keys(params, "lens_midpoint", "", {"colinearity_tolerance"});
     algo::LensMidpointAlgorithm::Params p;
     p.colinearity_tolerance = params.number_or("colinearity_tolerance", p.colinearity_tolerance);
     return std::make_unique<algo::LensMidpointAlgorithm>(p);
@@ -83,11 +90,15 @@ void register_algorithms(Registry<AlgorithmFactory>& r) {
 }
 
 void register_schedulers(Registry<SchedulerFactory>& r) {
-  r.add("fsync", [](std::size_t n, std::uint64_t, const Json&) -> std::unique_ptr<core::Scheduler> {
-    return std::make_unique<sched::FSyncScheduler>(n);
-  });
+  r.add("fsync",
+        [](std::size_t n, std::uint64_t, const Json& params) -> std::unique_ptr<core::Scheduler> {
+          reject_unknown_keys(params, "fsync", "", {});
+          return std::make_unique<sched::FSyncScheduler>(n);
+        });
   r.add("ssync",
         [](std::size_t n, std::uint64_t seed, const Json& params) -> std::unique_ptr<core::Scheduler> {
+          reject_unknown_keys(params, "ssync", "",
+                              {"activation_probability", "fairness_window", "xi", "seed"});
           sched::SSyncScheduler::Params p;
           p.activation_probability = params.number_or("activation_probability", p.activation_probability);
           p.fairness_window = size_or(params, "fairness_window", p.fairness_window);
@@ -105,6 +116,7 @@ void register_schedulers(Registry<SchedulerFactory>& r) {
         });
   r.add("knesta",
         [](std::size_t n, std::uint64_t seed, const Json& params) -> std::unique_ptr<core::Scheduler> {
+          reject_unknown_keys(params, "knesta", "", {"k", "xi", "seed"});
           sched::KNestAScheduler::Params p;
           p.k = size_or(params, "k", p.k);
           p.xi = params.number_or("xi", p.xi);
@@ -114,6 +126,7 @@ void register_schedulers(Registry<SchedulerFactory>& r) {
   r.add("scripted",
         [](std::size_t, std::uint64_t, const Json& params) -> std::unique_ptr<core::Scheduler> {
           // params.script: [[robot, t_look, t_move_start, t_move_end, frac], ...]
+          reject_unknown_keys(params, "scripted", "", {"script"});
           std::vector<core::Activation> script;
           for (const Json& row : params.at("script").items()) {
             const JsonArray& f = row.items();
@@ -133,10 +146,7 @@ void register_schedulers(Registry<SchedulerFactory>& r) {
 void register_errors(Registry<ErrorModelFactory>& r) {
   // "exact": identity frames, no noise — the validator/test setting.
   r.add("exact", [](const Json& params) {
-    if (!params.entries().empty()) {
-      throw std::runtime_error("exact: takes no params (got \"" + params.entries().front().first +
-                               "\")");
-    }
+    reject_unknown_keys(params, "exact", "", {});
     core::ErrorModel m;
     m.random_rotation = false;
     return m;
@@ -162,17 +172,21 @@ void register_errors(Registry<ErrorModelFactory>& r) {
 void register_initials(Registry<InitialConfigFactory>& r) {
   // Spacing-style params are in units of the visibility radius v.
   r.add("line", [](std::size_t n, double v, std::uint64_t, const Json& params) {
+    reject_unknown_keys(params, "line", "", {"spacing"});
     return metrics::line_configuration(n, params.number_or("spacing", 0.9) * v);
   });
   r.add("grid", [](std::size_t n, double v, std::uint64_t, const Json& params) {
+    reject_unknown_keys(params, "grid", "", {"spacing"});
     return metrics::grid_configuration(n, params.number_or("spacing", 0.9) * v);
   });
   r.add("circle", [](std::size_t n, double v, std::uint64_t, const Json& params) {
+    reject_unknown_keys(params, "circle", "", {"side"});
     return metrics::regular_polygon_configuration(n, params.number_or("side", 0.9) * v);
   });
   r.add("random", [](std::size_t n, double v, std::uint64_t seed, const Json& params) {
     // world_radius wins when given; otherwise radius scales with sqrt(n)
     // for asymptotically constant density.
+    reject_unknown_keys(params, "random", "", {"world_radius", "world_radius_per_sqrt_n", "seed"});
     double radius = params.number_or("world_radius", -1.0);
     if (radius <= 0.0) {
       radius = params.number_or("world_radius_per_sqrt_n", 0.4) * v *
@@ -181,11 +195,13 @@ void register_initials(Registry<InitialConfigFactory>& r) {
     return metrics::random_connected_configuration(n, radius, v, params.uint_or("seed", seed));
   });
   r.add("two_cluster", [](std::size_t n, double v, std::uint64_t seed, const Json& params) {
+    reject_unknown_keys(params, "two_cluster", "", {"bridge", "seed"});
     return metrics::two_cluster_configuration(
         n, static_cast<std::size_t>(params.uint_or("bridge", 3)), v, params.uint_or("seed", seed));
   });
   r.add("spiral", [](std::size_t, double v, std::uint64_t, const Json& params) {
     // Robot count is dictated by the construction; RunSpec.n is overridden.
+    reject_unknown_keys(params, "spiral", "", {"psi", "edge_scale"});
     return metrics::spiral_configuration(params.number_or("psi", 0.3),
                                          params.number_or("edge_scale", 0.92) * v)
         .positions;

@@ -16,7 +16,8 @@
 // Unknown keys throw std::runtime_error listing the registered keys.
 //
 // Param schemas are documented per factory in docs/experiments.md; every
-// factory tolerates an empty params object (library defaults apply).
+// factory tolerates an empty params object (library defaults apply) and
+// rejects any key outside its schema (run::reject_unknown_keys).
 #pragma once
 
 #include <cstdint>

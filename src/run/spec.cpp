@@ -100,9 +100,6 @@ Json RunSpec::to_json() const {
   // identities and cache keys have always hashed them.
   j.set("use_spatial_index", true);
   j.set("incremental_index", true);
-  // Echoed only when enabled: existing specs (and their fingerprints,
-  // cache keys and checkpoints) keep their exact bytes.
-  if (soa_kernel) j.set("soa_kernel", true);
   Json stop_j = Json::object();
   stop_j.set("epsilon", stop.epsilon);
   stop_j.set("max_activations", stop.max_activations);
@@ -157,16 +154,29 @@ RunSpec RunSpec::from_json(const Json& j, std::string_view path) {
                                ")");
     }
   }
-  for (const char* retired : {"use_spatial_index", "incremental_index"}) {
-    if (!j.bool_or(retired, true)) {
-      throw std::runtime_error("RunSpec: \"" + at + retired +
-                               "\": false is no longer supported: the engine has one snapshot "
-                               "feed, and the reference paths false used to select live only in "
-                               "the test oracle tests/oracles/engine_oracle.hpp (omit the key or "
-                               "set it to true)");
+  // Retired engine switches: each accepts a missing key or the value the
+  // engine still implements, and names itself when given the other one.
+  struct Retired {
+    const char* key;
+    bool surviving;
+    const char* why;
+  };
+  constexpr const char* kOneFeed =
+      "the engine has one snapshot feed, and the reference paths false used to select live "
+      "only in the test oracle tests/oracles/engine_oracle.hpp";
+  for (const Retired& r : {Retired{"use_spatial_index", true, kOneFeed},
+                           Retired{"incremental_index", true, kOneFeed},
+                           Retired{"soa_kernel", false,
+                                   "the engine has one snapshot kernel, the scalar filter every "
+                                   "run already used by default"}}) {
+    if (j.bool_or(r.key, r.surviving) != r.surviving) {
+      const std::string surviving = r.surviving ? "true" : "false";
+      const std::string retired = r.surviving ? "false" : "true";
+      throw std::runtime_error("RunSpec: \"" + at + r.key + "\": " + retired +
+                               " is no longer supported: " + r.why +
+                               " (omit the key or set it to " + surviving + ")");
     }
   }
-  s.soa_kernel = j.bool_or("soa_kernel", s.soa_kernel);
   if (const Json* st = j.find("stop")) {
     require_object(*st, "stop");
     reject_unknown_keys(*st, "RunSpec", at + "stop.",

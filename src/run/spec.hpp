@@ -98,11 +98,6 @@ struct RunSpec {
   double visibility_radius = 1.0;
   bool open_ball = false;
   bool multiplicity_detection = false;
-  /// SoA/SIMD snapshot kernel (EngineConfig::soa_kernel) — bit-identical to
-  /// the scalar reference by architecture contract 12. Serialized only when
-  /// true, so existing spec bytes, fingerprints and cache keys are
-  /// untouched.
-  bool soa_kernel = false;
   core::StopCondition stop;  ///< predicate is not serialized
   TraceSpec trace;           ///< history capture; default preserves old bytes
 
@@ -110,8 +105,9 @@ struct RunSpec {
   /// "incremental_index" as the constant true, which every spec's bytes,
   /// fingerprints and cache keys have always carried.
   [[nodiscard]] Json to_json() const;
-  /// Rejects unknown keys, and either retired switch set to false, naming
-  /// the key path (prefixed by `path`).
+  /// Rejects unknown keys, and any retired engine switch set to its retired
+  /// value ("use_spatial_index"/"incremental_index" false, "soa_kernel"
+  /// true), naming the key path (prefixed by `path`).
   static RunSpec from_json(const Json& j, std::string_view path = "");
 };
 

@@ -2,8 +2,11 @@
 // brute-force reference engine (tests/oracles/engine_oracle.hpp): same seeds
 // -> same ActivationRecords, to the bit. This holds because both examine the
 // same visible set through the same predicate and draw RNG in the same
-// (ascending-id) order; these tests sweep schedulers, error models and
-// visibility variants to pin that down.
+// (ascending-id) order; these tests sweep schedulers, error models,
+// visibility variants and history modes to pin that down. Part of the
+// certification battery of architecture contract 12
+// (tools/check_kernel_certification.sh), so the engine's certified
+// visibility band is also checked under ASan and -march=native.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -15,6 +18,7 @@
 #include "algo/baselines.hpp"
 #include "algo/kknps.hpp"
 #include "core/engine.hpp"
+#include "core/trace_sink.hpp"
 #include "metrics/configurations.hpp"
 #include "oracles/engine_oracle.hpp"
 #include "sched/asynchronous.hpp"
@@ -27,11 +31,12 @@ using geom::Vec2;
 
 using oracles::EngineOracle;
 
-void expect_identical_traces(const Trace& got, const Trace& want, std::uint64_t seed) {
-  ASSERT_EQ(got.records().size(), want.records().size()) << "seed " << seed;
-  for (std::size_t i = 0; i < got.records().size(); ++i) {
-    const ActivationRecord& g = got.records()[i];
-    const ActivationRecord& b = want.records()[i];
+void expect_identical_records(const std::vector<ActivationRecord>& got,
+                              const std::vector<ActivationRecord>& want, std::uint64_t seed) {
+  ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const ActivationRecord& g = got[i];
+    const ActivationRecord& b = want[i];
     EXPECT_EQ(g.activation.robot, b.activation.robot) << "seed " << seed << " rec " << i;
     EXPECT_EQ(g.activation.t_look, b.activation.t_look) << "seed " << seed << " rec " << i;
     EXPECT_EQ(g.activation.t_move_start, b.activation.t_move_start)
@@ -47,8 +52,16 @@ void expect_identical_traces(const Trace& got, const Trace& want, std::uint64_t 
   }
 }
 
+void expect_identical_traces(const Trace& got, const Trace& want, std::uint64_t seed) {
+  expect_identical_records(got.records(), want.records(), seed);
+}
+
+/// FSync / SSync / k-Async / k-NestA / unrestricted Async (k = SIZE_MAX),
+/// with KAsync's heap_selection axis driven by a separate seed bit (a
+/// different but equally valid seeded stream — both engines of a pair share
+/// it).
 std::unique_ptr<Scheduler> make_scheduler(std::uint64_t seed, std::size_t n) {
-  switch (seed % 4) {
+  switch (seed % 5) {
     case 0:
       return std::make_unique<sched::FSyncScheduler>(n);
     case 1: {
@@ -61,13 +74,21 @@ std::unique_ptr<Scheduler> make_scheduler(std::uint64_t seed, std::size_t n) {
       sched::KAsyncScheduler::Params p;
       p.seed = seed;
       p.k = 1 + seed % 3;
+      p.heap_selection = (seed / 8) % 2 == 1;
       return std::make_unique<sched::KAsyncScheduler>(n, p);
     }
-    default: {
+    case 3: {
       sched::KNestAScheduler::Params p;
       p.seed = seed;
       p.k = 1 + seed % 2;
       return std::make_unique<sched::KNestAScheduler>(n, p);
+    }
+    default: {
+      sched::KAsyncScheduler::Params p;
+      p.seed = seed;
+      p.k = std::numeric_limits<std::size_t>::max();  // Async: no bound
+      p.heap_selection = (seed / 8) % 2 == 1;
+      return std::make_unique<sched::KAsyncScheduler>(n, p);
     }
   }
 }
@@ -77,7 +98,8 @@ std::vector<Vec2> make_initial(std::uint64_t seed, std::size_t n, double v) {
     case 0:
       return metrics::random_connected_configuration(n, 0.4 * std::sqrt(double(n)), v, seed + 1);
     case 1:
-      // Spacing exactly v: every chain edge sits on the closed-ball boundary.
+      // Spacing exactly v: every chain edge sits on the closed-ball
+      // boundary — the certified borderline band gets real traffic.
       return metrics::line_configuration(n, v);
     default:
       return metrics::grid_configuration(n, 0.8 * v);
@@ -90,8 +112,10 @@ EngineConfig make_config(std::uint64_t seed, std::size_t n) {
   cfg.visibility.radius = 1.0;
   cfg.visibility.open_ball = (seed / 2) % 2 == 1;
   cfg.visibility.multiplicity_detection = (seed / 4) % 2 == 1;
-  if (seed % 5 == 4) {
+  if ((seed / 5) % 5 == 4) {
     // Heterogeneous sensing (§6.2): per-robot radii around the common V.
+    // Keyed on seed / 5 so that every make_scheduler choice (seed % 5)
+    // runs with per-robot radii on some seeds.
     std::mt19937_64 radii_rng(seed);
     std::uniform_real_distribution<double> u(0.6, 1.7);
     for (std::size_t r = 0; r < n; ++r) cfg.visibility.per_robot_radii.push_back(u(radii_rng));
@@ -119,38 +143,97 @@ EngineConfig make_config(std::uint64_t seed, std::size_t n) {
   return cfg;
 }
 
-TEST(EngineEquivalence, AllIndexModesProduceIdenticalTraces) {
-  // The engine against the reference engine over randomized schedulers
-  // (FSync / SSync / k-Async / k-NestA), error models, visibility variants
-  // and initial configurations. Both must commit bit-identical traces.
+/// One differential run: the engine against the reference engine on the
+/// seed's scheduler, error model, visibility variant, algorithm and initial
+/// configuration. Both must commit bit-identical traces. The reference scans
+/// every robot at its Trace position with the raw predicate, so it cannot
+/// drift with the engine.
+void expect_engine_matches_oracle(std::uint64_t seed) {
   const algo::KknpsAlgorithm kknps({.k = 1});
   const algo::AndoAlgorithm ando(1.0);
-  for (std::uint64_t seed = 0; seed < 160; ++seed) {
-    const std::size_t n = 2 + seed % 31;
+  const std::size_t n = 2 + seed % 31;
+  const auto initial = make_initial(seed, n, 1.0);
+  const Algorithm& algorithm =
+      seed % 2 == 0 ? static_cast<const Algorithm&>(kknps) : static_cast<const Algorithm&>(ando);
+
+  const auto sched_engine = make_scheduler(seed, n);
+  Engine engine(initial, algorithm, *sched_engine, make_config(seed, n));
+  const auto sched_oracle = make_scheduler(seed, n);
+  EngineOracle oracle(initial, algorithm, *sched_oracle, make_config(seed, n));
+
+  if (seed % 7 == 3) {  // fail-stop robots ride along unchanged
+    engine.crash(n / 2);
+    oracle.crash(n / 2);
+  }
+
+  const std::size_t steps = 150;
+  ASSERT_EQ(engine.run(steps), oracle.run(steps)) << "seed " << seed;
+  expect_identical_traces(engine.trace(), oracle.trace(), seed);
+  EXPECT_EQ(engine.current_diameter(), oracle.current_diameter()) << "seed " << seed;
+  const auto cfg_engine = engine.current_configuration();
+  const auto cfg_oracle = oracle.current_configuration();
+  ASSERT_EQ(cfg_engine.size(), cfg_oracle.size());
+  for (std::size_t r = 0; r < cfg_engine.size(); ++r) {
+    EXPECT_EQ(cfg_engine[r], cfg_oracle[r]) << "seed " << seed << " robot " << r;
+  }
+}
+
+TEST(EngineEquivalence, AllIndexModesProduceIdenticalTraces) {
+  // Seeds 0-159 of the differential generator: randomized schedulers
+  // (FSync / SSync / k-Async / k-NestA / Async), error models, visibility
+  // variants and initial configurations.
+  for (std::uint64_t seed = 0; seed < 160; ++seed) expect_engine_matches_oracle(seed);
+}
+
+TEST(EngineEquivalence, FiveHundredSeedDifferentialFuzz) {
+  // The next 500 seeds of the same generator, disjoint from the ones above.
+  for (std::uint64_t seed = 160; seed < 660; ++seed) expect_engine_matches_oracle(seed);
+}
+
+/// Minimal materializing sink for the bounded-memory legs: collects the
+/// record stream the way Trace would, without the engine keeping history.
+class CollectingSink final : public TraceSink {
+ public:
+  void append(const ActivationRecord& rec) override { records_.push_back(rec); }
+  [[nodiscard]] const std::vector<ActivationRecord>& records() const { return records_; }
+
+ private:
+  std::vector<ActivationRecord> records_;
+};
+
+TEST(EngineEquivalence, BoundedMemoryStreamModeMatchesMemoryPath) {
+  // record_history = false: the engine keeps no Trace and feeds a TeeSink
+  // instead (the stream-mode shape). Its record stream must equal the
+  // memory-mode engine's and the reference engine's, across schedulers.
+  const algo::KknpsAlgorithm kknps({.k = 2});
+  for (std::uint64_t seed = 1000; seed < 1120; ++seed) {
+    const std::size_t n = 3 + seed % 23;
     const auto initial = make_initial(seed, n, 1.0);
-    const Algorithm& algorithm = seed % 2 == 0 ? static_cast<const Algorithm&>(kknps)
-                                               : static_cast<const Algorithm&>(ando);
+    const EngineConfig cfg = make_config(seed, n);
 
-    const auto sched_engine = make_scheduler(seed, n);
-    Engine engine(initial, algorithm, *sched_engine, make_config(seed, n));
+    auto stream_cfg = cfg;
+    stream_cfg.record_history = false;
+    const auto sched_stream = make_scheduler(seed, n);
+    Engine stream(initial, kknps, *sched_stream, stream_cfg);
+    CollectingSink collected;
+    CollectingSink collected_copy;
+    TeeSink tee({&collected, &collected_copy});
+    stream.set_trace_sink(&tee);
+
+    const auto sched_mem = make_scheduler(seed, n);
+    Engine memory(initial, kknps, *sched_mem, cfg);
     const auto sched_oracle = make_scheduler(seed, n);
-    EngineOracle oracle(initial, algorithm, *sched_oracle, make_config(seed, n));
+    EngineOracle oracle(initial, kknps, *sched_oracle, cfg);
 
-    if (seed % 7 == 3) {  // fail-stop robots ride along unchanged
-      engine.crash(n / 2);
-      oracle.crash(n / 2);
-    }
-
-    const std::size_t steps = 150;
-    ASSERT_EQ(engine.run(steps), oracle.run(steps)) << "seed " << seed;
-    expect_identical_traces(engine.trace(), oracle.trace(), seed);
-    EXPECT_EQ(engine.current_diameter(), oracle.current_diameter()) << "seed " << seed;
-    const auto cfg_engine = engine.current_configuration();
-    const auto cfg_oracle = oracle.current_configuration();
-    ASSERT_EQ(cfg_engine.size(), cfg_oracle.size());
-    for (std::size_t r = 0; r < cfg_engine.size(); ++r) {
-      EXPECT_EQ(cfg_engine[r], cfg_oracle[r]) << "seed " << seed << " robot " << r;
-    }
+    const std::size_t steps = 100;
+    const std::size_t done = oracle.run(steps);
+    ASSERT_EQ(stream.run(steps), done) << "seed " << seed;
+    ASSERT_EQ(memory.run(steps), done) << "seed " << seed;
+    expect_identical_records(collected.records(), memory.trace().records(), seed);
+    expect_identical_records(collected.records(), oracle.trace().records(), seed);
+    expect_identical_records(collected.records(), collected_copy.records(), seed);
+    EXPECT_EQ(stream.current_diameter(), memory.current_diameter()) << "seed " << seed;
+    EXPECT_EQ(stream.end_time(), memory.end_time()) << "seed " << seed;
   }
 }
 
@@ -172,6 +255,36 @@ TEST(EngineEquivalence, LargeSwarmSpotCheck) {
   const std::size_t steps = n * 4;
   ASSERT_EQ(engine.run(steps), oracle.run(steps));
   expect_identical_traces(engine.trace(), oracle.trace(), 42);
+  EXPECT_EQ(engine.current_diameter(), oracle.current_diameter());
+}
+
+TEST(EngineEquivalence, LargeSwarmAsyncSpotCheck) {
+  // The production-sized swarm under unrestricted Async with heap selection
+  // and distance noise: each Look filters wide candidate windows while the
+  // index re-buckets one robot at a time between out-of-order commits.
+  const algo::KknpsAlgorithm kknps({.k = 1});
+  const std::size_t n = 512;
+  const auto initial =
+      metrics::random_connected_configuration(n, 0.4 * std::sqrt(double(n)), 1.0, 43);
+  EngineConfig cfg;
+  cfg.seed = 43;
+  cfg.visibility.radius = 1.0;
+  cfg.visibility.multiplicity_detection = true;
+  cfg.error.distance_delta = 0.05;
+  sched::KAsyncScheduler::Params p;
+  p.seed = 43;
+  p.k = std::numeric_limits<std::size_t>::max();
+  p.heap_selection = true;
+
+  sched::KAsyncScheduler sched_engine(n, p);
+  Engine engine(initial, kknps, sched_engine, cfg);
+  sched::KAsyncScheduler sched_oracle(n, p);
+  EngineOracle oracle(initial, kknps, sched_oracle, cfg);
+
+  const std::size_t steps = n * 4;
+  ASSERT_EQ(oracle.run(steps), steps);
+  ASSERT_EQ(engine.run(steps), steps);
+  expect_identical_traces(engine.trace(), oracle.trace(), 43);
   EXPECT_EQ(engine.current_diameter(), oracle.current_diameter());
 }
 
@@ -321,6 +434,54 @@ TEST(EngineEquivalence, BackwardLookWithinSchedulerSlackStaysExact) {
   const ActivationRecord& mover = oracle.trace().records()[14];
   EXPECT_NE(mover.from.x + (mover.realized.x - mover.from.x) * 1.0, mover.realized.x);
   EXPECT_EQ(oracle.trace().records().back().seen, 1u);
+}
+
+TEST(EngineEquivalence, ZeroDurationAndBackwardSlackScriptsStayExact) {
+  // The engine's two scheduler-slack subtleties in one script with motion
+  // error: a zero-duration move must be seen by later same-time Looks, and
+  // a Look within the 1e-12 ordering slack *before* the frontier must be
+  // served by the scan fallback. The last row Looks exactly at a
+  // neighbour's move end.
+  const algo::CogAlgorithm cog;
+  // Robots 4 and 5 sit out of the others' sight, for the move-end rows.
+  const std::vector<Vec2> initial{{0.0, 0.0},  {0.6, 0.0},  {0.3, 0.5},
+                                  {-0.4, 0.2}, {0.5, -3.5}, {0.0, -3.0}};
+  const double eps = 5e-13;
+  const std::vector<Activation> script{
+      {0, 1.0, 1.0, 1.0, 1.0},            // instantaneous move at the Look
+      {1, 1.0, 1.0, 1.0, 0.5},            // instantaneous, xi-truncated
+      {2, 1.0, 1.1, 1.4, 1.0},            // ordinary move at the same Look time
+      {3, 2.0 - eps, 2.0, 2.3, 1.0},      // backward Look within the slack
+      {0, 2.0, 2.0, 2.0, 1.0},            // zero-duration after the fallback
+      {1, 3.0, 3.1, 3.4, 1.0},
+      {2, 3.0 - eps, 3.0, 3.2, 0.7},      // backward again after real motion
+      {3, 4.0, 4.2, 4.6, 1.0},
+      {0, 5.0, 5.0, 6.0, 1.0},            // moves until t = 6 ...
+      {0, 6.0, 6.5, 7.0, 1.0},            // ... where its next Look lands
+      {1, 6.0 - eps, 6.2, 6.4, 1.0},      // backward Look sees it mid-move
+      {4, 7.0, 7.1, 7.5, 1.0},            // robot 4 moves toward robot 5 ...
+      {5, 7.5, 7.6, 7.8, 1.0},            // ... which Looks exactly at its end
+  };
+  EngineConfig cfg;
+  cfg.visibility.radius = 1.0;
+  cfg.error.random_rotation = false;
+  // Motion error: an end point `from + d` is always `from + (end - from)`
+  // again in binary64; the perpendicular deviation makes ends that are not.
+  cfg.error.motion_quad_coeff = 0.1;
+
+  sched::ScriptedScheduler sched_oracle(script);
+  EngineOracle oracle(initial, cog, sched_oracle, cfg);
+  ASSERT_EQ(oracle.run(script.size()), script.size());
+  // The move-end rows tell `t >= t_move_end` (the end point) from
+  // `t > t_move_end` (the lerp at fraction 1) only if that lerp misses the
+  // end point in binary64 and the looker sees the mover alone.
+  const ActivationRecord& mover = oracle.trace().records()[11];
+  EXPECT_NE(mover.from.x + (mover.realized.x - mover.from.x) * 1.0, mover.realized.x);
+  EXPECT_EQ(oracle.trace().records().back().seen, 1u);
+  sched::ScriptedScheduler sched_engine(script);
+  Engine engine(initial, cog, sched_engine, cfg);
+  ASSERT_EQ(engine.run(script.size()), script.size());
+  expect_identical_traces(engine.trace(), oracle.trace(), 0);
 }
 
 TEST(EngineEquivalence, ViewPositionsAgreeMidRun) {

@@ -2,7 +2,7 @@
 // against the pairwise reference in oracles/stretch_oracle.hpp: the same
 // double, bit for bit, on random, lattice, degenerate and non-finite
 // inputs. Part of the certification battery
-// (tools/check_soa_certification.sh), so it also runs under ASan and
+// (tools/check_kernel_certification.sh), so it also runs under ASan and
 // -march=native, where FMA contraction changes the squared distances the
 // certified bands have to absorb.
 #include <gtest/gtest.h>

@@ -2,13 +2,13 @@
 // snapshot built by a full scan over Trace positions, O(n log k) per Look
 // (plus the all-pairs co-location below, quadratic in the neighbours).
 // It shares nothing with the engine's snapshot feed (no grid, no kinematic
-// cache, no SoA lanes, no certified band): every robot is reconstructed
-// from the Trace and tested with the model's raw predicate, d < V for an
-// open ball and d <= V + kVisibilityEpsilon for a closed one. Everything
-// else follows Engine::step draw for draw — frame sampling, ascending-id
+// cache, no certified band): every robot is reconstructed from the Trace
+// and tested with the model's raw predicate, d < V for an open ball and
+// d <= V + kVisibilityEpsilon for a closed one. Everything else follows
+// Engine::step draw for draw — frame sampling, ascending-id
 // Snapshot::stage, crash handling and apply_motion_error — so a correct
-// engine commits bit-identical records (tests/core/engine_equivalence_test.cpp,
-// soa_equivalence_test.cpp). Co-location is resolved on every exact
+// engine commits bit-identical records
+// (tests/core/engine_equivalence_test.cpp). Co-location is resolved on every exact
 // perceived position by the all-pairs rules (colocation_oracle.hpp), not by
 // the production ColocationIndex, so its certificate and hash are checked too.
 #pragma once

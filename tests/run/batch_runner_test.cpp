@@ -2,11 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-
 #include "core/engine.hpp"
 #include "run/instantiate.hpp"
-#include "run/preset.hpp"
 
 namespace cohesion::run {
 namespace {
@@ -47,30 +44,6 @@ TEST(BatchRunner, SweepIsBitIdenticalAt1And8WorkerThreads) {
   // ...and so the aggregated report (timing excluded) is byte-identical.
   EXPECT_EQ(BatchRunner::report_json(e, r1, false).dump(2),
             BatchRunner::report_json(e, r8, false).dump(2));
-}
-
-TEST(BatchRunner, SoaKernelSweepReportEqualsScalarApartFromSpecEcho) {
-  // Contract 12 at the run layer: the checked-in kasync sweep with
-  // soa_kernel on reports exactly what the scalar kernel reports, apart
-  // from the flag's own echo in the experiment block.
-  const ExperimentSpec scalar = load_experiment_file(
-      (std::filesystem::path(__FILE__).parent_path() / "../../bench/specs/kasync_sweep.json")
-          .string());
-  ASSERT_FALSE(scalar.base.soa_kernel);
-  ExperimentSpec soa = scalar;
-  soa.base.soa_kernel = true;
-
-  BatchRunner::Options options;
-  options.threads = 2;
-  const BatchRunner runner(options);
-  const Json scalar_report = BatchRunner::report_json(scalar, runner.run(scalar), false);
-  Json soa_report = BatchRunner::report_json(soa, runner.run(soa), false);
-  JsonObject& base = soa_report.find("experiment")->find("base")->entries();
-  const std::size_t echoed = std::erase_if(base, [](const auto& entry) {
-    return entry.first == "soa_kernel" && entry.second == Json(true);
-  });
-  ASSERT_EQ(echoed, 1u) << "the SoA sweep must echo soa_kernel: true";
-  EXPECT_EQ(soa_report.dump(2), scalar_report.dump(2));
 }
 
 TEST(BatchRunner, AggregateFoldsTheExpectedFields) {

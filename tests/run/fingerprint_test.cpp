@@ -37,7 +37,6 @@ RunSpec sample_spec() {
   s.visibility_radius = 1.5;
   s.open_ball = true;
   s.multiplicity_detection = true;
-  s.soa_kernel = true;  // serialized (and thus walked) only when true
   s.stop.epsilon = 0.08;
   s.stop.max_activations = 1234;
   s.stop.check_every = 32;

@@ -355,10 +355,10 @@ TEST_F(LaunchE2E, WorkerExitCodesDistinguishTransientFromPermanent) {
 }
 
 TEST_F(LaunchE2E, MisspelledOrRetiredSpecKeysExitPermanentNamingTheKey) {
-  // A typo'd key, a retired engine switch set to false, or a sweep whose
-  // grid size overflows is a spec error: exit 1 with the key path named,
-  // never a run of some other experiment (an unchecked 2^64-point grid
-  // wraps to 0 runs).
+  // A typo'd key, a retired engine switch set to its retired value, or a
+  // sweep whose grid size overflows is a spec error: exit 1 with the key
+  // path named, never a run of some other experiment (an unchecked
+  // 2^64-point grid wraps to 0 runs).
   std::string overflow = R"({"base": {"n": 4}, "sweep": [)";
   for (int a = 0; a < 64; ++a) {
     overflow += std::string(a == 0 ? "" : ",") + R"({"path": "seed", "values": [1, 2]})";
@@ -373,6 +373,7 @@ TEST_F(LaunchE2E, MisspelledOrRetiredSpecKeysExitPermanentNamingTheKey) {
       {R"({"n": 4, "use_spatial_index": false})", "\"use_spatial_index\""},
       {R"({"n": 4, "incremental_index": false})", "\"incremental_index\""},
       {R"({"base": {"n": 4, "incremental_index": false}})", "\"base.incremental_index\""},
+      {R"({"n": 4, "soa_kernel": true})", "\"soa_kernel\""},
       {overflow, "sweep[63] (\"seed\") overflows the variant count"},
   };
   const std::string spec = dir_ + "/bad_key.json";

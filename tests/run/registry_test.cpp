@@ -158,6 +158,61 @@ TEST(Registry, InstantiateRejectsNonFiniteInitialPositions) {
   EXPECT_NO_THROW((void)instantiate(spec));
 }
 
+TEST(Registry, EveryFactoryRejectsAMisspelledParamNamingIt) {
+  // Before, a typo such as grid's "spacng" ran the default spacing and the
+  // run succeeded. Every built-in factory names the key and the nearest
+  // known one (or that it takes none) when the spec is instantiated.
+  struct Case {
+    FactorySpec RunSpec::*slot;
+    const char* type;
+    const char* typo;
+    const char* nearest;  // nullptr: the factory takes no params
+  };
+  const Case cases[] = {
+      {&RunSpec::algorithm, "kknps", "radius_divisr", "radius_divisor"},
+      {&RunSpec::algorithm, "kknps3d", "hull_tolerence", "hull_tolerance"},
+      {&RunSpec::algorithm, "ando", "vv", "v"},
+      {&RunSpec::algorithm, "lens_midpoint", "colinearity_tol", "colinearity_tolerance"},
+      {&RunSpec::algorithm, "katreniak", "k", nullptr},
+      {&RunSpec::algorithm, "cog", "k", nullptr},
+      {&RunSpec::algorithm, "gcm", "k", nullptr},
+      {&RunSpec::algorithm, "null", "k", nullptr},
+      {&RunSpec::scheduler, "fsync", "seed", nullptr},
+      {&RunSpec::scheduler, "ssync", "activation_prob", "activation_probability"},
+      {&RunSpec::scheduler, "kasync", "heap_selecton", "heap_selection"},
+      {&RunSpec::scheduler, "async", "min_gapp", "min_gap"},
+      {&RunSpec::scheduler, "knesta", "xii", "xi"},
+      {&RunSpec::scheduler, "scripted", "scirpt", "script"},
+      {&RunSpec::error, "exact", "distance_delta", nullptr},
+      {&RunSpec::error, "noisy", "distance_delat", "distance_delta"},
+      {&RunSpec::initial, "line", "spacng", "spacing"},
+      {&RunSpec::initial, "grid", "spacng", "spacing"},
+      {&RunSpec::initial, "circle", "sid", "side"},
+      {&RunSpec::initial, "random", "world_radus", "world_radius"},
+      {&RunSpec::initial, "two_cluster", "brige", "bridge"},
+      {&RunSpec::initial, "spiral", "pis", "psi"},
+  };
+  for (const Case& c : cases) {
+    RunSpec spec;
+    spec.n = 8;
+    Json params = Json::object();
+    params.set(c.typo, 0.05);
+    spec.*c.slot = {.type = c.type, .params = params};
+    try {
+      (void)instantiate(spec);
+      ADD_FAILURE() << c.type << ": \"" << c.typo << "\" accepted";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::string(c.type) + ": unknown key \"" + c.typo + "\""),
+                std::string::npos)
+          << what;
+      const std::string hint = c.nearest ? std::string("nearest known: \"") + c.nearest + "\""
+                                         : std::string("takes no keys");
+      EXPECT_NE(what.find(hint), std::string::npos) << what;
+    }
+  }
+}
+
 TEST(Registry, SeedParamPinsOverDerivedSeed) {
   // Two different derived seeds with the same pinned params seed must build
   // identically-behaving schedulers.

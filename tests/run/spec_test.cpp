@@ -7,6 +7,8 @@
 #include <set>
 #include <string>
 
+#include "run/instantiate.hpp"
+
 namespace cohesion::run {
 namespace {
 
@@ -22,7 +24,6 @@ RunSpec sample_spec() {
   s.visibility_radius = 1.5;
   s.open_ball = true;
   s.multiplicity_detection = true;
-  s.soa_kernel = true;
   s.stop.epsilon = 0.08;
   s.stop.max_activations = 1234;
   s.stop.check_every = 32;
@@ -41,7 +42,6 @@ TEST(RunSpec, JsonRoundTripIsExact) {
   EXPECT_EQ(back.stop.max_activations, 1234u);
   EXPECT_DOUBLE_EQ(back.stop.max_time, 75.5);
   EXPECT_TRUE(back.open_ball);
-  EXPECT_TRUE(back.soa_kernel);
 }
 
 TEST(RunSpec, DefaultsApplyForAbsentFields) {
@@ -51,7 +51,6 @@ TEST(RunSpec, DefaultsApplyForAbsentFields) {
   EXPECT_EQ(s.scheduler.type, "kasync");
   EXPECT_DOUBLE_EQ(s.visibility_radius, 1.0);
   EXPECT_DOUBLE_EQ(s.stop.epsilon, 0.05);
-  EXPECT_FALSE(s.soa_kernel);
 }
 
 TEST(RunSpec, DefaultSpecBytesAndIdentityArePinned) {
@@ -66,21 +65,6 @@ TEST(RunSpec, DefaultSpecBytesAndIdentityArePinned) {
             R"("use_spatial_index":true,"incremental_index":true,)"
             R"("stop":{"epsilon":0.05,"max_activations":200000,"check_every":64,"max_time":0.0}})");
   EXPECT_EQ(fingerprint_hex(run_identity(RunSpec{})), "0bbf861335e3e720");
-}
-
-TEST(RunSpec, SoaKernelSerializedOnlyWhenEnabled) {
-  // Off (the default) must not appear in the JSON at all — existing spec
-  // bytes, fingerprints, cache keys and checkpoints stay untouched.
-  const RunSpec off;
-  EXPECT_EQ(off.to_json().dump().find("soa_kernel"), std::string::npos);
-  RunSpec on;
-  on.soa_kernel = true;
-  const Json j = on.to_json();
-  EXPECT_NE(j.dump().find("\"soa_kernel\":true"), std::string::npos);
-  EXPECT_TRUE(RunSpec::from_json(j).soa_kernel);
-  // The flag participates in the identity exactly when serialized.
-  EXPECT_NE(spec_fingerprint(off), spec_fingerprint(on));
-  EXPECT_NE(run_identity(off), run_identity(on));
 }
 
 /// RunSpec::from_json's error text, or "" when it parses.
@@ -110,25 +94,35 @@ TEST(RunSpec, UnknownVisibilityOrStopKeyNamesPathAndNearestKey) {
 }
 
 TEST(RunSpec, RetiredIndexFlagsAcceptOnlyTrue) {
-  // Absent or true: the one snapshot feed, same spec as the default.
-  for (const char* doc : {R"({})", R"({"use_spatial_index": true, "incremental_index": true})"}) {
+  // Absent or the surviving value: the one snapshot feed and kernel, same
+  // spec as the default (soa_kernel is never echoed).
+  for (const char* doc : {R"({})", R"({"use_spatial_index": true, "incremental_index": true})",
+                          R"({"soa_kernel": false})"}) {
     EXPECT_EQ(RunSpec::from_json(Json::parse(doc)).to_json().dump(), RunSpec{}.to_json().dump());
   }
-  // false selected a reference path that now lives only in the tests: an
-  // error naming the key and the oracle, never a silent default.
-  for (const std::string key : {"use_spatial_index", "incremental_index"}) {
+  // The retired value selected a path the product no longer has: an error
+  // naming the key (and, for the index flags, the oracle), never a silent
+  // default.
+  struct Row {
+    std::string key;
+    bool retired;
+    const char* names;
+  };
+  for (const Row& row : {Row{"use_spatial_index", false, "tests/oracles/engine_oracle.hpp"},
+                         Row{"incremental_index", false, "tests/oracles/engine_oracle.hpp"},
+                         Row{"soa_kernel", true, "scalar filter"}}) {
     Json doc = Json::object();
-    doc.set(key, false);
+    doc.set(row.key, row.retired);
     const std::string what = from_json_error(doc);
-    EXPECT_NE(what.find("\"" + key + "\""), std::string::npos) << what;
-    EXPECT_NE(what.find("tests/oracles/engine_oracle.hpp"), std::string::npos) << what;
+    EXPECT_NE(what.find("\"" + row.key + "\""), std::string::npos) << what;
+    EXPECT_NE(what.find(row.names), std::string::npos) << what;
     Json experiment = Json::object();
     experiment.set("base", doc);
     try {
       (void)ExperimentSpec::from_json(experiment);
-      ADD_FAILURE() << key << ": false accepted inside an experiment base";
+      ADD_FAILURE() << row.key << ": retired value accepted inside an experiment base";
     } catch (const std::runtime_error& e) {
-      EXPECT_NE(std::string(e.what()).find("\"base." + key + "\""), std::string::npos)
+      EXPECT_NE(std::string(e.what()).find("\"base." + row.key + "\""), std::string::npos)
           << e.what();
     }
   }
@@ -171,7 +165,8 @@ TEST(RunSpec, RejectsNonPositiveOrNonFiniteRadius) {
 
 TEST(RunSpec, CheckedInSpecsStillLoad) {
   // Every spec shipped with the repository parses and expands under the
-  // strict schema.
+  // strict schema, and every expanded run instantiates, so the factories'
+  // strict params accept it too.
   const std::filesystem::path root = std::filesystem::path(__FILE__).parent_path() / "../..";
   std::size_t loaded = 0;
   for (const char* dir : {"bench/specs", "perfbench/specs"}) {
@@ -179,11 +174,15 @@ TEST(RunSpec, CheckedInSpecsStillLoad) {
       if (entry.path().extension() != ".json") continue;
       const Json doc = Json::parse_file(entry.path().string());
       SCOPED_TRACE(entry.path().string());
-      if (doc.contains("base")) {
-        EXPECT_NO_THROW((void)ExperimentSpec::from_json(doc).expand());
-      } else {
-        EXPECT_NO_THROW((void)RunSpec::from_json(doc));
-      }
+      EXPECT_NO_THROW({
+        if (doc.contains("base")) {
+          for (const ExpandedRun& run : ExperimentSpec::from_json(doc).expand()) {
+            (void)instantiate(run.spec);
+          }
+        } else {
+          (void)instantiate(RunSpec::from_json(doc));
+        }
+      });
       ++loaded;
     }
   }

@@ -1,8 +1,8 @@
 // KAsync's batched robot selection against its scalar reference, and the
 // two pieces it is built from: the bulk Mersenne Twister (stream-identical
 // to std::mt19937_64) and the branch-free generate_canonical conversion.
-// Part of the certification battery (tools/check_soa_certification.sh), so
-// it also runs under ASan and -march=native.
+// Part of the certification battery (tools/check_kernel_certification.sh),
+// so it also runs under ASan and -march=native.
 #include <gtest/gtest.h>
 
 #include <bit>

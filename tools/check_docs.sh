@@ -106,7 +106,7 @@ for phrase in cohesion-serve-ledger/1 cohesion-supervised-partial/1 docker-compo
 done
 
 # Spec-level schema fields: documented with the rest of the spec schema
-# (use_spatial_index and incremental_index as retired keys).
+# (use_spatial_index, incremental_index and soa_kernel as retired keys).
 for field in early_stop max_time incremental_index use_spatial_index soa_kernel \
              trace flush_every index_every extends; do
   grep -q "$field" docs/experiments.md ||
@@ -116,18 +116,18 @@ done
 # The run/ops determinism contracts live in the architecture doc.
 for phrase in shard-union resume fault-tolerance "streamed metrics" \
               "cached outcome ≡ recomputed outcome" \
-              "SoA snapshot ≡ scalar snapshot" \
+              "certified-band kernels ≡ their references" \
               "byte-identical across any partition history"; do
   grep -qi "$phrase" docs/architecture.md ||
     complain "docs/architecture.md does not state the $phrase determinism contract"
 done
 
-# The SoA build toggle and its certification driver: benchmarks doc covers
+# The native build toggle and its certification driver: benchmarks doc covers
 # the native A/B knob, architecture doc names the enforcing ctest test.
 grep -q "COHESION_NATIVE" docs/benchmarks.md docs/architecture.md ||
   complain "docs do not mention the COHESION_NATIVE build toggle"
-grep -q "soa_certification" docs/architecture.md ||
-  complain "docs/architecture.md does not name the soa_certification ctest test"
+grep -q "kernel_certification" docs/architecture.md ||
+  complain "docs/architecture.md does not name the kernel_certification ctest test"
 
 # The trace-file format spec lives in the runbook.
 for phrase in COHTRACE cohtrace torn; do
