@@ -23,8 +23,10 @@ constexpr double kEdgeSlop = 0x1p-46;
 // The certificate's h = eps + 2·max band + kCertFloor: twice kDiffFloor,
 // so a certified pair also clears colocated()'s proxy threshold.
 constexpr double kCertFloor = 0x1p-79;
-// Coarse cells per finite basis the certificate asks for at least.
-constexpr double kCertCellsPerBasis = 4.0;
+// Coarse cells per finite basis the certificate asks for at least, and the
+// most bases of one cell it compares a basis with (colocation.hpp).
+constexpr double kCertCellsPerBasis = 1.0;
+constexpr std::size_t kCertChainCap = 16;
 
 bool finite(geom::Vec2 p) { return std::isfinite(p.x) && std::isfinite(p.y); }
 
@@ -135,8 +137,12 @@ bool ColocationIndex::certify_apart() {
   const std::int64_t cx0 = floor_of(x0 * inv), cy0 = floor_of(y0 * inv);
   const auto nx = static_cast<std::size_t>(floor_of(x1 * inv) - cx0 + 1);
   const auto ny = static_cast<std::size_t>(floor_of(y1 * inv) - cy0 + 1);
-  occupied_.assign(nx * ny, 0);
-  for (const geom::Vec2 p : basis_) {
+  heads_.assign(nx * ny, -1);
+  next_.resize(basis_.size());
+  crowded_.resize(basis_.size());
+  std::size_t crowded = 0;
+  for (std::size_t i = 0; i < basis_.size(); ++i) {
+    const geom::Vec2 p = basis_[i];
     if (!finite(p)) continue;
     const double tx = p.x * inv, ty = p.y * inv;
     const std::int64_t cx = floor_of(tx), cy = floor_of(ty);
@@ -145,9 +151,24 @@ bool ColocationIndex::certify_apart() {
     // A pair across an inner edge has its lower basis more than h below it.
     if (col + 1 < nx && !(static_cast<double>(cx + 1) - tx > hs)) return false;
     if (row + 1 < ny && !(static_cast<double>(cy + 1) - ty > hs)) return false;
-    std::uint8_t& cell = occupied_[row * nx + col];
-    if (cell != 0) return false;
-    cell = 1;
+    // Chain the basis, and list it (without a branch) if its cell was
+    // occupied: on a dense Look that is a basis in ten, at random.
+    std::int32_t& head = heads_[row * nx + col];
+    next_[i] = head;
+    crowded_[crowded] = static_cast<std::int32_t>(i);
+    crowded += head >= 0 ? 1 : 0;
+    head = static_cast<std::int32_t>(i);
+  }
+  // A pair inside a cell is more than h apart on some axis.
+  for (std::size_t c = 0; c < crowded; ++c) {
+    const geom::Vec2 p = basis_[crowded_[c]];
+    std::size_t chain = 0;
+    for (std::int32_t j = next_[crowded_[c]]; j >= 0; j = next_[j]) {
+      const geom::Vec2 q = basis_[j];
+      if (++chain > kCertChainCap || !(std::abs(p.x - q.x) > h || std::abs(p.y - q.y) > h)) {
+        return false;
+      }
+    }
   }
   return true;
 }
@@ -220,23 +241,25 @@ void ColocationIndex::collapse(Snapshot& snapshot) {
   // cell claimed with an empty chain: at most one cell per neighbour, as
   // the table is sized for.
   keep_.assign(m, 1);
+  bool dropped = false;
   for (std::uint32_t i = 0; i < m; ++i) {
     if (!finite(basis_[i])) continue;
     std::size_t own = 0;
     if (has_partner(snapshot, i, kNoSelf, own)) {
       keep_[i] = 0;
+      dropped = true;
     } else {
       insert(i, own);
     }
   }
-  snapshot.retain(keep_);
+  if (dropped) snapshot.retain(keep_);
 }
 
 void ColocationIndex::flag(Snapshot& snapshot) {
   probes_ = 0;
-  certified_ = false;
+  certified_ = true;
   const std::size_t m = snapshot.size();
-  if (m < 2) return;
+  if (m < 2) return;  // as certify_apart() would decide, with no staging work
   prepare(snapshot);
   certified_ = certify_apart();
   if (certified_) return;  // no neighbour shares its location

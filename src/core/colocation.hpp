@@ -33,35 +33,48 @@
 // results are bit-identical to the reference on exact positions.
 //
 // Most snapshots hold no co-located pair at all (a dense Look sees
-// hundreds of neighbours 0.05 apart), so both calls first try to certify
-// that, in one pass over coarse cells and without the hash table. With
-// b = max band and h = fl(eps + 2b + 2^-79), the certificate lays square
-// cells of a power-of-two width W > 2h over the plane, aligned to
-// multiples of W: 4 to 16 cells per finite basis over their bounding box
-// on a square box, a byte each, reused across calls. It holds iff every
-// finite basis sits alone in its cell and lies farther than h below the
-// upper edge of its cell on each axis where that edge is inner (not in the
-// top column or row). Then no pair is co-located, on proxies or exactly:
+// hundreds of neighbours 0.05 apart, a converging swarm's Look a few dozen
+// scattered ones), so both calls first try to certify that, in one pass
+// over coarse cells plus a compare of the bases that share one, without
+// the hash table. With b = max band and
+// h = fl(eps + 2b + 2^-79), the certificate lays square cells of a
+// power-of-two width W > 2h over the plane, aligned to multiples of W:
+// ~1-4 cells per finite basis over their bounding box on a square box,
+// each an int32 head of a chain through an int32 link per basis, all
+// reused across calls. It holds iff every finite basis lies farther than
+// h below the upper edge of its cell on each axis where that edge is inner
+// (not in the top column or row), and differs by fl(|x_i - x_j|) > h or
+// fl(|y_i - y_j|) > h from every basis chained in its cell before it. Then
+// no pair is co-located, on proxies or exactly:
 // - Two bases in different cells differ in column (or row), c_i < c_j.
 //   With t = fl(x / W) and c = floor(t), the lower one passed
 //   fl((c_i + 1) - t_i) > h / W. Rounding is monotone and h / W is a
 //   double, so (c_i + 1)·W - x_i > h, while x_j >= c_j·W >= (c_i + 1)·W:
 //   x_j - x_i > h on that axis.
+// - Two bases in one cell passed fl(|x_i - x_j|) > h (or the same in y).
+//   Rounding is monotone and h is a double, so |x_i - x_j| > h exactly:
+//   were it at most h, its rounding would be at most fl(h) = h.
 // - t and h / W are exact: W is a power of two, and W > 2h with
 //   |x| <= 64 keeps |t| below 2^46, inside int64. (t rounds only for |x|
 //   below 2^-1000, by under 2^-1070.) So no product in the test rounds
 //   and FMA contraction cannot change it; h is at most two roundings of
 //   eps + 2b + 2^-79, within 2^-90 of it.
-// - Exact positions lie within a band of their bases, so they differ by
-//   more than eps + 2^-80 on that axis and the exact predicate fails. The
-//   proxy test fails too (the pair clears eps, both bands and the 2^-80
-//   floor), so the hash path would have materialized nothing either.
+// - Either way, exact positions lie within a band of their bases, so they
+//   differ by more than eps + 2^-80 on that axis and the exact predicate
+//   fails. The proxy test fails too (the pair clears eps, both bands and
+//   the 2^-80 floor), so the hash path would have materialized nothing
+//   either.
+// - A basis is compared with at most kCertChainCap = 16 bases of its
+//   cell, so the certificate costs at most 16 compares per basis. A
+//   longer chain declines: a crowded cell, such as a gathered cluster,
+//   goes to the hash, whose work stays linear in it.
 // - Outer edges bound no pair, so the top column and row skip the
 //   margin. One basis (or none) certifies outright; a box flat on one
 //   axis has one column (or row) there, and coinciding bases share a
-//   cell. Non-finite bases are never co-located and are skipped. A basis
-//   beyond kWindowCoord declines the certificate, as does the first shared
-//   cell or near edge; then the hash path runs as before.
+//   cell and fail the compare. Non-finite bases are never co-located and
+//   are skipped. A basis beyond kWindowCoord declines the certificate, as
+//   does the first close pair, near edge or over-long chain; then the hash
+//   path runs as before.
 #pragma once
 
 #include <cstddef>
@@ -123,12 +136,13 @@ class ColocationIndex {
   // Open-addressed cell table; clear() invalidates it by bumping
   // generation_ instead of touching the slots.
   std::vector<Slot> slots_;
-  std::vector<std::int32_t> next_;  // per snapshot index
-  std::vector<geom::Vec2> basis_;   // per snapshot index: where it is cell-indexed
-  std::vector<double> band_;        // per snapshot index: 0 once exact
-  std::vector<std::uint8_t> keep_;  // collapse()'s survivors
-  std::vector<std::uint8_t> occupied_;  // certify_apart()'s coarse cells
-  double max_band_ = 0.0;           // largest band in this snapshot
+  std::vector<std::int32_t> next_;     // per snapshot index: links of slots_' and heads_' chains
+  std::vector<geom::Vec2> basis_;      // per snapshot index: where it is cell-indexed
+  std::vector<double> band_;           // per snapshot index: 0 once exact
+  std::vector<std::uint8_t> keep_;     // collapse()'s survivors
+  std::vector<std::int32_t> heads_;    // certify_apart()'s coarse cells: chain heads
+  std::vector<std::int32_t> crowded_;  // certify_apart()'s bases that found their cell occupied
+  double max_band_ = 0.0;              // largest band in this snapshot
   std::uint32_t generation_ = 0;
   std::size_t mask_ = 0;
   int shift_ = 64;  // 64 - log2(slots_.size()), set by clear()

@@ -138,6 +138,10 @@ class Engine final : public SimulationView {
   /// a deterministic work count, small when the snapshot is decided on
   /// proxies.
   [[nodiscard]] std::size_t look_materializations() const { return look_materializations_; }
+  /// Whether the last Look's co-location was decided by the coarse-cell
+  /// certificate (ColocationIndex::certified), without the hash table: a
+  /// deterministic per-Look work count, like look_materializations().
+  [[nodiscard]] bool look_colocation_certified() const { return colocation_.certified(); }
 
  private:
   /// The staged snapshot of `robot` at `t` in `frame`, co-location applied.

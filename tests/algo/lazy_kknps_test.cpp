@@ -26,6 +26,9 @@
 #include "metrics/configurations.hpp"
 #include "oracles/colocation_oracle.hpp"
 #include "oracles/kknps_oracle.hpp"
+#include "run/instantiate.hpp"
+#include "run/json.hpp"
+#include "run/spec.hpp"
 #include "sched/synchronous.hpp"
 
 namespace cohesion::algo {
@@ -346,6 +349,66 @@ TEST(LazyKknps, DenseLookMaterializesFewNeighbours) {
   EXPECT_GT(seen, 500u * initial.size());
   EXPECT_LE(worst, 40u);
   EXPECT_LE(total, 12u * initial.size());
+}
+
+struct CertifiedLooks {
+  std::size_t looks = 0, certified = 0;
+};
+
+/// Looks of `spec` run to its stop rule, as Engine::run_until checks it,
+/// and how many of them the co-location certificate decided.
+CertifiedLooks certified_looks(const run::RunSpec& spec) {
+  const run::RunInstance inst = run::instantiate(spec);
+  core::Engine& engine = *inst.engine;
+  CertifiedLooks c;
+  while (c.looks < spec.stop.max_activations && engine.step()) {
+    ++c.looks;
+    if (engine.look_colocation_certified()) ++c.certified;
+    if (c.looks % spec.stop.check_every == 0 && engine.current_diameter() <= spec.stop.epsilon) {
+      break;
+    }
+  }
+  return c;
+}
+
+TEST(LazyKknps, ConvergeSweepLooksCertifyNothingColocated) {
+  // converge_sweep's base shape (perfbench/specs/converge_sweep.json) at
+  // n = 64, k = 2: random ~24-neighbour Looks in noisy frames, run to
+  // eps = 0.05. Their bases crowd some coarse cells, and the certificate
+  // compares those chains instead of declining, so at least 95 % of Looks
+  // skip the hash.
+  for (const bool detect : {false, true}) {
+    run::RunSpec spec;
+    spec.n = 64;
+    spec.algorithm.params = run::Json::parse(R"({"k": 2})");
+    spec.scheduler.params = run::Json::parse(R"({"k": 2})");
+    spec.multiplicity_detection = detect;
+    spec.stop.epsilon = 0.05;
+    spec.stop.max_activations = 200000;
+    const CertifiedLooks c = certified_looks(spec);
+    EXPECT_GT(c.looks, 1000u) << "detect " << detect;
+    EXPECT_GE(c.certified * 100, c.looks * 95)
+        << c.certified << " of " << c.looks << ", detect " << detect;
+  }
+}
+
+TEST(LazyKknps, DenseFsyncLooksAllCertifyNothingColocated) {
+  // dense_fsync's shape (perfbench/specs/dense_fsync.json): two FSync
+  // rounds of ~680-neighbour Looks on the 0.05 grid. The certificate
+  // decides every one.
+  for (const bool detect : {false, true}) {
+    run::RunSpec spec;
+    spec.n = 1024;
+    spec.algorithm.params = run::Json::parse(R"({"k": 1})");
+    spec.scheduler.type = "fsync";
+    spec.initial = {.type = "grid", .params = run::Json::parse(R"({"spacing": 0.05})")};
+    spec.multiplicity_detection = detect;
+    spec.stop.epsilon = 0.05;
+    spec.stop.max_activations = 2048;
+    const CertifiedLooks c = certified_looks(spec);
+    EXPECT_EQ(c.looks, 2048u) << "detect " << detect;
+    EXPECT_EQ(c.certified, c.looks) << "detect " << detect;
+  }
 }
 
 }  // namespace

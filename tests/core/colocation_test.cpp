@@ -8,7 +8,9 @@
 // cell edges, where the cells' arithmetic changes regime, and DBL_MAX.
 // The certificate cases plant one pair at and around eps across the
 // coarse cells' edges (multiples of a power of two, so a dyadic anchor is
-// an edge whatever width a snapshot gets), on exact and staged snapshots.
+// an edge whatever width a snapshot gets), on exact and staged snapshots,
+// and inside one cell shared with other bases of clustered snapshots,
+// where the certificate compares the pair itself.
 #include "core/colocation.hpp"
 
 #include <gtest/gtest.h>
@@ -170,6 +172,37 @@ TEST(Colocation, GatheredClusterCostsLinearWork) {
   std::vector<Vec2> pts;
   for (std::size_t i = 0; i < m; ++i) pts.push_back({0.3 + static_cast<double>(i) * 1e-15, 0.3});
   std::shuffle(pts.begin(), pts.end(), std::mt19937_64(7));
+  ColocationIndex index;
+  for (const bool detect : {false, true}) {
+    auto got = observed(pts), want = observed(pts);
+    if (detect) {
+      flag(index, got);
+      oracles::flag_colocated(want);
+    } else {
+      collapse(index, got);
+      oracles::collapse_colocated(want);
+    }
+    expect_same(got, want, detect);
+    EXPECT_FALSE(index.certified()) << "detect " << detect;
+    EXPECT_LE(index.probes(), 4 * m) << "detect " << detect;
+  }
+}
+
+TEST(Colocation, CrowdedCoarseCellDeclinesWithLinearWork) {
+  // 1000 bases pairwise 1e-6 apart around (0.3, 0.3) and one far basis
+  // that stretches the box to ~60 wide: the certificate's cells are wider
+  // than the cluster, whose bases all chain in one cell. The certificate
+  // declines past its chain cap instead of comparing all pairs, and the
+  // hash, whose cells hold one basis each, decides in linear work.
+  std::vector<Vec2> pts;
+  for (int i = 0; i < 40; ++i) {
+    for (int j = 0; j < 25; ++j) {
+      pts.push_back({0.3 + 1e-6 * static_cast<double>(i), 0.3 + 1e-6 * static_cast<double>(j)});
+    }
+  }
+  pts.push_back({60.0, -60.0});
+  std::shuffle(pts.begin(), pts.end(), std::mt19937_64(3));
+  const std::size_t m = pts.size();
   ColocationIndex index;
   for (const bool detect : {false, true}) {
     auto got = observed(pts), want = observed(pts);
@@ -361,6 +394,71 @@ std::vector<double> separations(double anchor) {
   return out;
 }
 
+/// The engine's Look on `offsets` through `frame` with the index, against
+/// perceiving every offset and the all-pairs reference; the same RNG
+/// stream feeds both. Returns whether the index's call was certified.
+bool expect_staged_matches_reference(ColocationIndex& index, const LocalFrame& frame,
+                                     const std::vector<Vec2>& offsets, bool detect,
+                                     std::uint64_t seed) {
+  std::mt19937_64 lazy_rng(seed), eager_rng(seed);
+  Snapshot snap(frame);
+  for (const Vec2 o : offsets) snap.stage(o, lazy_rng);
+  detect ? index.flag(snap) : index.collapse(snap);
+  const bool certified = index.certified();
+  std::vector<ObservedRobot> want;
+  for (const Vec2 o : offsets) want.push_back({frame.perceive(o, eager_rng), false});
+  detect ? oracles::flag_colocated(want) : oracles::collapse_colocated(want);
+  expect_same(snap.neighbours(), want, seed);
+  EXPECT_TRUE(lazy_rng == eager_rng) << "seed " << seed;
+  return certified;
+}
+
+/// m in 2..64 points in one to four clusters of random spread around
+/// random centres in [-1, 1]²: no lattice, and clusters crowd several
+/// bases into one coarse cell.
+std::vector<Vec2> clustered_points(std::mt19937_64& rng) {
+  std::uniform_real_distribution<double> unit(-1.0, 1.0);
+  const double spreads[] = {0.5, 0.25, 0.1, 0.05};
+  const std::size_t m = 2 + rng() % 63, clusters = 1 + rng() % 4;
+  std::vector<Vec2> centres;
+  std::vector<double> spread;
+  for (std::size_t c = 0; c < clusters; ++c) {
+    centres.push_back({unit(rng), unit(rng)});
+    spread.push_back(spreads[rng() % 4]);
+  }
+  std::vector<Vec2> pts;
+  for (std::size_t i = 0; i < m; ++i) {
+    const std::size_t c = rng() % clusters;
+    pts.push_back({centres[c].x + spread[c] * unit(rng), centres[c].y + spread[c] * unit(rng)});
+  }
+  return pts;
+}
+
+/// The certificate's threshold (core/colocation.hpp) on a snapshot whose
+/// proxies are `pts`: eps plus twice the largest band plus 2^-79, with no
+/// band on an exact snapshot.
+double certificate_h(const std::vector<Vec2>& pts, bool staged) {
+  double band = 0.0;
+  for (const Vec2 p : pts) {
+    if (staged) band = std::max(band, kPerceptionSlack * (std::abs(p.x) + std::abs(p.y)));
+  }
+  return kColocationEps + 2.0 * band + 0x1p-79;
+}
+
+/// `pts` with a partner of pts[rng() % size] inserted at a random place:
+/// `d` plus `k` ulps of the coordinate away on x, on y, on both, or on x
+/// with the y values eps/2 apart.
+std::vector<Vec2> with_planted_pair(std::vector<Vec2> pts, double d, int k, std::mt19937_64& rng) {
+  const Vec2 p = pts[rng() % pts.size()];
+  Vec2 q = p;
+  const int axes = static_cast<int>(rng() % 4);
+  if (axes != 1) q.x = ulps(p.x + d, k);
+  if (axes == 1 || axes == 2) q.y = ulps(p.y + d, k);
+  if (axes == 3) q.y = p.y + kColocationEps / 2;
+  pts.insert(pts.begin() + static_cast<std::ptrdiff_t>(rng() % (pts.size() + 1)), q);
+  return pts;
+}
+
 TEST(Colocation, CertificateFuzzWithPlantedPairsAtCellEdges) {
   // Sparse snapshots (a jittered lattice, which the certificate passes)
   // with one planted pair whose separation straddles eps, placed across a
@@ -412,6 +510,35 @@ TEST(Colocation, CertificateFuzzWithPlantedPairsAtCellEdges) {
   }
   EXPECT_GT(decided, 300u);
   EXPECT_GT(declined, 3000u);
+
+  // Random clustered snapshots, whose bases share coarse cells, each as
+  // drawn and then with a pair planted at eps and at the certificate's h,
+  // up to 3 ulps either way: the pair lies inside one cell and is decided
+  // by the chain compare. Exact snapshots, staged ones in the identity
+  // frame (the proxies are the points, with bands) and staged ones in
+  // rotated, mirrored frames. The certificate decides nearly every
+  // snapshot as drawn.
+  ErrorModel rotated;
+  rotated.allow_reflection = true;
+  std::size_t drawn = 0, drawn_certified = 0;
+  for (int s = 0; s < 1500; ++s) {
+    const std::vector<Vec2> pts = clustered_points(rng);
+    const int kind = s % 3;  // exact, identity-staged, rotated-staged
+    const LocalFrame frame = kind == 2 ? LocalFrame::sample(rotated, rng) : LocalFrame::identity();
+    const auto check = [&](const std::vector<Vec2>& q) {
+      ++tag;
+      if (kind == 0) return expect_matches_reference_once(index, q, tag);
+      return static_cast<int>(expect_staged_matches_reference(index, frame, q, false, tag)) +
+             static_cast<int>(expect_staged_matches_reference(index, frame, q, true, tag));
+    };
+    drawn += 2;
+    drawn_certified += static_cast<std::size_t>(check(pts));
+    for (const double d : {e, certificate_h(pts, kind != 0)}) {
+      for (int k = -3; k <= 3; ++k) check(with_planted_pair(pts, d, k, rng));
+    }
+    if (HasFailure()) return;
+  }
+  EXPECT_GE(drawn_certified * 100, drawn * 95) << drawn_certified << " of " << drawn;
 }
 
 TEST(Colocation, CertificateEdgeCasesMatchReference) {
@@ -471,25 +598,6 @@ TEST(Colocation, CertificateEdgeCasesMatchReference) {
   std::vector<Vec2> edge = jittered_lattice(10, -60.0, 60.0, rng);
   edge.push_back({64.0, -64.0});
   EXPECT_EQ(expect_matches_reference_once(index, edge, ++tag), 2);
-}
-
-/// The engine's Look on `offsets` through `frame` with the index, against
-/// perceiving every offset and the all-pairs reference; the same RNG
-/// stream feeds both. Returns whether the index's call was certified.
-bool expect_staged_matches_reference(ColocationIndex& index, const LocalFrame& frame,
-                                     const std::vector<Vec2>& offsets, bool detect,
-                                     std::uint64_t seed) {
-  std::mt19937_64 lazy_rng(seed), eager_rng(seed);
-  Snapshot snap(frame);
-  for (const Vec2 o : offsets) snap.stage(o, lazy_rng);
-  detect ? index.flag(snap) : index.collapse(snap);
-  const bool certified = index.certified();
-  std::vector<ObservedRobot> want;
-  for (const Vec2 o : offsets) want.push_back({frame.perceive(o, eager_rng), false});
-  detect ? oracles::flag_colocated(want) : oracles::collapse_colocated(want);
-  expect_same(snap.neighbours(), want, seed);
-  EXPECT_TRUE(lazy_rng == eager_rng) << "seed " << seed;
-  return certified;
 }
 
 TEST(Colocation, CertificateOnStagedSnapshotsMatchesReference) {

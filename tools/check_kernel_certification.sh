@@ -7,14 +7,17 @@
 # candidate enumeration and geom::half_plane_gap) and lazy perception (the
 # staged snapshot, co-location on proxies and KKNPS's lazy rule) must be
 # bit-identical to their references, or the build is rejected. This script
-# proves it under the two configurations most likely to break bit-identity
-# or memory safety:
+# proves it under the two configurations most likely to break bit-identity,
+# memory safety or defined behaviour:
 #
-#   asan    -DCOHESION_SANITIZE=address  — the 660-seed engine-vs-reference
-#           fuzz, the visibility-ball property tests, the selection fuzz,
-#           the 2400-case stretch-sweep fuzz, the co-location,
-#           grid-enumeration, half-plane-gap and lazy-KKNPS fuzzes with
-#           every allocation bounds-checked;
+#   asan-ubsan  -DCOHESION_SANITIZE=address,undefined — the 660-seed
+#           engine-vs-reference fuzz, the visibility-ball property tests,
+#           the selection fuzz, the 2400-case stretch-sweep fuzz, the
+#           co-location, grid-enumeration, half-plane-gap and lazy-KKNPS
+#           fuzzes with every allocation bounds-checked and every
+#           arithmetic step (signed overflow, shifts, out-of-range
+#           double -> integer casts such as the co-location cells') checked
+#           for undefined behaviour, aborting on the first finding;
 #   native  -DCOHESION_NATIVE=ON         — the same suites compiled with
 #           -march=native (widest vectors + FMA contraction the host
 #           supports), demonstrating the certified-band design — the
@@ -55,7 +58,7 @@ EOF
   local flags=()
   for arg in "$@"; do
     case "$arg" in
-      -DCOHESION_SANITIZE=address) flags+=(-fsanitize=address) ;;
+      -DCOHESION_SANITIZE=*) flags+=(-fsanitize="${arg#-DCOHESION_SANITIZE=}") ;;
       -DCOHESION_NATIVE=ON) flags+=(-march=native) ;;
     esac
   done
@@ -82,6 +85,6 @@ run_config() {  # run_config <name> <extra cmake cache args...>
   echo "kernel-cert: PASS $name"
 }
 
-run_config asan -DCOHESION_SANITIZE=address
+run_config asan-ubsan -DCOHESION_SANITIZE=address,undefined
 run_config native -DCOHESION_NATIVE=ON
 echo "kernel-cert: all configurations certified bit-identical"
