@@ -2,28 +2,32 @@
 //
 // A downstream user's entry point: pick an algorithm, a scheduler, an
 // initial configuration and error parameters; get convergence statistics,
-// an optional CSV trace and an optional SVG rendering.
+// an optional activation trace and an optional SVG rendering.
 //
 //   cohesion_sim --algo kknps --k 2 --sched kasync --n 24 --config random
 //                --delta 0.05 --skew 0.1 --xi 0.5 --eps 0.05
-//                --svg run.svg --trace run.csv        (one command line)
+//                --svg run.svg --trace run.cohtrace   (one command line)
 //
 // The flags are a thin veneer over a declarative run::RunSpec: --algo,
 // --sched and --config are registry keys passed through verbatim (register
 // a factory and it is immediately drivable from here), and --spec prints
 // the assembled spec JSON instead of running — pipe it to `cohesion_run`
-// to sweep it. Run with --help for the full flag list.
+// to sweep it. --trace writes the COHTRACE activation stream that
+// `cohesion_run` streams, so `cohesion_replay` recomputes the metrics,
+// prints --info or renders --svg from it. Run with --help for the full flag
+// list.
 #include <cmath>
 #include <iostream>
 #include <map>
 #include <sstream>
 #include <string>
 
-#include "core/trace_io.hpp"
 #include "metrics/stats.hpp"
 #include "metrics/svg.hpp"
 #include "run/instantiate.hpp"
 #include "run/registry.hpp"
+#include "run/spec.hpp"
+#include "trace/stream_writer.hpp"
 
 using namespace cohesion;
 
@@ -73,7 +77,7 @@ void usage() {
       "  --max    activation budget (default 500000)\n"
       "  --seed   master seed (default 1; component seeds are derived)\n"
       "  --svg    write an SVG rendering of the run to this path\n"
-      "  --trace  write the full activation trace as CSV to this path\n"
+      "  --trace  write the activation trace (COHTRACE, read by cohesion_replay) to this path\n"
       "  --reflection  allow mirrored local frames (no chirality)\n"
       "  --spec   print the assembled RunSpec JSON and exit (for cohesion_run)\n";
 }
@@ -200,7 +204,14 @@ int main(int argc, char** argv) {
       std::cout << "svg written:       " << opt.svg_path << "\n";
     }
     if (!opt.trace_path.empty()) {
-      core::write_trace_csv(inst.engine->trace(), opt.trace_path);
+      trace::StreamHeader header;
+      header.fingerprint = run::spec_fingerprint(spec);
+      header.initial = inst.initial;
+      header.visibility_radius = spec.visibility_radius;
+      header.stop_epsilon = spec.stop.epsilon;
+      trace::StreamTraceWriter writer(opt.trace_path, std::move(header));
+      for (const core::ActivationRecord& rec : inst.engine->trace().records()) writer.append(rec);
+      writer.finish();
       std::cout << "trace written:     " << opt.trace_path << "\n";
     }
     return converged ? 0 : 1;

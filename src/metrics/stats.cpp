@@ -14,17 +14,6 @@ namespace cohesion::metrics {
 
 using geom::Vec2;
 
-double min_pairwise_distance_brute(const std::vector<Vec2>& positions) {
-  if (positions.size() < 2) return 0.0;
-  double best = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < positions.size(); ++i) {
-    for (std::size_t j = i + 1; j < positions.size(); ++j) {
-      best = std::min(best, positions[i].distance_to(positions[j]));
-    }
-  }
-  return best;
-}
-
 double min_pairwise_distance(const std::vector<Vec2>& positions) {
   const std::size_t n = positions.size();
   if (n < 2) return 0.0;

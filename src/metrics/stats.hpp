@@ -24,11 +24,8 @@ ConfigurationStats configuration_stats(const std::vector<geom::Vec2>& positions,
 /// that has a neighbour within it, and stops once no unresolved point can
 /// beat the best distance found. The grid changes which pairs are
 /// examined, never the distance computation, so the result is bit-identical
-/// to the O(n^2) scan below.
+/// to the O(n^2) scan (tests/oracles/min_pairwise_oracle.hpp).
 double min_pairwise_distance(const std::vector<geom::Vec2>& positions);
-
-/// The brute-force reference — kept as the oracle for tests.
-double min_pairwise_distance_brute(const std::vector<geom::Vec2>& positions);
 
 /// Time series of statistics sampled at the given times.
 std::vector<ConfigurationStats> stats_over_time(const core::Trace& trace,

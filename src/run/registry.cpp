@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <string_view>
 
 #include "algo/baselines.hpp"
@@ -27,6 +28,16 @@ std::unique_ptr<core::Scheduler> make_kasync(std::size_t n, std::uint64_t seed, 
   reject_unknown_keys(params, unrestricted ? "async" : "kasync", "",
                       {"k", "min_duration", "max_duration", "min_gap", "max_gap", "xi",
                        "indexed_intervals", "heap_selection", "seed"});
+  // The flat-scan interval bookkeeping this key selected is now the test
+  // reference tests/oracles/kasync_interval_oracle.hpp. true (the old
+  // default) is a no-op, so existing specs and their cache identities hold.
+  if (!params.bool_or("indexed_intervals", true)) {
+    throw std::runtime_error(
+        std::string(unrestricted ? "async" : "kasync") +
+        ": \"indexed_intervals\": false is no longer supported; the flat interval scan it "
+        "selected is the test reference tests/oracles/kasync_interval_oracle.hpp (omit the key "
+        "or set it to true)");
+  }
   sched::KAsyncScheduler::Params p;
   // k = 0 (or the "async" key) selects unrestricted Async.
   p.k = unrestricted ? static_cast<std::size_t>(-1) : size_or(params, "k", p.k);
@@ -36,7 +47,6 @@ std::unique_ptr<core::Scheduler> make_kasync(std::size_t n, std::uint64_t seed, 
   p.min_gap = params.number_or("min_gap", p.min_gap);
   p.max_gap = params.number_or("max_gap", p.max_gap);
   p.xi = params.number_or("xi", p.xi);
-  p.indexed_intervals = params.bool_or("indexed_intervals", p.indexed_intervals);
   p.heap_selection = params.bool_or("heap_selection", p.heap_selection);
   p.seed = params.uint_or("seed", seed);
   return std::make_unique<sched::KAsyncScheduler>(n, p);

@@ -1,8 +1,10 @@
 #include "sched/asynchronous.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <numeric>
+#include <sstream>
 #include <stdexcept>
 
 namespace cohesion::sched {
@@ -12,7 +14,8 @@ using core::RobotId;
 using core::SimulationView;
 
 namespace {
-/// Interval-membership slack shared by both bookkeeping paths.
+/// Interval-membership slack of the k-bound (the flat-scan reference uses
+/// the same).
 constexpr double kIntervalEps = 1e-12;
 }  // namespace
 
@@ -65,24 +68,46 @@ RobotId select_jittered(Mt19937_64& rng, std::span<const double> ready, double f
 
 KAsyncScheduler::KAsyncScheduler(std::size_t robot_count) : KAsyncScheduler(robot_count, Params{}) {}
 
+namespace {
+/// Finite timings with 0 < min_duration <= max_duration, 0 <= min_gap <=
+/// max_gap and 0 < xi <= 1; anything else would hand an inverted range to
+/// std::uniform_real_distribution (undefined) or surface deep in the
+/// engine as a look inside the robot's own interval.
+void check_timing(const KAsyncScheduler::Params& p) {
+  const auto require = [](bool ok, const char* key, double value, const char* rule) {
+    if (ok) return;
+    std::ostringstream msg;
+    msg << "KAsyncScheduler: \"" << key << "\" = " << value << " is invalid (need " << rule << ")";
+    throw std::invalid_argument(msg.str());
+  };
+  require(std::isfinite(p.min_duration) && p.min_duration > 0.0, "min_duration", p.min_duration,
+          "a finite value > 0");
+  require(std::isfinite(p.max_duration) && p.max_duration >= p.min_duration, "max_duration",
+          p.max_duration, "a finite value >= min_duration");
+  require(std::isfinite(p.min_gap) && p.min_gap >= 0.0, "min_gap", p.min_gap,
+          "a finite value >= 0");
+  require(std::isfinite(p.max_gap) && p.max_gap >= p.min_gap, "max_gap", p.max_gap,
+          "a finite value >= min_gap");
+  require(p.xi > 0.0 && p.xi <= 1.0, "xi", p.xi, "0 < xi <= 1");
+}
+}  // namespace
+
 KAsyncScheduler::KAsyncScheduler(std::size_t robot_count, Params params)
     : n_(robot_count), params_(params), rng_(params.seed), next_ready_(robot_count, 0.0) {
   if (robot_count == 0) throw std::invalid_argument("KAsyncScheduler: no robots");
   if (params.k == 0) throw std::invalid_argument("KAsyncScheduler: k must be >= 1");
-  if (params_.indexed_intervals && params_.k != static_cast<std::size_t>(-1)) {
-    // The rings cost n * k doubles. For absurdly large finite k (someone
-    // approximating unbounded asynchrony) that would overflow or exhaust
-    // memory, so fall back to the legacy scan, whose footprint is
-    // k-independent.
-    constexpr std::size_t kMaxRingEntries = std::size_t{1} << 24;  // 128 MiB
-    if (params_.k > kMaxRingEntries / n_) {
-      params_.indexed_intervals = false;
-    } else {
-      own_looks_.resize(n_ * params_.k, 0.0);
-      own_look_count_.resize(n_, 0);
-      intervals_.reserve(2 * n_ + 17);
-      prefix_max_end_.reserve(2 * n_ + 17);
-    }
+  check_timing(params);
+  if (params_.k != static_cast<std::size_t>(-1)) {
+    // k <= 2 (every benchmark spec) keeps the fixed n x k ring. Larger k
+    // grow on demand, and the bound rarely binds there at all: with
+    // durations in [1e-3, 10], k = 5 postponed about one proposal in 7000
+    // and k >= 7 none in 400,000.
+    constexpr std::size_t kInitialStride = 2;
+    stride_ = std::min(params_.k, kInitialStride);
+    own_looks_.assign(n_ * stride_, -std::numeric_limits<double>::infinity());
+    own_look_count_.resize(n_, 0);
+    intervals_.reserve(2 * n_ + 17);
+    prefix_max_end_.reserve(2 * n_ + 17);
   }
   // Stagger initial looks so intervals overlap from the start.
   std::uniform_real_distribution<double> jitter(0.0, params.min_duration);
@@ -92,55 +117,60 @@ KAsyncScheduler::KAsyncScheduler(std::size_t robot_count, Params params)
   }
 }
 
-double KAsyncScheduler::postpone_indexed(RobotId best, double look) {
+double KAsyncScheduler::postpone(RobotId best, double look) const {
   const std::size_t k = params_.k;
-  if (own_look_count_[best] < k) return look;  // fewer than k looks ever committed
+  // Fewer than k looks ever committed, or a ring still below k slots
+  // (whose k-th recent look was dropped as unable to saturate anything).
+  if (stride_ < k || own_look_count_[best] < k) return look;
   // The oldest of the robot's k most recent looks sits in the ring slot the
   // next look will overwrite.
   const double kth_recent = own_looks_[best * k + own_look_count_[best] % k];
   // An interval is saturated for this robot iff its start admits all k
-  // recent looks (start + eps < kth_recent, the same predicate the legacy
-  // path applies look by look). Starts are non-decreasing, so the
+  // recent looks (start + eps < kth_recent, the same predicate the flat
+  // scan applies look by look). Starts are non-decreasing, so the
   // candidates are a prefix.
   const auto split = std::partition_point(
       intervals_.begin(), intervals_.end(),
       [&](const OpenInterval& c) { return kth_recent > c.start + kIntervalEps; });
   if (split == intervals_.begin()) return look;
   const double max_end = prefix_max_end_[static_cast<std::size_t>(split - intervals_.begin()) - 1];
-  // One step settles the legacy fixed point: the candidate set is
+  // One step settles the flat scan's fixed point: the candidate set is
   // look-independent, and after jumping to the max end no candidate can
   // still contain the look. Expired candidates have ends at or below the
-  // look and fail the same containment test they fail in the legacy scan.
+  // look and fail the same containment test they fail in the flat scan.
   if (look < max_end - kIntervalEps) look = max_end;
   return look;
 }
 
-double KAsyncScheduler::postpone_legacy(RobotId best, double look) {
-  bool moved = true;
-  while (moved) {
-    moved = false;
-    for (const Committed& c : open_) {
-      if (c.robot == best) continue;
-      if (look > c.start + kIntervalEps && look < c.end - kIntervalEps &&
-          c.looks_inside[best] >= params_.k) {
-        look = c.end;  // postpone past the saturated interval
-        moved = true;
-      }
+void KAsyncScheduler::grow_ring() {
+  const std::size_t old = stride_;
+  stride_ = params_.k / 2 < old ? params_.k : 2 * old;
+  std::vector<double> grown(n_ * stride_, -std::numeric_limits<double>::infinity());
+  for (RobotId r = 0; r < n_; ++r) {
+    const std::uint64_t count = own_look_count_[r];
+    for (std::uint64_t i = count - std::min<std::uint64_t>(count, old); i < count; ++i) {
+      grown[r * stride_ + i % stride_] = own_looks_[r * old + i % old];
     }
   }
-  return look;
+  own_looks_.swap(grown);
 }
 
-void KAsyncScheduler::commit_indexed(RobotId best, const Activation& a) {
-  if (params_.k == static_cast<std::size_t>(-1)) return;  // unrestricted: nothing to track
-  // Record the robot's own committed look in its ring of the last k.
-  const std::size_t k = params_.k;
-  own_looks_[best * k + own_look_count_[best] % k] = a.t_look;
+void KAsyncScheduler::commit(RobotId best, const Activation& a) {
+  if (stride_ == 0) return;  // unrestricted: nothing to track
+  // Record the robot's own committed look in its ring, growing the ring
+  // first if the look it would overwrite may still saturate an interval
+  // (header comment).
+  if (stride_ < params_.k && !intervals_.empty() &&
+      own_looks_[best * stride_ + own_look_count_[best] % stride_] >
+          intervals_.front().start + kIntervalEps) {
+    grow_ring();
+  }
+  own_looks_[best * stride_ + own_look_count_[best] % stride_] = a.t_look;
   ++own_look_count_[best];
 
-  // Amortized compaction: drop expired intervals (same threshold as the
-  // legacy erase_if) once the list exceeds twice the robot count. At most
-  // one interval per robot is open, so this at least halves the list.
+  // Amortized compaction: drop expired intervals once the list exceeds
+  // twice the robot count. At most one interval per robot is open, so this
+  // at least halves the list.
   if (intervals_.size() >= 2 * n_ + 16) {
     const double look = a.t_look;
     std::size_t w = 0;
@@ -163,22 +193,11 @@ void KAsyncScheduler::commit_indexed(RobotId best, const Activation& a) {
                                 : std::max(prefix_max_end_.back(), a.t_move_end));
 }
 
-void KAsyncScheduler::commit_legacy(RobotId best, const Activation& a) {
-  const double look = a.t_look;
-  for (Committed& c : open_) {
-    if (c.robot != best && look > c.start + kIntervalEps && look < c.end - kIntervalEps) {
-      ++c.looks_inside[best];
-    }
-  }
-  open_.push_back({best, a.t_look, a.t_move_end, std::vector<std::size_t>(n_, 0)});
-  std::erase_if(open_, [&](const Committed& c) { return c.end <= look + kIntervalEps; });
-}
-
 std::optional<Activation> KAsyncScheduler::next(const SimulationView& view) {
   // Pick the robot with the earliest permissible look time (jittered to vary
-  // the interleaving), then enforce the k-bound by postponement. The two
-  // bookkeeping paths draw no RNG, so the schedules they produce are
-  // bit-identical (tests/sched/kasync_index_test.cpp).
+  // the interleaving), then enforce the k-bound by postponement. The
+  // interval index draws no RNG, so the schedule matches the flat-scan
+  // reference draw for draw (tests/sched/kasync_index_test.cpp).
   const double frontier = view.frontier();
   RobotId best = 0;
   if (params_.heap_selection) {
@@ -191,10 +210,7 @@ std::optional<Activation> KAsyncScheduler::next(const SimulationView& view) {
   }
 
   double look = std::max(next_ready_[best], frontier);
-  if (params_.k != static_cast<std::size_t>(-1)) {
-    look = params_.indexed_intervals ? postpone_indexed(best, look)
-                                     : postpone_legacy(best, look);
-  }
+  if (params_.k != static_cast<std::size_t>(-1)) look = postpone(best, look);
 
   std::uniform_real_distribution<double> dur(params_.min_duration, params_.max_duration);
   std::uniform_real_distribution<double> gap(params_.min_gap, params_.max_gap);
@@ -209,11 +225,7 @@ std::optional<Activation> KAsyncScheduler::next(const SimulationView& view) {
   a.t_move_end = look + duration;
   a.realized_fraction = params_.xi >= 1.0 ? 1.0 : frac(rng_);
 
-  if (params_.indexed_intervals) {
-    commit_indexed(best, a);
-  } else {
-    commit_legacy(best, a);
-  }
+  commit(best, a);
 
   next_ready_[best] = a.t_move_end + gap(rng_);
   if (params_.heap_selection) ready_heap_.emplace(next_ready_[best], best);

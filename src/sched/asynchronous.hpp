@@ -36,17 +36,15 @@ class KAsyncScheduler final : public core::Scheduler {
  public:
   struct Params {
     std::size_t k = 1;                ///< asynchrony bound (SIZE_MAX = Async)
+    // Timings must be finite with 0 < min_duration <= max_duration,
+    // 0 <= min_gap <= max_gap and 0 < xi <= 1; the constructor throws
+    // std::invalid_argument naming the offending key otherwise.
     double min_duration = 0.2;        ///< min activity-interval length
     double max_duration = 3.0;        ///< max activity-interval length
     double min_gap = 0.05;            ///< min inactivity between own intervals
     double max_gap = 1.0;             ///< max inactivity (fairness bound)
     double xi = 1.0;                  ///< min realized move fraction
     std::uint64_t seed = 11;
-    /// Indexed open-interval bookkeeping (see below). false selects the
-    /// original flat scan — kept as the equivalence oracle and for the
-    /// ablation bench; both paths draw RNG identically and produce
-    /// bit-identical schedules.
-    bool indexed_intervals = true;
     /// Robot selection strategy. The default draws a fresh tie-jitter for
     /// every robot on every proposal and takes the argmin
     /// (select_jittered): n RNG draws per proposal, the seeded stream all
@@ -67,50 +65,68 @@ class KAsyncScheduler final : public core::Scheduler {
   std::optional<core::Activation> next(const core::SimulationView& view) override;
   [[nodiscard]] std::string_view name() const override { return "k-Async"; }
 
- private:
-  // Legacy representation: every open interval carries a dense per-robot
-  // Look-count vector — O(n) allocation + zeroing per proposal and O(n^2)
-  // live memory at steady state (one n-sized vector per robot's interval).
-  struct Committed {
-    core::RobotId robot;
-    double start, end;
-    std::vector<std::size_t> looks_inside;  // per-robot Look counts in (start, end)
-  };
+  /// Own-look ring slots per robot: min(k, 2) at construction, doubled
+  /// (capped at k) only when a Look that could still matter would be
+  /// overwritten; 0 for unrestricted Async. The ring holds n x ring_stride()
+  /// doubles.
+  [[nodiscard]] std::size_t ring_stride() const { return stride_; }
 
-  // Indexed representation. Two observations turn the per-proposal walks
-  // into O(log n) queries:
+ private:
+  // Open-interval index. Two observations turn the per-proposal walk over
+  // every open interval into O(log n) queries:
   //
   //  * Counts are derivable from the looking robot's own history. An
   //    interval X holds >= k looks of Y exactly when Y's k-th most recent
   //    committed look lies strictly inside it — and since all of Y's looks
   //    precede the proposal being placed, "inside" reduces to "after the
-  //    interval's start". So instead of incrementing a counter in every
-  //    open interval containing each look (Theta(open intervals) per
-  //    proposal, with the legacy dense count vectors costing O(n)
-  //    allocation + zeroing each and O(n^2) live memory), each robot keeps
-  //    a ring of its own last k look times.
+  //    interval's start". So instead of counting every look into every open
+  //    interval containing it, each robot keeps a ring of its own recent
+  //    look times.
   //  * Committed look times are non-decreasing (the Scheduler contract), so
   //    the open-interval list in creation order is sorted by start. The
   //    saturated intervals for Y are then a *prefix* of the list (start
   //    before Y's k-th recent look) found by binary search, and the
   //    postponement target is the prefix's maximum end — an append-only
   //    prefix-max array. The candidate set does not depend on the proposal
-  //    time, so the legacy fixed-point loop collapses to one max lookup.
+  //    time, so the flat scan's fixed-point loop collapses to one max
+  //    lookup.
   //
   // Expired intervals are compacted away once the list exceeds twice the
   // robot count (at most one interval per robot is open, so compaction
   // halves it — amortized O(1) per proposal). Results are bit-identical to
-  // the legacy scan (tests/sched/kasync_index_test.cpp) up to ties between
-  // interval end times closer than 1e-12, which the continuous random
-  // durations do not produce.
+  // the flat scan (tests/oracles/kasync_interval_oracle.hpp, checked by
+  // tests/sched/kasync_index_test.cpp) up to ties between interval end
+  // times closer than 1e-12, which the continuous random durations do not
+  // produce.
+  //
+  // Ring stride. The ring keeps the last stride_ looks of each robot,
+  // stride_ <= k; the slot a look goes to is (its index) mod stride_, and
+  // slots never written hold -inf. The stride starts at min(k, 2), so for
+  // k <= 2 the ring is the fixed n x k array and nothing below runs. For
+  // larger k an n x k ring is mostly dead weight (and for k up to
+  // SIZE_MAX - 1 unallocatable): a look only matters while it can exceed
+  // some listed start + eps. A commit that would overwrite a look d
+  // therefore first checks
+  // d <= intervals_.front().start + eps: the front has the smallest listed
+  // start, later listed intervals start no earlier (appends follow
+  // non-decreasing looks; compaction removes, never reorders), and
+  // rounding of s + eps is monotone in s, so d then fails
+  // "d > c.start + eps" for every interval c listed now or later, and
+  // dropping it loses nothing. Otherwise the ring first doubles (capped at
+  // k), keeping each robot's last looks and filling the older slots with
+  // -inf, which fail the same test as the dropped looks they stand for.
+  // While stride_ < k, a robot's k-th most recent look is a dropped one,
+  // so no interval is saturated and postpone() returns the look
+  // unchanged. The stride is bounded by how many looks one robot commits
+  // after the oldest listed start — set by the timing bounds and the
+  // 2n + 16 list cap, not by k.
   struct OpenInterval {
     double start, end;
   };
 
-  double postpone_indexed(core::RobotId best, double look);
-  double postpone_legacy(core::RobotId best, double look);
-  void commit_indexed(core::RobotId best, const core::Activation& a);
-  void commit_legacy(core::RobotId best, const core::Activation& a);
+  [[nodiscard]] double postpone(core::RobotId best, double look) const;
+  void commit(core::RobotId best, const core::Activation& a);
+  void grow_ring();
 
   std::size_t n_;
   Params params_;
@@ -122,10 +138,10 @@ class KAsyncScheduler final : public core::Scheduler {
   std::priority_queue<std::pair<double, core::RobotId>,
                       std::vector<std::pair<double, core::RobotId>>, std::greater<>>
       ready_heap_;
-  std::vector<Committed> open_;        // legacy path: flat open-interval list
-  std::vector<OpenInterval> intervals_;  // indexed path: sorted by start
+  std::vector<OpenInterval> intervals_;  // sorted by start
   std::vector<double> prefix_max_end_;   // prefix max of intervals_[i].end
-  std::vector<double> own_looks_;        // n x k ring of own committed looks
+  std::size_t stride_ = 0;               // ring slots per robot (0: Async)
+  std::vector<double> own_looks_;        // n x stride_ ring of own committed looks
   std::vector<std::uint64_t> own_look_count_;
 };
 

@@ -1,20 +1,45 @@
-// Replay pipeline: a run exported through trace_io and re-imported must
-// yield identical analysis results — the offline-analysis workflow of the
-// CLI tool (cohesion_sim --trace).
+// Replay pipeline: a run exported as a COHTRACE stream and re-imported
+// must yield identical analysis results — the offline-analysis workflow of
+// the CLI tool (cohesion_sim --trace, then cohesion_replay).
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <filesystem>
+#include <string>
 
 #include "algo/kknps.hpp"
 #include "core/engine.hpp"
-#include "core/trace_io.hpp"
 #include "core/validators.hpp"
 #include "metrics/configurations.hpp"
 #include "metrics/stats.hpp"
 #include "sched/asynchronous.hpp"
+#include "trace/stream_reader.hpp"
+#include "trace/stream_writer.hpp"
 
 namespace cohesion {
 namespace {
+
+/// Write `original` through StreamTraceWriter and read it back through
+/// StreamTraceReader into a materialized Trace.
+core::Trace round_trip(const core::Trace& original, const std::string& tag) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / ("cohesion_replay_" + tag + ".cohtrace")).string();
+  {
+    trace::StreamHeader header;
+    header.initial = original.initial_configuration();
+    trace::StreamTraceWriter writer(path, std::move(header));
+    for (const core::ActivationRecord& rec : original.records()) writer.append(rec);
+    writer.finish();
+  }
+  trace::StreamTraceReader reader(path);
+  core::Trace replayed(reader.header().initial);
+  core::ActivationRecord rec;
+  while (reader.next(rec)) replayed.record(rec);
+  EXPECT_TRUE(reader.closed_cleanly());
+  std::filesystem::remove(path);
+  EXPECT_EQ(replayed.records().size(), original.records().size());
+  EXPECT_EQ(replayed.end_time(), original.end_time());
+  return replayed;
+}
 
 TEST(Replay, AnalysisIdenticalAfterRoundTrip) {
   const algo::KknpsAlgorithm algo({.k = 2});
@@ -31,20 +56,18 @@ TEST(Replay, AnalysisIdenticalAfterRoundTrip) {
   core::Engine engine(initial, algo, sched, cfg);
   engine.run(3000);
 
-  std::stringstream buf;
-  core::write_trace_csv(engine.trace(), buf);
-  const core::Trace replayed = core::read_trace_csv(buf);
+  const core::Trace replayed = round_trip(engine.trace(), "analysis");
 
   const auto a = metrics::analyze(engine.trace(), 1.0, 0.05);
   const auto b = metrics::analyze(replayed, 1.0, 0.05);
   EXPECT_EQ(a.converged, b.converged);
-  EXPECT_DOUBLE_EQ(a.initial_diameter, b.initial_diameter);
-  EXPECT_DOUBLE_EQ(a.final_diameter, b.final_diameter);
+  EXPECT_EQ(a.initial_diameter, b.initial_diameter);
+  EXPECT_EQ(a.final_diameter, b.final_diameter);
   EXPECT_EQ(a.rounds, b.rounds);
   EXPECT_EQ(a.rounds_to_halve, b.rounds_to_halve);
   EXPECT_EQ(a.activations, b.activations);
   EXPECT_EQ(a.cohesive, b.cohesive);
-  EXPECT_DOUBLE_EQ(a.worst_stretch, b.worst_stretch);
+  EXPECT_EQ(a.worst_stretch, b.worst_stretch);
 }
 
 TEST(Replay, ValidatorsAgreeAfterRoundTrip) {
@@ -59,9 +82,7 @@ TEST(Replay, ValidatorsAgreeAfterRoundTrip) {
   core::Engine engine(initial, algo, sched, cfg);
   engine.run(800);
 
-  std::stringstream buf;
-  core::write_trace_csv(engine.trace(), buf);
-  const core::Trace replayed = core::read_trace_csv(buf);
+  const core::Trace replayed = round_trip(engine.trace(), "validators");
 
   EXPECT_EQ(core::max_activations_within_interval(engine.trace()),
             core::max_activations_within_interval(replayed));

@@ -7,6 +7,7 @@
 
 #include "metrics/configurations.hpp"
 #include "metrics/stats.hpp"
+#include "oracles/min_pairwise_oracle.hpp"
 
 namespace cohesion::metrics {
 namespace {
@@ -16,7 +17,7 @@ using geom::Vec2;
 TEST(MinPairwise, DegenerateInputs) {
   EXPECT_EQ(min_pairwise_distance({}), 0.0);
   EXPECT_EQ(min_pairwise_distance({{3.0, 4.0}}), 0.0);
-  EXPECT_EQ(min_pairwise_distance_brute({{3.0, 4.0}}), 0.0);
+  EXPECT_EQ(oracles::min_pairwise_distance_brute({{3.0, 4.0}}), 0.0);
   EXPECT_EQ(min_pairwise_distance({{1.0, 2.0}, {1.0, 2.0}}), 0.0);  // coincident
   EXPECT_EQ(min_pairwise_distance({{1.0, 2.0}, {4.0, 6.0}}), 5.0);
 }
@@ -29,12 +30,12 @@ TEST(MinPairwise, AllCoincident) {
 TEST(MinPairwise, MatchesBruteOnGenerators) {
   for (const std::size_t n : {2u, 3u, 10u, 64u, 199u}) {
     const auto line = line_configuration(n, 0.7);
-    EXPECT_EQ(min_pairwise_distance(line), min_pairwise_distance_brute(line)) << "line " << n;
+    EXPECT_EQ(min_pairwise_distance(line), oracles::min_pairwise_distance_brute(line)) << "line " << n;
     const auto grid = grid_configuration(n, 1.3);
-    EXPECT_EQ(min_pairwise_distance(grid), min_pairwise_distance_brute(grid)) << "grid " << n;
+    EXPECT_EQ(min_pairwise_distance(grid), oracles::min_pairwise_distance_brute(grid)) << "grid " << n;
     if (n >= 3) {
       const auto ring = regular_polygon_configuration(n, 0.9);
-      EXPECT_EQ(min_pairwise_distance(ring), min_pairwise_distance_brute(ring)) << "ring " << n;
+      EXPECT_EQ(min_pairwise_distance(ring), oracles::min_pairwise_distance_brute(ring)) << "ring " << n;
     }
   }
 }
@@ -53,7 +54,7 @@ TEST(MinPairwise, MatchesBruteOnRandomClouds) {
     // Occasionally inject duplicates and near-duplicates.
     if (trial % 3 == 0) pts.push_back(pts.front());
     if (trial % 4 == 0) pts.push_back(pts.back() + Vec2{1e-9 * s, 0.0});
-    EXPECT_EQ(min_pairwise_distance(pts), min_pairwise_distance_brute(pts)) << "trial " << trial;
+    EXPECT_EQ(min_pairwise_distance(pts), oracles::min_pairwise_distance_brute(pts)) << "trial " << trial;
   }
 }
 
@@ -65,13 +66,13 @@ TEST(MinPairwise, OutlierDoesNotForceFullExpansion) {
   std::uniform_real_distribution<double> coord(0.0, 1.0);
   for (int i = 0; i < 50; ++i) pts.push_back({coord(rng), coord(rng)});
   pts.push_back({1e6, 1e6});
-  EXPECT_EQ(min_pairwise_distance(pts), min_pairwise_distance_brute(pts));
+  EXPECT_EQ(min_pairwise_distance(pts), oracles::min_pairwise_distance_brute(pts));
 }
 
 TEST(MinPairwise, ConfigurationStatsUsesIt) {
   const auto pts = random_connected_configuration(40, 2.0, 1.0, 9);
   const ConfigurationStats s = configuration_stats(pts, 1.0);
-  EXPECT_EQ(s.min_pairwise, min_pairwise_distance_brute(pts));
+  EXPECT_EQ(s.min_pairwise, oracles::min_pairwise_distance_brute(pts));
 }
 
 }  // namespace

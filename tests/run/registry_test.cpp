@@ -90,9 +90,61 @@ TEST(Registry, KAsyncRejectsUnknownParamNamingNearestKey) {
   // Every documented param is accepted, by both factories.
   const Json all = Json::parse(
       R"({"k": 2, "min_duration": 0.3, "max_duration": 2.0, "min_gap": 0.1, "max_gap": 0.5,
-          "xi": 0.5, "indexed_intervals": false, "heap_selection": true, "seed": 9})");
+          "xi": 0.5, "heap_selection": true, "seed": 9})");
   EXPECT_NE(schedulers().get("kasync")(4, 7, all), nullptr);
   EXPECT_NE(schedulers().get("async")(4, 7, all), nullptr);
+}
+
+TEST(Registry, KAsyncRetiredIndexedIntervalsKey) {
+  for (const char* key : {"kasync", "async"}) {
+    // Absent or true (the old default) is a no-op, so existing specs run.
+    EXPECT_NE(schedulers().get(key)(4, 7, Json::parse(R"({"indexed_intervals": true})")),
+              nullptr);
+    // false selected the flat scan, which is now a test reference only.
+    try {
+      (void)schedulers().get(key)(4, 7, Json::parse(R"({"k": 2, "indexed_intervals": false})"));
+      FAIL() << key << ": expected std::runtime_error";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::string(key) + ": \"indexed_intervals\": false is no longer supported"),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("tests/oracles/kasync_interval_oracle.hpp"), std::string::npos) << what;
+      EXPECT_NE(what.find("omit the key or set it to true"), std::string::npos) << what;
+    }
+  }
+}
+
+TEST(Registry, KAsyncRejectsMalformedTimingNamingTheKey) {
+  struct Row {
+    const char* params;
+    const char* key;
+  };
+  const Row rows[] = {
+      {R"({"min_duration": 3.0, "max_duration": 0.2})", "\"max_duration\""},
+      {R"({"min_duration": 0})", "\"min_duration\""},
+      {R"({"min_duration": -1})", "\"min_duration\""},
+      {R"({"min_gap": -5})", "\"min_gap\""},
+      {R"({"min_gap": 0.5, "max_gap": 0.1})", "\"max_gap\""},
+      {R"({"xi": -1})", "\"xi\""},
+      {R"({"xi": 0})", "\"xi\""},
+      {R"({"xi": 1.5})", "\"xi\""},
+  };
+  for (const char* factory : {"kasync", "async"}) {
+    for (const Row& row : rows) {
+      try {
+        (void)schedulers().get(factory)(4, 7, Json::parse(row.params));
+        ADD_FAILURE() << factory << " " << row.params << ": expected std::invalid_argument";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(row.key), std::string::npos)
+            << factory << " " << row.params << ": " << e.what();
+      }
+    }
+    // The edges of every range are accepted: equal bounds, zero gaps, xi = 1.
+    EXPECT_NE(schedulers().get(factory)(4, 7, Json::parse(R"({"min_duration": 0.5,
+        "max_duration": 0.5, "min_gap": 0, "max_gap": 0, "xi": 1})")),
+              nullptr);
+  }
 }
 
 TEST(Registry, KknpsRejectsUnknownOrInvalidParams) {

@@ -2,6 +2,9 @@
 // the schedulers must produce exactly the scheduling models they claim.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "algo/baselines.hpp"
 #include "core/engine.hpp"
 #include "core/validators.hpp"
@@ -199,6 +202,31 @@ TEST(Schedulers, KZeroThrows) {
   KNestAScheduler::Params pn;
   pn.k = 0;
   EXPECT_THROW(KNestAScheduler(3, pn), std::invalid_argument);
+}
+
+TEST(KAsync, RejectsNonFiniteTimingNamingTheKey) {
+  // Specs cannot spell inf or NaN (tests/run/registry_test.cpp holds the
+  // range rows); the constructor still refuses them from C++.
+  const double bad[] = {std::numeric_limits<double>::infinity(),
+                        std::numeric_limits<double>::quiet_NaN()};
+  for (const double v : bad) {
+    for (double KAsyncScheduler::Params::*field :
+         {&KAsyncScheduler::Params::min_duration, &KAsyncScheduler::Params::max_duration,
+          &KAsyncScheduler::Params::min_gap, &KAsyncScheduler::Params::max_gap,
+          &KAsyncScheduler::Params::xi}) {
+      KAsyncScheduler::Params p;
+      p.*field = v;
+      EXPECT_THROW(KAsyncScheduler(3, p), std::invalid_argument) << v;
+    }
+  }
+  KAsyncScheduler::Params p;
+  p.max_gap = std::numeric_limits<double>::infinity();
+  try {
+    KAsyncScheduler sched(3, p);
+    FAIL() << "infinite max_gap accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("\"max_gap\""), std::string::npos) << e.what();
+  }
 }
 
 TEST(KAsync, UnboundedModeAllowsDeepNesting) {
