@@ -13,12 +13,16 @@ struct Interval {
   Time start, end;
 };
 
-std::vector<Interval> intervals_of(const Trace& trace) {
+/// The trace's activity intervals, sorted by start.
+std::vector<Interval> intervals_by_start(const Trace& trace) {
   std::vector<Interval> out;
   out.reserve(trace.records().size());
   for (const ActivationRecord& rec : trace.records()) {
     out.push_back({rec.activation.robot, rec.start(), rec.end()});
   }
+  std::sort(out.begin(), out.end(), [](const Interval& a, const Interval& b) {
+    return a.start < b.start;
+  });
   return out;
 }
 
@@ -27,30 +31,34 @@ constexpr double kEps = 1e-9;
 }  // namespace
 
 std::size_t max_activations_within_interval(const Trace& trace) {
-  const auto ivals = intervals_of(trace);
+  const auto ivals = intervals_by_start(trace);
+  std::vector<std::size_t> counts(trace.robot_count(), 0);
   std::size_t worst = 0;
-  const std::size_t n = trace.robot_count();
   for (const Interval& outer : ivals) {
-    std::vector<std::size_t> counts(n, 0);
-    for (const Interval& inner : ivals) {
-      if (inner.robot == outer.robot) continue;
-      if (inner.start > outer.start + kEps && inner.start < outer.end - kEps) {
-        worst = std::max(worst, ++counts[inner.robot]);
-      }
+    // The Looks in (outer.start + kEps, outer.end - kEps) are one window of
+    // the sorted starts; counting them and then resetting the robots they
+    // touched costs the window, not n.
+    const auto first = std::upper_bound(ivals.begin(), ivals.end(), outer.start + kEps,
+                                        [](double t, const Interval& i) { return t < i.start; });
+    auto last = first;
+    for (; last != ivals.end() && last->start < outer.end - kEps; ++last) {
+      if (last->robot != outer.robot) worst = std::max(worst, ++counts[last->robot]);
     }
+    for (auto it = first; it != last; ++it) counts[it->robot] = 0;
   }
   return worst;
 }
 
 bool is_nested_activation(const Trace& trace) {
-  const auto ivals = intervals_of(trace);
+  const auto ivals = intervals_by_start(trace);
   for (std::size_t i = 0; i < ivals.size(); ++i) {
-    for (std::size_t j = i + 1; j < ivals.size(); ++j) {
-      const Interval& a = ivals[i];
+    const Interval& a = ivals[i];
+    // Starts do not decrease, so once one b starts at or after a's end
+    // (within kEps) every later one does: the rest are disjoint from a.
+    for (std::size_t j = i + 1; j < ivals.size() && !(a.end <= ivals[j].start + kEps); ++j) {
       const Interval& b = ivals[j];
       if (a.robot == b.robot) continue;
-      // Disjoint?
-      if (a.end <= b.start + kEps || b.end <= a.start + kEps) continue;
+      if (b.end <= a.start + kEps) continue;  // disjoint
       // Nested?
       const bool a_in_b = a.start >= b.start - kEps && a.end <= b.end + kEps;
       const bool b_in_a = b.start >= a.start - kEps && b.end <= a.end + kEps;

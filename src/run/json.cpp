@@ -314,7 +314,8 @@ std::int64_t Json::as_int() const {
     fail("JSON integer does not fit int64");
   }
   if (const double* d = std::get_if<double>(&v_)) {
-    if (*d == static_cast<double>(static_cast<std::int64_t>(*d))) {
+    // Range first: casting a double outside int64 is undefined.
+    if (*d >= -0x1p63 && *d < 0x1p63 && *d == static_cast<double>(static_cast<std::int64_t>(*d))) {
       return static_cast<std::int64_t>(*d);
     }
     fail("JSON number is not an integer");
@@ -329,7 +330,7 @@ std::uint64_t Json::as_uint() const {
     fail("JSON integer is negative");
   }
   if (const double* d = std::get_if<double>(&v_)) {
-    if (*d >= 0.0 && *d == static_cast<double>(static_cast<std::uint64_t>(*d))) {
+    if (*d >= 0.0 && *d < 0x1p64 && *d == static_cast<double>(static_cast<std::uint64_t>(*d))) {
       return static_cast<std::uint64_t>(*d);
     }
     fail("JSON number is not a non-negative integer");
@@ -511,22 +512,85 @@ std::size_t edit_distance(std::string_view a, std::string_view b) {
 
 }  // namespace
 
-void reject_unknown_keys(const Json& obj, std::string_view context, std::string_view prefix,
-                         std::initializer_list<std::string_view> known) {
-  if (!obj.is_object()) return;
-  for (const auto& [key, value] : obj.entries()) {
-    if (std::find(known.begin(), known.end(), key) != known.end()) continue;
-    if (known.size() == 0) {
-      throw std::runtime_error(std::string(context) + ": unknown key \"" + std::string(prefix) +
-                               key + "\" (takes no keys)");
-    }
-    const auto nearest = std::min_element(known.begin(), known.end(), [&](auto a, auto b) {
+Fields::Fields(const Json& obj, Key context, Key segment, const Fields* parent, std::size_t index)
+    : obj_(obj), context_(context), segment_(segment), parent_(parent), index_(index) {
+  if (!obj.is_object()) fail("", "JSON value is not an object");
+}
+
+const Json* Fields::find(Key key) {
+  const auto known = keys_.begin() + key_count_;
+  if (std::find(keys_.begin(), known, key) == known) {
+    if (key_count_ == keys_.size()) throw std::logic_error("run::Fields: too many keys");
+    keys_[key_count_++] = key;
+  }
+  return obj_.find(key);
+}
+
+const Json* Fields::require(Key key) {
+  const Json* v = find(key);
+  if (!v && missing_.empty()) missing_ = key;
+  return v;
+}
+
+const Json& Fields::value(Key key) {
+  static const Json absent;
+  const Json* v = require(key);
+  return v ? *v : absent;
+}
+
+const JsonArray& Fields::array(Key key) {
+  static const JsonArray absent;
+  const Json* v = require(key);
+  try {
+    return v ? v->items() : absent;
+  } catch (const std::runtime_error& e) {
+    fail(key, e.what());
+  }
+}
+
+Fields Fields::object(Key key, std::size_t index) {
+  static const Json empty = Json::object();
+  const Json* v = index == kNoIndex ? find(key) : &array(key).at(index);
+  return Fields(v ? *v : empty, context_, key, this, index);
+}
+
+void Fields::retired(Key key, bool surviving, Key why) {
+  if (flag(key, surviving) == surviving) return;
+  const std::string keep = surviving ? "true" : "false";
+  fail(key, (surviving ? "false" : "true") + std::string(" is no longer supported: ") +
+                std::string(why) + " (omit the key or set it to " + keep + ")");
+}
+
+void Fields::append_prefix(std::string& out) const {
+  if (parent_) parent_->append_prefix(out);
+  out += segment_;
+  if (index_ != kNoIndex) out.append("[").append(std::to_string(index_)).append("]");
+  if (parent_) out += '.';
+}
+
+void Fields::fail(Key key, Key what) const {
+  std::string path;
+  append_prefix(path);
+  if (key.empty() && !path.empty()) path.pop_back();  // this object itself: drop the '.'
+  path += key;
+  const std::string at = path.empty() ? ": " : ": \"" + path + "\": ";
+  throw std::runtime_error(std::string(context_) + at + std::string(what));
+}
+
+void Fields::done() const {
+  const auto known = keys_.begin() + key_count_;
+  for (const auto& [key, value] : obj_.entries()) {
+    if (std::find(keys_.begin(), known, key) != known) continue;
+    std::string path;
+    append_prefix(path);
+    const std::string head = std::string(context_) + ": unknown key \"" + path + key + "\" (";
+    if (key_count_ == 0) throw std::runtime_error(head + "takes no keys)");
+    const auto nearest = std::min_element(keys_.begin(), known, [&](Key a, Key b) {
       return edit_distance(key, a) < edit_distance(key, b);
     });
-    throw std::runtime_error(std::string(context) + ": unknown key \"" + std::string(prefix) + key +
-                             "\" (nearest known: \"" + std::string(prefix) + std::string(*nearest) +
-                             "\")");
+    throw std::runtime_error(head + "nearest known: \"" + path + std::string(*nearest) + "\")");
   }
+  if (!missing_.empty()) fail(missing_, "required key is missing");
 }
 
 }  // namespace cohesion::run

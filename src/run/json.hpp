@@ -14,8 +14,10 @@
 //    shortest round-trippable decimal.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <initializer_list>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -87,7 +89,8 @@ class Json {
   /// Insert-or-assign preserving insertion order.
   void set(std::string_view key, Json value);
 
-  // Lookup-with-default for the common "optional spec field" pattern.
+  // Lookup-with-default, for messages, journals and reports. Specs are read
+  // through Fields, which also rejects unknown keys.
   [[nodiscard]] double number_or(std::string_view key, double fallback) const;
   [[nodiscard]] std::uint64_t uint_or(std::string_view key, std::uint64_t fallback) const;
   [[nodiscard]] bool bool_or(std::string_view key, bool fallback) const;
@@ -109,13 +112,72 @@ class Json {
       v_;
 };
 
-/// Throws std::runtime_error naming the first key of object `obj` outside
-/// `known`, and the known key nearest to it, both under the key path
-/// `prefix`: `<context>: unknown key "<prefix><key>" (nearest known:
-/// "<prefix><known>")`, or `(takes no keys)` when `known` is empty. A
-/// misspelled key must not silently run the default. No-op for a non-object
-/// `obj`.
-void reject_unknown_keys(const Json& obj, std::string_view context, std::string_view prefix,
-                         std::initializer_list<std::string_view> known);
+/// Strict reader over one JSON object of a spec. Each read declares its key;
+/// done() throws on the first key no read declared, `<context>: unknown key
+/// "<path>" (nearest known: "<path>")` or `(takes no keys)`, and then on an
+/// absent required key. A value of the wrong kind throws at its read,
+/// `<context>: "<path>": <what>`. Paths are `prefix` plus the keys of the
+/// enclosing object() readers, which must outlive theirs. Keys are held as
+/// views and paths built only to throw: a successful parse allocates nothing.
+class Fields {
+  using Key = std::string_view;
+  static constexpr std::size_t kNoIndex = static_cast<std::size_t>(-1);
+
+ public:
+  Fields(const Json& obj, Key context, Key prefix = "") : Fields(obj, context, prefix, nullptr) {}
+
+  double number(Key key, double fallback) { return get(key, &fallback, &Json::as_double); }
+  std::uint64_t uint(Key key, std::uint64_t fallback) { return get(key, &fallback, &Json::as_uint); }
+  std::size_t size(Key key, std::size_t fallback) { return uint(key, fallback); }
+  bool flag(Key key, bool fallback) { return get(key, &fallback, &Json::as_bool); }
+  std::string string(Key key, Key fallback) {
+    const std::string f(fallback);
+    return get(key, &f, &Json::as_string);
+  }
+  /// Required reads: an absent key reads as empty, and done() throws.
+  std::string string(Key key) { return get<std::string>(key, nullptr, &Json::as_string); }
+  const JsonArray& array(Key key);
+  const Json& value(Key key);
+  /// The member at `key`, or nullptr: for a value of more than one shape.
+  const Json* find(Key key);
+  /// Reader over the object at `key` ({} when absent), or at element `index`
+  /// of the array there; its paths extend this one's by `key.`/`key[index].`.
+  Fields object(Key key, std::size_t index = kNoIndex);
+  /// A retired switch: absent or `surviving` is accepted; the other value
+  /// throws naming the key, `why` and the value to use.
+  void retired(Key key, bool surviving, Key why);
+  [[noreturn]] void fail(Key key, Key what) const;  ///< `<context>: "<path>": <what>`
+  void done() const;
+  const Json& json() const { return obj_; }
+
+ private:
+  Fields(const Json& obj, Key context, Key segment, const Fields* parent,
+         std::size_t index = kNoIndex);
+  const Json* require(Key key);  // find(), noting the first absent key
+  template <typename T, typename Ret>
+  T get(Key key, const T* fallback, Ret (Json::*as)() const);
+  void append_prefix(std::string& out) const;
+
+  const Json& obj_;
+  Key context_;
+  Key segment_;  // the root's prefix, or this object's key
+  const Fields* parent_;
+  std::size_t index_;
+  std::array<Key, 16> keys_{};
+  std::size_t key_count_ = 0;
+  Key missing_;
+};
+
+template <typename T, typename Ret>
+T Fields::get(Key key, const T* fallback, Ret (Json::*as)() const) {
+  if (const Json* v = fallback ? find(key) : require(key)) {
+    try {
+      return (v->*as)();
+    } catch (const std::runtime_error& e) {
+      fail(key, e.what());
+    }
+  }
+  return fallback ? *fallback : T{};
+}
 
 }  // namespace cohesion::run

@@ -1,10 +1,7 @@
 #include "run/registry.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <string>
-#include <string_view>
 
 #include "algo/baselines.hpp"
 #include "algo/kknps.hpp"
@@ -19,82 +16,77 @@ namespace cohesion::run {
 
 namespace {
 
-std::size_t size_or(const Json& params, std::string_view key, std::size_t fallback) {
-  return static_cast<std::size_t>(params.uint_or(key, fallback));
-}
-
 std::unique_ptr<core::Scheduler> make_kasync(std::size_t n, std::uint64_t seed, const Json& params,
                                              bool unrestricted) {
-  reject_unknown_keys(params, unrestricted ? "async" : "kasync", "",
-                      {"k", "min_duration", "max_duration", "min_gap", "max_gap", "xi",
-                       "indexed_intervals", "heap_selection", "seed"});
-  // The flat-scan interval bookkeeping this key selected is now the test
-  // reference tests/oracles/kasync_interval_oracle.hpp. true (the old
-  // default) is a no-op, so existing specs and their cache identities hold.
-  if (!params.bool_or("indexed_intervals", true)) {
-    throw std::runtime_error(
-        std::string(unrestricted ? "async" : "kasync") +
-        ": \"indexed_intervals\": false is no longer supported; the flat interval scan it "
-        "selected is the test reference tests/oracles/kasync_interval_oracle.hpp (omit the key "
-        "or set it to true)");
-  }
+  Fields f(params, unrestricted ? "async" : "kasync");
   sched::KAsyncScheduler::Params p;
-  // k = 0 (or the "async" key) selects unrestricted Async.
-  p.k = unrestricted ? static_cast<std::size_t>(-1) : size_or(params, "k", p.k);
-  if (p.k == 0) p.k = static_cast<std::size_t>(-1);
-  p.min_duration = params.number_or("min_duration", p.min_duration);
-  p.max_duration = params.number_or("max_duration", p.max_duration);
-  p.min_gap = params.number_or("min_gap", p.min_gap);
-  p.max_gap = params.number_or("max_gap", p.max_gap);
-  p.xi = params.number_or("xi", p.xi);
-  p.heap_selection = params.bool_or("heap_selection", p.heap_selection);
-  p.seed = params.uint_or("seed", seed);
+  // k = 0 (or the "async" key, which reads and ignores k) selects
+  // unrestricted Async.
+  const std::size_t k = f.size("k", p.k);
+  p.k = unrestricted || k == 0 ? static_cast<std::size_t>(-1) : k;
+  p.min_duration = f.number("min_duration", p.min_duration);
+  p.max_duration = f.number("max_duration", p.max_duration);
+  p.min_gap = f.number("min_gap", p.min_gap);
+  p.max_gap = f.number("max_gap", p.max_gap);
+  p.xi = f.number("xi", p.xi);
+  // true, the old default, is a no-op, so existing specs and their cache
+  // identities hold.
+  f.retired("indexed_intervals", true,
+            "the flat interval scan it selected is the test reference "
+            "tests/oracles/kasync_interval_oracle.hpp");
+  p.heap_selection = f.flag("heap_selection", p.heap_selection);
+  p.seed = f.uint("seed", seed);
+  f.done();
   return std::make_unique<sched::KAsyncScheduler>(n, p);
 }
 
 void register_algorithms(Registry<AlgorithmFactory>& r) {
   r.add("kknps", [](const Json& params) -> std::unique_ptr<core::Algorithm> {
-    reject_unknown_keys(params, "kknps", "",
-                        {"k", "distance_delta", "halfplane_tolerance", "radius_divisor"});
+    Fields f(params, "kknps");
     algo::KknpsAlgorithm::Params p;
-    p.k = size_or(params, "k", p.k);
-    p.distance_delta = params.number_or("distance_delta", p.distance_delta);
-    p.halfplane_tolerance = params.number_or("halfplane_tolerance", p.halfplane_tolerance);
-    p.radius_divisor = params.number_or("radius_divisor", p.radius_divisor);
+    p.k = f.size("k", p.k);
+    p.distance_delta = f.number("distance_delta", p.distance_delta);
+    p.halfplane_tolerance = f.number("halfplane_tolerance", p.halfplane_tolerance);
+    p.radius_divisor = f.number("radius_divisor", p.radius_divisor);
+    f.done();
     return std::make_unique<algo::KknpsAlgorithm>(p);
   });
   r.add("kknps3d", [](const Json& params) -> std::unique_ptr<core::Algorithm> {
-    reject_unknown_keys(params, "kknps3d", "", {"k", "hull_tolerance"});
+    Fields f(params, "kknps3d");
     algo::Kknps3dParams p;
-    p.k = size_or(params, "k", p.k);
-    p.hull_tolerance = params.number_or("hull_tolerance", p.hull_tolerance);
+    p.k = f.size("k", p.k);
+    p.hull_tolerance = f.number("hull_tolerance", p.hull_tolerance);
+    f.done();
     return std::make_unique<algo::Kknps3dPlanarAlgorithm>(p);
   });
   r.add("ando", [](const Json& params) -> std::unique_ptr<core::Algorithm> {
     // v <= 0 selects the weakened "furthest neighbour" variant (footnote 9).
-    reject_unknown_keys(params, "ando", "", {"v"});
-    return std::make_unique<algo::AndoAlgorithm>(params.number_or("v", 1.0));
+    Fields f(params, "ando");
+    const double v = f.number("v", 1.0);
+    f.done();
+    return std::make_unique<algo::AndoAlgorithm>(v);
   });
   r.add("katreniak", [](const Json& params) -> std::unique_ptr<core::Algorithm> {
-    reject_unknown_keys(params, "katreniak", "", {});
+    Fields(params, "katreniak").done();
     return std::make_unique<algo::KatreniakAlgorithm>();
   });
   r.add("cog", [](const Json& params) -> std::unique_ptr<core::Algorithm> {
-    reject_unknown_keys(params, "cog", "", {});
+    Fields(params, "cog").done();
     return std::make_unique<algo::CogAlgorithm>();
   });
   r.add("gcm", [](const Json& params) -> std::unique_ptr<core::Algorithm> {
-    reject_unknown_keys(params, "gcm", "", {});
+    Fields(params, "gcm").done();
     return std::make_unique<algo::GcmAlgorithm>();
   });
   r.add("null", [](const Json& params) -> std::unique_ptr<core::Algorithm> {
-    reject_unknown_keys(params, "null", "", {});
+    Fields(params, "null").done();
     return std::make_unique<algo::NullAlgorithm>();
   });
   r.add("lens_midpoint", [](const Json& params) -> std::unique_ptr<core::Algorithm> {
-    reject_unknown_keys(params, "lens_midpoint", "", {"colinearity_tolerance"});
+    Fields f(params, "lens_midpoint");
     algo::LensMidpointAlgorithm::Params p;
-    p.colinearity_tolerance = params.number_or("colinearity_tolerance", p.colinearity_tolerance);
+    p.colinearity_tolerance = f.number("colinearity_tolerance", p.colinearity_tolerance);
+    f.done();
     return std::make_unique<algo::LensMidpointAlgorithm>(p);
   });
 }
@@ -102,18 +94,18 @@ void register_algorithms(Registry<AlgorithmFactory>& r) {
 void register_schedulers(Registry<SchedulerFactory>& r) {
   r.add("fsync",
         [](std::size_t n, std::uint64_t, const Json& params) -> std::unique_ptr<core::Scheduler> {
-          reject_unknown_keys(params, "fsync", "", {});
+          Fields(params, "fsync").done();
           return std::make_unique<sched::FSyncScheduler>(n);
         });
   r.add("ssync",
         [](std::size_t n, std::uint64_t seed, const Json& params) -> std::unique_ptr<core::Scheduler> {
-          reject_unknown_keys(params, "ssync", "",
-                              {"activation_probability", "fairness_window", "xi", "seed"});
+          Fields f(params, "ssync");
           sched::SSyncScheduler::Params p;
-          p.activation_probability = params.number_or("activation_probability", p.activation_probability);
-          p.fairness_window = size_or(params, "fairness_window", p.fairness_window);
-          p.xi = params.number_or("xi", p.xi);
-          p.seed = params.uint_or("seed", seed);
+          p.activation_probability = f.number("activation_probability", p.activation_probability);
+          p.fairness_window = f.size("fairness_window", p.fairness_window);
+          p.xi = f.number("xi", p.xi);
+          p.seed = f.uint("seed", seed);
+          f.done();
           return std::make_unique<sched::SSyncScheduler>(n, p);
         });
   r.add("kasync",
@@ -126,19 +118,22 @@ void register_schedulers(Registry<SchedulerFactory>& r) {
         });
   r.add("knesta",
         [](std::size_t n, std::uint64_t seed, const Json& params) -> std::unique_ptr<core::Scheduler> {
-          reject_unknown_keys(params, "knesta", "", {"k", "xi", "seed"});
+          Fields f(params, "knesta");
           sched::KNestAScheduler::Params p;
-          p.k = size_or(params, "k", p.k);
-          p.xi = params.number_or("xi", p.xi);
-          p.seed = params.uint_or("seed", seed);
+          p.k = f.size("k", p.k);
+          p.xi = f.number("xi", p.xi);
+          p.seed = f.uint("seed", seed);
+          f.done();
           return std::make_unique<sched::KNestAScheduler>(n, p);
         });
   r.add("scripted",
         [](std::size_t, std::uint64_t, const Json& params) -> std::unique_ptr<core::Scheduler> {
           // params.script: [[robot, t_look, t_move_start, t_move_end, frac], ...]
-          reject_unknown_keys(params, "scripted", "", {"script"});
+          Fields in(params, "scripted");
+          const JsonArray& rows = in.array("script");
+          in.done();
           std::vector<core::Activation> script;
-          for (const Json& row : params.at("script").items()) {
+          for (const Json& row : rows) {
             const JsonArray& f = row.items();
             if (f.size() != 5) throw std::runtime_error("scripted: rows need 5 fields");
             core::Activation a;
@@ -156,7 +151,7 @@ void register_schedulers(Registry<SchedulerFactory>& r) {
 void register_errors(Registry<ErrorModelFactory>& r) {
   // "exact": identity frames, no noise — the validator/test setting.
   r.add("exact", [](const Json& params) {
-    reject_unknown_keys(params, "exact", "", {});
+    Fields(params, "exact").done();
     core::ErrorModel m;
     m.random_rotation = false;
     return m;
@@ -165,15 +160,14 @@ void register_errors(Registry<ErrorModelFactory>& r) {
   // whatever error magnitudes the params set (all default 0, which is the
   // engine's own default ErrorModel).
   r.add("noisy", [](const Json& params) {
-    reject_unknown_keys(params, "noisy", "",
-                        {"distance_delta", "skew_lambda", "motion_quad_coeff", "random_rotation",
-                         "allow_reflection"});
+    Fields f(params, "noisy");
     core::ErrorModel m;
-    m.distance_delta = params.number_or("distance_delta", m.distance_delta);
-    m.skew_lambda = params.number_or("skew_lambda", m.skew_lambda);
-    m.motion_quad_coeff = params.number_or("motion_quad_coeff", m.motion_quad_coeff);
-    m.random_rotation = params.bool_or("random_rotation", m.random_rotation);
-    m.allow_reflection = params.bool_or("allow_reflection", m.allow_reflection);
+    m.distance_delta = f.number("distance_delta", m.distance_delta);
+    m.skew_lambda = f.number("skew_lambda", m.skew_lambda);
+    m.motion_quad_coeff = f.number("motion_quad_coeff", m.motion_quad_coeff);
+    m.random_rotation = f.flag("random_rotation", m.random_rotation);
+    m.allow_reflection = f.flag("allow_reflection", m.allow_reflection);
+    f.done();
     m.validate("noisy");
     return m;
   });
@@ -182,39 +176,48 @@ void register_errors(Registry<ErrorModelFactory>& r) {
 void register_initials(Registry<InitialConfigFactory>& r) {
   // Spacing-style params are in units of the visibility radius v.
   r.add("line", [](std::size_t n, double v, std::uint64_t, const Json& params) {
-    reject_unknown_keys(params, "line", "", {"spacing"});
-    return metrics::line_configuration(n, params.number_or("spacing", 0.9) * v);
+    Fields f(params, "line");
+    const double spacing = f.number("spacing", 0.9);
+    f.done();
+    return metrics::line_configuration(n, spacing * v);
   });
   r.add("grid", [](std::size_t n, double v, std::uint64_t, const Json& params) {
-    reject_unknown_keys(params, "grid", "", {"spacing"});
-    return metrics::grid_configuration(n, params.number_or("spacing", 0.9) * v);
+    Fields f(params, "grid");
+    const double spacing = f.number("spacing", 0.9);
+    f.done();
+    return metrics::grid_configuration(n, spacing * v);
   });
   r.add("circle", [](std::size_t n, double v, std::uint64_t, const Json& params) {
-    reject_unknown_keys(params, "circle", "", {"side"});
-    return metrics::regular_polygon_configuration(n, params.number_or("side", 0.9) * v);
+    Fields f(params, "circle");
+    const double side = f.number("side", 0.9);
+    f.done();
+    return metrics::regular_polygon_configuration(n, side * v);
   });
   r.add("random", [](std::size_t n, double v, std::uint64_t seed, const Json& params) {
     // world_radius wins when given; otherwise radius scales with sqrt(n)
     // for asymptotically constant density.
-    reject_unknown_keys(params, "random", "", {"world_radius", "world_radius_per_sqrt_n", "seed"});
-    double radius = params.number_or("world_radius", -1.0);
-    if (radius <= 0.0) {
-      radius = params.number_or("world_radius_per_sqrt_n", 0.4) * v *
-               std::sqrt(static_cast<double>(n));
-    }
-    return metrics::random_connected_configuration(n, radius, v, params.uint_or("seed", seed));
+    Fields f(params, "random");
+    double radius = f.number("world_radius", -1.0);
+    const double per_sqrt_n = f.number("world_radius_per_sqrt_n", 0.4);
+    const std::uint64_t pinned = f.uint("seed", seed);
+    f.done();
+    if (radius <= 0.0) radius = per_sqrt_n * v * std::sqrt(static_cast<double>(n));
+    return metrics::random_connected_configuration(n, radius, v, pinned);
   });
   r.add("two_cluster", [](std::size_t n, double v, std::uint64_t seed, const Json& params) {
-    reject_unknown_keys(params, "two_cluster", "", {"bridge", "seed"});
-    return metrics::two_cluster_configuration(
-        n, static_cast<std::size_t>(params.uint_or("bridge", 3)), v, params.uint_or("seed", seed));
+    Fields f(params, "two_cluster");
+    const std::size_t bridge = f.size("bridge", 3);
+    const std::uint64_t pinned = f.uint("seed", seed);
+    f.done();
+    return metrics::two_cluster_configuration(n, bridge, v, pinned);
   });
   r.add("spiral", [](std::size_t, double v, std::uint64_t, const Json& params) {
     // Robot count is dictated by the construction; RunSpec.n is overridden.
-    reject_unknown_keys(params, "spiral", "", {"psi", "edge_scale"});
-    return metrics::spiral_configuration(params.number_or("psi", 0.3),
-                                         params.number_or("edge_scale", 0.92) * v)
-        .positions;
+    Fields f(params, "spiral");
+    const double psi = f.number("psi", 0.3);
+    const double edge_scale = f.number("edge_scale", 0.92);
+    f.done();
+    return metrics::spiral_configuration(psi, edge_scale * v).positions;
   });
 }
 

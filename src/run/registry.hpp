@@ -17,7 +17,7 @@
 //
 // Param schemas are documented per factory in docs/experiments.md; every
 // factory tolerates an empty params object (library defaults apply) and
-// rejects any key outside its schema (run::reject_unknown_keys).
+// reads it through run::Fields, so any key it does not read is rejected.
 #pragma once
 
 #include <cstdint>

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <stdexcept>
 
 namespace cohesion::run {
@@ -37,18 +36,17 @@ Json FactorySpec::to_json() const {
   return j;
 }
 
-FactorySpec FactorySpec::from_json(const Json& j, const std::string& fallback_type) {
+FactorySpec FactorySpec::read(Fields& spec, std::string_view key, std::string_view fallback_type) {
   FactorySpec f;
-  if (j.is_string()) {
+  if (const Json* v = spec.find(key); v && v->is_string()) {
     // Shorthand: "fsync" == {"type": "fsync"}.
-    f.type = j.as_string();
+    f.type = v->as_string();
     return f;
   }
-  f.type = j.string_or("type", fallback_type);
-  if (const Json* p = j.find("params")) {
-    if (!p->is_object()) throw std::runtime_error("FactorySpec params must be an object");
-    f.params = *p;
-  }
+  Fields slot = spec.object(key);
+  f.type = slot.string("type", fallback_type);
+  f.params = slot.object("params").json();  // its keys are the factory's to check
+  slot.done();
   return f;
 }
 
@@ -61,19 +59,18 @@ Json TraceSpec::to_json() const {
   return j;
 }
 
-TraceSpec TraceSpec::from_json(const Json& j, std::string_view path) {
+TraceSpec TraceSpec::read(Fields& spec) {
   TraceSpec t;
-  if (j.is_string()) {
+  if (const Json* v = spec.find("trace"); v && v->is_string()) {
     // Shorthand: "stream" == {"mode": "stream"}.
-    t.mode = j.as_string();
-  } else if (j.is_object()) {
-    reject_unknown_keys(j, "RunSpec", path, {"mode", "path", "flush_every", "index_every"});
-    t.mode = j.string_or("mode", t.mode);
-    t.path = j.string_or("path", t.path);
-    t.flush_every = static_cast<std::size_t>(j.uint_or("flush_every", t.flush_every));
-    t.index_every = static_cast<std::size_t>(j.uint_or("index_every", t.index_every));
+    t.mode = v->as_string();
   } else {
-    throw std::runtime_error("trace must be a JSON object or mode string");
+    Fields block = spec.object("trace");
+    t.mode = block.string("mode", t.mode);
+    t.path = block.string("path", t.path);
+    t.flush_every = block.size("flush_every", t.flush_every);
+    t.index_every = block.size("index_every", t.index_every);
+    block.done();
   }
   if (t.mode != "memory" && t.mode != "stream" && t.mode != "off") {
     throw std::runtime_error("trace.mode must be \"memory\", \"stream\" or \"off\" (got \"" +
@@ -112,82 +109,44 @@ Json RunSpec::to_json() const {
   return j;
 }
 
-namespace {
-
-void require_object(const Json& block, const char* key) {
-  if (!block.is_object()) {
-    throw std::runtime_error(std::string("RunSpec: ") + key + " must be a JSON object");
-  }
-}
-
-}  // namespace
-
 RunSpec RunSpec::from_json(const Json& j, std::string_view path) {
-  if (!j.is_object()) throw std::runtime_error("RunSpec must be a JSON object");
-  const std::string at(path);
-  // Every key to_json() emits is known, so checkpoint, cache and shard
-  // round trips parse; anything else (a typo like "stopp") is an error.
-  reject_unknown_keys(j, "RunSpec", at,
-                      {"name", "n", "seed", "algorithm", "scheduler", "error", "initial",
-                       "visibility", "use_spatial_index", "incremental_index", "soa_kernel",
-                       "stop", "trace"});
+  // Every key to_json() emits is read, so checkpoint, cache and shard round
+  // trips parse; anything else (a typo like "stopp") is an error.
+  Fields f(j, "RunSpec", path);
   RunSpec s;
-  s.name = j.string_or("name", s.name);
-  s.n = static_cast<std::size_t>(j.uint_or("n", s.n));
-  s.seed = j.uint_or("seed", s.seed);
-  if (const Json* v = j.find("algorithm")) s.algorithm = FactorySpec::from_json(*v, "kknps");
-  if (const Json* v = j.find("scheduler")) s.scheduler = FactorySpec::from_json(*v, "kasync");
-  if (const Json* v = j.find("error")) s.error = FactorySpec::from_json(*v, "noisy");
-  if (const Json* v = j.find("initial")) s.initial = FactorySpec::from_json(*v, "random");
-  if (const Json* vis = j.find("visibility")) {
-    require_object(*vis, "visibility");
-    reject_unknown_keys(*vis, "RunSpec", at + "visibility.",
-                        {"radius", "open_ball", "multiplicity"});
-    s.visibility_radius = vis->number_or("radius", s.visibility_radius);
-    s.open_ball = vis->bool_or("open_ball", s.open_ball);
-    s.multiplicity_detection = vis->bool_or("multiplicity", s.multiplicity_detection);
-    if (!(std::isfinite(s.visibility_radius) && s.visibility_radius > 0.0)) {
-      char got[32];
-      std::snprintf(got, sizeof got, "%g", s.visibility_radius);
-      throw std::runtime_error("RunSpec: " + at +
-                               "visibility.radius must be a positive finite number (got " + got +
-                               ")");
-    }
+  s.name = f.string("name", s.name);
+  s.n = f.size("n", s.n);
+  s.seed = f.uint("seed", s.seed);
+  s.algorithm = FactorySpec::read(f, "algorithm", "kknps");
+  s.scheduler = FactorySpec::read(f, "scheduler", "kasync");
+  s.error = FactorySpec::read(f, "error", "noisy");
+  s.initial = FactorySpec::read(f, "initial", "random");
+  Fields vis = f.object("visibility");
+  s.visibility_radius = vis.number("radius", s.visibility_radius);
+  s.open_ball = vis.flag("open_ball", s.open_ball);
+  s.multiplicity_detection = vis.flag("multiplicity", s.multiplicity_detection);
+  vis.done();
+  if (!(std::isfinite(s.visibility_radius) && s.visibility_radius > 0.0)) {
+    vis.fail("radius", "must be a positive finite number");
   }
   // Retired engine switches: each accepts a missing key or the value the
-  // engine still implements, and names itself when given the other one.
-  struct Retired {
-    const char* key;
-    bool surviving;
-    const char* why;
-  };
-  constexpr const char* kOneFeed =
+  // engine still implements.
+  constexpr std::string_view kOneFeed =
       "the engine has one snapshot feed, and the reference paths false used to select live "
       "only in the test oracle tests/oracles/engine_oracle.hpp";
-  for (const Retired& r : {Retired{"use_spatial_index", true, kOneFeed},
-                           Retired{"incremental_index", true, kOneFeed},
-                           Retired{"soa_kernel", false,
-                                   "the engine has one snapshot kernel, the scalar filter every "
-                                   "run already used by default"}}) {
-    if (j.bool_or(r.key, r.surviving) != r.surviving) {
-      const std::string surviving = r.surviving ? "true" : "false";
-      const std::string retired = r.surviving ? "false" : "true";
-      throw std::runtime_error("RunSpec: \"" + at + r.key + "\": " + retired +
-                               " is no longer supported: " + r.why +
-                               " (omit the key or set it to " + surviving + ")");
-    }
-  }
-  if (const Json* st = j.find("stop")) {
-    require_object(*st, "stop");
-    reject_unknown_keys(*st, "RunSpec", at + "stop.",
-                        {"epsilon", "max_activations", "check_every", "max_time"});
-    s.stop.epsilon = st->number_or("epsilon", s.stop.epsilon);
-    s.stop.max_activations =
-        static_cast<std::size_t>(st->uint_or("max_activations", s.stop.max_activations));
-    s.stop.check_every = static_cast<std::size_t>(st->uint_or("check_every", s.stop.check_every));
-    s.stop.max_time = st->number_or("max_time", s.stop.max_time);
-  }
-  if (const Json* t = j.find("trace")) s.trace = TraceSpec::from_json(*t, at + "trace.");
+  f.retired("use_spatial_index", true, kOneFeed);
+  f.retired("incremental_index", true, kOneFeed);
+  f.retired("soa_kernel", false,
+            "the engine has one snapshot kernel, the scalar filter every run already used by "
+            "default");
+  Fields stop = f.object("stop");
+  s.stop.epsilon = stop.number("epsilon", s.stop.epsilon);
+  s.stop.max_activations = stop.size("max_activations", s.stop.max_activations);
+  s.stop.check_every = stop.size("check_every", s.stop.check_every);
+  s.stop.max_time = stop.number("max_time", s.stop.max_time);
+  stop.done();
+  s.trace = TraceSpec::read(f);
+  f.done();
   return s;
 }
 
@@ -232,13 +191,12 @@ Json EarlyStop::to_json() const {
   return j;
 }
 
-EarlyStop EarlyStop::from_json(const Json& j) {
-  if (!j.is_object()) throw std::runtime_error("early_stop must be a JSON object");
-  reject_unknown_keys(j, "ExperimentSpec", "early_stop.", {"window", "epsilon", "metric"});
+EarlyStop EarlyStop::read(Fields block) {
   EarlyStop e;
-  e.window = static_cast<std::size_t>(j.uint_or("window", e.window));
-  e.epsilon = j.number_or("epsilon", e.epsilon);
-  e.metric = j.string_or("metric", e.metric);
+  e.window = block.size("window", e.window);
+  e.epsilon = block.number("epsilon", e.epsilon);
+  e.metric = block.string("metric", e.metric);
+  block.done();
   return e;
 }
 
@@ -431,27 +389,20 @@ Json ExperimentSpec::to_json() const {
 }
 
 ExperimentSpec ExperimentSpec::from_json(const Json& j) {
-  if (!j.is_object()) throw std::runtime_error("ExperimentSpec must be a JSON object");
-  reject_unknown_keys(j, "ExperimentSpec", "", {"name", "base", "repeats", "early_stop", "sweep"});
+  Fields f(j, "ExperimentSpec");
   ExperimentSpec e;
-  e.name = j.string_or("name", e.name);
-  e.base = RunSpec::from_json(j.at("base"), "base.");
-  e.repeats = static_cast<std::size_t>(j.uint_or("repeats", e.repeats));
-  if (const Json* es = j.find("early_stop")) e.early_stop = EarlyStop::from_json(*es);
-  if (const Json* sweep = j.find("sweep")) {
-    for (const Json& a : sweep->items()) {
-      const std::string at = "sweep[" + std::to_string(e.axes.size()) + "].";
-      if (!a.is_object()) {
-        throw std::runtime_error("ExperimentSpec: " + at.substr(0, at.size() - 1) +
-                                 " must be a JSON object");
-      }
-      reject_unknown_keys(a, "ExperimentSpec", at, {"path", "values"});
-      SweepAxis axis;
-      axis.path = a.at("path").as_string();
-      axis.values = a.at("values").items();
-      e.axes.push_back(std::move(axis));
-    }
+  e.name = f.string("name", e.name);
+  const Json& base = f.value("base");
+  e.repeats = f.size("repeats", e.repeats);
+  e.early_stop = EarlyStop::read(f.object("early_stop"));
+  const std::size_t axes = f.find("sweep") ? f.array("sweep").size() : 0;
+  for (std::size_t a = 0; a < axes; ++a) {
+    Fields axis = f.object("sweep", a);
+    e.axes.push_back({.path = axis.string("path"), .values = axis.array("values")});
+    axis.done();
   }
+  f.done();  // first, so an absent base is reported as missing
+  e.base = RunSpec::from_json(base, "base.");
   return e;
 }
 

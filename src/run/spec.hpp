@@ -54,7 +54,9 @@ struct FactorySpec {
   Json params = Json::object();
 
   [[nodiscard]] Json to_json() const;
-  static FactorySpec from_json(const Json& j, const std::string& fallback_type);
+  /// Reads slot `key` of a RunSpec: a type string, or an object of "type"
+  /// (default `fallback_type`) and "params".
+  static FactorySpec read(Fields& spec, std::string_view key, std::string_view fallback_type);
 };
 
 /// How a run's activation history is captured.
@@ -81,8 +83,8 @@ struct TraceSpec {
   }
 
   [[nodiscard]] Json to_json() const;
-  /// `path` prefixes the key path an unknown-key error names.
-  static TraceSpec from_json(const Json& j, std::string_view path = "trace.");
+  /// Reads the "trace" slot of a RunSpec: a mode string, or an object.
+  static TraceSpec read(Fields& spec);
 };
 
 /// Complete description of one run. Defaults reproduce the quickstart
@@ -176,7 +178,7 @@ struct EarlyStop {
   [[nodiscard]] bool enabled() const { return window > 0; }
 
   [[nodiscard]] Json to_json() const;
-  static EarlyStop from_json(const Json& j);
+  static EarlyStop read(Fields block);
 };
 
 /// A whole sweep as one JSON artifact: a base RunSpec, a cartesian grid

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
+#include <random>
+#include <vector>
+
+#include "oracles/validators_oracle.hpp"
+
 namespace cohesion::core {
 namespace {
 
@@ -95,6 +102,39 @@ TEST(Validators, ThreeRobotChainedOverlaps) {
   t.record(rec(2, 2.5, 4.5));
   EXPECT_FALSE(is_nested_activation(t));
   EXPECT_TRUE(is_k_async(t, 1));
+}
+
+TEST(Validators, MatchTheAllPairsOracleOnRandomTraces) {
+  // Times on a 0.25 grid nudged by multiples of kEps = 1e-9, so starts and
+  // ends fall on, just inside and just outside every kEps boundary; grid
+  // points repeat, so intervals share endpoints, and zero or negative
+  // lengths occur. Short traces are often nested, long ones rarely.
+  constexpr double kEps = 1e-9;
+  const double nudges[] = {0.0,        0.0,         0.0,      kEps,      -kEps,
+                           0.5 * kEps, -0.5 * kEps, 2 * kEps, -2 * kEps, 1.5 * kEps};
+  std::size_t nested = 0;
+  std::size_t counted = 0;
+  for (std::uint64_t seed = 0; seed < 2000; ++seed) {
+    std::mt19937_64 rng(seed);
+    const auto nudge = [&] { return nudges[rng() % std::size(nudges)]; };
+    const std::size_t robots = 2 + rng() % 4;
+    Trace t{std::vector<geom::Vec2>(robots)};
+    const std::size_t records = rng() % (seed % 2 == 0 ? 8 : 48);
+    for (std::size_t i = 0; i < records; ++i) {
+      const double look = 0.25 * static_cast<double>(rng() % 16) + nudge();
+      const double end = look + 0.25 * static_cast<double>(rng() % 6) + nudge();
+      t.record(rec(static_cast<RobotId>(rng() % robots), look, end));
+    }
+    const std::size_t within = max_activations_within_interval(t);
+    ASSERT_EQ(within, oracles::max_activations_within_interval(t)) << "seed " << seed;
+    ASSERT_EQ(is_nested_activation(t), oracles::is_nested_activation(t)) << "seed " << seed;
+    nested += is_nested_activation(t) ? 1 : 0;
+    counted += within > 1 ? 1 : 0;
+  }
+  // Both verdicts, and counts above one, occur often enough to matter.
+  EXPECT_GT(nested, 200u);
+  EXPECT_LT(nested, 1800u);
+  EXPECT_GT(counted, 200u);
 }
 
 }  // namespace

@@ -374,6 +374,7 @@ TEST_F(LaunchE2E, MisspelledOrRetiredSpecKeysExitPermanentNamingTheKey) {
       {R"({"n": 4, "incremental_index": false})", "\"incremental_index\""},
       {R"({"base": {"n": 4, "incremental_index": false}})", "\"base.incremental_index\""},
       {R"({"n": 4, "soa_kernel": true})", "\"soa_kernel\""},
+      {R"({"n": 4, "algorithm": {"type": "kknps", "parms": {"k": 7}}})", "\"algorithm.parms\""},
       {overflow, "sweep[63] (\"seed\") overflows the variant count"},
   };
   const std::string spec = dir_ + "/bad_key.json";

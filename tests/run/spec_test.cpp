@@ -140,6 +140,69 @@ TEST(RunSpec, UnknownTopLevelOrTraceKeyNamesPathAndNearestKey) {
   EXPECT_NE(trace.find("\"trace.path\""), std::string::npos) << trace;
 }
 
+TEST(RunSpec, MisspelledFactorySlotKeyNamesPathAndNearestKey) {
+  // Before, "parms" and "typ" were ignored: the slot ran its defaults.
+  for (const char* slot : {"algorithm", "scheduler", "error", "initial"}) {
+    for (const bool in_base : {false, true}) {
+      for (const auto& [typo, nearest] : {std::pair{"parms", "params"}, std::pair{"typ", "type"}}) {
+        Json block = Json::object();
+        block.set(typo, Json::object());
+        Json doc = Json::object();
+        doc.set(slot, block);
+        const std::string at = std::string(in_base ? "base." : "") + slot + ".";
+        std::string what;
+        if (in_base) {
+          Json experiment = Json::object();
+          experiment.set("base", doc);
+          try {
+            (void)ExperimentSpec::from_json(experiment);
+          } catch (const std::runtime_error& e) {
+            what = e.what();
+          }
+        } else {
+          what = from_json_error(doc);
+        }
+        EXPECT_NE(what.find("unknown key \"" + at + typo + "\""), std::string::npos) << what;
+        EXPECT_NE(what.find("nearest known: \"" + at + nearest + "\""), std::string::npos) << what;
+      }
+    }
+  }
+}
+
+TEST(RunSpec, TypeErrorsNameTheKeyPath) {
+  // Before, each of these failed with only "JSON value is not a number"
+  // (or "... an array"), naming no key.
+  struct Row {
+    const char* doc;
+    const char* what;
+  };
+  const Row rows[] = {
+      {R"({"n": "16"})", R"(RunSpec: "n": JSON value is not a number)"},
+      {R"({"visibility": {"radius": "1"}})",
+       R"(RunSpec: "visibility.radius": JSON value is not a number)"},
+      {R"({"stop": {"max_activations": -1}})",
+       R"(RunSpec: "stop.max_activations": JSON integer is negative)"},
+      {R"({"scheduler": {"type": "kasync", "params": {"k": 2.5}}})",
+       R"(kasync: "k": JSON number is not a non-negative integer)"},
+      {R"({"base": {}, "sweep": [{"path": "n", "values": 3}]})",
+       R"(ExperimentSpec: "sweep[0].values": JSON value is not an array)"},
+  };
+  for (const Row& row : rows) {
+    const Json doc = Json::parse(row.doc);
+    std::string what;
+    try {
+      if (doc.contains("base")) {
+        (void)ExperimentSpec::from_json(doc);
+      } else {
+        (void)instantiate(RunSpec::from_json(doc));
+      }
+    } catch (const std::runtime_error& e) {
+      what = e.what();
+    }
+    EXPECT_EQ(what, row.what) << row.doc;
+  }
+}
+
 TEST(RunSpec, EveryEmittedKeyParses) {
   // to_json() output must stay parseable: checkpoints, cache entries and
   // shard files all carry it.

@@ -74,14 +74,13 @@ TEST(TraceSpec, JsonRoundTripAndShorthand) {
   EXPECT_EQ(back.trace.index_every, 256u);
 
   // String shorthand: "trace": "off" selects a mode with all defaults.
-  const TraceSpec off = TraceSpec::from_json(Json("off"));
+  const TraceSpec off = RunSpec::from_json(Json::parse(R"({"trace": "off"})")).trace;
   EXPECT_EQ(off.mode, "off");
   EXPECT_TRUE(off.path.empty());
 
-  EXPECT_THROW(TraceSpec::from_json(Json("ring-buffer")), std::exception);
-  Json bad = Json::object();
-  bad.set("mode", Json("ring-buffer"));
-  EXPECT_THROW(TraceSpec::from_json(bad), std::exception);
+  EXPECT_THROW(RunSpec::from_json(Json::parse(R"({"trace": "ring-buffer"})")), std::exception);
+  EXPECT_THROW(RunSpec::from_json(Json::parse(R"({"trace": {"mode": "ring-buffer"}})")),
+               std::exception);
 }
 
 TEST(TraceSpec, FingerprintIgnoresCaptureConfiguration) {
