@@ -16,10 +16,10 @@
 // `cohesion_run` streams, so `cohesion_replay` recomputes the metrics,
 // prints --info or renders --svg from it. Run with --help for the full flag
 // list.
-#include <cmath>
+#include <charconv>
+#include <functional>
 #include <iostream>
 #include <map>
-#include <sstream>
 #include <string>
 
 #include "metrics/stats.hpp"
@@ -82,8 +82,36 @@ void usage() {
       "  --spec   print the assembled RunSpec JSON and exit (for cohesion_run)\n";
 }
 
+bool read_value(const std::string& text, std::string& out) {
+  out = text;
+  return true;
+}
+
+/// Parse all of `text` into `out`: "1e3" is no robot count, "2x" no number.
+template <class T>
+bool read_value(const std::string& text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc() && ptr == end;
+}
+
+/// An unknown flag or a value that does not parse in full is an error that
+/// names the flag, never a silent default.
 bool parse(int argc, char** argv, Options& opt) {
-  std::map<std::string, std::string> kv;
+  const auto bind = [](auto& field) {
+    return [&field](const std::string& text) { return read_value(text, field); };
+  };
+  const std::map<std::string, std::function<bool(const std::string&)>> flags{
+      {"--algo", bind(opt.algo)},       {"--sched", bind(opt.sched)},
+      {"--config", bind(opt.config)},   {"--n", bind(opt.n)},
+      {"--k", bind(opt.k)},             {"--v", bind(opt.v)},
+      {"--delta", bind(opt.delta)},     {"--skew", bind(opt.skew)},
+      {"--motion", bind(opt.motion)},   {"--xi", bind(opt.xi)},
+      {"--eps", bind(opt.eps)},         {"--spacing", bind(opt.spacing)},
+      {"--max", bind(opt.max_activations)},
+      {"--seed", bind(opt.seed)},       {"--svg", bind(opt.svg_path)},
+      {"--trace", bind(opt.trace_path)},
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string key = argv[i];
     if (key == "--help" || key == "-h") return false;
@@ -95,34 +123,20 @@ bool parse(int argc, char** argv, Options& opt) {
       opt.print_spec = true;
       continue;
     }
-    if (i + 1 >= argc || key.rfind("--", 0) != 0) {
-      std::cerr << "bad argument: " << key << "\n";
+    const auto flag = flags.find(key);
+    if (flag == flags.end()) {
+      std::cerr << "cohesion_sim: unknown flag " << key << "\n";
       return false;
     }
-    kv[key.substr(2)] = argv[++i];
+    if (i + 1 >= argc) {
+      std::cerr << "cohesion_sim: " << key << " needs a value\n";
+      return false;
+    }
+    if (!flag->second(argv[++i])) {
+      std::cerr << "cohesion_sim: bad value for " << key << ": " << argv[i] << "\n";
+      return false;
+    }
   }
-  auto get = [&](const char* name, auto& out) {
-    const auto it = kv.find(name);
-    if (it == kv.end()) return;
-    std::istringstream ss(it->second);
-    ss >> out;
-  };
-  get("algo", opt.algo);
-  get("sched", opt.sched);
-  get("config", opt.config);
-  get("n", opt.n);
-  get("k", opt.k);
-  get("v", opt.v);
-  get("delta", opt.delta);
-  get("skew", opt.skew);
-  get("motion", opt.motion);
-  get("xi", opt.xi);
-  get("eps", opt.eps);
-  get("spacing", opt.spacing);
-  get("max", opt.max_activations);
-  get("seed", opt.seed);
-  get("svg", opt.svg_path);
-  get("trace", opt.trace_path);
   return true;
 }
 

@@ -24,11 +24,6 @@ Engine::Engine(std::vector<Vec2> initial, const Algorithm& algorithm, Scheduler&
   if (trace_.robot_count() == 0) throw std::invalid_argument("Engine: empty configuration");
   // Staged perception's bands assume these ranges (core/snapshot.hpp).
   config_.error.validate("Engine: error");
-  if (!config_.record_history) {
-    // The scheduler's 1e-12 look-ordering slack can query one segment back;
-    // without a Trace that history must live in the kinematic state.
-    kin_.set_keep_previous(true);
-  }
   double max_radius = config_.visibility.radius;
   if (!config_.visibility.per_robot_radii.empty()) {
     max_radius = *std::max_element(config_.visibility.per_robot_radii.begin(),
@@ -59,21 +54,12 @@ Vec2 Engine::cached_position(RobotId robot) {
 }
 
 void Engine::snapshot_via_incremental(RobotId robot, Time t, Snapshot& snap) {
-  // Re-bucket exactly the robots whose segments changed since the last
-  // snapshot — between consecutive Look times that is the just-moved robot,
-  // not all n. Their cached positions may describe the replaced segment.
-  for (const RobotId r : kin_.dirty()) {
-    index_.update(r, kin_.segment_from(r), kin_.segment_realized(r), kin_.segment_end(r));
-    pos_epoch_[r] = 0;
-  }
-  kin_.clear_dirty();
-
   if (t < index_time_) {
-    // The scheduler's 1e-12 look-ordering slack can place this Look before
-    // the previous one, where positions live on segments the buckets no
-    // longer cover (and collapsed robots may still be mid-move). Serve the
-    // query by a scan over history; the index stays consistent for the next
-    // forward query.
+    // The scheduler's kLookSlack can place this Look before the previous
+    // one, where positions live on segments the buckets no longer cover
+    // (and collapsed robots may still be mid-move). Serve the query by a
+    // scan over history; the index stays consistent for the next forward
+    // query.
     snapshot_via_scan(robot, t, snap);
     return;
   }
@@ -131,8 +117,10 @@ bool Engine::step() {
 
   // --- Contract checks (scheduler bugs should fail loudly). ---
   if (a.robot >= trace_.robot_count()) throw std::logic_error("Engine: bad robot id");
-  if (a.t_look + 1e-12 < frontier_) throw std::logic_error("Engine: look time before frontier");
-  if (a.t_look + 1e-12 < busy_until_[a.robot]) {
+  if (a.t_look + kLookSlack < frontier_) {
+    throw std::logic_error("Engine: look time before frontier");
+  }
+  if (a.t_look + kLookSlack < busy_until_[a.robot]) {
     throw std::logic_error("Engine: robot activated while still active");
   }
   if (!(a.t_look <= a.t_move_start + 1e-12 && a.t_move_start <= a.t_move_end + 1e-12)) {
@@ -167,6 +155,11 @@ bool Engine::step() {
   ActivationRecord rec{a, self, planned, realized, snap.size()};
   if (config_.record_history) trace_.record(rec);
   kin_.commit(rec);
+  // Re-bucket the committed robot only, not all n; its cached position may
+  // describe the replaced segment.
+  index_.update(a.robot, kin_.segment_from(a.robot), kin_.segment_realized(a.robot),
+                kin_.segment_end(a.robot));
+  pos_epoch_[a.robot] = 0;
   if (sink_) sink_->append(rec);
   end_time_ = std::max(end_time_, a.t_move_end);
   busy_until_[a.robot] = a.t_move_end;

@@ -7,23 +7,25 @@
 // the Async semantics of the paper: a Look may catch another robot anywhere
 // along its current trajectory.
 //
-// Positions live in two tiers:
+// Positions live in two tiers, both reading core::segment_position:
 //
-//  * Trace — the append-only full history. Replay, validators, metrics and
-//    serialization consume it; reconstructing a position from it costs a
-//    binary search over the robot's activation history.
-//  * KinematicState — each robot's *current* trajectory segment, updated on
-//    commit. Since commits arrive in non-decreasing Look order, every
-//    position the hot path needs (at or after the latest segment's Look) is
-//    an O(1) interpolation of that segment, bit-identical to what the Trace
-//    would reconstruct.
+//  * Trace — the append-only full history (memory mode only). Replay,
+//    validators and the adversaries' deep lookbacks consume it;
+//    reconstructing a position from it costs a binary search over the
+//    robot's activation history.
+//  * KinematicState — each robot's current and previous trajectory segment,
+//    updated on commit. Since commits arrive in non-decreasing Look order,
+//    every position the hot path needs (at or after the latest segment's
+//    Look) is an O(1) interpolation of the current segment, bit-identical
+//    to what the Trace reconstructs; the previous segment serves a Look
+//    within kLookSlack before it when no Trace is kept.
 //
 // Each Look gathers candidates from an IncrementalGrid, which buckets every
-// robot by the cells of its current trajectory segment and re-buckets only
-// the robots a commit touched, so neither a Look nor a commit pays O(n).
+// robot by the cells of its current trajectory segment; a commit re-buckets
+// just the committed robot, so neither a Look nor a commit pays O(n).
 // Candidates are evaluated through the kinematic cache and filtered with
 // the exact visibility predicate; a Look placed before the previous one by
-// the scheduler's 1e-12 slack is served by a scan over history instead.
+// kLookSlack is served by a scan over history instead.
 // The brute-force reference engine every result is certified against
 // lives in the tests (tests/oracles/engine_oracle.hpp): it applies the
 // same predicate and draws RNG in the same order, so both commit
@@ -158,7 +160,7 @@ class Engine final : public SimulationView {
   [[nodiscard]] geom::Vec2 cached_position(RobotId robot);
   /// Position from history for a query the kinematic cache's current
   /// segment cannot answer (t before the segment's Look): the Trace when
-  /// recording, else the retained previous segment.
+  /// recording (any depth), else the previous segment.
   [[nodiscard]] geom::Vec2 history_position(RobotId robot, Time t) const;
 
   const Algorithm& algorithm_;

@@ -1,21 +1,19 @@
-// Incremental per-robot kinematic state: the robot's *current* trajectory
-// segment, updated on every commit.
+// The trajectory-history model every position reader shares.
 //
-// The engine's hot path needs every robot's position at the current Look
-// time. Reconstructing that from the Trace costs a binary search over the
-// robot's full activation history per query; but because activations commit
-// in non-decreasing Look order, only the most recent segment of each robot
-// can ever matter at or after its own Look time. KinematicState keeps
-// exactly that segment ({from, realized, t_look, t_move_start, t_move_end})
-// per robot, so position_at(robot, t) is O(1) for any t >= segment_start(
-// robot) — and is bit-identical to Trace::position there, because it runs
-// the same interpolation arithmetic on the same committed values. Queries
-// before the current segment's Look (possible only through the scheduler's
-// 1e-12 look-ordering slack) must fall back to the Trace — or, when the
-// engine keeps no Trace (EngineConfig::record_history = false), to the
-// *previous* segment retained by set_keep_previous(true): the slack only
-// ever reaches one segment back unless a robot completes two full activity
-// cycles within 1e-12, which position_bounded rejects loudly.
+// A committed activation fixes its robot's trajectory segment {from,
+// realized, t_look, t_move_start, t_move_end}; segment_position is the one
+// interpolation along it, run by Trace::position, by KinematicState and so
+// by the engine's hot path and metrics::ConvergenceAccumulator. Every
+// reader agrees to the last bit because they run the same code.
+//
+// KinematicState keeps each robot's current and previous segment, updated
+// on every commit. Activations commit in non-decreasing Look order, so
+// position_at(robot, t) is O(1) and exact for any t >= segment_start(robot).
+// Earlier queries are possible only through the scheduler's kLookSlack; they
+// go to the Trace when one is kept, else to position_bounded, which answers
+// from the previous segment. The slack reaches further back only when a
+// robot completes two activity cycles within it, and position_bounded
+// rejects that loudly.
 #pragma once
 
 #include <vector>
@@ -26,55 +24,54 @@
 
 namespace cohesion::core {
 
+/// Position at `t` on a committed segment: at `from` before the move starts,
+/// interpolated during it, at `realized` from `t_move_end` on (a zero-length
+/// move jumps).
+[[nodiscard]] inline geom::Vec2 segment_position(geom::Vec2 from, geom::Vec2 realized,
+                                                 Time t_move_start, Time t_move_end, Time t) {
+  if (t >= t_move_end) return realized;
+  if (t >= t_move_start) {
+    const Time span = t_move_end - t_move_start;
+    const double frac = span > 0.0 ? (t - t_move_start) / span : 1.0;
+    return geom::lerp(from, realized, frac);
+  }
+  return from;
+}
+
 class KinematicState {
  public:
   KinematicState() = default;
   explicit KinematicState(const std::vector<geom::Vec2>& initial);
 
-  /// Replace `rec.activation.robot`'s current segment. Records must arrive
-  /// in the engine's commit order (non-decreasing t_look).
+  /// Replace `rec.activation.robot`'s current segment; the replaced one
+  /// becomes its previous segment. Records must arrive in commit order
+  /// (non-decreasing t_look up to kLookSlack).
   void commit(const ActivationRecord& rec);
 
   /// Position of `robot` at `t`. Exact (bit-identical to Trace::position)
   /// for t >= segment_start(robot); undefined earlier.
-  [[nodiscard]] geom::Vec2 position_at(RobotId robot, Time t) const;
-
-  /// Retain each robot's previous segment across commits, making
-  /// position_bounded answer one segment further back. Enable before the
-  /// first commit; the reference paths leave it off and pay nothing.
-  void set_keep_previous(bool on);
-  [[nodiscard]] bool keep_previous() const { return keep_previous_; }
+  [[nodiscard]] geom::Vec2 position_at(RobotId robot, Time t) const {
+    return segments_[robot].position(t);
+  }
 
   /// Position of `robot` at `t` from the current segment when
-  /// t >= segment_start(robot), else from the retained previous segment.
-  /// Bit-identical to Trace::position wherever it answers. Requires
-  /// set_keep_previous(true); throws std::logic_error when `t` predates the
-  /// previous segment's Look too (history the bounded mode no longer has).
+  /// t >= segment_start(robot), else from the previous segment.
+  /// Bit-identical to Trace::position wherever it answers; throws
+  /// std::logic_error naming the robot and `t` when `t` predates the
+  /// previous segment's Look too.
   [[nodiscard]] geom::Vec2 position_bounded(RobotId robot, Time t) const;
 
   /// Look time of the robot's current segment (0 before any activation; the
   /// initial segment is valid at every time).
-  [[nodiscard]] Time segment_start(RobotId robot) const {
-    return segments_[robot].t_look;
-  }
+  [[nodiscard]] Time segment_start(RobotId robot) const { return segments_[robot].t_look; }
 
-  /// Endpoints and end time of the robot's current segment: the robot sits
-  /// at `segment_from` before the move, interpolates between the endpoints
-  /// during it, and rests at `segment_realized` from `segment_end` onward.
-  /// These are what an incremental spatial index buckets by.
+  /// Endpoints and end time of the robot's current segment: what an
+  /// incremental spatial index buckets by.
   [[nodiscard]] geom::Vec2 segment_from(RobotId robot) const { return segments_[robot].from; }
   [[nodiscard]] geom::Vec2 segment_realized(RobotId robot) const {
     return segments_[robot].realized;
   }
   [[nodiscard]] Time segment_end(RobotId robot) const { return segments_[robot].t_move_end; }
-
-  /// Robots committed since the last clear_dirty(), in commit order, so an
-  /// incremental spatial index can re-bucket exactly the robots whose
-  /// segments changed. Between two consecutive Look times that is the
-  /// just-moved robot (plus any same-time co-activators), never all n. May
-  /// repeat a robot; consumers treat re-bucketing as idempotent.
-  [[nodiscard]] const std::vector<RobotId>& dirty() const { return dirty_; }
-  void clear_dirty() { dirty_.clear(); }
 
   [[nodiscard]] std::size_t robot_count() const { return segments_.size(); }
 
@@ -85,13 +82,16 @@ class KinematicState {
     Time t_look = 0.0;
     Time t_move_start = 0.0;
     Time t_move_end = 0.0;
+
+    [[nodiscard]] geom::Vec2 position(Time t) const {
+      return segment_position(from, realized, t_move_start, t_move_end, t);
+    }
   };
-  [[nodiscard]] static geom::Vec2 eval(const Segment& s, Time t);
 
   std::vector<Segment> segments_;
-  std::vector<Segment> previous_;  // keep_previous_ only: segment before current
-  std::vector<RobotId> dirty_;
-  bool keep_previous_ = false;
+  // The segment before the current one; a never-activated robot's is its
+  // initial rest segment (Look 0), so it answers any t >= 0 like the Trace.
+  std::vector<Segment> previous_;
 };
 
 }  // namespace cohesion::core

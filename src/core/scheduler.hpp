@@ -16,6 +16,11 @@
 
 namespace cohesion::core {
 
+/// How far a Look may fall before the previous Look (the frontier) or its
+/// robot's busy_until and still be accepted: the one look-ordering slack
+/// the engine, the scripted scheduler and the online metrics agree on.
+inline constexpr double kLookSlack = 1e-12;
+
 /// Read-only view of the simulation the scheduler may inspect. Adversarial
 /// schedulers in the paper are omniscient, so full state is exposed.
 class SimulationView {
@@ -41,8 +46,9 @@ class Scheduler {
   /// Propose the next activation, or nullopt to end the run (scripted
   /// schedules end; generative schedulers never return nullopt).
   ///
-  /// Contract: t_look >= view.frontier(), t_look >= view.busy_until(robot),
-  /// t_look <= t_move_start <= t_move_end, realized_fraction in (0, 1].
+  /// Contract: t_look >= view.frontier(), t_look >= view.busy_until(robot)
+  /// (each up to kLookSlack), t_look <= t_move_start <= t_move_end,
+  /// realized_fraction in (0, 1].
   virtual std::optional<Activation> next(const SimulationView& view) = 0;
 
   [[nodiscard]] virtual std::string_view name() const = 0;

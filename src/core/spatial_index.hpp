@@ -190,7 +190,7 @@ class SpatialGrid {
 /// their multi-cell segment box collapses to the single end cell (a pending
 /// min-heap of move-end times makes this O(log in-flight) amortized).
 /// Collapsing assumes queries never go back before the collapse time;
-/// the engine guards the scheduler's 1e-12 look-ordering slack by serving
+/// the engine guards the scheduler's kLookSlack by serving
 /// backward queries through a scan over history instead.
 class IncrementalGrid {
  public:

@@ -16,14 +16,8 @@ Vec2 Trace::position(RobotId robot, Time t) const {
   });
   if (it == idx.begin()) return initial_.at(robot);
   const ActivationRecord& rec = records_[*(it - 1)];
-  const Activation& a = rec.activation;
-  if (t >= a.t_move_end) return rec.realized;
-  if (t >= a.t_move_start) {
-    const Time span = a.t_move_end - a.t_move_start;
-    const double frac = span > 0.0 ? (t - a.t_move_start) / span : 1.0;
-    return geom::lerp(rec.from, rec.realized, frac);
-  }
-  return rec.from;
+  return segment_position(rec.from, rec.realized, rec.activation.t_move_start,
+                          rec.activation.t_move_end, t);
 }
 
 std::vector<Vec2> Trace::configuration(Time t) const {
@@ -32,25 +26,24 @@ std::vector<Vec2> Trace::configuration(Time t) const {
   return out;
 }
 
+bool RoundCounter::add(const Activation& a) {
+  // A cycle counts for the round it starts in, once per robot.
+  if (a.t_look < boundary_ || done_[a.robot]) return false;
+  done_[a.robot] = true;
+  round_end_ = std::max(round_end_, a.t_move_end);
+  if (--remaining_ > 0) return false;
+  boundary_ = round_end_;
+  ++rounds_;
+  std::fill(done_.begin(), done_.end(), false);
+  remaining_ = done_.size();
+  return true;
+}
+
 std::vector<Time> Trace::round_boundaries() const {
   std::vector<Time> bounds{0.0};
-  const std::size_t n = initial_.size();
-  std::vector<bool> done(n, false);
-  std::size_t remaining = n;
-  Time round_end = 0.0;  // max move-end among the cycles counted this round
+  RoundCounter rounds(initial_.size());
   for (const ActivationRecord& rec : records_) {
-    const RobotId r = rec.activation.robot;
-    if (rec.activation.t_look < bounds.back()) continue;  // started before round
-    if (!done[r]) {
-      done[r] = true;
-      round_end = std::max(round_end, rec.activation.t_move_end);
-      if (--remaining == 0) {
-        bounds.push_back(round_end);
-        std::fill(done.begin(), done.end(), false);
-        remaining = n;
-        round_end = bounds.back();
-      }
-    }
+    if (rounds.add(rec.activation)) bounds.push_back(rounds.boundary());
   }
   return bounds;
 }

@@ -9,11 +9,37 @@
 #include <vector>
 
 #include "core/activation.hpp"
+#include "core/kinematics.hpp"
 #include "core/trace_sink.hpp"
 #include "core/types.hpp"
 #include "geometry/vec2.hpp"
 
 namespace cohesion::core {
+
+/// The paper's unit for convergence rates in asynchronous models. Rounds
+/// are consecutive intervals [t_i, t_{i+1}), t_0 = 0, each a minimal
+/// interval in which every robot completes at least one full activity
+/// cycle that starts in it; t_{i+1} is the latest move end among the
+/// cycles counted for round i.
+class RoundCounter {
+ public:
+  explicit RoundCounter(std::size_t robots) : done_(robots, false), remaining_(robots) {}
+
+  /// Fold one activation, in commit order. True iff it completed a round,
+  /// whose end is then boundary().
+  bool add(const Activation& a);
+
+  /// The latest round boundary (0 before the first round completes).
+  [[nodiscard]] Time boundary() const { return boundary_; }
+  [[nodiscard]] std::size_t rounds() const { return rounds_; }
+
+ private:
+  std::vector<bool> done_;  // robots counted in the open round
+  std::size_t remaining_;
+  std::size_t rounds_ = 0;
+  Time round_end_ = 0.0;  // max move end among the cycles counted so far
+  Time boundary_ = 0.0;
+};
 
 class Trace final : public TraceSink {
  public:
@@ -50,10 +76,7 @@ class Trace final : public TraceSink {
   /// maintained as a running max by record().
   [[nodiscard]] Time end_time() const { return end_time_; }
 
-  /// Round boundaries: times t_0 < t_1 < ... where each round [t_i, t_{i+1})
-  /// is a minimal interval in which every robot completes at least one full
-  /// activity cycle. This is the paper's notion of a "round" used to state
-  /// convergence rates in asynchronous models.
+  /// Round boundaries t_0 = 0 < t_1 < ... (see RoundCounter).
   [[nodiscard]] std::vector<Time> round_boundaries() const;
 
  private:

@@ -23,8 +23,8 @@ class TraceSink {
   virtual ~TraceSink() = default;
 
   /// Consume one committed activation. Records arrive in the engine's
-  /// commit order (non-decreasing Look times up to the scheduler's 1e-12
-  /// slack) — append-only; a sink never sees a record twice.
+  /// commit order (non-decreasing Look times up to the scheduler's
+  /// kLookSlack) — append-only; a sink never sees a record twice.
   virtual void append(const ActivationRecord& rec) = 0;
 
   /// Flush/close. Called once after the last append; appending afterwards

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <string>
 
+#include "core/scheduler.hpp"
 #include "geometry/convex_hull.hpp"
 
 namespace cohesion::metrics {
@@ -12,63 +12,26 @@ using core::RobotId;
 using core::Time;
 using geom::Vec2;
 
-namespace {
-
-/// The engine admits Looks up to this far before the frontier; a pending
-/// sample at T is closed only by a record provably beyond that reach.
-constexpr double kLookSlack = 1e-12;
-
-}  // namespace
-
-ConvergenceAccumulator::ConvergenceAccumulator(std::vector<Vec2> initial, double v, double epsilon,
-                                               bool track_min_pairwise)
-    : initial_(std::move(initial)),
-      epsilon_(epsilon),
-      stretch_(initial_, v),
-      cur_(initial_.size()),
-      prev_(initial_.size()),
-      done_(initial_.size(), false),
-      remaining_(initial_.size()),
-      per_robot_activations_(initial_.size(), 0),
+ConvergenceAccumulator::ConvergenceAccumulator(const std::vector<Vec2>& initial, double v,
+                                               double epsilon, bool track_min_pairwise)
+    : epsilon_(epsilon),
+      stretch_(initial, v),
+      kin_(initial),
+      rounds_(initial.size()),
+      initial_diameter_(geom::set_diameter(initial)),
+      per_robot_activations_(initial.size(), 0),
       track_min_pairwise_(track_min_pairwise) {
-  for (std::size_t r = 0; r < initial_.size(); ++r) {
-    cur_[r].from = initial_[r];
-    cur_[r].realized = initial_[r];
-  }
-  prev_ = cur_;
-  initial_diameter_ = geom::set_diameter(initial_);
   // The batch path samples every round boundary, and round_boundaries()
   // always starts with t = 0 — open it here so a zero-duration move at
   // time 0 (which teleports a robot at the sampled instant) lands in it.
   open_sample(0.0);
 }
 
-Vec2 ConvergenceAccumulator::eval(const Segment& s, Time t) {
-  // Identical branches and arithmetic to Trace::position's segment tail —
-  // bit-identity with the batch path rests on this.
-  if (t >= s.t_move_end) return s.realized;
-  if (t >= s.t_move_start) {
-    const Time span = s.t_move_end - s.t_move_start;
-    const double frac = span > 0.0 ? (t - s.t_move_start) / span : 1.0;
-    return geom::lerp(s.from, s.realized, frac);
-  }
-  return s.from;
-}
-
-Vec2 ConvergenceAccumulator::position_at(RobotId robot, Time t) const {
-  if (t >= cur_[robot].t_look) return eval(cur_[robot], t);
-  if (t >= prev_[robot].t_look) return eval(prev_[robot], t);
-  throw std::logic_error(
-      "ConvergenceAccumulator: robot " + std::to_string(robot) +
-      " completed two activity cycles within the scheduler's 1e-12 look slack around sample t=" +
-      std::to_string(t) + " — single-pass analysis keeps only two segments of history");
-}
-
 void ConvergenceAccumulator::open_sample(Time t) {
   PendingSample s;
   s.t = t;
-  s.positions.resize(initial_.size());
-  for (RobotId r = 0; r < initial_.size(); ++r) s.positions[r] = position_at(r, t);
+  s.positions.resize(kin_.robot_count());
+  for (RobotId r = 0; r < kin_.robot_count(); ++r) s.positions[r] = kin_.position_bounded(r, t);
   pending_.push_back(std::move(s));
 }
 
@@ -97,40 +60,20 @@ void ConvergenceAccumulator::finalize_front() {
 void ConvergenceAccumulator::add(const core::ActivationRecord& rec) {
   const core::Activation& a = rec.activation;
   const RobotId r = a.robot;
-  if (r >= initial_.size()) throw std::logic_error("ConvergenceAccumulator: bad robot id");
+  if (r >= kin_.robot_count()) throw std::logic_error("ConvergenceAccumulator: bad robot id");
 
   // A Look beyond a pending sample's slack window proves no future record
   // can move anything at that sample — fold it into the report.
-  while (!pending_.empty() && a.t_look > pending_.front().t + kLookSlack) finalize_front();
+  while (!pending_.empty() && a.t_look > pending_.front().t + core::kLookSlack) finalize_front();
 
-  prev_[r] = cur_[r];
-  cur_[r].from = rec.from;
-  cur_[r].realized = rec.realized;
-  cur_[r].t_look = a.t_look;
-  cur_[r].t_move_start = a.t_move_start;
-  cur_[r].t_move_end = a.t_move_end;
+  kin_.commit(rec);
 
   // This record is now r's latest with t_look <= s.t at every pending
   // sample it reaches — exactly the record Trace::position would pick.
   for (PendingSample& s : pending_) {
-    if (a.t_look <= s.t) s.positions[r] = eval(cur_[r], s.t);
+    if (a.t_look <= s.t) s.positions[r] = kin_.position_at(r, s.t);
   }
-
-  // Round-boundary state machine (mirrors Trace::round_boundaries).
-  if (a.t_look >= last_bound_) {
-    if (!done_[r]) {
-      done_[r] = true;
-      round_end_ = std::max(round_end_, a.t_move_end);
-      if (--remaining_ == 0) {
-        last_bound_ = round_end_;
-        ++rounds_;
-        open_sample(last_bound_);
-        std::fill(done_.begin(), done_.end(), false);
-        remaining_ = initial_.size();
-        round_end_ = last_bound_;
-      }
-    }
-  }
+  if (rounds_.add(a)) open_sample(rounds_.boundary());
 
   end_time_ = std::max(end_time_, a.t_move_end);
   ++activations_;
@@ -144,14 +87,14 @@ ConvergenceReport ConvergenceAccumulator::finish() {
 
   // The batch path appends one sample past the end of all committed motion.
   const Time t_end = end_time_ + 1.0;
-  std::vector<Vec2> cfg(initial_.size());
-  for (RobotId r = 0; r < initial_.size(); ++r) cfg[r] = eval(cur_[r], t_end);
+  std::vector<Vec2> cfg(kin_.robot_count());
+  for (RobotId r = 0; r < kin_.robot_count(); ++r) cfg[r] = kin_.position_at(r, t_end);
   fold_sample(cfg);
 
   ConvergenceReport rep;
   rep.activations = activations_;
   rep.initial_diameter = initial_diameter_;
-  rep.rounds = rounds_;
+  rep.rounds = rounds_.rounds();
   rep.rounds_to_halve = rounds_to_halve_;
   rep.worst_stretch = worst_stretch_;
   rep.cohesive = cohesive_;

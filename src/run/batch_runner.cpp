@@ -64,46 +64,40 @@ RunOutcome execute(const ExpandedRun& run,
   try {
     RunInstance inst = instantiate(run.spec);
     out.n = inst.initial.size();
-    if (run.spec.trace.mode == "memory") {
-      out.converged = inst.engine->run_until(run.spec.stop);
-      out.report = metrics::analyze(inst.engine->trace(), run.spec.visibility_radius,
-                                    run.spec.stop.epsilon);
-    } else {
-      // Bounded-memory path: the engine materializes no Trace; metrics fold
-      // online and (in stream mode) every record is framed to disk. The
-      // online report is bit-identical to the memory path's by the
-      // ConvergenceAccumulator contract.
-      const std::uint64_t fp = spec_fingerprint(run.spec);
-      trace::OnlineMetrics online(inst.initial, run.spec.visibility_radius,
-                                  run.spec.stop.epsilon);
-      std::optional<trace::StreamTraceWriter> writer;
-      std::vector<core::TraceSink*> sinks;
-      if (run.spec.trace.mode == "stream") {
-        if (run.spec.trace.path.empty()) {
-          throw std::runtime_error(
-              "trace.mode \"stream\" needs a destination: set trace.path in the spec "
-              "or pass --trace-dir to cohesion_run");
-        }
-        trace::StreamHeader header;
-        header.fingerprint = fp;
-        header.initial = inst.initial;
-        header.visibility_radius = run.spec.visibility_radius;
-        header.stop_epsilon = run.spec.stop.epsilon;
-        trace::StreamWriterOptions wopts;
-        wopts.flush_every_records = run.spec.trace.flush_every;
-        wopts.index_every_records = run.spec.trace.index_every;
-        writer.emplace(run.spec.trace.path, std::move(header), wopts);
-        sinks.push_back(&*writer);
-        out.trace_path = run.spec.trace.path;
-        out.trace_fingerprint = fingerprint_hex(fp);
+    // One sink path for every trace mode: metrics fold online, stream mode
+    // also frames every record to disk, and memory mode's engine still
+    // records its Trace for trace_metric. The online report is the one
+    // metrics::analyze computes from that Trace (ConvergenceAccumulator).
+    trace::OnlineMetrics online(inst.initial, run.spec.visibility_radius,
+                                run.spec.stop.epsilon);
+    std::optional<trace::StreamTraceWriter> writer;
+    std::vector<core::TraceSink*> sinks;
+    if (run.spec.trace.mode == "stream") {
+      if (run.spec.trace.path.empty()) {
+        throw std::runtime_error(
+            "trace.mode \"stream\" needs a destination: set trace.path in the spec "
+            "or pass --trace-dir to cohesion_run");
       }
-      sinks.push_back(&online);
-      core::TeeSink tee(std::move(sinks));
-      inst.engine->set_trace_sink(&tee);
-      out.converged = inst.engine->run_until(run.spec.stop);
-      tee.finish();
-      out.report = online.report();
+      const std::uint64_t fp = spec_fingerprint(run.spec);
+      trace::StreamHeader header;
+      header.fingerprint = fp;
+      header.initial = inst.initial;
+      header.visibility_radius = run.spec.visibility_radius;
+      header.stop_epsilon = run.spec.stop.epsilon;
+      trace::StreamWriterOptions wopts;
+      wopts.flush_every_records = run.spec.trace.flush_every;
+      wopts.index_every_records = run.spec.trace.index_every;
+      writer.emplace(run.spec.trace.path, std::move(header), wopts);
+      sinks.push_back(&*writer);
+      out.trace_path = run.spec.trace.path;
+      out.trace_fingerprint = fingerprint_hex(fp);
     }
+    sinks.push_back(&online);
+    core::TeeSink tee(std::move(sinks));
+    inst.engine->set_trace_sink(&tee);
+    out.converged = inst.engine->run_until(run.spec.stop);
+    tee.finish();
+    out.report = online.report();
     if (trace_metric) out.custom = trace_metric(run.spec, *inst.engine);
   } catch (const std::exception& e) {
     out.error = e.what();

@@ -59,13 +59,14 @@ struct FactorySpec {
   static FactorySpec read(Fields& spec, std::string_view key, std::string_view fallback_type);
 };
 
-/// How a run's activation history is captured.
+/// How a run's activation history is captured. Metrics fold online in
+/// every mode (trace::OnlineMetrics), so all three give the same report.
 ///
-///   memory — materialize the in-memory core::Trace (the default and the
-///            bit-identical reference path)
+///   memory — the engine also materializes its in-memory core::Trace (the
+///            default), which a batch trace_metric may read
 ///   stream — bounded-memory: no in-memory history; records are framed to
-///            `path` by trace::StreamTraceWriter and metrics fold online
-///   off    — bounded-memory, no capture at all (metrics still fold online)
+///            `path` by trace::StreamTraceWriter
+///   off    — bounded-memory, no capture at all
 ///
 /// `path` is a template; expand() substitutes {name}, {index}, {seed},
 /// {variant} and {repeat} per run ({name} with '/' and '#' mapped to '_'

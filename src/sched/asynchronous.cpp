@@ -303,12 +303,12 @@ std::optional<Activation> KNestAScheduler::next(const SimulationView&) {
 ScriptedScheduler::ScriptedScheduler(std::vector<Activation> script) : script_(std::move(script)) {
   // Enforce the same ordering contract the engine does: each look may
   // regress below the *previous* look (the engine's frontier is the last
-  // committed Look time, not a running max) only within the 1e-12 slack.
+  // committed Look time, not a running max) only within core::kLookSlack.
   // (The Section-7 constructions write exactly-sorted scripts; the slack
   // exists so adversarial scripts can exercise the engine's tolerance too.)
   double frontier = -std::numeric_limits<double>::infinity();
   for (const Activation& a : script_) {
-    if (a.t_look + 1e-12 < frontier) {
+    if (a.t_look + core::kLookSlack < frontier) {
       throw std::invalid_argument("ScriptedScheduler: script must be sorted by t_look");
     }
     frontier = a.t_look;

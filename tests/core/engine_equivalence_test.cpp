@@ -13,6 +13,7 @@
 #include <limits>
 #include <memory>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "algo/baselines.hpp"
@@ -482,6 +483,48 @@ TEST(EngineEquivalence, ZeroDurationAndBackwardSlackScriptsStayExact) {
   Engine engine(initial, cog, sched_engine, cfg);
   ASSERT_EQ(engine.run(script.size()), script.size());
   expect_identical_traces(engine.trace(), oracle.trace(), 0);
+}
+
+TEST(EngineEquivalence, TwoCyclesWithinTheSlackExhaustBoundedHistoryOnly) {
+  // Robot 0 completes two zero-length cycles at t = 5; robot 1 then Looks
+  // within kLookSlack before them, where robot 0 sits on a segment two
+  // back. Only the Trace still holds it: the bounded mode (current +
+  // previous segment) must refuse loudly, naming the robot and the time.
+  const algo::CogAlgorithm cog;
+  const std::vector<Vec2> initial{{0.0, 0.0}, {0.5, 0.0}};
+  const double late = 5.0 - 9e-13;
+  const std::vector<Activation> script{
+      {0, 1.0, 1.0, 1.0, 1.0},
+      {0, 5.0, 5.0, 5.0, 1.0},
+      {0, 5.0, 5.0, 5.0, 1.0},
+      {1, late, late, late, 1.0},
+  };
+  EngineConfig cfg;
+  cfg.visibility.radius = 1.0;
+  cfg.error.random_rotation = false;
+
+  sched::ScriptedScheduler sched_memory(script);
+  Engine memory(initial, cog, sched_memory, cfg);
+  ASSERT_EQ(memory.run(script.size()), script.size());
+  sched::ScriptedScheduler sched_oracle(script);
+  EngineOracle oracle(initial, cog, sched_oracle, cfg);
+  ASSERT_EQ(oracle.run(script.size()), script.size());
+  expect_identical_traces(memory.trace(), oracle.trace(), 0);
+  EXPECT_EQ(memory.position(0, late), memory.trace().position(0, late));
+  EXPECT_EQ(memory.trace().records().back().seen, 1u);
+
+  cfg.record_history = false;
+  sched::ScriptedScheduler sched_bounded(script);
+  Engine bounded(initial, cog, sched_bounded, cfg);
+  ASSERT_EQ(bounded.run(script.size() - 1), script.size() - 1);
+  try {
+    (void)bounded.step();
+    FAIL() << "bounded history answered a position two segments back";
+  } catch (const std::logic_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("robot 0 "), std::string::npos) << what;
+    EXPECT_NE(what.find("t=4.9999999999991"), std::string::npos) << what;
+  }
 }
 
 TEST(EngineEquivalence, ViewPositionsAgreeMidRun) {

@@ -339,29 +339,29 @@ TEST(KinematicState, MatchesTraceReplayBitExactly) {
   }
 }
 
-TEST(KinematicState, DirtyTrackingRecordsCommitsSinceLastDrain) {
+TEST(KinematicState, SegmentAccessorsDescribeTheCurrentSegment) {
   const std::vector<Vec2> initial{{0.0, 0.0}, {1.0, 0.0}, {2.0, 0.0}};
   KinematicState kin(initial);
-  const auto commit = [&](RobotId r, Time look) {
+  const auto commit = [&](RobotId r, Time look, Vec2 to) {
     Activation a;
     a.robot = r;
     a.t_look = look;
     a.t_move_start = look;
     a.t_move_end = look + 0.5;
     a.realized_fraction = 1.0;
-    kin.commit({a, initial[r], initial[r], initial[r], 0});
+    kin.commit({a, initial[r], to, to, 0});
   };
-  commit(2, 2.0);
-  commit(0, 3.0);
-  commit(2, 4.0);
-  EXPECT_EQ(kin.dirty(), (std::vector<RobotId>{2, 0, 2}));  // commit order, repeats kept
-  kin.clear_dirty();
-  EXPECT_TRUE(kin.dirty().empty());
-  commit(1, 5.0);
-  EXPECT_EQ(kin.dirty(), (std::vector<RobotId>{1}));
+  EXPECT_EQ(kin.segment_start(1), 0.0);
+  EXPECT_EQ(kin.segment_end(1), 0.0);
+  commit(2, 2.0, {2.0, 1.0});
+  commit(1, 5.0, {1.0, 1.0});
+  EXPECT_EQ(kin.segment_start(1), 5.0);
   EXPECT_EQ(kin.segment_end(1), 5.5);
   EXPECT_EQ(kin.segment_from(1), initial[1]);
-  EXPECT_EQ(kin.segment_realized(1), initial[1]);
+  EXPECT_EQ(kin.segment_realized(1), (Vec2{1.0, 1.0}));
+  EXPECT_EQ(kin.segment_realized(2), (Vec2{2.0, 1.0}));
+  EXPECT_EQ(kin.segment_from(0), initial[0]);  // never activated
+  EXPECT_EQ(kin.segment_realized(0), initial[0]);
 }
 
 }  // namespace

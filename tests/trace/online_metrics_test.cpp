@@ -300,6 +300,30 @@ TEST(OnlineMetrics, BackwardLookWithinSlackMatchesOracle) {
   expect_identical_reports(online.report(), reference, 0, "scripted live");
 }
 
+TEST(OnlineMetrics, TwoCyclesWithinTheSlackExhaustTheAccumulatorsHistory) {
+  // Robot 1's Look within kLookSlack before robot 0's two zero-length
+  // cycles at t = 5 completes a round ending at that Look, so the new
+  // sample needs robot 0 two segments back — beyond the accumulator's
+  // current + previous segment. It must refuse, naming robot and time.
+  const std::vector<Vec2> initial{{0.0, 0.0}, {0.5, 0.0}};
+  const double late = 5.0 - 9e-13;
+  const auto record = [&](core::RobotId r, core::Time t) {
+    return core::ActivationRecord{{r, t, t, t, 1.0}, initial[r], initial[r], initial[r], 1};
+  };
+  metrics::ConvergenceAccumulator acc(initial, 1.0, 0.05);
+  acc.add(record(0, 1.0));
+  acc.add(record(0, 5.0));
+  acc.add(record(0, 5.0));
+  try {
+    acc.add(record(1, late));
+    FAIL() << "the accumulator answered a position two segments back";
+  } catch (const std::logic_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("robot 0 "), std::string::npos) << what;
+    EXPECT_NE(what.find("t=4.9999999999991"), std::string::npos) << what;
+  }
+}
+
 TEST(OnlineMetrics, DenseStartStreamedMatchesMemoryAndRescan) {
   // Contract 10 at the density perfbench's dense_fsync runs: a lattice at
   // spacing 0.05 V gives every robot hundreds of initially-visible pairs,
