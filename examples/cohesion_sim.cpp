@@ -14,16 +14,15 @@
 // the assembled spec JSON instead of running — pipe it to `cohesion_run`
 // to sweep it. --trace writes the COHTRACE activation stream that
 // `cohesion_run` streams, so `cohesion_replay` recomputes the metrics,
-// prints --info or renders --svg from it. Run with --help for the full flag
-// list.
-#include <charconv>
-#include <functional>
+// prints --info or renders --svg from it. `cohesion_sim --help` lists every
+// flag with its default.
 #include <iostream>
-#include <map>
 #include <string>
+#include <vector>
 
 #include "metrics/stats.hpp"
 #include "metrics/svg.hpp"
+#include "run/args.hpp"
 #include "run/instantiate.hpp"
 #include "run/registry.hpp"
 #include "run/spec.hpp"
@@ -54,90 +53,37 @@ struct Options {
   bool print_spec = false;
 };
 
-void usage() {
-  const auto keys = [](const std::vector<std::string>& ks) {
-    std::string out;
-    for (const std::string& k : ks) out += (out.empty() ? "" : " | ") + k;
+/// Every flag is declared here; an unknown flag or a value that does not
+/// parse in full exits 2 naming the flag, never a silent default.
+void parse(int argc, char** argv, Options& opt) {
+  const auto keys = [](const char* what, const std::vector<std::string>& ks) {
+    std::string out = what;
+    for (std::size_t i = 0; i < ks.size(); ++i) out += (i == 0 ? ": " : " | ") + ks[i];
     return out;
   };
-  std::cout <<
-      "cohesion_sim — OBLOT point-convergence simulator\n\n"
-      "  --algo   " << keys(run::algorithms().keys()) << "  (default kknps)\n"
-      "  --sched  " << keys(run::schedulers().keys()) << "  (default kasync)\n"
-      "  --config " << keys(run::initials().keys()) << "  (default random)\n"
-      "  --n      robot count (default 16)\n"
-      "  --k      asynchrony bound for kasync/knesta + kknps scaling (default 1)\n"
-      "  --v      visibility radius (default 1)\n"
-      "  --delta  relative distance-error bound (default 0)\n"
-      "  --skew   angle-distortion skew lambda (default 0)\n"
-      "  --motion quadratic motion-error coefficient (default 0)\n"
-      "  --xi     minimum realized move fraction, (0,1] (default 1 = rigid)\n"
-      "  --eps    convergence diameter (default 0.05)\n"
-      "  --spacing initial spacing for line/grid/circle, in units of v (default 0.9)\n"
-      "  --max    activation budget (default 500000)\n"
-      "  --seed   master seed (default 1; component seeds are derived)\n"
-      "  --svg    write an SVG rendering of the run to this path\n"
-      "  --trace  write the activation trace (COHTRACE, read by cohesion_replay) to this path\n"
-      "  --reflection  allow mirrored local frames (no chirality)\n"
-      "  --spec   print the assembled RunSpec JSON and exit (for cohesion_run)\n";
-}
-
-bool read_value(const std::string& text, std::string& out) {
-  out = text;
-  return true;
-}
-
-/// Parse all of `text` into `out`: "1e3" is no robot count, "2x" no number.
-template <class T>
-bool read_value(const std::string& text, T& out) {
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
-  return ec == std::errc() && ptr == end;
-}
-
-/// An unknown flag or a value that does not parse in full is an error that
-/// names the flag, never a silent default.
-bool parse(int argc, char** argv, Options& opt) {
-  const auto bind = [](auto& field) {
-    return [&field](const std::string& text) { return read_value(text, field); };
-  };
-  const std::map<std::string, std::function<bool(const std::string&)>> flags{
-      {"--algo", bind(opt.algo)},       {"--sched", bind(opt.sched)},
-      {"--config", bind(opt.config)},   {"--n", bind(opt.n)},
-      {"--k", bind(opt.k)},             {"--v", bind(opt.v)},
-      {"--delta", bind(opt.delta)},     {"--skew", bind(opt.skew)},
-      {"--motion", bind(opt.motion)},   {"--xi", bind(opt.xi)},
-      {"--eps", bind(opt.eps)},         {"--spacing", bind(opt.spacing)},
-      {"--max", bind(opt.max_activations)},
-      {"--seed", bind(opt.seed)},       {"--svg", bind(opt.svg_path)},
-      {"--trace", bind(opt.trace_path)},
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string key = argv[i];
-    if (key == "--help" || key == "-h") return false;
-    if (key == "--reflection") {
-      opt.reflection = true;
-      continue;
-    }
-    if (key == "--spec") {
-      opt.print_spec = true;
-      continue;
-    }
-    const auto flag = flags.find(key);
-    if (flag == flags.end()) {
-      std::cerr << "cohesion_sim: unknown flag " << key << "\n";
-      return false;
-    }
-    if (i + 1 >= argc) {
-      std::cerr << "cohesion_sim: " << key << " needs a value\n";
-      return false;
-    }
-    if (!flag->second(argv[++i])) {
-      std::cerr << "cohesion_sim: bad value for " << key << ": " << argv[i] << "\n";
-      return false;
-    }
-  }
-  return true;
+  const std::string algos = keys("algorithm", run::algorithms().keys());
+  const std::string scheds = keys("scheduler", run::schedulers().keys());
+  const std::string configs = keys("initial configuration", run::initials().keys());
+  run::Args args(argc, argv, "cohesion_sim");
+  args.read("--algo KEY", opt.algo, algos);
+  args.read("--sched KEY", opt.sched, scheds);
+  args.read("--config KEY", opt.config, configs);
+  args.read("--n N", opt.n, "robot count");
+  args.read("--k K", opt.k, "asynchrony bound for kasync/knesta + kknps scaling");
+  args.read("--v V", opt.v, "visibility radius");
+  args.read("--delta X", opt.delta, "relative distance-error bound");
+  args.read("--skew X", opt.skew, "angle-distortion skew lambda");
+  args.read("--motion X", opt.motion, "quadratic motion-error coefficient");
+  args.read("--xi X", opt.xi, "minimum realized move fraction in (0,1], 1 = rigid");
+  args.read("--eps X", opt.eps, "convergence diameter");
+  args.read("--spacing X", opt.spacing, "initial spacing for line/grid/circle, in units of v");
+  args.read("--max N", opt.max_activations, "activation budget");
+  args.read("--seed N", opt.seed, "master seed (component seeds are derived)");
+  args.read("--svg FILE", opt.svg_path, "write an SVG rendering of the run to FILE");
+  args.read("--trace FILE", opt.trace_path, "write the COHTRACE activation stream to FILE");
+  args.read("--reflection", opt.reflection, "allow mirrored local frames (no chirality)");
+  args.read("--spec", opt.print_spec, "print the assembled RunSpec JSON and exit");
+  args.done();
 }
 
 /// Map the flags onto a declarative spec; all component construction is
@@ -185,10 +131,7 @@ run::RunSpec build_spec(const Options& opt) {
 
 int main(int argc, char** argv) {
   Options opt;
-  if (!parse(argc, argv, opt)) {
-    usage();
-    return 2;
-  }
+  parse(argc, argv, opt);
 
   try {
     const run::RunSpec spec = build_spec(opt);

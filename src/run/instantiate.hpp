@@ -28,4 +28,11 @@ struct RunInstance {
 /// the robot count (e.g. spiral); the scheduler sees the actual count.
 RunInstance instantiate(const RunSpec& spec);
 
+/// Preflight for a whole sweep: construct and discard the four factory
+/// slots (algorithm, scheduler, error model, initial configuration) of each
+/// variant with distinct slot content, so a bad `params` in any variant
+/// throws before run 0 starts, naming the variant index and label. Builds
+/// no engine.
+void check_factories(const ExperimentSpec& experiment);
+
 }  // namespace cohesion::run

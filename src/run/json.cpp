@@ -249,7 +249,9 @@ void append_double(std::string& out, double d) {
   char buf[32];
   for (const int precision : {15, 16, 17}) {
     std::snprintf(buf, sizeof buf, "%.*g", precision, d);
-    if (std::strtod(buf, nullptr) == d) break;
+    double back = 0.0;
+    std::from_chars(buf, buf + std::strlen(buf), back);
+    if (back == d) break;
   }
   out += buf;
   // Keep the number flavor visible: "1e5" and "1.5" already look like
@@ -492,9 +494,6 @@ bool Json::operator==(const Json& other) const {
   return v_ == other.v_;
 }
 
-namespace {
-
-/// Levenshtein distance, for naming the nearest known key.
 std::size_t edit_distance(std::string_view a, std::string_view b) {
   std::vector<std::size_t> row(b.size() + 1);
   for (std::size_t j = 0; j <= b.size(); ++j) row[j] = j;
@@ -509,8 +508,6 @@ std::size_t edit_distance(std::string_view a, std::string_view b) {
   }
   return row[b.size()];
 }
-
-}  // namespace
 
 Fields::Fields(const Json& obj, Key context, Key segment, const Fields* parent, std::size_t index)
     : obj_(obj), context_(context), segment_(segment), parent_(parent), index_(index) {

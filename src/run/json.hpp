@@ -112,6 +112,9 @@ class Json {
       v_;
 };
 
+/// Levenshtein distance, for naming the nearest known key or flag.
+std::size_t edit_distance(std::string_view a, std::string_view b);
+
 /// Strict reader over one JSON object of a spec. Each read declares its key;
 /// done() throws on the first key no read declared, `<context>: unknown key
 /// "<path>" (nearest known: "<path>")` or `(takes no keys)`, and then on an

@@ -2,21 +2,9 @@
 
 #include <stdexcept>
 
+#include "run/args.hpp"
+
 namespace cohesion::run {
-
-namespace {
-
-std::size_t parse_count(const std::string& text, const std::string& whole) {
-  if (text.empty()) throw std::runtime_error("bad shard \"" + whole + "\": expected i/N");
-  std::size_t value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') throw std::runtime_error("bad shard \"" + whole + "\": expected i/N");
-    value = value * 10 + static_cast<std::size_t>(c - '0');
-  }
-  return value;
-}
-
-}  // namespace
 
 Shard Shard::parse(const std::string& text) {
   const std::size_t slash = text.find('/');
@@ -24,8 +12,11 @@ Shard Shard::parse(const std::string& text) {
     throw std::runtime_error("bad shard \"" + text + "\": expected i/N (e.g. 0/3)");
   }
   Shard s;
-  s.index = parse_count(text.substr(0, slash), text);
-  s.count = parse_count(text.substr(slash + 1), text);
+  const std::string_view whole = text;
+  if (!parse_whole(whole.substr(0, slash), s.index) ||
+      !parse_whole(whole.substr(slash + 1), s.count)) {
+    throw std::runtime_error("bad shard \"" + text + "\": expected i/N");
+  }
   if (s.count == 0) throw std::runtime_error("bad shard \"" + text + "\": N must be >= 1");
   if (s.index >= s.count) {
     throw std::runtime_error("bad shard \"" + text + "\": index must be in [0, " +

@@ -13,6 +13,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "run/args.hpp"
 #include "run/exit_codes.hpp"
 #include "run/preset.hpp"
 #include "serve/job_table.hpp"
@@ -88,10 +89,7 @@ FaultPlan FaultPlan::parse(const std::string& text) {
     const std::string value = token.substr(eq + 1);
     std::size_t parsed = 0;
     if (value.empty()) throw bad("empty value for " + key);
-    for (const char c : value) {
-      if (c < '0' || c > '9') throw bad("non-numeric value for " + key);
-      parsed = parsed * 10 + static_cast<std::size_t>(c - '0');
-    }
+    if (!parse_whole(value, parsed)) throw bad("value for " + key + " is not an unsigned integer");
     if (key == "shard") {
       f.shard = parsed;
       have_shard = true;
@@ -107,6 +105,17 @@ FaultPlan FaultPlan::parse(const std::string& text) {
   }
   if (!have_shard) throw bad("missing shard=J");
   return f;
+}
+
+void read_retry_flags(Args& args, RetryPolicy& retry, LeaseConfig& lease) {
+  args.read("--max-attempts K", retry.max_attempts, "launches per shard before giving up");
+  args.read("--backoff-base S", retry.base_delay_seconds, "backoff before the 2nd launch");
+  args.read("--backoff-max S", retry.max_delay_seconds, "backoff cap before jitter");
+  args.read("--jitter F", retry.jitter, "adds up to this fraction of the backoff");
+  args.read("--jitter-seed N", retry.jitter_seed, "seed of the jitter draws");
+  args.read("--lease-timeout S", lease.timeout_seconds, "journal silence that expires a lease");
+  args.read("--poll-interval S", lease.poll_interval_seconds, "lease and heartbeat poll cadence");
+  args.read("--status-interval S", lease.status_interval_seconds, "progress line cadence");
 }
 
 std::string FaultPlan::describe() const {

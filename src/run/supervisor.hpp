@@ -69,6 +69,13 @@ struct LeaseConfig {
   double status_interval_seconds = 2.0; ///< partial-aggregate stream cadence
 };
 
+class Args;
+
+/// Declare the retry and lease flags cohesion_launch and the cohesion_serve
+/// daemon share (--max-attempts, --backoff-base, --backoff-max, --jitter,
+/// --jitter-seed, --lease-timeout, --poll-interval, --status-interval).
+void read_retry_flags(Args& args, RetryPolicy& retry, LeaseConfig& lease);
+
 /// One injected fault: sabotage `shard`'s launch number `attempt` once its
 /// journal holds `after_lines` completed-outcome lines.
 struct FaultPlan {

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "run/exit_codes.hpp"
+#include "run/instantiate.hpp"
 
 namespace cohesion::serve {
 
@@ -22,9 +23,7 @@ const JobTable::JobState& JobTable::job_or_throw(std::uint64_t job) const {
 }
 
 JobTable::JobState JobTable::make_job(std::uint64_t id, const std::string& name,
-                                     const Json& experiment_echo, double now) {
-  // Parse first: an invalid spec must fail the submit, not a worker later.
-  const run::ExperimentSpec spec = run::ExperimentSpec::from_json(experiment_echo);
+                                     const run::ExperimentSpec& spec, double now) {
   JobState j;
   j.id = id;
   j.name = name.empty() ? spec.name : name;
@@ -42,7 +41,11 @@ JobTable::JobState JobTable::make_job(std::uint64_t id, const std::string& name,
 
 std::uint64_t JobTable::add_job(const std::string& name, const Json& experiment_echo,
                                 double now, Effects& effects) {
-  JobState j = make_job(next_job_, name, experiment_echo, now);
+  // Parse and preflight first: an invalid spec or factory param must fail
+  // the submit, not a worker later.
+  const run::ExperimentSpec spec = run::ExperimentSpec::from_json(experiment_echo);
+  run::check_factories(spec);
+  JobState j = make_job(next_job_, name, spec, now);
   const std::uint64_t id = next_job_++;
   effects.notes.push_back("job " + std::to_string(id) + " (" + j.name + "): " +
                           std::to_string(j.total_runs) + " runs over " +
@@ -52,7 +55,7 @@ std::uint64_t JobTable::add_job(const std::string& name, const Json& experiment_
 }
 
 void JobTable::replay_job(std::uint64_t id, const std::string& name, const Json& experiment_echo) {
-  jobs_[id] = make_job(id, name, experiment_echo, 0.0);
+  jobs_[id] = make_job(id, name, run::ExperimentSpec::from_json(experiment_echo), 0.0);
   next_job_ = std::max(next_job_, id + 1);
 }
 

@@ -91,10 +91,12 @@ class JobTable {
  public:
   explicit JobTable(ServeConfig config);
 
-  /// Submit: parse + validate the experiment echo, assign the next job id.
-  /// The stored echo is ExperimentSpec::from_json(echo).to_json() — the
-  /// exact bytes a single-process report would carry (the JSON round trip
-  /// is exact). Throws std::runtime_error on an invalid spec.
+  /// Submit: parse + validate the experiment echo (run::check_factories
+  /// included, so a bad factory param in any variant fails the submit),
+  /// assign the next job id. The stored echo is
+  /// ExperimentSpec::from_json(echo).to_json() — the exact bytes a
+  /// single-process report would carry (the JSON round trip is exact).
+  /// Throws std::runtime_error on an invalid spec.
   std::uint64_t add_job(const std::string& name, const Json& experiment_echo, double now,
                         Effects& effects);
 
@@ -194,9 +196,9 @@ class JobTable {
     std::string last_failure;
   };
 
-  /// Parse + normalize an experiment echo into a fresh job (add/replay).
-  JobState make_job(std::uint64_t id, const std::string& name, const Json& experiment_echo,
-                    double now);
+  /// Normalize a parsed experiment into a fresh job (add/replay).
+  static JobState make_job(std::uint64_t id, const std::string& name,
+                           const run::ExperimentSpec& spec, double now);
   JobState& job_or_throw(std::uint64_t job);
   const JobState& job_or_throw(std::uint64_t job) const;
   [[nodiscard]] bool variant_covered(const JobState& j, std::size_t v) const;

@@ -14,6 +14,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "run/args.hpp"
 #include "run/exit_codes.hpp"
 
 namespace cohesion::serve {
@@ -53,12 +54,9 @@ Address Address::parse(const std::string& text) {
   }
   out.host = text.substr(0, colon);
   const std::string port_text = text.substr(colon + 1);
-  char* end = nullptr;
-  const long port = std::strtol(port_text.c_str(), &end, 10);
-  if (end == port_text.c_str() || *end != '\0' || port < 1 || port > 65535) {
+  if (!run::parse_whole(port_text, out.port) || out.port == 0) {
     throw std::runtime_error("address \"" + text + "\": bad port \"" + port_text + "\"");
   }
-  out.port = static_cast<std::uint16_t>(port);
   return out;
 }
 

@@ -7,9 +7,7 @@
 // naming the uncovered shards. Also covers the workers' exit-code
 // taxonomy, SIGTERM -> flush -> resume behavior and the bounded-memory
 // stream mode at n = 16384 end to end.
-#include <fcntl.h>
 #include <signal.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -26,54 +24,18 @@
 #include "run/batch_runner.hpp"
 #include "run/exit_codes.hpp"
 #include "run/supervisor.hpp"
+#include "support/process.hpp"
 
 namespace cohesion::run {
 namespace {
 
 namespace fs = std::filesystem;
 
-std::string build_dir() {
-  char buf[4096];
-  const ::ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-  if (n <= 0) return {};
-  buf[n] = '\0';
-  return fs::path(buf).parent_path().string();
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
-}
-
-/// Exit code of a finished child: WEXITSTATUS, or 128+signal (shell style).
-int wait_code(::pid_t pid) {
-  int st = 0;
-  ::waitpid(pid, &st, 0);
-  if (WIFEXITED(st)) return WEXITSTATUS(st);
-  if (WIFSIGNALED(st)) return 128 + WTERMSIG(st);
-  return -1;
-}
-
-::pid_t spawn_tool(const std::vector<std::string>& args, const std::string& log_path) {
-  std::vector<std::string> copy = args;
-  const ::pid_t pid = ::fork();
-  if (pid != 0) return pid;
-  const int log = ::open(log_path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-  if (log >= 0) {
-    ::dup2(log, STDOUT_FILENO);
-    ::dup2(log, STDERR_FILENO);
-    if (log > STDERR_FILENO) ::close(log);
-  }
-  std::vector<char*> argv;
-  for (std::string& a : copy) argv.push_back(a.data());
-  argv.push_back(nullptr);
-  ::execv(argv[0], argv.data());
-  ::_exit(127);
-}
-
-int run_tool(const std::vector<std::string>& args, const std::string& log_path) {
-  return wait_code(spawn_tool(args, log_path));
-}
+using test::build_dir;
+using test::read_file;
+using test::run_tool;
+using test::spawn_tool;
+using test::wait_code;
 
 class LaunchE2E : public ::testing::Test {
  protected:
@@ -352,6 +314,49 @@ TEST_F(LaunchE2E, WorkerExitCodesDistinguishTransientFromPermanent) {
   EXPECT_EQ(run_tool({runner_, bad}, log), kExitPermanent);
   // No spec at all: usage.
   EXPECT_EQ(run_tool({runner_}, log), kExitUsage);
+  // A shard count past 2^64 is usage too, not a wrap to 0/1 that runs the
+  // whole sweep as one "shard".
+  fs::remove(log);
+  EXPECT_EQ(run_tool({runner_, spec_path_, "--shard", "0/18446744073709551617"}, log), kExitUsage);
+  EXPECT_NE(read_file(log).find("bad shard \"0/18446744073709551617\""), std::string::npos)
+      << read_file(log);
+  // --resume already journals: combining it with --checkpoint is usage.
+  EXPECT_EQ(run_tool({runner_, spec_path_, "--checkpoint", dir_ + "/a.ckpt", "--resume",
+                      dir_ + "/b.ckpt"},
+                     log),
+            kExitUsage);
+}
+
+TEST_F(LaunchE2E, MisspelledParamInAnyVariantFailsBeforeAnyRunStarts) {
+  // run::check_factories preflights every variant's factory slots: the
+  // typo in the last variant fails the batch before run 0, so nothing is
+  // journaled and no report is written; cohesion_launch (serve::JobTable)
+  // refuses the same spec before starting a worker.
+  const std::string spec = dir_ + "/typo.json";
+  std::ofstream(spec) << R"({"base": {"n": 6, "stop": {"epsilon": 0.1, "max_activations": 500}},
+    "sweep": [{"path": "scheduler.params", "values": [{"k": 2}, {"kk": 2}]}]})";
+  const std::string ckpt = dir_ + "/typo.ckpt";
+  const std::string report = dir_ + "/typo_report.json";
+  const std::string log = dir_ + "/typo.log";
+  EXPECT_EQ(run_tool({runner_, spec, "--checkpoint", ckpt, "--out", report}, log), kExitPermanent);
+  std::string message = read_file(log);
+  EXPECT_NE(message.find("variant 1"), std::string::npos) << message;
+  EXPECT_NE(message.find("\"kk\""), std::string::npos) << message;
+  EXPECT_TRUE(!fs::exists(ckpt) || fs::file_size(ckpt) == 0);
+  EXPECT_FALSE(fs::exists(report));
+
+  const std::string launch = build_dir() + "/cohesion_launch";
+  const std::string work = dir_ + "/typo_work";
+  fs::remove(log);
+  EXPECT_EQ(run_tool({launch, spec, "--shards", "2", "--work-dir", work, "--quiet"}, log),
+            kExitPermanent);
+  message = read_file(log);
+  EXPECT_NE(message.find("variant 1"), std::string::npos) << message;
+  if (fs::exists(work)) {
+    for (const auto& entry : fs::directory_iterator(work)) {
+      EXPECT_EQ(entry.path().extension(), ".json") << "a worker started: " << entry.path();
+    }
+  }
 }
 
 TEST_F(LaunchE2E, MisspelledOrRetiredSpecKeysExitPermanentNamingTheKey) {

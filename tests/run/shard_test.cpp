@@ -38,6 +38,8 @@ TEST(Shard, ParseAcceptsIOverNAndRejectsEverythingElse) {
   EXPECT_THROW(Shard::parse("1/"), std::runtime_error);
   EXPECT_THROW(Shard::parse("/3"), std::runtime_error);
   EXPECT_THROW(Shard::parse("-1/3"), std::runtime_error);
+  // A count past 2^64 must not wrap (to 0/1: the whole sweep as one shard).
+  EXPECT_THROW(Shard::parse("0/18446744073709551617"), std::runtime_error);
 }
 
 TEST(Shard, UnionOverShardsIsExactlyTheSingleProcessGrid) {

@@ -140,6 +140,8 @@ TEST(FaultPlan, ParseRejectsMalformedSpecs) {
   EXPECT_THROW(FaultPlan::parse(""), std::runtime_error);
   EXPECT_THROW(FaultPlan::parse("kill"), std::runtime_error);          // no shard
   EXPECT_THROW(FaultPlan::parse("explode:shard=1"), std::runtime_error);
+  // 2^64 must not wrap to shard 0 (and kill it).
+  EXPECT_THROW(FaultPlan::parse("kill:shard=18446744073709551616"), std::runtime_error);
   EXPECT_THROW(FaultPlan::parse("kill:after=3"), std::runtime_error);  // shard required
   EXPECT_THROW(FaultPlan::parse("kill:shard=x"), std::runtime_error);
   EXPECT_THROW(FaultPlan::parse("kill:shard=1,bogus=2"), std::runtime_error);

@@ -336,5 +336,21 @@ TEST_F(JobTableTest, InvalidSpecIsRejectedAtSubmit) {
   EXPECT_THROW(table_.add_job("bad", bad, 0.0, fx_), std::exception);
 }
 
+TEST_F(JobTableTest, MisspelledFactoryParamInAnyVariantIsRejectedAtSubmit) {
+  // run::check_factories at submit: the last variant's typo fails the
+  // submit itself, naming the variant and the key, before any lease exists.
+  run::ExperimentSpec e = run::ExperimentSpec::from_json(sweep_echo());
+  e.axes = {{"scheduler.params", {Json::parse(R"({"k": 2})"), Json::parse(R"({"kk": 2})")}}};
+  try {
+    table_.add_job("typo", e.to_json(), 0.0, fx_);
+    FAIL() << "a misspelled scheduler param was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("variant 1"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("\"kk\""), std::string::npos) << e.what();
+  }
+  const std::uint64_t w = table_.worker_joined("a");
+  EXPECT_FALSE(table_.request_lease(w, 0.0, fx_).has_value());
+}
+
 }  // namespace
 }  // namespace cohesion::serve

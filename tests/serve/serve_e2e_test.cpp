@@ -7,9 +7,7 @@
 // report to contract 13: byte-identical to the fresh single-process
 // `--no-timing` report under every partition history, or an explicit
 // cohesion-supervised-partial/1 document naming the uncovered work.
-#include <fcntl.h>
 #include <signal.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -28,50 +26,17 @@
 #include "run/spec.hpp"
 #include "run/supervisor.hpp"
 #include "serve/job_table.hpp"
+#include "support/process.hpp"
 
 namespace cohesion::serve {
 namespace {
 
 namespace fs = std::filesystem;
 
-std::string build_dir() {
-  char buf[4096];
-  const ::ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-  if (n <= 0) return {};
-  buf[n] = '\0';
-  return fs::path(buf).parent_path().string();
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
-}
-
-/// Exit code of a finished child: WEXITSTATUS, or 128+signal (shell style).
-int wait_code(::pid_t pid) {
-  int st = 0;
-  ::waitpid(pid, &st, 0);
-  if (WIFEXITED(st)) return WEXITSTATUS(st);
-  if (WIFSIGNALED(st)) return 128 + WTERMSIG(st);
-  return -1;
-}
-
-::pid_t spawn_tool(const std::vector<std::string>& args, const std::string& log_path) {
-  std::vector<std::string> copy = args;
-  const ::pid_t pid = ::fork();
-  if (pid != 0) return pid;
-  const int log = ::open(log_path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-  if (log >= 0) {
-    ::dup2(log, STDOUT_FILENO);
-    ::dup2(log, STDERR_FILENO);
-    if (log > STDERR_FILENO) ::close(log);
-  }
-  std::vector<char*> argv;
-  for (std::string& a : copy) argv.push_back(a.data());
-  argv.push_back(nullptr);
-  ::execv(argv[0], argv.data());
-  ::_exit(127);
-}
+using test::build_dir;
+using test::read_file;
+using test::spawn_tool;
+using test::wait_code;
 
 bool wait_for(const std::function<bool()>& pred, double timeout_seconds = 90.0) {
   const auto deadline =

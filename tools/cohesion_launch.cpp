@@ -5,7 +5,8 @@
 // jitter (resuming their checkpoints so finished runs never recompute),
 // and emit either the exact single-process `--no-timing` report
 // (byte-identical) or the cohesion-supervised-partial/1 document naming
-// every uncovered shard. Runbook: docs/operations.md.
+// every uncovered shard. Runbook: docs/operations.md; `cohesion_launch
+// --help` lists every flag.
 //
 //   cohesion_launch sweep.json --shards 3 --out report.json
 //   cohesion_launch sweep.json --shards 8 --threads 2 --max-parallel 4
@@ -20,116 +21,41 @@
 #include <fstream>
 #include <iostream>
 #include <string>
-#include <type_traits>
+#include <vector>
 
+#include "run/args.hpp"
 #include "run/exit_codes.hpp"
 #include "run/supervisor.hpp"
 
 using namespace cohesion;
 
-namespace {
-
-int usage(int code) {
-  std::cout
-      << "usage: cohesion_launch <spec.json> --shards N [--out FILE] [--work-dir DIR]\n"
-         "                       [--threads N] [--max-parallel N] [--runner PATH]\n"
-         "                       [--max-attempts K] [--backoff-base S] [--backoff-max S]\n"
-         "                       [--jitter F] [--jitter-seed N] [--lease-timeout S]\n"
-         "                       [--poll-interval S] [--status-interval S]\n"
-         "                       [--fault KIND:shard=J[,attempt=A][,after=K]]...\n"
-         "                       [--throttle-ms N] [--quiet]\n";
-  return code;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   run::SupervisorOptions options;
-  options.work_dir = "cohesion_launch.work";
   std::string out_path;
+  std::vector<std::string> faults;
   bool quiet = false;
-
-  const auto numeric = [&](const char* flag, const char* text, auto& target) {
+  run::Args args(argc, argv, "cohesion_launch");
+  args.read("--shards N", options.shards, "shard workers, as in --shard i/N");
+  args.read("--out FILE", out_path, "write the report to FILE instead of stdout");
+  args.read("--work-dir DIR", options.work_dir, "journals, partials and worker logs");
+  args.read("--threads N", options.worker_threads, "--threads per worker");
+  args.read("--max-parallel N", options.max_parallel, "workers running at once, 0 = all");
+  args.read("--runner PATH", options.runner, "cohesion_run binary (default: next to this one)");
+  run::read_retry_flags(args, options.retry, options.lease);
+  args.read("--fault PLAN", faults,
+            "inject KIND:shard=J[,attempt=A][,after=K], KIND kill, stall or corrupt (repeatable)");
+  args.read("--throttle-ms N", options.throttle_ms, "fault pacing, forwarded to every worker");
+  args.read("--quiet", quiet, "no event lines on stderr");
+  args.operand("SPEC", options.spec_path, "experiment spec (JSON)");
+  for (const std::string& fault : faults) {
     try {
-      if constexpr (std::is_floating_point_v<std::decay_t<decltype(target)>>) {
-        target = std::stod(text);
-      } else {
-        target = static_cast<std::decay_t<decltype(target)>>(std::stoull(text));
-      }
-      return true;
-    } catch (const std::exception&) {
-      std::cerr << "bad " << flag << " value: " << text << "\n";
-      return false;
-    }
-  };
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const char* next = i + 1 < argc ? argv[i + 1] : nullptr;
-    if (arg == "--help" || arg == "-h") return usage(0);
-    if (arg == "--quiet") {
-      quiet = true;
-    } else if (arg == "--shards" && next) {
-      if (!numeric("--shards", argv[++i], options.shards)) return usage(run::kExitUsage);
-    } else if (arg == "--threads" && next) {
-      if (!numeric("--threads", argv[++i], options.worker_threads)) return usage(run::kExitUsage);
-    } else if (arg == "--max-parallel" && next) {
-      if (!numeric("--max-parallel", argv[++i], options.max_parallel)) {
-        return usage(run::kExitUsage);
-      }
-    } else if (arg == "--max-attempts" && next) {
-      if (!numeric("--max-attempts", argv[++i], options.retry.max_attempts)) {
-        return usage(run::kExitUsage);
-      }
-    } else if (arg == "--backoff-base" && next) {
-      if (!numeric("--backoff-base", argv[++i], options.retry.base_delay_seconds)) {
-        return usage(run::kExitUsage);
-      }
-    } else if (arg == "--backoff-max" && next) {
-      if (!numeric("--backoff-max", argv[++i], options.retry.max_delay_seconds)) {
-        return usage(run::kExitUsage);
-      }
-    } else if (arg == "--jitter" && next) {
-      if (!numeric("--jitter", argv[++i], options.retry.jitter)) return usage(run::kExitUsage);
-    } else if (arg == "--jitter-seed" && next) {
-      if (!numeric("--jitter-seed", argv[++i], options.retry.jitter_seed)) {
-        return usage(run::kExitUsage);
-      }
-    } else if (arg == "--lease-timeout" && next) {
-      if (!numeric("--lease-timeout", argv[++i], options.lease.timeout_seconds)) {
-        return usage(run::kExitUsage);
-      }
-    } else if (arg == "--poll-interval" && next) {
-      if (!numeric("--poll-interval", argv[++i], options.lease.poll_interval_seconds)) {
-        return usage(run::kExitUsage);
-      }
-    } else if (arg == "--status-interval" && next) {
-      if (!numeric("--status-interval", argv[++i], options.lease.status_interval_seconds)) {
-        return usage(run::kExitUsage);
-      }
-    } else if (arg == "--throttle-ms" && next) {
-      if (!numeric("--throttle-ms", argv[++i], options.throttle_ms)) return usage(run::kExitUsage);
-    } else if (arg == "--fault" && next) {
-      try {
-        options.faults.push_back(run::FaultPlan::parse(argv[++i]));
-      } catch (const std::exception& e) {
-        std::cerr << e.what() << "\n";
-        return usage(run::kExitUsage);
-      }
-    } else if (arg == "--runner" && next) {
-      options.runner = argv[++i];
-    } else if (arg == "--work-dir" && next) {
-      options.work_dir = argv[++i];
-    } else if (arg == "--out" && next) {
-      out_path = argv[++i];
-    } else if (options.spec_path.empty() && !arg.starts_with("--")) {
-      options.spec_path = arg;
-    } else {
-      std::cerr << "bad argument: " << arg << "\n";
-      return usage(run::kExitUsage);
+      options.faults.push_back(run::FaultPlan::parse(fault));
+    } catch (const std::exception& e) {
+      args.reject("--fault", fault, e.what());
     }
   }
-  if (options.spec_path.empty() || options.shards == 0) return usage(run::kExitUsage);
+  if (options.shards == 0) args.reject("--shards", "0", "0 (must be >= 1)");
+  args.done();
   if (!quiet) {
     options.on_event = [](const std::string& line) {
       std::cerr << "[cohesion_launch] " << line << "\n";

@@ -24,36 +24,19 @@
 #include <string>
 #include <vector>
 
+#include "run/args.hpp"
 #include "run/exit_codes.hpp"
 #include "run/shard.hpp"
 
 using namespace cohesion;
 
-namespace {
-
-int usage(int code) {
-  std::cout << "usage: cohesion_merge <partial1.json> <partial2.json> ... [--out FILE]\n";
-  return code;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   std::vector<std::string> inputs;
   std::string out_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") return usage(0);
-    if (arg == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (!arg.starts_with("--")) {
-      inputs.push_back(arg);
-    } else {
-      std::cerr << "bad argument: " << arg << "\n";
-      return usage(2);
-    }
-  }
-  if (inputs.empty()) return usage(2);
+  run::Args args(argc, argv, "cohesion_merge");
+  args.read("--out FILE", out_path, "write the merged report to FILE instead of stdout");
+  args.operand("PARTIAL", inputs, "partial reports (cohesion_run --shard), any order");
+  args.done();
 
   try {
     std::vector<run::Json> partials;

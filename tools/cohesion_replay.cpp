@@ -3,18 +3,12 @@
 // producing process: recompute the run's convergence metrics, verify them
 // against a batch report, inspect the file, or render an SVG timeline.
 //
-//   cohesion_replay run_0.cohtrace                 # recompute metrics (JSON
-//                                                  # on stdout)
-//   cohesion_replay run_0.cohtrace --check report.json
-//                                                  # byte-compare recomputed
-//                                                  # metrics against the
-//                                                  # matching run outcome
-//   cohesion_replay run_0.cohtrace --expect-fingerprint <hex16>
-//                                                  # refuse a stream from a
-//                                                  # different resolved spec
-//   cohesion_replay run_0.cohtrace --info          # header/footer summary,
-//                                                  # no metric recompute
-//   cohesion_replay run_0.cohtrace --svg out.svg   # activation timeline
+//   cohesion_replay run_0.cohtrace                     # metrics, JSON on stdout
+//   cohesion_replay run_0.cohtrace --check report.json # byte-compare with the
+//                                                      # matching run outcome
+//   cohesion_replay run_0.cohtrace --svg out.svg       # activation timeline
+//
+// `cohesion_replay --help` lists every flag.
 //
 // Metrics are recomputed by the same single-pass accumulator the run used
 // (metrics::ConvergenceAccumulator), so on an untruncated stream the output
@@ -34,6 +28,7 @@
 #include <vector>
 
 #include "metrics/online.hpp"
+#include "run/args.hpp"
 #include "run/exit_codes.hpp"
 #include "run/json.hpp"
 #include "run/spec.hpp"
@@ -42,13 +37,6 @@
 using namespace cohesion;
 
 namespace {
-
-int usage(int code) {
-  std::cout << "usage: cohesion_replay <stream.cohtrace> [--check report.json]\n"
-               "                       [--expect-fingerprint HEX] [--info] [--svg FILE]\n"
-               "                       [--out FILE]\n";
-  return code;
-}
 
 /// Replay every committed record through the online accumulator.
 struct Replayed {
@@ -209,33 +197,16 @@ int render_svg(trace::StreamTraceReader& reader, const std::string& out_path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string stream_path;
-  std::string check_path;
-  std::string svg_path;
-  std::string out_path;
-  std::string expect_fp;
+  std::string stream_path, check_path, svg_path, out_path, expect_fp;
   bool info = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") return usage(0);
-    if (arg == "--check" && i + 1 < argc) {
-      check_path = argv[++i];
-    } else if (arg == "--svg" && i + 1 < argc) {
-      svg_path = argv[++i];
-    } else if (arg == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (arg == "--expect-fingerprint" && i + 1 < argc) {
-      expect_fp = argv[++i];
-    } else if (arg == "--info") {
-      info = true;
-    } else if (stream_path.empty() && !arg.starts_with("--")) {
-      stream_path = arg;
-    } else {
-      std::cerr << "bad argument: " << arg << "\n";
-      return usage(2);
-    }
-  }
-  if (stream_path.empty()) return usage(2);
+  run::Args args(argc, argv, "cohesion_replay");
+  args.read("--check FILE", check_path, "byte-compare the metrics with FILE's matching run");
+  args.read("--expect-fingerprint HEX", expect_fp, "refuse a stream of another resolved spec");
+  args.read("--info", info, "header and footer summary, no metric recompute");
+  args.read("--svg FILE", svg_path, "render the activation timeline to FILE");
+  args.read("--out FILE", out_path, "write the metrics to FILE instead of stdout");
+  args.operand("STREAM", stream_path, "a .cohtrace activation stream");
+  args.done();
 
   try {
     {

@@ -3,37 +3,15 @@
 // executes one deterministic slice of the grid for multi-process sweeps;
 // with --checkpoint/--resume it journals outcomes so a killed batch
 // continues where it left off (see docs/operations.md for the runbook).
+// `cohesion_run --help` lists every flag.
 //
-//   cohesion_run sweep.json                        # run, report to stdout
-//   cohesion_run sweep.json --threads 8            # parallel across runs
-//   cohesion_run sweep.json --out report.json      # write report to a file
-//   cohesion_run sweep.json --no-timing            # deterministic output
-//                                                  # (diffable across thread
-//                                                  #  counts)
-//   cohesion_run sweep.json --shard 0/3 --out p0.json
-//                                                  # one shard; partial
-//                                                  # report for cohesion_merge
-//   cohesion_run sweep.json --checkpoint run.ckpt  # journal outcomes (JSONL)
-//   cohesion_run sweep.json --resume run.ckpt      # skip completed runs
-//   cohesion_run sweep.json --fsync-every 16       # journal fsync cadence
-//   cohesion_run sweep.json --trace-dir traces/    # stream every run's
-//                                                  # activations to
-//                                                  # traces/run_<index>.cohtrace
-//                                                  # (bounded-memory mode;
-//                                                  #  replay with
-//                                                  #  cohesion_replay)
-//   cohesion_run sweep.json --peak-rss             # report peak RSS (KB) on
-//                                                  # stderr after the batch
-//   cohesion_run sweep.json --cache DIR            # content-addressed result
-//                                                  # cache: unchanged runs are
-//                                                  # served from DIR, new
-//                                                  # outcomes inserted (safe to
-//                                                  # share across concurrent
-//                                                  # shard workers)
-//   cohesion_run sweep.json --cache DIR --cache-readonly   # hits only
-//   cohesion_run sweep.json --no-cache             # ignore --cache and
-//                                                  # $COHESION_CACHE_DIR
-//   cohesion_run --list                            # registry keys
+//   cohesion_run sweep.json --threads 8 --no-timing   # deterministic report
+//   cohesion_run sweep.json --shard 0/3 --out p0.json # partial, for cohesion_merge
+//   cohesion_run sweep.json --resume run.ckpt         # skip journaled runs
+//   cohesion_run sweep.json --trace-dir traces/       # stream each run (replay
+//                                                     # with cohesion_replay)
+//   cohesion_run sweep.json --cache DIR               # reuse unchanged runs
+//   cohesion_run --list                               # registry keys
 //
 // The spec is either a full ExperimentSpec ({"base": {...}, "sweep": [...],
 // "repeats": N}) or a bare RunSpec object, which runs once; either may
@@ -64,8 +42,10 @@
 #include <optional>
 #include <string>
 
+#include "run/args.hpp"
 #include "run/batch_runner.hpp"
 #include "run/exit_codes.hpp"
+#include "run/instantiate.hpp"
 #include "run/preset.hpp"
 #include "run/registry.hpp"
 #include "run/result_cache.hpp"
@@ -102,16 +82,6 @@ int list_registries() {
   return 0;
 }
 
-int usage(int code) {
-  std::cout << "usage: cohesion_run <spec.json> [--threads N] [--out FILE] [--no-timing]\n"
-               "                    [--shard I/N] [--checkpoint FILE | --resume FILE]\n"
-               "                    [--fsync-every N] [--throttle-ms N]\n"
-               "                    [--trace-dir DIR] [--peak-rss]\n"
-               "                    [--cache DIR] [--cache-readonly] [--no-cache]\n"
-               "       cohesion_run --list\n";
-  return code;
-}
-
 /// Peak resident set size in KB (Linux ru_maxrss unit), for bounded-memory
 /// assertions such as the stream-mode RSS ceiling in
 /// tests/run/launch_e2e_test.cpp.
@@ -124,86 +94,48 @@ long peak_rss_kb() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string spec_path;
-  std::string out_path;
-  std::string shard_arg;
-  std::string trace_dir;
-  std::string cache_dir;
-  bool cache_readonly = false;
-  bool no_cache = false;
   run::BatchRunner::Options options;
   options.threads = 1;
-  bool timing = true;
-  bool report_rss = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--list") return list_registries();
-    if (arg == "--help" || arg == "-h") return usage(0);
-    if (arg == "--no-timing") {
-      timing = false;
-    } else if (arg == "--threads" && i + 1 < argc) {
-      try {
-        options.threads = static_cast<std::size_t>(std::stoul(argv[++i]));
-      } catch (const std::exception&) {
-        std::cerr << "bad --threads value: " << argv[i] << "\n";
-        return usage(2);
-      }
-    } else if (arg == "--fsync-every" && i + 1 < argc) {
-      try {
-        options.checkpoint_fsync_every = static_cast<std::size_t>(std::stoul(argv[++i]));
-      } catch (const std::exception&) {
-        std::cerr << "bad --fsync-every value: " << argv[i] << "\n";
-        return usage(2);
-      }
-    } else if (arg == "--throttle-ms" && i + 1 < argc) {
-      // Fault-harness pacing: sleep after every run so a supervisor's
-      // journal poller sees a steady line cadence. Not for real sweeps.
-      try {
-        options.post_run_delay_ms = static_cast<std::size_t>(std::stoul(argv[++i]));
-      } catch (const std::exception&) {
-        std::cerr << "bad --throttle-ms value: " << argv[i] << "\n";
-        return usage(2);
-      }
-    } else if (arg == "--shard" && i + 1 < argc) {
-      shard_arg = argv[++i];
-    } else if (arg == "--checkpoint" && i + 1 < argc) {
-      if (!options.checkpoint_path.empty()) {
-        // Mutually exclusive: --checkpoint would O_TRUNC the very journal
-        // --resume is trying to continue from.
-        std::cerr << "--checkpoint and --resume cannot be combined (--resume already "
-                     "journals to its file)\n";
-        return usage(2);
-      }
-      options.checkpoint_path = argv[++i];
-      options.resume = false;
-    } else if (arg == "--resume" && i + 1 < argc) {
-      if (!options.checkpoint_path.empty()) {
-        std::cerr << "--checkpoint and --resume cannot be combined (--resume already "
-                     "journals to its file)\n";
-        return usage(2);
-      }
-      options.checkpoint_path = argv[++i];
-      options.resume = true;
-    } else if (arg == "--trace-dir" && i + 1 < argc) {
-      trace_dir = argv[++i];
-    } else if (arg == "--cache" && i + 1 < argc) {
-      cache_dir = argv[++i];
-    } else if (arg == "--cache-readonly") {
-      cache_readonly = true;
-    } else if (arg == "--no-cache") {
-      no_cache = true;
-    } else if (arg == "--peak-rss") {
-      report_rss = true;
-    } else if (arg == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (spec_path.empty() && !arg.starts_with("--")) {
-      spec_path = arg;
-    } else {
-      std::cerr << "bad argument: " << arg << "\n";
-      return usage(2);
+  std::string spec_path, out_path, shard_arg, checkpoint, resume, trace_dir, cache_dir;
+  bool list = false, no_timing = false, report_rss = false;
+  bool cache_readonly = false, no_cache = false;
+  run::Args args(argc, argv, "cohesion_run");
+  args.read("--list", list, "print the factory-registry keys and exit");
+  args.read("--threads N", options.threads, "worker threads across runs");
+  args.read("--out FILE", out_path, "write the report to FILE instead of stdout");
+  args.read("--no-timing", no_timing, "no timing block: the same bytes at any --threads");
+  args.read("--shard I/N", shard_arg, "run shard I of N (0-based); emit a partial report");
+  args.read("--checkpoint FILE", checkpoint, "journal every outcome to FILE (truncates it)");
+  args.read("--resume FILE", resume, "skip the runs journaled in FILE, then journal to it");
+  args.read("--fsync-every N", options.checkpoint_fsync_every, "journal lines per fsync");
+  // Fault-harness pacing: sleep after every run so a supervisor's journal
+  // poller sees a steady line cadence. Not for real sweeps.
+  args.read("--throttle-ms N", options.post_run_delay_ms, "fault pacing: sleep after every run");
+  args.read("--trace-dir DIR", trace_dir, "stream each run to DIR/run_<index>.cohtrace");
+  args.read("--peak-rss", report_rss, "print the peak RSS (KB) on stderr after the batch");
+  args.read("--cache DIR", cache_dir, "content-addressed result cache (or $COHESION_CACHE_DIR)");
+  args.read("--cache-readonly", cache_readonly, "serve cache hits, insert nothing");
+  args.read("--no-cache", no_cache, "ignore --cache and $COHESION_CACHE_DIR");
+  args.operand("SPEC", spec_path, "ExperimentSpec or bare RunSpec (JSON)", !list);
+  run::Shard shard;
+  if (!shard_arg.empty()) {
+    try {
+      shard = run::Shard::parse(shard_arg);
+    } catch (const std::exception& e) {
+      args.reject("--shard", shard_arg, e.what());
     }
   }
-  if (spec_path.empty()) return usage(2);
+  args.done();
+  if (list) return list_registries();
+  if (!checkpoint.empty() && !resume.empty()) {
+    // Mutually exclusive: --checkpoint would O_TRUNC the very journal
+    // --resume is trying to continue from.
+    std::cerr << "--checkpoint and --resume cannot be combined (--resume already "
+                 "journals to its file)\n";
+    return run::kExitUsage;
+  }
+  options.checkpoint_path = resume.empty() ? checkpoint : resume;
+  options.resume = !resume.empty();
   install_stop_handlers();
   options.cancel = &g_interrupted;
 
@@ -234,15 +166,10 @@ int main(int argc, char** argv) {
       options.cache = &*cache;
     }
 
-    run::Shard shard;
-    std::vector<run::ExpandedRun> runs;
+    run::check_factories(experiment);
     const std::size_t total_runs = experiment.run_count();
-    if (shard_arg.empty()) {
-      runs = experiment.expand();
-    } else {
-      shard = run::Shard::parse(shard_arg);
-      runs = experiment.expand_shard(shard.index, shard.count);
-    }
+    const std::vector<run::ExpandedRun> runs =
+        shard_arg.empty() ? experiment.expand() : experiment.expand_shard(shard.index, shard.count);
 
     const run::BatchResult result = run::BatchRunner(options).run(runs, experiment.early_stop);
     if (result.interrupted) {
@@ -260,7 +187,7 @@ int main(int argc, char** argv) {
     // block; wall numbers go to stderr) so partials diff across machines.
     run::Json report =
         shard_arg.empty()
-            ? run::BatchRunner::report_json(experiment, result, timing)
+            ? run::BatchRunner::report_json(experiment, result, !no_timing)
             : run::partial_report_json(experiment, shard, total_runs, result.outcomes);
 
     if (cache) {

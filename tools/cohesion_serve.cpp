@@ -17,14 +17,10 @@
 //   cohesion_serve --status unix:/tmp/serve.sock            # job table JSON
 //   cohesion_serve --shutdown unix:/tmp/serve.sock          # graceful stop
 //
-// Daemon flags: --ledger FILE --lease-timeout S --poll-interval S
-//               --status-interval S --max-attempts K --backoff-base S
-//               --backoff-max S --jitter F --jitter-seed N
-// Worker flags: --work-dir DIR --runner PATH --threads N --throttle-ms N
-//               --connect-attempts N --connect-backoff S --oneshot --name S
-// Submit flags: --wait [--out FILE] (poll until the job is terminal, write
-//               its report, exit with the job's exit code; reconnects
-//               across daemon restarts — job ids are ledger-stable)
+// `cohesion_serve --help` lists each mode's flags; a flag of another mode
+// is rejected. `submit --wait` polls until the job is terminal, writes its
+// report and exits with the job's exit code, reconnecting across daemon
+// restarts (job ids are ledger-stable).
 //
 // Exit codes (run/exit_codes.hpp): 0 ok; 1 permanent (failed job, bad
 // spec); 2 usage; 3 transient I/O; 4 interrupted by SIGTERM/SIGINT with
@@ -40,6 +36,7 @@
 #include <string>
 #include <thread>
 
+#include "run/args.hpp"
 #include "run/exit_codes.hpp"
 #include "run/preset.hpp"
 #include "serve/daemon.hpp"
@@ -61,22 +58,6 @@ void install_stop_handlers() {
   sigaction(SIGINT, &sa, nullptr);
   // A peer that vanishes mid-send must surface as EPIPE, not kill us.
   signal(SIGPIPE, SIG_IGN);
-}
-
-int usage(int code) {
-  std::cout
-      << "usage: cohesion_serve --listen ADDR [--ledger FILE] [--lease-timeout S]\n"
-         "                      [--poll-interval S] [--status-interval S]\n"
-         "                      [--max-attempts K] [--backoff-base S] [--backoff-max S]\n"
-         "                      [--jitter F] [--jitter-seed N] [--quiet]\n"
-         "       cohesion_serve --worker ADDR [--work-dir DIR] [--runner PATH]\n"
-         "                      [--threads N] [--throttle-ms N] [--connect-attempts N]\n"
-         "                      [--connect-backoff S] [--oneshot] [--name S] [--quiet]\n"
-         "       cohesion_serve --submit SPEC ADDR [--wait] [--out FILE] [--name S]\n"
-         "       cohesion_serve --status ADDR\n"
-         "       cohesion_serve --shutdown ADDR\n"
-         "ADDR is unix:PATH or HOST:PORT.\n";
-  return code;
 }
 
 /// One-request client connection, with connect retry under backoff so
@@ -163,114 +144,43 @@ int submit(const serve::Address& address, const std::string& spec_path,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string mode;
-  std::string address_arg;
-  std::string spec_path;
-  std::string out_path;
-  std::string name;
-  bool wait = false;
-  bool quiet = false;
+  std::string address_arg, spec_path, out_path, name;
+  bool wait = false, quiet = false;
   serve::DaemonOptions daemon;
   serve::WorkerOptions worker;
-
-  const auto numeric = [&](const char* flag, const std::string& value, auto& into) -> bool {
-    try {
-      if constexpr (std::is_floating_point_v<std::decay_t<decltype(into)>>) {
-        into = std::stod(value);
-      } else {
-        into = static_cast<std::decay_t<decltype(into)>>(std::stoull(value));
-      }
-      return true;
-    } catch (const std::exception&) {
-      std::cerr << "bad " << flag << " value: " << value << "\n";
-      return false;
-    }
-  };
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto take = [&](std::string& into) -> bool {
-      if (i + 1 >= argc) {
-        std::cerr << arg << " needs a value\n";
-        return false;
-      }
-      into = argv[++i];
-      return true;
-    };
-    std::string value;
-    if (arg == "--help" || arg == "-h") return usage(0);
-    if (arg == "--listen" || arg == "--worker" || arg == "--status" || arg == "--shutdown") {
-      mode = arg.substr(2);
-      if (!take(address_arg)) return usage(2);
-    } else if (arg == "--submit") {
-      mode = "submit";
-      if (!take(spec_path)) return usage(2);
-      if (i + 1 >= argc || std::string(argv[i + 1]).starts_with("--")) {
-        std::cerr << "--submit needs SPEC and ADDR\n";
-        return usage(2);
-      }
-      address_arg = argv[++i];
-    } else if (arg == "--ledger") {
-      if (!take(daemon.ledger_path)) return usage(2);
-    } else if (arg == "--lease-timeout") {
-      if (!take(value) || !numeric(arg.c_str(), value, daemon.config.lease_timeout_seconds))
-        return usage(2);
-    } else if (arg == "--poll-interval") {
-      if (!take(value) || !numeric(arg.c_str(), value, daemon.poll_interval_seconds))
-        return usage(2);
-    } else if (arg == "--status-interval") {
-      if (!take(value) || !numeric(arg.c_str(), value, daemon.status_interval_seconds))
-        return usage(2);
-    } else if (arg == "--max-attempts") {
-      if (!take(value) || !numeric(arg.c_str(), value, daemon.config.retry.max_attempts))
-        return usage(2);
-    } else if (arg == "--backoff-base") {
-      if (!take(value) || !numeric(arg.c_str(), value, daemon.config.retry.base_delay_seconds))
-        return usage(2);
-    } else if (arg == "--backoff-max") {
-      if (!take(value) || !numeric(arg.c_str(), value, daemon.config.retry.max_delay_seconds))
-        return usage(2);
-    } else if (arg == "--jitter") {
-      if (!take(value) || !numeric(arg.c_str(), value, daemon.config.retry.jitter))
-        return usage(2);
-    } else if (arg == "--jitter-seed") {
-      if (!take(value) || !numeric(arg.c_str(), value, daemon.config.retry.jitter_seed))
-        return usage(2);
-    } else if (arg == "--work-dir") {
-      if (!take(worker.work_dir)) return usage(2);
-    } else if (arg == "--runner") {
-      if (!take(worker.runner)) return usage(2);
-    } else if (arg == "--threads") {
-      if (!take(value) || !numeric(arg.c_str(), value, worker.threads)) return usage(2);
-    } else if (arg == "--throttle-ms") {
-      if (!take(value) || !numeric(arg.c_str(), value, worker.throttle_ms)) return usage(2);
-    } else if (arg == "--connect-attempts") {
-      if (!take(value) || !numeric(arg.c_str(), value, worker.connect_attempts))
-        return usage(2);
-    } else if (arg == "--connect-backoff") {
-      if (!take(value) || !numeric(arg.c_str(), value, worker.connect_backoff_seconds))
-        return usage(2);
-    } else if (arg == "--oneshot") {
-      worker.oneshot = true;
-    } else if (arg == "--name") {
-      if (!take(name)) return usage(2);
-    } else if (arg == "--wait") {
-      wait = true;
-    } else if (arg == "--out") {
-      if (!take(out_path)) return usage(2);
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else {
-      std::cerr << "bad argument: " << arg << "\n";
-      return usage(2);
-    }
-  }
-  if (mode.empty()) return usage(2);
+  run::LeaseConfig lease;
+  run::Args args(argc, argv, "cohesion_serve");
+  const bool listen = args.mode("--listen ADDR", address_arg,
+                                "run the daemon on ADDR (unix:PATH or HOST:PORT)");
+  args.read("--ledger FILE", daemon.ledger_path, "append-only job ledger, resumed on restart");
+  run::read_retry_flags(args, daemon.config.retry, lease);
+  args.read("--quiet", quiet, "no event lines on stderr");
+  const bool work = args.mode("--worker ADDR", address_arg, "join the daemon at ADDR as a worker");
+  args.read("--work-dir DIR", worker.work_dir, "journals, spec files and runner logs");
+  args.read("--runner PATH", worker.runner, "cohesion_run binary (default: next to this one)");
+  args.read("--threads N", worker.threads, "--threads per runner");
+  args.read("--throttle-ms N", worker.throttle_ms, "fault pacing, forwarded to every runner");
+  args.read("--connect-attempts N", worker.connect_attempts, "connect tries before exit 5");
+  args.read("--connect-backoff S", worker.connect_backoff_seconds, "first retry delay, doubled");
+  args.read("--oneshot", worker.oneshot, "exit 0 once the daemon has no work");
+  args.read("--name S", name, "advertised worker name (default worker-<pid>)");
+  args.read("--quiet", quiet, "no event lines on stderr");
+  const bool enqueue = args.mode("--submit SPEC", spec_path, "enqueue SPEC, print the job id");
+  args.operand("ADDR", address_arg, "the daemon's address");
+  args.read("--wait", wait, "wait for the job; print its report, exit with its exit code");
+  args.read("--out FILE", out_path, "with --wait: write the report to FILE");
+  args.read("--name S", name, "job name (default: the spec's name)");
+  const bool status = args.mode("--status ADDR", address_arg, "print the job table (JSON)");
+  args.mode("--shutdown ADDR", address_arg, "stop the daemon gracefully");
+  args.done();
+  daemon.config.lease_timeout_seconds = lease.timeout_seconds;
+  daemon.poll_interval_seconds = lease.poll_interval_seconds;
+  daemon.status_interval_seconds = lease.status_interval_seconds;
   install_stop_handlers();
 
   try {
     const serve::Address address = serve::Address::parse(address_arg);
-    if (mode == "listen") {
+    if (listen) {
       daemon.address = address;
       daemon.stop = &g_interrupted;
       if (!quiet) {
@@ -280,7 +190,7 @@ int main(int argc, char** argv) {
       }
       return serve::run_daemon(daemon);
     }
-    if (mode == "worker") {
+    if (work) {
       worker.address = address;
       worker.name = name;
       worker.stop = &g_interrupted;
@@ -291,21 +201,19 @@ int main(int argc, char** argv) {
       }
       return serve::run_worker(worker);
     }
-    if (mode == "submit") return submit(address, spec_path, name, wait, out_path);
-    if (mode == "status") {
+    if (enqueue) return submit(address, spec_path, name, wait, out_path);
+    if (status) {
       run::Json request = run::Json::object();
       request.set("op", "status");
       std::cout << transact_once(address, request).at("status").dump(2) << '\n';
       return run::kExitSuccess;
     }
-    if (mode == "shutdown") {
-      run::Json request = run::Json::object();
-      request.set("op", "shutdown");
-      (void)transact_once(address, request);
-      std::cerr << "cohesion_serve: shutdown requested\n";
-      return run::kExitSuccess;
-    }
-    return usage(2);
+    // --shutdown: done() admits exactly one mode.
+    run::Json request = run::Json::object();
+    request.set("op", "shutdown");
+    (void)transact_once(address, request);
+    std::cerr << "cohesion_serve: shutdown requested\n";
+    return run::kExitSuccess;
   } catch (const run::TransientNetworkError& e) {
     std::cerr << "cohesion_serve: " << e.what()
               << " (transient network — the daemon may be down or restarting; retrying "
