@@ -11,9 +11,6 @@ namespace {
 
 constexpr double kCellsPerUnit = 1.0 / (8.0 * kColocationEps);
 constexpr std::uint32_t kNoSelf = UINT32_MAX;
-// Proxies with |q.x| + |q.y| above this are materialized before indexing:
-// their band kPerceptionSlack·32 = 2^-40 stays below eps.
-constexpr double kMaxBandedNorm = 32.0;
 // Rounding of a difference near eps: far below 2^-80.
 constexpr double kDiffFloor = 0x1p-80;
 // Window edges fl(b ± h) with |b| <= kWindowCoord round by at most 2^-47;
@@ -87,62 +84,46 @@ std::size_t ColocationIndex::claim(double cx, double cy) {
   return s;
 }
 
-void ColocationIndex::prepare(Snapshot& snapshot) {
+void ColocationIndex::index_bases(const Snapshot& snapshot) {
   const std::size_t m = snapshot.size();
+  clear(m);
   basis_.resize(m);
   band_.resize(m);
-  max_band_ = 0.0;
   for (std::size_t i = 0; i < m; ++i) {
-    double band = 0.0;
-    if (!snapshot.exact(i)) {
-      const geom::Vec2 q = snapshot.proxy(i);
-      const double l1 = std::abs(q.x) + std::abs(q.y);
-      if (l1 > kMaxBandedNorm) {
-        (void)snapshot.exact_position(i);
-      } else {
-        band = kPerceptionSlack * l1;
-      }
-    }
     basis_[i] = snapshot.proxy(i);
-    band_[i] = band;
-    max_band_ = std::max(max_band_, band);
+    band_[i] = snapshot.band(i);
   }
+  max_band_ = snapshot.extent().max_band;
 }
 
-bool ColocationIndex::certify_apart() {
-  constexpr double inf = std::numeric_limits<double>::infinity();
-  double x0 = inf, x1 = -inf, y0 = inf, y1 = -inf;
-  std::size_t count = 0;
-  for (const geom::Vec2 p : basis_) {
-    if (!finite(p)) continue;
-    if (std::abs(p.x) > kWindowCoord || std::abs(p.y) > kWindowCoord) return false;
-    x0 = std::min(x0, p.x);
-    x1 = std::max(x1, p.x);
-    y0 = std::min(y0, p.y);
-    y1 = std::max(y1, p.y);
-    ++count;
+bool ColocationIndex::certify_apart(const Snapshot& snapshot) {
+  const SnapshotExtent& box = snapshot.extent();
+  if (box.x0 < -kWindowCoord || box.x1 > kWindowCoord || box.y0 < -kWindowCoord ||
+      box.y1 > kWindowCoord) {
+    return false;
   }
-  if (count < 2) return true;
-  const double h = kColocationEps + 2.0 * max_band_ + kCertFloor;
+  if (box.finite < 2) return true;
+  const double h = kColocationEps + 2.0 * box.max_band + kCertFloor;
   // Any power of two above 2h is a correct width. This one, the largest
   // not above the side of kCertCellsPerBasis cells per basis, gives 1 to
   // 4 times that many cells on a square box; a thin box gets at most
   // twice as many columns (rows) plus two.
-  const double cells = kCertCellsPerBasis * static_cast<double>(count);
-  const double wx = x1 - x0, wy = y1 - y0;
+  const double cells = kCertCellsPerBasis * static_cast<double>(box.finite);
+  const double wx = box.x1 - box.x0, wy = box.y1 - box.y0;
   const double w =
       pow2_floor(std::max({std::sqrt(wx * wy / cells), std::max(wx, wy) / cells, 4.0 * h}));
   const double inv = 1.0 / w;  // exact: w is a power of two
   const double hs = h * inv;
-  const std::int64_t cx0 = floor_of(x0 * inv), cy0 = floor_of(y0 * inv);
-  const auto nx = static_cast<std::size_t>(floor_of(x1 * inv) - cx0 + 1);
-  const auto ny = static_cast<std::size_t>(floor_of(y1 * inv) - cy0 + 1);
+  const std::int64_t cx0 = floor_of(box.x0 * inv), cy0 = floor_of(box.y0 * inv);
+  const auto nx = static_cast<std::size_t>(floor_of(box.x1 * inv) - cx0 + 1);
+  const auto ny = static_cast<std::size_t>(floor_of(box.y1 * inv) - cy0 + 1);
+  const std::size_t m = snapshot.size();
   heads_.assign(nx * ny, -1);
-  next_.resize(basis_.size());
-  crowded_.resize(basis_.size());
+  next_.resize(m);
+  crowded_.resize(m);
   std::size_t crowded = 0;
-  for (std::size_t i = 0; i < basis_.size(); ++i) {
-    const geom::Vec2 p = basis_[i];
+  for (std::size_t i = 0; i < m; ++i) {
+    const geom::Vec2 p = snapshot.proxy(i);
     if (!finite(p)) continue;
     const double tx = p.x * inv, ty = p.y * inv;
     const std::int64_t cx = floor_of(tx), cy = floor_of(ty);
@@ -161,10 +142,10 @@ bool ColocationIndex::certify_apart() {
   }
   // A pair inside a cell is more than h apart on some axis.
   for (std::size_t c = 0; c < crowded; ++c) {
-    const geom::Vec2 p = basis_[crowded_[c]];
+    const geom::Vec2 p = snapshot.proxy(crowded_[c]);
     std::size_t chain = 0;
     for (std::int32_t j = next_[crowded_[c]]; j >= 0; j = next_[j]) {
-      const geom::Vec2 q = basis_[j];
+      const geom::Vec2 q = snapshot.proxy(j);
       if (++chain > kCertChainCap || !(std::abs(p.x - q.x) > h || std::abs(p.y - q.y) > h)) {
         return false;
       }
@@ -202,7 +183,7 @@ bool ColocationIndex::has_partner(const Snapshot& snapshot, std::uint32_t i, std
   // Exact pairs need the ±eps window. colocated() may consult a pair
   // whose current positions are eps plus their current bands apart; each
   // is indexed at its basis, and a neighbour's distance from its basis
-  // plus its current band never exceeds its band at prepare(). So bases
+  // plus its current band never exceeds its band at index_bases(). So bases
   // of such a pair lie within eps plus both bands. Proxies have
   // |q.x| + |q.y| <= 32, so a basis beyond kWindowCoord can have exact
   // partners only.
@@ -230,11 +211,10 @@ bool ColocationIndex::has_partner(const Snapshot& snapshot, std::uint32_t i, std
 
 void ColocationIndex::collapse(Snapshot& snapshot) {
   probes_ = 0;
-  const std::size_t m = snapshot.size();
-  prepare(snapshot);
-  certified_ = certify_apart();
+  certified_ = certify_apart(snapshot);
   if (certified_) return;  // every neighbour is kept
-  clear(m);
+  const std::size_t m = snapshot.size();
+  index_bases(snapshot);
   // Kept neighbours are indexed, dropped ones are not. A non-finite
   // coordinate is never almost_equal to anything, so such neighbours are
   // kept and stay out of the index. A dropped neighbour may leave its own
@@ -259,11 +239,10 @@ void ColocationIndex::flag(Snapshot& snapshot) {
   probes_ = 0;
   certified_ = true;
   const std::size_t m = snapshot.size();
-  if (m < 2) return;  // as certify_apart() would decide, with no staging work
-  prepare(snapshot);
-  certified_ = certify_apart();
+  if (m < 2) return;  // no pair to flag
+  certified_ = certify_apart(snapshot);
   if (certified_) return;  // no neighbour shares its location
-  clear(m);
+  index_bases(snapshot);
   for (std::uint32_t i = 0; i < m; ++i) {
     const geom::Vec2 p = basis_[i];
     if (finite(p)) insert(i, claim(cell_of(p.x), cell_of(p.y)));

@@ -28,15 +28,20 @@
 // bands on each axis certainly co-located, and only a pair inside the band
 // of the threshold materializes both positions for the exact predicate.
 // Proxies are cell-indexed where they were found, and the query window
-// widens by the bands, which stay below eps: proxies with |q.x| + |q.y| >
-// 32 are materialized first. Exact pairs take the exact predicate, so
-// results are bit-identical to the reference on exact positions.
+// widens by the bands, which stay below eps: staging keeps a proxy only
+// while |q.x| + |q.y| <= 32 (kMaxProxyNorm) and materializes the rest.
+// Exact pairs take the exact predicate, so results are bit-identical to
+// the reference on exact positions.
 //
 // Most snapshots hold no co-located pair at all (a dense Look sees
 // hundreds of neighbours 0.05 apart, a converging swarm's Look a few dozen
 // scattered ones), so both calls first try to certify that, in one pass
 // over coarse cells plus a compare of the bases that share one, without
-// the hash table. With b = max band and
+// the hash table. The bases are the snapshot's positions, read in place;
+// their bounding box, count and largest band b come with it
+// (Snapshot::extent, folded as staging goes). Only when the certificate
+// declines does the hash path copy bases and bands (index_bases), as
+// colocated() may then materialize positions. With
 // h = fl(eps + 2b + 2^-79), the certificate lays square cells of a
 // power-of-two width W > 2h over the plane, aligned to multiples of W:
 // ~1-4 cells per finite basis over their bounding box on a square box,
@@ -114,12 +119,12 @@ class ColocationIndex {
   [[nodiscard]] std::size_t find_slot(double cx, double cy) const;
   /// The slot of cell (cx, cy), made live with an empty chain if it was not.
   std::size_t claim(double cx, double cy);
-  /// Record each neighbour's band and cell basis, materializing proxies
-  /// whose band would reach eps.
-  void prepare(Snapshot& snapshot);
-  /// Whether the bases prepare() recorded are certainly pairwise apart:
-  /// the coarse-cell certificate above.
-  bool certify_apart();
+  /// The hash path's setup: an empty table for the snapshot, and each
+  /// neighbour's basis and band as they stand before any materializes.
+  void index_bases(const Snapshot& snapshot);
+  /// Whether the snapshot's positions are certainly pairwise apart: the
+  /// coarse-cell certificate above, on its staged extent.
+  bool certify_apart(const Snapshot& snapshot);
   /// The co-location predicate on neighbours i and j: on proxies where
   /// their bands decide it, else on both exact positions.
   bool colocated(const Snapshot& snapshot, std::size_t i, std::size_t j) const;
@@ -137,12 +142,12 @@ class ColocationIndex {
   // generation_ instead of touching the slots.
   std::vector<Slot> slots_;
   std::vector<std::int32_t> next_;     // per snapshot index: links of slots_' and heads_' chains
-  std::vector<geom::Vec2> basis_;      // per snapshot index: where it is cell-indexed
-  std::vector<double> band_;           // per snapshot index: 0 once exact
+  std::vector<geom::Vec2> basis_;      // hash path, per snapshot index: where it is cell-indexed
+  std::vector<double> band_;           // hash path, per snapshot index: its band there
   std::vector<std::uint8_t> keep_;     // collapse()'s survivors
   std::vector<std::int32_t> heads_;    // certify_apart()'s coarse cells: chain heads
   std::vector<std::int32_t> crowded_;  // certify_apart()'s bases that found their cell occupied
-  double max_band_ = 0.0;              // largest band in this snapshot
+  double max_band_ = 0.0;              // hash path: largest band in the snapshot
   std::uint32_t generation_ = 0;
   std::size_t mask_ = 0;
   int shift_ = 64;  // 64 - log2(slots_.size()), set by clear()

@@ -74,16 +74,17 @@ void Engine::snapshot_via_incremental(RobotId robot, Time t, Snapshot& snap) {
     }
   }
 
+  // One pass over the candidates, ascending straight from the grid's
+  // bitmap: the ball test, then staging, which draws in this order and
+  // folds the extent co-location certifies on.
   const Vec2 self = cached_position(robot);
   const double v = config_.visibility.radius_of(robot);
-  index_.candidates_near(self, v, neighbor_ids_);
   const VisibilityBall ball(self, v, config_.visibility.open_ball);
-  snap.reserve(neighbor_ids_.size());
-  for (const std::size_t other : neighbor_ids_) {
-    if (other == robot) continue;
+  index_.candidates_near(self, v, [&](std::size_t other) {
+    if (other == robot) return;
     const Vec2 p = cached_position(other);
     if (ball.contains(p)) snap.stage(p - self, rng_);
-  }
+  });
 }
 
 void Engine::snapshot_via_scan(RobotId robot, Time t, Snapshot& snap) {
@@ -99,15 +100,15 @@ void Engine::snapshot_via_scan(RobotId robot, Time t, Snapshot& snap) {
   }
 }
 
-Snapshot Engine::honest_snapshot(RobotId robot, Time t, const LocalFrame& frame) {
-  Snapshot snap(frame);
-  snapshot_via_incremental(robot, t, snap);
+const Snapshot& Engine::honest_snapshot(RobotId robot, Time t, const LocalFrame& frame) {
+  look_.restage(frame);
+  snapshot_via_incremental(robot, t, look_);
   if (config_.visibility.multiplicity_detection) {
-    colocation_.flag(snap);
+    colocation_.flag(look_);
   } else {
-    colocation_.collapse(snap);
+    colocation_.collapse(look_);
   }
-  return snap;
+  return look_;
 }
 
 bool Engine::step() {
@@ -136,7 +137,7 @@ bool Engine::step() {
                                : LocalFrame::sample(config_.error, rng_);
   // The honest snapshot is staged: exact perceived positions are built
   // only where a reader asks for them (core/snapshot.hpp).
-  const Snapshot honest = honest_snapshot(a.robot, a.t_look, frame);
+  const Snapshot& honest = honest_snapshot(a.robot, a.t_look, frame);
   Snapshot hooked;
   if (perception_hook_) hooked = perception_hook_(a.robot, a.t_look, honest);
   const Snapshot& snap = perception_hook_ ? hooked : honest;

@@ -23,9 +23,10 @@
 // Each Look gathers candidates from an IncrementalGrid, which buckets every
 // robot by the cells of its current trajectory segment; a commit re-buckets
 // just the committed robot, so neither a Look nor a commit pays O(n).
-// Candidates are evaluated through the kinematic cache and filtered with
-// the exact visibility predicate; a Look placed before the previous one by
-// kLookSlack is served by a scan over history instead.
+// One pass per Look takes them off the grid's bitmap in ascending id,
+// evaluates each through the kinematic cache, filters it with the exact
+// visibility predicate and stages it into a Snapshot every Look reuses; a
+// Look placed before the previous one by kLookSlack scans history instead.
 // The brute-force reference engine every result is certified against
 // lives in the tests (tests/oracles/engine_oracle.hpp): it applies the
 // same predicate and draws RNG in the same order, so both commit
@@ -146,8 +147,9 @@ class Engine final : public SimulationView {
   [[nodiscard]] bool look_colocation_certified() const { return colocation_.certified(); }
 
  private:
-  /// The staged snapshot of `robot` at `t` in `frame`, co-location applied.
-  [[nodiscard]] Snapshot honest_snapshot(RobotId robot, Time t, const LocalFrame& frame);
+  /// The staged snapshot of `robot` at `t` in `frame`, co-location
+  /// applied: look_, valid until the next Look.
+  [[nodiscard]] const Snapshot& honest_snapshot(RobotId robot, Time t, const LocalFrame& frame);
   /// Visible-neighbor enumeration via the incrementally-maintained grid:
   /// candidate cells from IncrementalGrid, exact positions through the
   /// kinematic cache.
@@ -179,7 +181,7 @@ class Engine final : public SimulationView {
   std::size_t look_materializations_ = 0;
 
   std::vector<geom::Vec2> positions_now_;   // positions at pos_time_, per stamp
-  std::vector<std::size_t> neighbor_ids_;   // query scratch
+  Snapshot look_;                           // the honest snapshot, its buffers reused
   ColocationIndex colocation_;              // collapse/flag co-located neighbours
 
   // Persistent buckets, and per-robot position stamps instead of

@@ -87,7 +87,20 @@ class LocalFrame {
 
   /// perceive()'s first half: reflection and rotation, and the distance
   /// draw (none for a zero rotated offset). All of perceive()'s RNG use.
-  [[nodiscard]] StagedOffset stage(geom::Vec2 true_offset, std::mt19937_64& rng) const;
+  /// Inline: a dense Look stages hundreds of neighbours.
+  [[nodiscard]] StagedOffset stage(geom::Vec2 true_offset, std::mt19937_64& rng) const {
+    geom::Vec2 v = true_offset;
+    if (reflect_) v.y = -v.y;
+    // Vec2::rotated(rotation_)'s arithmetic, with the trig hoisted.
+    v = {cos_ * v.x - sin_ * v.y, sin_ * v.x + cos_ * v.y};
+    // finish() returns a zero offset before its distance factor: hypot(v)
+    // is zero exactly when both coordinates are, and then nothing is drawn.
+    if (distance_delta_ > 0.0 && !(v.x == 0.0 && v.y == 0.0)) {
+      std::uniform_real_distribution<double> noise(-distance_delta_, distance_delta_);
+      return {v, 1.0 + noise(rng)};
+    }
+    return {v, 1.0};
+  }
 
   /// perceive()'s second half: the polar round trip through the angle
   /// distortion and the distance factor. Pure; libm only.

@@ -2,34 +2,41 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 #include <utility>
 
 namespace cohesion::core {
 
-void Snapshot::stage(geom::Vec2 true_offset, std::mt19937_64& rng) {
-  if (!staged_frame_) throw std::logic_error("Snapshot::stage: not a staged snapshot");
-  const StagedOffset s = frame_.stage(true_offset, rng);
-  const geom::Vec2 q = s.proxy();
-  const double l1 = std::abs(q.x) + std::abs(q.y);  // NaN fails both tests
-  const bool tame = !frame_.skewed() && l1 >= kMinProxyNorm && l1 <= kMaxProxyNorm;
-  staged_.push_back(s);
-  exact_.push_back(tame ? 0 : 1);
-  if (tame) {
-    neighbours_.push_back({q, false});
-    ++pending_;
-  } else {
-    neighbours_.push_back({frame_.finish(s), false});
-    ++materializations_;
-  }
+void Snapshot::restage(const LocalFrame& frame) {
+  neighbours_.clear();
+  exact_.clear();
+  staged_.clear();
+  pending_ = 0;
+  materializations_ = 0;
+  extent_ = {};
+  extent_stale_ = false;
+  frame_ = frame;
+  staged_frame_ = true;
 }
 
-void Snapshot::reserve(std::size_t n) {
-  neighbours_.reserve(n);
-  if (staged_frame_) {
-    exact_.reserve(n);
-    staged_.reserve(n);
+void Snapshot::stage_exact(const StagedOffset& s) {
+  const geom::Vec2 p = frame_.finish(s);
+  staged_.push_back(s);
+  exact_.push_back(1);
+  neighbours_.push_back({p, false});
+  ++materializations_;
+  if (std::isfinite(p.x) && std::isfinite(p.y)) extent_.include(p, 0.0);
+}
+
+const SnapshotExtent& Snapshot::extent() const {
+  if (extent_stale_) {
+    extent_ = {};
+    for (std::size_t i = 0; i < neighbours_.size(); ++i) {
+      const geom::Vec2 p = neighbours_[i].position;
+      if (std::isfinite(p.x) && std::isfinite(p.y)) extent_.include(p, band(i));
+    }
+    extent_stale_ = false;
   }
+  return extent_;
 }
 
 void Snapshot::materialize(std::size_t i) const {
@@ -37,6 +44,7 @@ void Snapshot::materialize(std::size_t i) const {
   exact_[i] = 1;
   --pending_;
   ++materializations_;
+  extent_stale_ = true;
 }
 
 const std::vector<ObservedRobot>& Snapshot::neighbours() const {
@@ -51,6 +59,7 @@ std::vector<ObservedRobot>& Snapshot::neighbours() {
   exact_.clear();
   staged_.clear();
   staged_frame_ = false;
+  extent_stale_ = true;
   return neighbours_;
 }
 
@@ -69,6 +78,7 @@ void Snapshot::retain(const std::vector<std::uint8_t>& keep) {
     ++kept;
   }
   neighbours_.resize(kept);
+  extent_stale_ = true;
   if (!exact_.empty()) {
     exact_.resize(kept);
     staged_.resize(kept);

@@ -1,7 +1,6 @@
 #include "core/spatial_index.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -101,17 +100,6 @@ void IdBitmap::reset(std::size_t n) {
   summary_.assign((words_.size() + 63) / 64, 0);
 }
 
-void IdBitmap::take_ascending(std::vector<std::size_t>& out) {
-  for (std::size_t s = 0; s < summary_.size(); ++s) {
-    for (std::uint64_t live = std::exchange(summary_[s], 0); live != 0; live &= live - 1) {
-      const std::size_t w = (s << 6) | static_cast<std::size_t>(std::countr_zero(live));
-      for (std::uint64_t bits = std::exchange(words_[w], 0); bits != 0; bits &= bits - 1) {
-        out.push_back((w << 6) | static_cast<std::size_t>(std::countr_zero(bits)));
-      }
-    }
-  }
-}
-
 void SpatialGrid::set_cell_size(double cell_size) {
   cell_ = (std::isfinite(cell_size) && cell_size > 0.0) ? cell_size : 1.0;
   inv_cell_ = 1.0 / cell_;
@@ -180,7 +168,7 @@ void SpatialGrid::neighbors_within(geom::Vec2 q, double r, bool open_ball,
     }
   });
   if (windowed) {
-    marks_.take_ascending(out);
+    marks_.take_ascending([&](std::size_t i) { out.push_back(i); });
     return;
   }
   // Ids come out already ascending.
@@ -386,10 +374,9 @@ void IncrementalGrid::advance_to(Time t) {
   }
 }
 
-void IncrementalGrid::candidates_near(geom::Vec2 q, double r, std::vector<std::size_t>& out) {
-  out.clear();
+bool IncrementalGrid::mark_near(geom::Vec2 q, double r) {
   const std::size_t n = robot_nodes_.size();
-  if (n == 0) return;
+  if (n == 0) return true;
   const bool windowed = for_each_query_cell(q, r, inv_cell_, n, [&](std::uint64_t key) {
     const std::size_t slot = find_slot(key);
     if (slot == static_cast<std::size_t>(-1)) return;
@@ -397,18 +384,14 @@ void IncrementalGrid::candidates_near(geom::Vec2 q, double r, std::vector<std::s
       marks_.mark(static_cast<std::size_t>(nodes_[i].robot));
     }
   });
-  if (!windowed) {
-    // Every robot is a candidate (trivially a superset; the caller's
-    // predicate decides).
-    out.resize(n);
-    for (std::size_t i = 0; i < n; ++i) out[i] = i;
-    return;
-  }
+  // Unwindowed, every robot is a candidate (trivially a superset; the
+  // caller's predicate decides).
+  if (!windowed) return false;
   // Multi-cell segments (and clamping/key aliasing) can mark a robot
   // several times; the bitmap emits it once, in the ascending order the
   // caller's RNG-drawing perception loop needs.
   for (const std::uint32_t r_out : outliers_) marks_.mark(r_out);
-  marks_.take_ascending(out);
+  return true;
 }
 
 }  // namespace cohesion::core

@@ -25,8 +25,10 @@
 // on commit (O(1) amortized), never per Look time.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <queue>
+#include <utility>
 #include <vector>
 
 #include "core/types.hpp"
@@ -113,8 +115,18 @@ class IdBitmap {
     words_[id >> 6] |= std::uint64_t{1} << (id & 63);
     summary_[id >> 12] |= std::uint64_t{1} << ((id >> 6) & 63);
   }
-  /// Append the marked ids to `out`, ascending, and unmark them.
-  void take_ascending(std::vector<std::size_t>& out);
+  /// Call `visit(id)` for each marked id, ascending, and unmark them.
+  template <class Visit>
+  void take_ascending(Visit&& visit) {
+    for (std::size_t s = 0; s < summary_.size(); ++s) {
+      for (std::uint64_t live = std::exchange(summary_[s], 0); live != 0; live &= live - 1) {
+        const std::size_t w = (s << 6) | static_cast<std::size_t>(std::countr_zero(live));
+        for (std::uint64_t bits = std::exchange(words_[w], 0); bits != 0; bits &= bits - 1) {
+          visit((w << 6) | static_cast<std::size_t>(std::countr_zero(bits)));
+        }
+      }
+    }
+  }
 
  private:
   std::vector<std::uint64_t> words_;    // bit id % 64 of word id / 64
@@ -211,11 +223,18 @@ class IncrementalGrid {
   /// Queries served after this call must be at times >= `t`.
   void advance_to(Time t);
 
-  /// Ids (ascending, unique) of every robot whose bucket cells overlap the
-  /// bounding square of the ball around `q` — a superset of the robots
-  /// whose exact current position lies within distance r of `q`. The caller
-  /// applies the exact visibility predicate. `out` is overwritten.
-  void candidates_near(geom::Vec2 q, double r, std::vector<std::size_t>& out);
+  /// Call `visit(id)` for every robot (ascending, once each) whose bucket
+  /// cells overlap the bounding square of the ball around `q` — a superset
+  /// of the robots whose exact current position lies within distance r of
+  /// `q`. The caller applies the exact visibility predicate.
+  template <class Visit>
+  void candidates_near(geom::Vec2 q, double r, Visit&& visit) {
+    if (mark_near(q, r)) {
+      marks_.take_ascending(visit);
+    } else {
+      for (std::size_t i = 0; i < robot_nodes_.size(); ++i) visit(i);
+    }
+  }
 
   [[nodiscard]] std::size_t robot_count() const { return robot_nodes_.size(); }
   [[nodiscard]] double cell_size() const { return cell_; }
@@ -229,6 +248,9 @@ class IncrementalGrid {
     std::int32_t next = -1;
   };
 
+  /// Mark the candidates near `q`; false (nothing marked) when every
+  /// robot is one, as the window spans more cells than there are robots.
+  bool mark_near(geom::Vec2 q, double r);
   [[nodiscard]] std::int64_t cell_of(double coord) const;
   [[nodiscard]] std::size_t find_slot(std::uint64_t key) const;  ///< live slot or npos
   std::size_t find_or_insert_slot(std::uint64_t key);

@@ -318,6 +318,46 @@ TEST(EngineEquivalence, DenseGridFSyncMatchesAllPairsColocation) {
   }
 }
 
+TEST(EngineEquivalence, WideVisibilityMaterializesFarProxiesAtStaging) {
+  // V = 40 over a grid of spacing 8: a Look sees ~55 neighbours, most of
+  // them with |q.x| + |q.y| > 32, which staging materializes at once
+  // instead of keeping a proxy. Rotated and reflected frames, distance
+  // noise and both co-location rules, against the reference engine; the
+  // exact positions built per Look add up to the figure the engine gave
+  // when co-location materialized them in a pass of its own.
+  const algo::KknpsAlgorithm kknps({.k = 1});
+  const std::size_t n = 144;
+  const auto initial = metrics::grid_configuration(n, 8.0);
+  std::size_t materializations = 0;
+  for (std::uint64_t variant = 0; variant < 8; ++variant) {
+    EngineConfig cfg;
+    cfg.seed = 40 + variant;
+    cfg.visibility.radius = 40.0;
+    cfg.visibility.multiplicity_detection = (variant & 1) != 0;
+    cfg.error.distance_delta = variant & 2 ? 0.05 : 0.0;
+    cfg.error.allow_reflection = (variant & 4) != 0;
+    sched::KAsyncScheduler::Params p;
+    p.seed = 7 + variant;
+    p.k = 2;
+    sched::KAsyncScheduler sched_engine(n, p);
+    Engine engine(initial, kknps, sched_engine, cfg);
+    sched::KAsyncScheduler sched_oracle(n, p);
+    EngineOracle oracle(initial, kknps, sched_oracle, cfg);
+
+    const std::size_t steps = 4 * n;
+    std::size_t seen = 0;
+    for (std::size_t i = 0; i < steps; ++i) {
+      ASSERT_TRUE(engine.step()) << "variant " << variant;
+      materializations += engine.look_materializations();
+      seen += engine.trace().records().back().seen;
+    }
+    ASSERT_EQ(oracle.run(steps), steps) << "variant " << variant;
+    expect_identical_traces(engine.trace(), oracle.trace(), variant);
+    EXPECT_GT(seen, 50 * steps) << "variant " << variant;
+  }
+  EXPECT_EQ(materializations, 142659u);
+}
+
 TEST(EngineEquivalence, UnrestrictedAsyncLongRunIncrementalVsOracle) {
   // The regime the incremental index exists for: unrestricted Async
   // (k-Async with the bound removed) gives every Look a distinct time, and

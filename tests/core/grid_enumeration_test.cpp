@@ -21,6 +21,13 @@ namespace {
 
 using geom::Vec2;
 
+/// The ids IncrementalGrid::candidates_near visits, in visiting order.
+std::vector<std::size_t> visited(IncrementalGrid& inc, Vec2 q, double r) {
+  std::vector<std::size_t> ids;
+  inc.candidates_near(q, r, [&](std::size_t id) { ids.push_back(id); });
+  return ids;
+}
+
 std::vector<std::size_t> sort_unique(std::vector<std::size_t> ids) {
   std::sort(ids.begin(), ids.end());
   ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
@@ -44,14 +51,14 @@ TEST(IdBitmap, TakeAscendingMatchesSortUnique) {
       }
       for (const std::size_t id : ids) marks.mark(id);
       got.assign({7, 7});  // appended to, not overwritten
-      marks.take_ascending(got);
+      marks.take_ascending([&](std::size_t id) { got.push_back(id); });
       std::vector<std::size_t> want{7, 7};
       for (const std::size_t id : sort_unique(ids)) want.push_back(id);
       ASSERT_EQ(got, want) << "n " << n << " round " << round;
     }
     // Taking left every bit clear.
     got.clear();
-    marks.take_ascending(got);
+    marks.take_ascending([&](std::size_t id) { got.push_back(id); });
     EXPECT_TRUE(got.empty());
   }
 }
@@ -234,7 +241,7 @@ TEST(IncrementalGrid, EnumerationMatchesSortUniqueOfBucketModel) {
           const Vec2 q = query == 0 ? Vec2{0.25, 0.25} : pos[rng() % n];
           const double radii[] = {0.5, 1.0, 2.5, 40.0};
           const double radius = radii[rng() % 4];
-          inc.candidates_near(q, radius, got);
+          got = visited(inc, q, radius);
           ASSERT_EQ(got, model.candidates(q, radius))
               << "seed " << seed << " step " << step << " query " << query;
         }

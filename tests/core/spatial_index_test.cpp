@@ -16,6 +16,13 @@ namespace {
 
 using geom::Vec2;
 
+/// The ids IncrementalGrid::candidates_near visits, in visiting order.
+std::vector<std::size_t> visited(IncrementalGrid& inc, Vec2 q, double r) {
+  std::vector<std::size_t> ids;
+  inc.candidates_near(q, r, [&](std::size_t id) { ids.push_back(id); });
+  return ids;
+}
+
 std::vector<std::size_t> brute_neighbors(const std::vector<Vec2>& pts, Vec2 q, double r,
                                          bool open_ball) {
   std::vector<std::size_t> out;
@@ -211,7 +218,7 @@ TEST(IncrementalGrid, FuzzAdvanceMatchesRebuildAcrossCommitHistories) {
         rebuilt.rebuild(exact);
         for (std::size_t qi = 0; qi < n; ++qi) {
           const Vec2 q = exact[qi];
-          inc.candidates_near(q, r, got);
+          got = visited(inc, q, r);
           // Predicate-filter the candidates exactly as the engine does.
           std::erase_if(got, [&](std::size_t i) {
             const double d = q.distance_to(exact[i]);
@@ -256,7 +263,7 @@ TEST(IncrementalGrid, TeleportSegmentsStayExactViaOutlierList) {
     std::vector<Vec2> exact(initial.size());
     for (RobotId q = 0; q < initial.size(); ++q) exact[q] = kin.position_at(q, t);
     for (RobotId q = 0; q < initial.size(); ++q) {
-      inc.candidates_near(exact[q], 1.0, got);
+      got = visited(inc, exact[q], 1.0);
       std::erase_if(got, [&](std::size_t i) {
         return !(exact[q].distance_to(exact[i]) <= 1.0 + kVisibilityEpsilon);
       });
@@ -280,7 +287,7 @@ TEST(IncrementalGrid, StaleSettleEntriesAreIgnoredAfterRecommit) {
   inc.advance_to(10.0);  // pops both entries; only the live one may collapse
   std::vector<std::size_t> got;
   // Robot 0 rests at (2.2, 0): visible from robot 1 at distance 0.4.
-  inc.candidates_near({2.6, 0.0}, 1.0, got);
+  got = visited(inc, {2.6, 0.0}, 1.0);
   EXPECT_EQ(got, (std::vector<std::size_t>{0, 1}));
 }
 

@@ -74,5 +74,26 @@ TEST(CliMisuse, EveryFrontEndExitsTwoNamingTheFlag) {
   }
 }
 
+TEST(CliMisuse, ServeAddressThatDoesNotParseExitsTwoNamingTheFlag) {
+  // ADDR is read after the flags; a bad port or an empty socket path is
+  // misuse, not a failed run.
+  const std::string binary = test::build_dir() + "/cohesion_serve";
+  const std::string log = ::testing::TempDir() + "cli_misuse_serve.log";
+  const struct {
+    const char* address;
+    const char* named;
+  } cases[] = {{"host:99999", "bad port"}, {"unix:", "empty unix socket path"}};
+  for (const auto& c : cases) {
+    fs::remove(log);
+    EXPECT_EQ(test::run_tool({binary, "--status", c.address}, log), run::kExitUsage)
+        << c.address;
+    const std::string message = test::read_file(log);
+    for (const std::string part : {std::string("bad value for --status"), std::string(c.named)}) {
+      EXPECT_NE(message.find(part), std::string::npos)
+          << "\"" << part << "\" not in: " << message;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace cohesion

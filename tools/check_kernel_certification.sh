@@ -38,7 +38,8 @@
 # ctest test runs this script). A configuration whose toolchain flags do not
 # work on the host (no libasan, cross-compile without native) is skipped
 # with a notice — missing tooling must not fail the contract check, a red
-# test must.
+# test must. Each step prints its wall seconds ("kernel-cert: <step>
+# <name> <s> s"), so the battery's own cost can be tracked.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 root="${1:-build/kernel-cert}"
@@ -73,16 +74,25 @@ run_config() {  # run_config <name> <extra cmake cache args...>
   fi
   local dir="$root/$name"
   echo "kernel-cert: configure $name"
-  cmake -S . -B "$dir" \
+  timed configure "$name" cmake -S . -B "$dir" \
         -DCOHESION_CERT_ONLY=ON \
         -DCOHESION_BUILD_BENCHES=OFF \
         -DCOHESION_BUILD_EXAMPLES=OFF \
         "$@" >/dev/null
   echo "kernel-cert: build $name"
-  cmake --build "$dir" --target cohesion_tests -j "$(nproc)" >/dev/null
+  timed build "$name" cmake --build "$dir" --target cohesion_tests -j "$(nproc)" >/dev/null
   echo "kernel-cert: run $name"
-  "$dir/cohesion_tests" --gtest_brief=1
+  timed run "$name" "$dir/cohesion_tests" --gtest_brief=1
   echo "kernel-cert: PASS $name"
+}
+
+timed() {  # timed <step> <name> <command...>: run it, then print its wall seconds
+  local step="$1" name="$2"; shift 2
+  local start end
+  start=$(date +%s.%N)
+  "$@"
+  end=$(date +%s.%N)
+  echo "kernel-cert: $step $name $(awk -v a="$start" -v b="$end" 'BEGIN { printf "%.1f", b - a }') s" >&2
 }
 
 run_config asan-ubsan -DCOHESION_SANITIZE=address,undefined

@@ -176,10 +176,22 @@ int main(int argc, char** argv) {
   daemon.config.lease_timeout_seconds = lease.timeout_seconds;
   daemon.poll_interval_seconds = lease.poll_interval_seconds;
   daemon.status_interval_seconds = lease.status_interval_seconds;
+  // ADDR is part of the command line, so a malformed one is misuse too.
+  serve::Address address;
+  try {
+    address = serve::Address::parse(address_arg);
+  } catch (const std::exception& e) {
+    const char* flag = listen    ? "--listen"
+                       : work    ? "--worker"
+                       : enqueue ? "ADDR"
+                       : status  ? "--status"
+                                 : "--shutdown";
+    std::cerr << "cohesion_serve: bad value for " << flag << ": " << e.what() << "\n";
+    return run::kExitUsage;
+  }
   install_stop_handlers();
 
   try {
-    const serve::Address address = serve::Address::parse(address_arg);
     if (listen) {
       daemon.address = address;
       daemon.stop = &g_interrupted;
