@@ -29,6 +29,26 @@ constexpr double kPseudoBand = 16.0 * core::kPerceptionSlack;
 constexpr double kMinNorm2 = 0x1p-1000;
 constexpr double kMaxNorm2 = 0x1p+1000;
 
+// The pseudo-angle pass's markers, outside the pseudo-angle range [0, 8].
+// At namespace scope, as function-local constants they cost the pass's
+// extremes their registers (gcc 12 spilled them to the stack).
+constexpr double kSkip = -1.0, kKeep = 16.0;
+// Octant (y < 0, x < 0, |y| > |x|) -> pseudo-angle base and orientation.
+constexpr std::array<double, 8> kBase{0.0, 2.0, 4.0, 2.0, 8.0, 6.0, 4.0, 6.0};
+constexpr std::array<double, 8> kSign{1.0, -1.0, -1.0, 1.0, -1.0, 1.0, 1.0, -1.0};
+
+/// compute()'s buffers, sized by the neighbour count and reused from call
+/// to call. One per thread, so one algorithm object serves many threads.
+struct Scratch {
+  std::vector<double> key;         ///< per neighbour: |q|², then pseudo-angle
+  std::vector<double> directions;  ///< exact angles of the kept neighbours
+};
+
+Scratch& thread_scratch() {
+  thread_local Scratch scratch;
+  return scratch;
+}
+
 /// Whether every open quadrant holds a neighbour certainly distant and
 /// certainly off the axes. Then each gap between distant directions is
 /// narrower than pi by more than any rounding, and the rule stays put. A
@@ -85,16 +105,26 @@ Vec2 KknpsAlgorithm::compute(const Snapshot& snapshot) const {
   // the exact answer; only neighbours inside a band are materialized.
   // Proxies outside the tame range ("wild": zero, tiny, huge or
   // non-finite) have no relative bound and are decided on exact values.
-  std::vector<double> norm2(m);  // proxy |q|², or -1 when wild
-  double max2 = 0.0;
+  Scratch& scratch = thread_scratch();
+  std::vector<double>& norm2 = scratch.key;  // proxy |q|², or -1 when wild
+  norm2.resize(m);
   bool any_wild = false;
-  for (std::size_t i = 0; i < m; ++i) {
+  const auto tame_norm2 = [&](std::size_t i) {
     const double a = snapshot.proxy(i).norm2();  // NaN fails both tests
     const bool tame = a >= kMinNorm2 && a <= kMaxNorm2;
-    norm2[i] = tame ? a : -1.0;
-    max2 = std::max(max2, norm2[i]);
     any_wild |= !tame;
+    return norm2[i] = tame ? a : -1.0;
+  };
+  // The maximum folds in two lanes, which gcc keeps in registers (one
+  // lane stayed in a stack slot). The values are never NaN, so any fold
+  // order gives the same maximum.
+  double max2 = 0.0, max_odd = 0.0;
+  for (std::size_t i = 0; i + 1 < m; i += 2) {
+    max2 = std::max(max2, tame_norm2(i));
+    max_odd = std::max(max_odd, tame_norm2(i + 1));
   }
+  if (m % 2 == 1) max2 = std::max(max2, tame_norm2(m - 1));
+  max2 = std::max(max2, max_odd);
   double wild_max = 0.0;  // folded as V_Y folds them: a NaN norm is skipped
   for (std::size_t i = 0; any_wild && i < m; ++i) {
     if (norm2[i] < 0.0) wild_max = std::max(wild_max, snapshot.exact_position(i).norm());
@@ -135,10 +165,6 @@ Vec2 KknpsAlgorithm::compute(const Snapshot& snapshot) const {
   // exact test are kept outright. Only kept directions pay atan2, and
   // half_plane_gap then returns the full set's answer. The buffer now
   // holds each neighbour's pseudo-angle, or kSkip / kKeep.
-  constexpr double kSkip = -1.0, kKeep = 16.0;
-  // Octant (y < 0, x < 0, |y| > |x|) -> pseudo-angle base and orientation.
-  constexpr std::array<double, 8> kBase{0.0, 2.0, 4.0, 2.0, 8.0, 6.0, 4.0, 6.0};
-  constexpr std::array<double, 8> kSign{1.0, -1.0, -1.0, 1.0, -1.0, 1.0, 1.0, -1.0};
   double lo_up = kKeep, hi_up = kSkip, lo_down = kKeep, hi_down = kSkip;
   std::vector<double>& key = norm2;
   for (std::size_t i = 0; i < m; ++i) {
@@ -162,7 +188,8 @@ Vec2 KknpsAlgorithm::compute(const Snapshot& snapshot) const {
     }
   }
 
-  std::vector<double> directions;
+  std::vector<double>& directions = scratch.directions;
+  directions.clear();
   for (std::size_t i = 0; i < m; ++i) {
     const double pa = key[i];
     if (pa == kSkip) continue;

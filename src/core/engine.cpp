@@ -60,6 +60,7 @@ void Engine::snapshot_via_incremental(RobotId robot, Time t, Snapshot& snap) {
     // (and collapsed robots may still be mid-move). Serve the query by a
     // scan over history; the index stays consistent for the next forward
     // query.
+    look_grid_nodes_ = 0;
     snapshot_via_scan(robot, t, snap);
     return;
   }
@@ -85,6 +86,7 @@ void Engine::snapshot_via_incremental(RobotId robot, Time t, Snapshot& snap) {
     const Vec2 p = cached_position(other);
     if (ball.contains(p)) snap.stage(p - self, rng_);
   });
+  look_grid_nodes_ = index_.nodes_walked();
 }
 
 void Engine::snapshot_via_scan(RobotId robot, Time t, Snapshot& snap) {

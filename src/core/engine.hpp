@@ -23,10 +23,12 @@
 // Each Look gathers candidates from an IncrementalGrid, which buckets every
 // robot by the cells of its current trajectory segment; a commit re-buckets
 // just the committed robot, so neither a Look nor a commit pays O(n).
-// One pass per Look takes them off the grid's bitmap in ascending id,
-// evaluates each through the kinematic cache, filters it with the exact
-// visibility predicate and stages it into a Snapshot every Look reuses; a
-// Look placed before the previous one by kLookSlack scans history instead.
+// One pass per Look takes them off the grid's bitmap in ascending id (or
+// takes every robot in id order, with no walk, when the Look's window holds
+// every occupied cell: the same set), evaluates each through the kinematic
+// cache, filters it with the exact visibility predicate and stages it into
+// a Snapshot every Look reuses; a Look placed before the previous one by
+// kLookSlack scans history instead.
 // The brute-force reference engine every result is certified against
 // lives in the tests (tests/oracles/engine_oracle.hpp): it applies the
 // same predicate and draws RNG in the same order, so both commit
@@ -145,6 +147,11 @@ class Engine final : public SimulationView {
   /// certificate (ColocationIndex::certified), without the hash table: a
   /// deterministic per-Look work count, like look_materializations().
   [[nodiscard]] bool look_colocation_certified() const { return colocation_.certified(); }
+  /// Grid cell-list nodes the last Look walked for its candidates
+  /// (IncrementalGrid::nodes_walked): 0 when its window held every live
+  /// cell, or the Look scanned every robot. A deterministic work count,
+  /// like look_materializations().
+  [[nodiscard]] std::size_t look_grid_nodes() const { return look_grid_nodes_; }
 
  private:
   /// The staged snapshot of `robot` at `t` in `frame`, co-location
@@ -179,6 +186,7 @@ class Engine final : public SimulationView {
   TraceSink* sink_ = nullptr;
   PerceptionHook perception_hook_;
   std::size_t look_materializations_ = 0;
+  std::size_t look_grid_nodes_ = 0;
 
   std::vector<geom::Vec2> positions_now_;   // positions at pos_time_, per stamp
   Snapshot look_;                           // the honest snapshot, its buffers reused

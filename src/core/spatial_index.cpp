@@ -375,18 +375,30 @@ void IncrementalGrid::advance_to(Time t) {
 }
 
 bool IncrementalGrid::mark_near(geom::Vec2 q, double r) {
+  nodes_walked_ = 0;
   const std::size_t n = robot_nodes_.size();
   if (n == 0) return true;
+  window_heads_.clear();
   const bool windowed = for_each_query_cell(q, r, inv_cell_, n, [&](std::uint64_t key) {
     const std::size_t slot = find_slot(key);
-    if (slot == static_cast<std::size_t>(-1)) return;
-    for (std::int32_t i = table_head_[slot]; i >= 0; i = nodes_[i].next) {
-      marks_.mark(static_cast<std::size_t>(nodes_[i].robot));
-    }
+    if (slot != static_cast<std::size_t>(-1)) window_heads_.push_back(table_head_[slot]);
   });
   // Unwindowed, every robot is a candidate (trivially a superset; the
   // caller's predicate decides).
   if (!windowed) return false;
+  // Distinct window cells have distinct keys (a window spans at most 64
+  // cells per axis), so the window holds every live cell when it finds
+  // that many. Then every robot is a candidate: each one off the outlier
+  // list has a node, in a live cell. The unwindowed enumeration is the
+  // same set in the same ascending order, with no node walk and no bitmap.
+  if (window_heads_.size() == live_cells_) return false;
+  std::size_t walked = 0;
+  for (const std::int32_t head : window_heads_) {
+    for (std::int32_t i = head; i >= 0; i = nodes_[i].next, ++walked) {
+      marks_.mark(static_cast<std::size_t>(nodes_[i].robot));
+    }
+  }
+  nodes_walked_ = walked;
   // Multi-cell segments (and clamping/key aliasing) can mark a robot
   // several times; the bitmap emits it once, in the ascending order the
   // caller's RNG-drawing perception loop needs.

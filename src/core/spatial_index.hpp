@@ -226,7 +226,8 @@ class IncrementalGrid {
   /// Call `visit(id)` for every robot (ascending, once each) whose bucket
   /// cells overlap the bounding square of the ball around `q` — a superset
   /// of the robots whose exact current position lies within distance r of
-  /// `q`. The caller applies the exact visibility predicate.
+  /// `q`. The caller applies the exact visibility predicate. A window that
+  /// holds every live cell visits every robot without walking a node.
   template <class Visit>
   void candidates_near(geom::Vec2 q, double r, Visit&& visit) {
     if (mark_near(q, r)) {
@@ -238,6 +239,9 @@ class IncrementalGrid {
 
   [[nodiscard]] std::size_t robot_count() const { return robot_nodes_.size(); }
   [[nodiscard]] double cell_size() const { return cell_; }
+  /// Cell-list nodes the last candidates_near walked: 0 when it visited
+  /// every robot without a walk. A deterministic work count.
+  [[nodiscard]] std::size_t nodes_walked() const { return nodes_walked_; }
 
  private:
   /// One (robot, cell) membership: a node of the cell's doubly-linked list.
@@ -249,7 +253,8 @@ class IncrementalGrid {
   };
 
   /// Mark the candidates near `q`; false (nothing marked) when every
-  /// robot is one, as the window spans more cells than there are robots.
+  /// robot is one: the window spans more cells than there are robots, or
+  /// it holds every live cell.
   bool mark_near(geom::Vec2 q, double r);
   [[nodiscard]] std::int64_t cell_of(double coord) const;
   [[nodiscard]] std::size_t find_slot(std::uint64_t key) const;  ///< live slot or npos
@@ -291,6 +296,8 @@ class IncrementalGrid {
   std::vector<std::uint32_t> outliers_;
   std::vector<std::int32_t> outlier_slot_;  ///< index into outliers_, or -1
   IdBitmap marks_;
+  std::vector<std::int32_t> window_heads_;  ///< mark_near scratch: live window cells' heads
+  std::size_t nodes_walked_ = 0;
 };
 
 }  // namespace cohesion::core

@@ -9,9 +9,12 @@
 // visibility band is also checked under ASan and -march=native.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -295,26 +298,83 @@ TEST(EngineEquivalence, DenseGridFSyncMatchesAllPairsColocation) {
   // certificate, checked against the reference's all-pairs rules with and
   // without multiplicity detection and distance noise. A second grid
   // stacks 16 robots on occupied sites, so its Looks take the hash path.
+  // Unrotated frames keep the lattice's offsets axis-aligned, near the
+  // certificate's power-of-two cell edges, where it declines and the hash
+  // decides. Every Look's window holds every occupied grid cell, so none
+  // walks a cell list.
   const algo::KknpsAlgorithm kknps({.k = 1});
   const std::size_t n = 256;
   const auto grid = metrics::grid_configuration(n, 0.05);
   auto stacked = grid;
   for (std::size_t i = 0; i < 16; ++i) stacked[240 + i] = grid[13 * i];
-  for (std::uint64_t variant = 0; variant < 8; ++variant) {
+  for (std::uint64_t variant = 0; variant < 16; ++variant) {
     const auto& initial = variant & 4 ? stacked : grid;
     EngineConfig cfg;
     cfg.visibility.radius = 1.0;
     cfg.visibility.multiplicity_detection = (variant & 2) != 0;
     cfg.error.distance_delta = variant & 1 ? 0.05 : 0.0;
+    cfg.error.random_rotation = (variant & 8) == 0;
     sched::FSyncScheduler sched_engine(n);
     Engine engine(initial, kknps, sched_engine, cfg);
     sched::FSyncScheduler sched_oracle(n);
     EngineOracle oracle(initial, kknps, sched_oracle, cfg);
 
     const std::size_t steps = 3 * n;
-    ASSERT_EQ(engine.run(steps), oracle.run(steps)) << "variant " << variant;
+    std::size_t done = 0, nodes = 0;
+    for (; done < steps && engine.step(); ++done) nodes += engine.look_grid_nodes();
+    ASSERT_EQ(done, oracle.run(steps)) << "variant " << variant;
     expect_identical_traces(engine.trace(), oracle.trace(), variant);
     EXPECT_GT(oracle.trace().records()[n / 2].seen, 200u) << "variant " << variant;
+    EXPECT_EQ(nodes, 0u) << "variant " << variant;
+  }
+}
+
+TEST(EngineEquivalence, SparseGridLooksWalkTheirWindowOnly) {
+  // n = 256 on a 0.8 grid with V = 1 (the grid's cell): a Look's window of
+  // at most 3 x 3 cells holds a few of the ~170 occupied ones, so it walks
+  // the cell lists, and exactly the nodes in its window. The nodes are
+  // restated from the trace: a robot sits in the cells of its current
+  // segment's box until the segment has ended, then in its end cell.
+  const algo::KknpsAlgorithm kknps({.k = 1});
+  const std::size_t n = 256;
+  const auto initial = metrics::grid_configuration(n, 0.8);
+  for (const bool noisy : {false, true}) {
+    EngineConfig cfg;
+    cfg.visibility.radius = 1.0;
+    cfg.error.distance_delta = noisy ? 0.05 : 0.0;
+    sched::FSyncScheduler sched_engine(n);
+    Engine engine(initial, kknps, sched_engine, cfg);
+    sched::FSyncScheduler sched_oracle(n);
+    EngineOracle oracle(initial, kknps, sched_oracle, cfg);
+
+    const auto cell = [](double coord) { return static_cast<std::int64_t>(std::floor(coord)); };
+    std::vector<std::optional<ActivationRecord>> segment(n);  // each robot's last commit
+    const std::size_t steps = 3 * n;
+    std::size_t done = 0;
+    for (; done < steps && engine.step(); ++done) {
+      const ActivationRecord& look = engine.trace().records().back();
+      const Time t = look.activation.t_look;
+      const double reach = cfg.visibility.radius + kVisibilityEpsilon;
+      const std::int64_t wx0 = cell(look.from.x - reach), wx1 = cell(look.from.x + reach);
+      const std::int64_t wy0 = cell(look.from.y - reach), wy1 = cell(look.from.y + reach);
+      std::size_t occupancy = 0;
+      for (std::size_t r = 0; r < n; ++r) {
+        const std::optional<ActivationRecord>& seg = segment[r];
+        Vec2 lo = seg ? seg->realized : initial[r], hi = lo;
+        if (seg && seg->end() > t) {
+          lo = {std::min(seg->from.x, seg->realized.x), std::min(seg->from.y, seg->realized.y)};
+          hi = {std::max(seg->from.x, seg->realized.x), std::max(seg->from.y, seg->realized.y)};
+        }
+        const std::int64_t sx = std::max(cell(lo.x), wx0), ex = std::min(cell(hi.x), wx1);
+        const std::int64_t sy = std::max(cell(lo.y), wy0), ey = std::min(cell(hi.y), wy1);
+        if (sx <= ex && sy <= ey) occupancy += static_cast<std::size_t>((ex - sx + 1) * (ey - sy + 1));
+      }
+      ASSERT_GT(engine.look_grid_nodes(), 0u) << "look " << done;
+      ASSERT_EQ(engine.look_grid_nodes(), occupancy) << "look " << done;
+      segment[look.activation.robot] = look;
+    }
+    ASSERT_EQ(done, oracle.run(steps)) << "noisy " << noisy;
+    expect_identical_traces(engine.trace(), oracle.trace(), noisy);
   }
 }
 

@@ -7,11 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <optional>
 #include <random>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "core/spatial_index.hpp"
@@ -205,6 +207,29 @@ struct BucketModel {
     }
     return sort_unique(multiset);
   }
+  /// A query just wide enough to hold every live cell: centred on the
+  /// box of the non-outlier robots' cells, its window is that box widened
+  /// to a square. Nothing when no robot has a cell.
+  std::optional<std::pair<Vec2, double>> live_box_query() const {
+    std::optional<std::array<std::int64_t, 4>> box;  // x0, x1, y0, y1
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      for (const std::uint64_t key : keys[i]) {
+        // A key's halves are its cell's low 32 bits, exact for the small
+        // cells of a compact swarm.
+        const std::int64_t cx = static_cast<std::int32_t>(key >> 32);
+        const std::int64_t cy = static_cast<std::int32_t>(key & 0xffffffffU);
+        if (!box) box = {cx, cx, cy, cy};
+        *box = {std::min((*box)[0], cx), std::max((*box)[1], cx), std::min((*box)[2], cy),
+                std::max((*box)[3], cy)};
+      }
+    }
+    if (!box) return std::nullopt;
+    const auto [x0, x1, y0, y1] = *box;
+    const double side = static_cast<double>(std::max(x1 - x0, y1 - y0) + 1);
+    const Vec2 centre{static_cast<double>(x0 + x1 + 1) / 2.0 * cell,
+                      static_cast<double>(y0 + y1 + 1) / 2.0 * cell};
+    return std::pair{centre, (side / 2.0 - 0.25) * cell};
+  }
 };
 
 TEST(IncrementalGrid, EnumerationMatchesSortUniqueOfBucketModel) {
@@ -248,6 +273,49 @@ TEST(IncrementalGrid, EnumerationMatchesSortUniqueOfBucketModel) {
       }
     }
   }
+
+  // A window that holds every live cell visits every robot with no node
+  // walk, even below the unwindowed threshold. Compact swarms (no far
+  // cells, no teleports) fit one such window; the same window shifted by
+  // a cell misses some and walks. Both enumerate the model's candidates.
+  std::size_t served_whole = 0;
+  for (std::uint64_t seed = 0; seed < 100; ++seed) {
+    std::mt19937_64 rng(seed);
+    const std::size_t sizes[] = {1, 2, 63, 64, 65, 66, 100, 129};
+    const std::size_t n = sizes[seed % 8];
+    std::uniform_real_distribution<double> u(-2.0, 2.0);
+    std::vector<Vec2> pos(n);
+    for (Vec2& p : pos) p = {u(rng), u(rng)};
+    inc.reset(model.cell, pos);
+    model.reset(pos);
+    double t = 0.0;
+    for (int step = 0; step < 30; ++step) {
+      const std::size_t r = rng() % n;
+      const double reach = step % 3 == 0 ? 1.5 : 0.3;  // multi-cell segments now and then
+      const Vec2 to = pos[r] + Vec2{reach * u(rng) / 2.0, reach * u(rng) / 2.0};
+      const double settle = t + 0.5 + std::abs(u(rng));
+      inc.update(r, pos[r], to, settle);
+      model.update(r, pos[r], to, settle);
+      pos[r] = to;
+      t += 0.5;
+      inc.advance_to(t);
+      model.advance_to(t);
+      const auto whole = model.live_box_query();
+      ASSERT_TRUE(whole.has_value());
+      for (const Vec2 shift : {Vec2{0.0, 0.0}, Vec2{model.cell, 0.0}}) {
+        const Vec2 q = whole->first + shift;
+        got = visited(inc, q, whole->second);
+        ASSERT_EQ(got, model.candidates(q, whole->second))
+            << "seed " << seed << " step " << step << " shift " << shift.x;
+        if (shift.x == 0.0 && model_window(q, whole->second, model.cell, n)) {
+          EXPECT_EQ(got.size(), n);
+          EXPECT_EQ(inc.nodes_walked(), 0u) << "seed " << seed << " step " << step;
+          ++served_whole;
+        }
+      }
+    }
+  }
+  EXPECT_GT(served_whole, 1000u);
 }
 
 }  // namespace

@@ -10,7 +10,8 @@
 #     in docs/architecture.md (contract 3 lists the references);
 #   * every tools/*.cpp CLI tool must be mentioned by name in README.md
 #     and in docs/operations.md (the ops runbook covers every binary an
-#     operator can invoke);
+#     operator can invoke), and every tools/*.sh script by path in some
+#     docs/*.md;
 #   * every flag a tool declares (read from its generated `--help`, for
 #     each tool binary passed as an argument) must be documented in
 #     docs/operations.md, and the spec-level batch fields in
@@ -68,6 +69,10 @@ for tool in tools/*.cpp; do
     complain "docs/operations.md does not mention tool $name"
 done
 
+for script in tools/*.sh; do
+  grep -q "$script" docs/*.md ||
+    complain "no docs/*.md names the script $script"
+done
 # Every declared flag of every tool: documented in the runbook. A flag
 # line of `--help` starts with the flag (mode flags at column 0).
 [ "$#" -gt 0 ] || echo "check_docs: no tool binaries given; flags not checked" >&2
