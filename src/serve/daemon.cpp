@@ -228,12 +228,10 @@ class DaemonLoop {
           ld.set("job", lease->job);
           ld.set("shard", lease->shard);
           ld.set("of", lease->of);
-          ld.set("deadline_seconds", lease->deadline_seconds);
           ld.set("spec", lease->spec);
           reply.set("lease", std::move(ld));
         } else {
-          reply.set("idle", true);
-          reply.set("poll_seconds", options_.poll_interval_seconds * 4.0);
+          reply.set("idle", true);  // the worker asks again at its own cadence
         }
       } else if (op == "heartbeat") {
         const bool valid = table_.heartbeat(

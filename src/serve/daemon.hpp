@@ -10,9 +10,8 @@
 //       spec = a resolved ExperimentSpec echo (the submit client runs
 //       run::load_spec_file, so "extends" never crosses the wire)
 //   {"op":"request","worker":W}              → {"ok":true,"lease":{...}}
-//                                            | {"ok":true,"idle":true,
-//                                               "poll_seconds":T}
-//       lease = {"id","job","shard","of","deadline_seconds","spec"}
+//                                            | {"ok":true,"idle":true}
+//       lease = {"id","job","shard","of","spec"}
 //   {"op":"heartbeat","lease":L,"journal_bytes":B,"journal_lines":N,
 //    "outcomes":[...]}                       → {"ok":true,"valid":B}
 //       valid=false: the lease is revoked/expired — stop the runner,

@@ -205,7 +205,6 @@ std::optional<Lease> JobTable::try_lease_job(JobState& j, std::uint64_t worker, 
     lease.job = j.id;
     lease.shard = s;
     lease.of = j.partition;
-    lease.deadline_seconds = config_.lease_timeout_seconds;
     lease.spec = j.echo;
     LeaseState state;
     state.job = j.id;

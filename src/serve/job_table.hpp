@@ -1,11 +1,10 @@
 // The one orchestration core, factored out of all socket/process concerns
 // so every scheduling decision is unit-testable with an injected clock:
 // jobs, workers, shard leases, elastic re-partitioning and retry/poisoning
-// are pure state transitions on this table. Two front ends move messages
-// between it and the world: the daemon loop (serve/daemon) over the wire,
-// and run::Supervisor (cohesion_launch) in-process with local workers.
-// Either way the cohesion_run runners are started, watched, classified and
-// stopped by serve/runner.
+// are pure state transitions on this table. Two front ends hold its
+// leases, both through the one runner-slot loop (serve/slots): the serve
+// worker over the wire (serve/worker, relayed by serve/daemon) and
+// run::Supervisor (cohesion_launch) in-process, one slot per local worker.
 //
 // Scheduling model:
 //
@@ -15,7 +14,7 @@
 //     variant count) and changed elastically when workers join or die.
 //     Global grid indices and derived seeds never depend on N, so
 //     outcomes collected under different widths merge exactly
-//     (run::supersede, the rule run::merge_attempt_outcomes folds with) —
+//     (run::supersede, the attempt-supersedes rule) —
 //     that is what makes re-partitioning safe (contract 9).
 //   * A lease binds (job, shard, N) to a worker. The heartbeat is the
 //     worker's checkpoint-journal growth, relayed as (bytes, lines) plus
@@ -55,6 +54,7 @@
 #include "run/json.hpp"
 #include "run/spec.hpp"
 #include "run/supervisor.hpp"
+#include "serve/slots.hpp"
 
 namespace cohesion::serve {
 
@@ -66,16 +66,6 @@ inline constexpr const char* kSupervisedPartialFormat = "cohesion-supervised-par
 struct ServeConfig {
   run::RetryPolicy retry;             ///< per-variant attempt budget + backoff
   double lease_timeout_seconds = 15.0;///< journal silence that kills a lease
-};
-
-/// What request_lease hands a worker (the daemon serializes this).
-struct Lease {
-  std::uint64_t id = 0;
-  std::uint64_t job = 0;
-  std::size_t shard = 0;   ///< i in --shard i/N
-  std::size_t of = 1;      ///< N — the job's partition width at grant time
-  double deadline_seconds = 15.0;  ///< lease timeout, for worker pacing
-  Json spec;               ///< the job's experiment echo (worker writes it to disk)
 };
 
 /// Side effects of one mutation, for the daemon to act on (ledger writes,

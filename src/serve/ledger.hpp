@@ -13,8 +13,8 @@
 //         are assigned once, here, and stay stable across restarts.
 //     {"event":"outcome","job":J,"run":{...RunOutcome...}}
 //       — one recovered/completed run, exactly as workers reported it.
-//         Replay folds duplicates with merge_attempt_outcomes semantics
-//         (completed supersedes errored; byte-equal or conflict).
+//         Replay folds duplicates with run::supersede (completed
+//         supersedes errored; byte-equal or conflict).
 //     {"event":"done","job":J}    — report assembled and byte-complete
 //     {"event":"failed","job":J}  — degraded to a supervised-partial doc
 //

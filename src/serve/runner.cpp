@@ -10,12 +10,12 @@
 #include <chrono>
 #include <cstring>
 #include <fstream>
+#include <string_view>
 #include <thread>
 #include <utility>
 
 #include "run/exit_codes.hpp"
 #include "run/shard.hpp"
-#include "run/supervisor.hpp"
 
 namespace cohesion::serve {
 
@@ -31,22 +31,6 @@ bool usable_partial(const std::string& path, std::size_t shard, std::size_t of) 
   } catch (const std::exception&) {
     return false;
   }
-}
-
-JournalStat stat_journal(const std::string& path) {
-  JournalStat s;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return s;
-  std::size_t lines = 0;
-  char chunk[1 << 14];
-  while (in.read(chunk, sizeof(chunk)) || in.gcount() > 0) {
-    const std::streamsize got = in.gcount();
-    s.bytes += static_cast<std::size_t>(got);
-    lines += static_cast<std::size_t>(std::count(chunk, chunk + got, '\n'));
-    if (got < static_cast<std::streamsize>(sizeof(chunk))) break;
-  }
-  s.outcome_lines = lines > 0 ? lines - 1 : 0;  // line 1 is the header
-  return s;
 }
 
 }  // namespace
@@ -153,12 +137,31 @@ RunnerProcess::~RunnerProcess() {
   if (pid_ > 0) stop_process(pid_);
 }
 
-JournalStat RunnerProcess::stat() const { return stat_journal(journal()); }
-
-std::vector<run::RunOutcome> RunnerProcess::outcomes() const {
-  std::vector<run::RunOutcome> out;
-  run::read_journal_outcomes(journal(), out);
-  return out;
+JournalRead JournalReader::next() {
+  JournalRead read;
+  std::ifstream in(path_, std::ios::binary | std::ios::ate);
+  if (!in) return read;
+  const std::size_t size = static_cast<std::size_t>(in.tellg());
+  if (size < offset_) offset_ = lines_ = 0;
+  in.seekg(static_cast<std::streamoff>(offset_));
+  std::string grown(size - offset_, '\0');
+  in.read(grown.data(), static_cast<std::streamsize>(grown.size()));
+  grown.resize(static_cast<std::size_t>(in.gcount()));
+  read.bytes = offset_ + grown.size();
+  std::size_t pos = 0;
+  for (std::size_t nl; (nl = grown.find('\n', pos)) != std::string::npos; pos = nl + 1) {
+    if (lines_++ == 0) continue;  // header
+    try {
+      const std::string_view line = std::string_view(grown).substr(pos, nl - pos);
+      read.fresh.push_back(run::RunOutcome::from_json(run::Json::parse(line)));
+    } catch (const std::exception&) {
+      // Mid-write weirdness of a live runner: skipped, never fatal.
+    }
+  }
+  offset_ += pos;
+  read.found = lines_ > 0;
+  read.outcome_lines = lines_ > 0 ? lines_ - 1 : 0;
+  return read;
 }
 
 void RunnerProcess::signal(int sig) const {

@@ -1,14 +1,15 @@
 // One lifecycle for a `cohesion_run <spec> --shard i/N --resume <journal>`
-// runner process, shared by the two front ends of serve::JobTable: the
-// networked worker (serve/worker) and the in-process supervisor behind
-// cohesion_launch (run/supervisor). Start, watch, classify and stop exist
-// here once:
+// runner process. Its one user is the runner-slot loop (serve/slots),
+// which both front ends of serve::JobTable — cohesion_launch and the
+// cohesion_serve worker — hold their leases through. Start, watch,
+// classify and stop exist here once:
 //
 //   * spawn: fork/exec the runner with the standard arguments, stdout and
 //     stderr appended to <stem>.log, any stale <stem>.partial.json removed
 //     first (it must never masquerade as coverage);
 //   * watch: the heartbeat is the checkpoint journal — its growth (bytes,
-//     complete lines) and its complete outcome lines;
+//     complete lines) and its complete outcome lines, read incrementally
+//     by JournalReader;
 //   * classify: exit 0 covers the shard, and so does exit 1 whose partial
 //     report is this shard's (in-run errors travel inside the report
 //     exactly as in a single process). Everything else is a failure
@@ -26,6 +27,7 @@
 #include <cstddef>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "run/batch_runner.hpp"
@@ -40,10 +42,29 @@ inline constexpr double kRunnerStopGraceSeconds = 5.0;
 /// build tree as their runners.
 std::string sibling_runner();
 
-/// Cheap heartbeat read: journal size and complete-line count, no parsing.
-struct JournalStat {
-  std::size_t bytes = 0;
-  std::size_t outcome_lines = 0;  ///< complete lines minus the header
+/// What one JournalReader::next() saw.
+struct JournalRead {
+  bool found = false;             ///< the journal has at least its header line
+  std::size_t bytes = 0;          ///< journal size, torn tail included
+  std::size_t outcome_lines = 0;  ///< complete lines minus the header, in total
+  std::vector<run::RunOutcome> fresh;  ///< outcomes of the lines this call consumed
+};
+
+/// Incremental heartbeat view of a live runner's checkpoint journal: each
+/// next() reads only what was appended past the last complete line it
+/// consumed, so a heartbeat costs O(growth). The header is skipped, a torn
+/// tail is left for the next call, and unparseable lines are skipped (the
+/// runner's own resume is the authoritative read). A journal shorter than
+/// the offset is read again from the start.
+class JournalReader {
+ public:
+  explicit JournalReader(std::string path) : path_(std::move(path)) {}
+  JournalRead next();
+
+ private:
+  std::string path_;
+  std::size_t offset_ = 0;  ///< just past the last complete line consumed
+  std::size_t lines_ = 0;   ///< complete lines consumed, header included
 };
 
 /// SIGTERM + SIGCONT `pid`, wait up to kRunnerStopGraceSeconds, then
@@ -83,9 +104,6 @@ class RunnerProcess {
 
   [[nodiscard]] ::pid_t pid() const { return pid_; }
   [[nodiscard]] std::string journal() const { return launch_.stem + ".ckpt"; }
-  [[nodiscard]] JournalStat stat() const;
-  /// Every complete outcome line of the journal (run::read_journal_outcomes).
-  [[nodiscard]] std::vector<run::RunOutcome> outcomes() const;
 
   /// Send `sig` to the runner (fault injection).
   void signal(int sig) const;

@@ -3,15 +3,11 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <filesystem>
-#include <fstream>
-#include <thread>
+#include <optional>
 #include <vector>
 
-#include "run/batch_runner.hpp"
 #include "run/exit_codes.hpp"
-#include "serve/runner.hpp"
 
 namespace cohesion::serve {
 
@@ -19,16 +15,15 @@ namespace {
 
 namespace fs = std::filesystem;
 
-Json outcomes_json(const std::vector<run::RunOutcome>& outcomes, std::size_t from = 0) {
+Json outcomes_json(const std::vector<run::RunOutcome>& outcomes) {
   JsonArray arr;
-  for (std::size_t i = from; i < outcomes.size(); ++i) arr.push_back(outcomes[i].to_json());
+  for (const run::RunOutcome& o : outcomes) arr.push_back(o.to_json());
   return Json(std::move(arr));
 }
 
-class WorkerLoop {
+class WorkerLoop final : public LeaseHost {
  public:
   explicit WorkerLoop(const WorkerOptions& options) : options_(options) {
-    if (options_.runner.empty()) options_.runner = sibling_runner();
     if (options_.name.empty()) options_.name = "worker-" + std::to_string(::getpid());
   }
 
@@ -42,32 +37,23 @@ class WorkerLoop {
       int exit_code = 0;
       if (!connect_with_retry(exit_code)) return exit_code;
       try {
-        const int code = serve_connection();
-        if (code >= 0) return code;
-        // code < 0: connection lost — reconnect and keep serving. The
-        // daemon reclaims our lease through the dropped connection.
+        // Hold leases over this connection until oneshot finishes or a stop.
+        idle_ = false;
+        return run_slots(*this, 1, 1, options_.heartbeat_interval_seconds, options_, options_.stop)
+                   ? run::kExitSuccess
+                   : run::kExitInterrupted;
       } catch (const run::TransientNetworkError& e) {
-        event(std::string("connection lost: ") + e.what() + " — reconnecting");
+        // Reconnect and keep serving; the loop stopped our runner as it
+        // unwound, and the daemon reclaims the lease through the dropped
+        // connection.
+        options_.event(std::string("connection lost: ") + e.what() + " — reconnecting");
       }
       conn_.reset();
     }
   }
 
  private:
-  bool stopped() const { return options_.stop != nullptr && options_.stop->load(); }
-
-  void event(const std::string& line) {
-    if (options_.on_event) options_.on_event(line);
-  }
-
-  /// Sleep in small slices so a stop signal is honored promptly.
-  void nap(double seconds) {
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::duration<double>(seconds);
-    while (!stopped() && std::chrono::steady_clock::now() < deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-  }
+  [[nodiscard]] bool stopped() const { return options_.stop != nullptr && options_.stop->load(); }
 
   /// Retry the connect under exponential backoff: the daemon may not be up
   /// yet, or may be mid-restart. Exhaustion returns false with exit 5 — the
@@ -81,33 +67,31 @@ class WorkerLoop {
       }
       try {
         conn_.emplace(connect_to(options_.address, options_.io_timeout_seconds));
-        Json hello = Json::object();
-        hello.set("op", "hello");
-        hello.set("role", "worker");
-        hello.set("name", options_.name);
-        const Json reply = transact(hello);
-        worker_id_ = reply.uint_or("worker", 0);
-        event("connected to " + options_.address.describe() + " as worker " +
-              std::to_string(worker_id_));
+        worker_id_ = transact({{"op", "hello"}, {"role", "worker"}, {"name", options_.name}})
+                         .uint_or("worker", 0);
+        options_.event("connected to " + options_.address.describe() + " as worker " +
+                       std::to_string(worker_id_));
         return true;
       } catch (const run::TransientNetworkError& e) {
         conn_.reset();
         if (attempt >= options_.connect_attempts) {
-          event(std::string("giving up after ") + std::to_string(attempt) +
-                " connect attempts: " + e.what());
+          options_.event(std::string("giving up after ") + std::to_string(attempt) +
+                         " connect attempts: " + e.what());
           exit_code = run::kExitTransientNetwork;
           return false;
         }
-        event("connect attempt " + std::to_string(attempt) + "/" +
-              std::to_string(options_.connect_attempts) + " failed (" + e.what() +
-              "); retrying in " + std::to_string(delay) + "s");
-        nap(delay);
+        options_.event("connect attempt " + std::to_string(attempt) + "/" +
+                       std::to_string(options_.connect_attempts) + " failed (" + e.what() +
+                       "); retrying in " + std::to_string(delay) + "s");
+        nap(delay, options_.stop);
         delay = std::min(delay * 2.0, 5.0);
       }
     }
   }
 
-  Json transact(const Json& request) {
+  /// One request/response exchange; a reply that is not ok throws.
+  Json transact(run::JsonObject fields) {
+    const Json request(std::move(fields));
     conn_->send(request);
     std::optional<Json> reply = conn_->receive();
     if (!reply) throw run::TransientNetworkError("daemon closed the connection");
@@ -118,160 +102,73 @@ class WorkerLoop {
     return std::move(*reply);
   }
 
-  /// Serve leases until stop (>=0: process exit code) or connection loss
-  /// (-1: caller reconnects).
-  int serve_connection() {
-    for (;;) {
-      if (stopped()) return run::kExitInterrupted;
-      Json request = Json::object();
-      request.set("op", "request");
-      request.set("worker", worker_id_);
-      Json reply;
-      try {
-        reply = transact(request);
-      } catch (const run::TransientNetworkError&) {
-        return -1;
-      }
-      if (const Json* lease = reply.find("lease")) {
-        const int code = execute_lease(*lease);
-        if (code >= 0) return code;
-        continue;  // -1: lease finished one way or another, ask again
-      }
-      if (options_.oneshot && all_jobs_settled()) {
-        event("oneshot: no running jobs — exiting");
-        return 0;
-      }
-      nap(std::max(reply.number_or("poll_seconds", options_.idle_poll_seconds),
-                   options_.idle_poll_seconds));
-    }
+  // --- LeaseHost: one protocol message per verb ----------------------------
+
+  std::optional<Lease> request(std::size_t /*slot*/) override {
+    const Json reply = transact({{"op", "request"}, {"worker", worker_id_}});
+    const Json* l = reply.find("lease");
+    idle_ = l == nullptr;
+    if (idle_) return std::nullopt;
+    Lease lease{.id = l->uint_or("id", 0),
+                .job = l->uint_or("job", 0),
+                .shard = static_cast<std::size_t>(l->uint_or("shard", 0)),
+                .of = static_cast<std::size_t>(l->uint_or("of", 1)),
+                .spec = l->at("spec")};
+    options_.event("lease " + std::to_string(lease.id) + ": job " + std::to_string(lease.job) +
+                   " shard " + std::to_string(lease.shard) + "/" + std::to_string(lease.of));
+    return lease;
   }
 
-  bool all_jobs_settled() {
-    Json status_req = Json::object();
-    status_req.set("op", "status");
-    const Json reply = transact(status_req);
+  bool heartbeat(const Lease& lease, std::size_t journal_bytes, std::size_t journal_lines,
+                 const std::vector<run::RunOutcome>& fresh) override {
+    if (transact({{"op", "heartbeat"},
+                  {"lease", lease.id},
+                  {"journal_bytes", journal_bytes},
+                  {"journal_lines", journal_lines},
+                  {"outcomes", outcomes_json(fresh)}})
+            .bool_or("valid", false)) {
+      return true;
+    }
+    options_.event("lease " + std::to_string(lease.id) + " revoked — stopping runner");
+    return false;
+  }
+
+  void complete(const Lease& lease, const std::vector<run::RunOutcome>& outcomes) override {
+    options_.event("lease " + std::to_string(lease.id) + " complete (" +
+                   std::to_string(outcomes.size()) + " outcomes)");
+    transact({{"op", "complete"}, {"lease", lease.id}, {"outcomes", outcomes_json(outcomes)}});
+  }
+
+  void fail(const Lease& lease, int exit_code, const std::string& reason,
+            const std::vector<run::RunOutcome>& outcomes) override {
+    options_.event("lease " + std::to_string(lease.id) + " failed: runner " + reason);
+    transact({{"op", "fail"},
+              {"lease", lease.id},
+              {"exit_code", exit_code},
+              {"reason", reason},
+              {"outcomes", outcomes_json(outcomes)}});
+  }
+
+  void release(const Lease& lease, const std::vector<run::RunOutcome>& outcomes) override {
+    options_.event("lease " + std::to_string(lease.id) + " released (" +
+                   std::to_string(outcomes.size()) + " outcomes)");
+    transact({{"op", "release"}, {"lease", lease.id}, {"outcomes", outcomes_json(outcomes)}});
+  }
+
+  bool finished() override {
+    if (!options_.oneshot || !idle_) return false;
+    const Json reply = transact({{"op", "status"}});
     for (const Json& jd : reply.at("status").at("jobs").items()) {
       if (jd.string_or("state", "") == "running") return false;
     }
+    options_.event("oneshot: no running jobs — exiting");
     return true;
-  }
-
-  /// -1: keep serving; >=0: exit the worker with this code.
-  int execute_lease(const Json& lease) {
-    const std::uint64_t lease_id = lease.uint_or("id", 0);
-    const std::uint64_t job = lease.uint_or("job", 0);
-    RunnerLaunch launch;
-    launch.runner = options_.runner;
-    launch.spec_path = options_.work_dir + "/job" + std::to_string(job) + ".spec.json";
-    launch.shard = static_cast<std::size_t>(lease.uint_or("shard", 0));
-    launch.of = static_cast<std::size_t>(lease.uint_or("of", 1));
-    launch.stem = options_.work_dir + "/job" + std::to_string(job) + "_s" +
-                  std::to_string(launch.shard) + "of" + std::to_string(launch.of);
-    launch.threads = options_.threads;
-    launch.throttle_ms = options_.throttle_ms;
-    {
-      std::ofstream out(launch.spec_path);
-      if (!out) throw run::TransientError("cannot write " + launch.spec_path);
-      out << lease.at("spec").dump(2) << '\n';
-    }
-    event("lease " + std::to_string(lease_id) + ": job " + std::to_string(job) + " shard " +
-          std::to_string(launch.shard) + "/" + std::to_string(launch.of));
-
-    std::optional<RunnerProcess> runner;
-    try {
-      runner.emplace(RunnerProcess::spawn(launch));
-    } catch (const run::TransientError& e) {
-      send_lease_end("fail", lease_id, {}, run::kExitTransient, e.what());
-      return -1;
-    }
-
-    // Watch loop: reap, heartbeat with journal growth + fresh outcomes,
-    // obey revocations and stop signals.
-    std::size_t sent = 0;
-    for (;;) {
-      if (const std::optional<RunnerExit> exit = runner->poll()) {
-        return report_exit(lease_id, *exit, runner->outcomes());
-      }
-      if (stopped()) {
-        // Graceful stop: the runner flushes its journal on SIGTERM (exit 4
-        // contract); everything journaled goes back with the release.
-        runner->stop();
-        try {
-          send_lease_end("release", lease_id, runner->outcomes(), 0, "");
-        } catch (const std::exception&) {
-          // The daemon reclaims the lease via the dropped connection.
-        }
-        event("interrupted: lease " + std::to_string(lease_id) +
-              " released, journal flushed");
-        return run::kExitInterrupted;
-      }
-      nap(options_.heartbeat_interval_seconds);
-      const JournalStat js = runner->stat();
-      const std::vector<run::RunOutcome> outcomes = runner->outcomes();
-      Json hb = Json::object();
-      hb.set("op", "heartbeat");
-      hb.set("lease", lease_id);
-      hb.set("journal_bytes", js.bytes);
-      hb.set("journal_lines", js.outcome_lines);
-      hb.set("outcomes", outcomes_json(outcomes, std::min(sent, outcomes.size())));
-      Json reply;
-      try {
-        reply = transact(hb);
-      } catch (const run::TransientNetworkError& e) {
-        event(std::string("heartbeat failed: ") + e.what());
-        runner->stop();
-        return -1;  // reconnect; the daemon reclaims via the dropped conn
-      }
-      sent = outcomes.size();
-      if (!reply.bool_or("valid", false)) {
-        // Revoked (elastic re-partition) or expired: stop, hand the
-        // journal back gracefully, ask for fresh work.
-        event("lease " + std::to_string(lease_id) + " revoked — stopping runner");
-        runner->stop();
-        try {
-          send_lease_end("release", lease_id, runner->outcomes(), 0, "");
-        } catch (const run::TransientNetworkError&) {
-          return -1;
-        }
-        return -1;
-      }
-    }
-  }
-
-  int report_exit(std::uint64_t lease_id, const RunnerExit& exit,
-                  const std::vector<run::RunOutcome>& outcomes) {
-    try {
-      if (exit.covered) {
-        event("lease " + std::to_string(lease_id) + " complete (" +
-              std::to_string(outcomes.size()) + " outcomes)");
-        send_lease_end("complete", lease_id, outcomes, 0, "");
-      } else {
-        event("lease " + std::to_string(lease_id) + " failed: runner " + exit.reason);
-        send_lease_end("fail", lease_id, outcomes, exit.exit_code, "runner " + exit.reason);
-      }
-    } catch (const run::TransientNetworkError&) {
-      return -1;  // reconnect; outcomes survive in the journal for re-lease
-    }
-    return -1;
-  }
-
-  void send_lease_end(const char* op, std::uint64_t lease_id,
-                      const std::vector<run::RunOutcome>& outcomes, int exit_code,
-                      const std::string& reason) {
-    Json msg = Json::object();
-    msg.set("op", op);
-    msg.set("lease", lease_id);
-    if (std::string(op) == "fail") {
-      msg.set("exit_code", exit_code);
-      msg.set("reason", reason);
-    }
-    msg.set("outcomes", outcomes_json(outcomes));
-    (void)transact(msg);
   }
 
   WorkerOptions options_;
   std::optional<LineConnection> conn_;
   std::uint64_t worker_id_ = 0;
+  bool idle_ = false;  ///< the last request found nothing to lease
 };
 
 }  // namespace

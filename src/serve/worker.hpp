@@ -1,59 +1,43 @@
-// The cohesion_serve worker loop: turns any host with the binaries into a
-// sweep-cluster member. One connection to the daemon, one leased shard at
-// a time, each executed by fork/exec'ing `cohesion_run <spec> --shard i/N
-// --resume <journal>` — so every per-run guarantee (derived seeds, exact
-// checkpoint resume, partial-report determinism) is the proven PR 4/5
-// machinery, not a reimplementation.
+// The cohesion_serve worker: turns any host with the binaries into a
+// sweep-cluster member. It is a LeaseHost over the wire — each of
+// JobTable's lease verbs is one protocol message (serve/daemon) — driving
+// one slot of the runner-slot loop cohesion_launch runs too (serve/slots):
+// each lease fork/execs `cohesion_run <spec> --shard i/N --resume
+// <journal>` in work_dir, so re-leasing the same (job, shard, N) to this
+// worker resumes its own journal. Heartbeats relay journal growth plus
+// the newly journaled outcomes; valid=false (revoked by an elastic
+// re-partition, or expired) stops the runner — its journal flushes — and
+// releases every journaled outcome.
 //
-//   * Journals live in work_dir, keyed job<J>_s<I>of<N>.ckpt: re-leasing
-//     the same (job, shard, N) to this worker resumes its own journal and
-//     recomputes nothing. The worker relays journal growth (bytes, lines)
-//     plus the newly journaled outcomes in each heartbeat — the daemon's
-//     lease clock *and* its streamed partial aggregate in one message.
-//   * A heartbeat answered valid=false means the lease is gone (revoked
-//     by an elastic re-partition, or expired): stop the runner (SIGTERM +
-//     SIGCONT, its journal flushes — exit 4 contract; SIGKILL after
-//     serve::kRunnerStopGraceSeconds), hand every journaled outcome back
-//     via "release", and request fresh work.
-//   * Spawning, journal reads, exit classification and the bounded stop
-//     are serve/runner's — the one runner lifecycle cohesion_launch uses
-//     too. A covered exit completes the lease; any other exit fails it
-//     with its code, and the daemon decides retry versus poison.
 //   * Connect failures — daemon not up yet, daemon restarting — retry
 //     under exponential backoff up to connect_attempts, then exit 5
 //     (run::kExitTransientNetwork): an outer supervisor (compose,
 //     systemd) knows relaunching may fix it. A connection lost mid-lease
 //     stops the runner and re-enters the same connect loop; the daemon
 //     reclaims the lease via the dropped connection.
-//   * SIGTERM/SIGINT (WorkerOptions::stop): stop the runner (bounded, as
-//     above), release the lease, exit run::kExitInterrupted —
-//     the same graceful-stop contract as cohesion_run.
+//   * SIGTERM/SIGINT (WorkerOptions::stop): stop the runner, release the
+//     lease, exit run::kExitInterrupted — cohesion_run's contract.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
-#include <functional>
 #include <string>
 
 #include "serve/protocol.hpp"
+#include "serve/slots.hpp"
 
 namespace cohesion::serve {
 
-struct WorkerOptions {
+struct WorkerOptions : SlotConfig {
+  WorkerOptions() { work_dir = "cohesion_worker.work"; }
   Address address;
-  std::string work_dir = "cohesion_worker.work";  ///< journals, spec files, runner logs
-  std::string runner;      ///< cohesion_run binary; default: sibling of this executable
-  std::string name;        ///< advertised in hello; default worker-<pid>
-  std::size_t threads = 1;           ///< --threads per runner
-  std::size_t throttle_ms = 0;       ///< forwarded as --throttle-ms (fault pacing)
-  double heartbeat_interval_seconds = 0.5;
-  double idle_poll_seconds = 0.25;   ///< re-request cadence when the daemon is idle
-  std::size_t connect_attempts = 10; ///< connect tries before exit 5
+  std::string name;  ///< advertised in hello; default worker-<pid>
+  double heartbeat_interval_seconds = 0.5;  ///< heartbeat, reap and idle re-request cadence
+  std::size_t connect_attempts = 10;  ///< connect tries before exit 5
   double connect_backoff_seconds = 0.25;  ///< doubled per retry, capped at 5s
   double io_timeout_seconds = 10.0;
   bool oneshot = false;  ///< exit 0 when the daemon has no work (tests/benches)
   const std::atomic<bool>* stop = nullptr;  ///< SIGTERM/SIGINT flag from the CLI
-  std::function<void(const std::string&)> on_event;
 };
 
 /// Blocking worker. Returns the process exit code: run::kExitInterrupted

@@ -74,6 +74,44 @@ TEST(CliMisuse, EveryFrontEndExitsTwoNamingTheFlag) {
   }
 }
 
+TEST(CliMisuse, RetryAndLeaseValuesThatBreakASweepExitTwoNamingTheFlag) {
+  // These parse as numbers but cannot run a sweep: --max-attempts 0
+  // poisons every variant before its first lease, a lease timeout <= 0
+  // expires every lease at its first tick, and delays, jitter and
+  // intervals are never negative. Launch and the serve daemon share them.
+  const struct {
+    const char* binary;
+    std::vector<std::string> base;
+  } tools[] = {{"cohesion_launch", {"spec.json"}},
+               {"cohesion_serve", {"--listen", "unix:/nonexistent/serve.sock"}}};
+  const struct {
+    const char* flag;
+    const char* value;
+    const char* rule;
+  } cases[] = {
+      {"--max-attempts", "0", "must be >= 1"},   {"--lease-timeout", "0", "must be > 0"},
+      {"--lease-timeout", "-1", "must be > 0"},  {"--backoff-base", "-0.5", "must be >= 0"},
+      {"--backoff-max", "-1", "must be >= 0"},   {"--jitter", "-0.1", "must be >= 0"},
+      {"--poll-interval", "-1", "must be >= 0"}, {"--status-interval", "-2", "must be >= 0"},
+  };
+  const std::string log = ::testing::TempDir() + "cli_misuse_retry.log";
+  for (const auto& tool : tools) {
+    const std::string binary = test::build_dir() + "/" + tool.binary;
+    for (const auto& c : cases) {
+      std::vector<std::string> argv = {binary};
+      argv.insert(argv.end(), tool.base.begin(), tool.base.end());
+      argv.insert(argv.end(), {c.flag, c.value});
+      fs::remove(log);
+      EXPECT_EQ(test::run_tool(argv, log), run::kExitUsage) << tool.binary << " " << c.flag;
+      const std::string message = test::read_file(log);
+      const std::string named =
+          std::string("bad value for ") + c.flag + ": " + c.value + " (" + c.rule + ")";
+      EXPECT_NE(message.find(named), std::string::npos)
+          << tool.binary << ": \"" << named << "\" not in: " << message;
+    }
+  }
+}
+
 TEST(CliMisuse, ServeAddressThatDoesNotParseExitsTwoNamingTheFlag) {
   // ADDR is read after the flags; a bad port or an empty socket path is
   // misuse, not a failed run.

@@ -24,6 +24,7 @@
 #include "run/batch_runner.hpp"
 #include "run/exit_codes.hpp"
 #include "run/supervisor.hpp"
+#include "serve/runner.hpp"
 #include "support/process.hpp"
 
 namespace cohesion::run {
@@ -31,6 +32,7 @@ namespace {
 
 namespace fs = std::filesystem;
 
+using serve::FaultPlan;
 using test::build_dir;
 using test::read_file;
 using test::run_tool;
@@ -280,9 +282,12 @@ TEST_F(LaunchE2E, SigtermFlushesTheJournalAndResumeReproducesTheReport) {
   // Wait for the first journaled outcome, then interrupt mid-batch (the
   // 60ms/run throttle leaves ~8 runs of headroom).
   std::vector<RunOutcome> journaled;
+  serve::JournalReader reader(ckpt);
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
   while (std::chrono::steady_clock::now() < deadline) {
-    if (read_journal_outcomes(ckpt, journaled) && !journaled.empty()) break;
+    const serve::JournalRead read = reader.next();
+    journaled.insert(journaled.end(), read.fresh.begin(), read.fresh.end());
+    if (read.found && !journaled.empty()) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   ASSERT_FALSE(journaled.empty()) << "worker never journaled: " << read_file(dir_ + "/worker.log");
@@ -291,8 +296,9 @@ TEST_F(LaunchE2E, SigtermFlushesTheJournalAndResumeReproducesTheReport) {
 
   // No report for a truncated batch; the journal is well-formed and short.
   EXPECT_FALSE(fs::exists(report));
-  ASSERT_TRUE(read_journal_outcomes(ckpt, journaled));
-  EXPECT_LT(journaled.size(), 9u);
+  const serve::JournalRead flushed = serve::JournalReader(ckpt).next();
+  ASSERT_TRUE(flushed.found);
+  EXPECT_LT(flushed.fresh.size(), 9u);
 
   // Resume completes the batch and reproduces the fresh report exactly.
   const int code = run_tool(

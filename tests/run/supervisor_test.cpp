@@ -1,7 +1,8 @@
 // Unit layer of the fault-tolerant supervisor (the process-level matrix
 // lives in launch_e2e_test.cpp): deterministic seeded backoff schedules,
 // FaultPlan CLI parsing, attempt-supersedes merging of overlapping retry
-// journals, and the heartbeat-side journal reader.
+// journals (against oracles/merge_attempts_oracle.hpp), and the
+// heartbeat-side incremental journal reader.
 #include "run/supervisor.hpp"
 
 #include <gtest/gtest.h>
@@ -12,10 +13,17 @@
 #include <string>
 #include <vector>
 
+#include "oracles/merge_attempts_oracle.hpp"
 #include "run/batch_runner.hpp"
+#include "serve/runner.hpp"
 
 namespace cohesion::run {
 namespace {
+
+using oracles::merge_attempt_outcomes;
+using serve::FaultPlan;
+using serve::JournalRead;
+using serve::JournalReader;
 
 class TempFile {
  public:
@@ -221,7 +229,7 @@ TEST(MergeAttempts, EmptyInputYieldsEmptyOutput) {
   EXPECT_TRUE(merge_attempt_outcomes({{}, {}}).empty());
 }
 
-// --- read_journal_outcomes --------------------------------------------------
+// --- JournalReader ----------------------------------------------------------
 
 TEST(JournalReader, ReadsCompleteLinesSkipsHeaderTornTailAndGarbage) {
   const std::vector<RunOutcome> all = executed_outcomes();
@@ -235,21 +243,65 @@ TEST(JournalReader, ReadsCompleteLinesSkipsHeaderTornTailAndGarbage) {
   content += R"({"index": 3, "variant": 1, "repe)";  // torn tail, no newline
   write_file(journal.path(), content);
 
-  std::vector<RunOutcome> outcomes;
-  ASSERT_TRUE(read_journal_outcomes(journal.path(), outcomes));
+  const JournalRead read = JournalReader(journal.path()).next();
+  ASSERT_TRUE(read.found);
+  const std::vector<RunOutcome>& outcomes = read.fresh;
   ASSERT_EQ(outcomes.size(), 2u);
   EXPECT_EQ(outcomes[0].to_json().dump(), all[0].to_json().dump());
   EXPECT_EQ(outcomes[1].to_json().dump(), all[1].to_json().dump());
 }
 
 TEST(JournalReader, MissingOrEmptyFileReportsNoJournal) {
-  std::vector<RunOutcome> outcomes;
-  EXPECT_FALSE(read_journal_outcomes(std::string(::testing::TempDir()) + "no_such.ckpt",
-                                     outcomes));
+  EXPECT_FALSE(JournalReader(std::string(::testing::TempDir()) + "no_such.ckpt").next().found);
   TempFile empty("supervisor_reader_empty.ckpt");
   write_file(empty.path(), "");
-  EXPECT_FALSE(read_journal_outcomes(empty.path(), outcomes));
-  EXPECT_TRUE(outcomes.empty());
+  const JournalRead read = JournalReader(empty.path()).next();
+  EXPECT_FALSE(read.found);
+  EXPECT_TRUE(read.fresh.empty());
+}
+
+TEST(JournalReader, EachReadReturnsOnlyWhatWasAppendedSinceTheLastCompleteLine) {
+  const std::vector<RunOutcome> all = executed_outcomes();
+  TempFile journal("supervisor_reader_steps.ckpt");
+  const std::string header =
+      R"({"format": "cohesion-checkpoint/1", "fingerprint": "f", "total_runs": 4})";
+  const std::string line2 = all[2].to_json().dump() + "\n";
+  std::string content = header + "\n" + all[0].to_json().dump() + "\n";
+  write_file(journal.path(), content);
+  JournalReader reader(journal.path());
+
+  JournalRead read = reader.next();
+  ASSERT_TRUE(read.found);
+  EXPECT_EQ(read.bytes, content.size());
+  EXPECT_EQ(read.outcome_lines, 1u);
+  ASSERT_EQ(read.fresh.size(), 1u);
+  EXPECT_EQ(read.fresh[0].to_json().dump(), all[0].to_json().dump());
+
+  // One more line plus the first half of the next: only the complete line
+  // is fresh; the torn tail counts in the bytes but is not consumed.
+  content += all[1].to_json().dump() + "\n" + line2.substr(0, line2.size() / 2);
+  write_file(journal.path(), content);
+  read = reader.next();
+  EXPECT_EQ(read.bytes, content.size());
+  EXPECT_EQ(read.outcome_lines, 2u);
+  ASSERT_EQ(read.fresh.size(), 1u);
+  EXPECT_EQ(read.fresh[0].to_json().dump(), all[1].to_json().dump());
+
+  // The tail completes: the whole line is read once, from its start.
+  content += line2.substr(line2.size() / 2);
+  write_file(journal.path(), content);
+  read = reader.next();
+  EXPECT_EQ(read.bytes, content.size());
+  EXPECT_EQ(read.outcome_lines, 3u);
+  ASSERT_EQ(read.fresh.size(), 1u);
+  EXPECT_EQ(read.fresh[0].to_json().dump(), all[2].to_json().dump());
+
+  // No growth, nothing fresh; the totals stand.
+  read = reader.next();
+  EXPECT_TRUE(read.found);
+  EXPECT_EQ(read.bytes, content.size());
+  EXPECT_EQ(read.outcome_lines, 3u);
+  EXPECT_TRUE(read.fresh.empty());
 }
 
 }  // namespace

@@ -13,10 +13,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,6 +28,9 @@
 #include "run/spec.hpp"
 #include "run/supervisor.hpp"
 #include "serve/job_table.hpp"
+#include "serve/protocol.hpp"
+#include "serve/slots.hpp"
+#include "serve/worker.hpp"
 #include "support/process.hpp"
 
 namespace cohesion::serve {
@@ -366,6 +371,56 @@ TEST_F(ServeE2E, SigtermedWorkerReleasesLeaseSuccessorCompletes) {
   start_worker("w2", 20);
   ASSERT_EQ(wait_code(submit), 0) << daemon_log() << read_file(dir_ + "/submit.log");
   EXPECT_EQ(read_file(dir_ + "/report.json"), expected_report());
+}
+
+TEST_F(ServeE2E, InProcessWorkerInjectsAStallThroughTheSharedSlotLoop) {
+  // The worker holds its lease through the runner-slot loop cohesion_launch
+  // uses, so it takes the same FaultPlans: SIGSTOP the runner after one
+  // journaled outcome. Only the daemon's lease clock can catch that; the
+  // worker must then stop its runner, release, and finish on a re-lease.
+  start_daemon({"--lease-timeout", "1"});
+  const ::pid_t submit = start_submit_wait();
+  // oneshot leaves once the daemon has no running job: submit first.
+  ASSERT_TRUE(wait_for([&] { return daemon_log_contains("runs over"); })) << daemon_log();
+
+  std::mutex mu;
+  std::vector<std::string> events;
+  std::atomic<bool> stop{false};
+  std::atomic<int> code{-1};
+  WorkerOptions w;
+  w.address = Address::parse(address_);
+  w.name = "inproc";
+  w.work_dir = dir_ + "/inproc.work";
+  w.runner = runner_;
+  w.throttle_ms = 50;
+  w.heartbeat_interval_seconds = 0.05;
+  w.connect_backoff_seconds = 0.05;
+  w.oneshot = true;
+  w.stop = &stop;
+  w.faults.push_back(FaultPlan::parse("stall:shard=0,after=1"));
+  w.on_event = [&](const std::string& line) {
+    const std::lock_guard<std::mutex> lock(mu);
+    events.push_back(line);
+  };
+  std::thread worker([&] { code = run_worker(w); });
+  const int submitted = wait_code(submit);
+  if (!wait_for([&] { return code.load() != -1; }, 30.0)) stop = true;
+  worker.join();
+
+  ASSERT_EQ(submitted, 0) << daemon_log() << read_file(dir_ + "/submit.log");
+  EXPECT_EQ(code.load(), run::kExitSuccess);
+  EXPECT_EQ(read_file(dir_ + "/report.json"), expected_report());
+  EXPECT_TRUE(daemon_log_contains("expired (shard 0/1")) << daemon_log();
+  const auto saw = [&](const std::string& needle) {
+    for (const std::string& e : events) {
+      if (e.find(needle) != std::string::npos) return true;
+    }
+    return false;
+  };
+  for (const char* needle : {"fault injected on shard 0: stall", "revoked — stopping runner",
+                             "released (", "shard 0 attempt 2 launched"}) {
+    EXPECT_TRUE(saw(needle)) << "no \"" << needle << "\" among the worker's events";
+  }
 }
 
 TEST_F(ServeE2E, WorkerExitsTransientNetworkWhenDaemonNeverAppears) {

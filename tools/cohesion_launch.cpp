@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
   args.read("--shards N", options.shards, "shard workers, as in --shard i/N");
   args.read("--out FILE", out_path, "write the report to FILE instead of stdout");
   args.read("--work-dir DIR", options.work_dir, "journals, partials and worker logs");
-  args.read("--threads N", options.worker_threads, "--threads per worker");
+  args.read("--threads N", options.threads, "--threads per worker");
   args.read("--max-parallel N", options.max_parallel, "workers running at once, 0 = all");
   args.read("--runner PATH", options.runner, "cohesion_run binary (default: next to this one)");
   run::read_retry_flags(args, options.retry, options.lease);
@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
   args.operand("SPEC", options.spec_path, "experiment spec (JSON)");
   for (const std::string& fault : faults) {
     try {
-      options.faults.push_back(run::FaultPlan::parse(fault));
+      options.faults.push_back(serve::FaultPlan::parse(fault));
     } catch (const std::exception& e) {
       args.reject("--fault", fault, e.what());
     }
