@@ -4,8 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "geometry/convex_hull.hpp"
-
 namespace cohesion::core {
 
 using geom::Vec2;
@@ -206,18 +204,24 @@ bool Engine::run_until_converged(double epsilon, std::size_t max_activations,
   return run_until(stop);
 }
 
-std::vector<Vec2> Engine::current_configuration() const {
+void Engine::configuration_into(std::vector<Vec2>& out) const {
   // Evaluate at the end of all committed motion: the configuration "if
   // nothing further is scheduled". That instant is at or after every
   // committed Look, so the kinematic cache answers in O(n) total.
   const Time t = end_time_ + 1.0;
-  std::vector<Vec2> out(trace_.robot_count());
+  out.resize(trace_.robot_count());
   for (RobotId r = 0; r < out.size(); ++r) out[r] = kin_.position_at(r, t);
+}
+
+std::vector<Vec2> Engine::current_configuration() const {
+  std::vector<Vec2> out;
+  configuration_into(out);
   return out;
 }
 
 double Engine::current_diameter() const {
-  return geom::set_diameter(current_configuration());
+  configuration_into(configuration_);
+  return diameter_.diameter(configuration_);
 }
 
 }  // namespace cohesion::core

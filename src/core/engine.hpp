@@ -50,6 +50,7 @@
 #include "core/stop_condition.hpp"
 #include "core/trace.hpp"
 #include "core/types.hpp"
+#include "geometry/convex_hull.hpp"
 #include "geometry/vec2.hpp"
 
 namespace cohesion::core {
@@ -124,6 +125,9 @@ class Engine final : public SimulationView {
   /// the initial configuration (no records) — consume the sink instead.
   [[nodiscard]] const Trace& trace() const { return trace_; }
   [[nodiscard]] std::vector<geom::Vec2> current_configuration() const;
+  /// geom::set_diameter(current_configuration()), bit for bit. run_until's
+  /// stop check: a geom::DiameterTracker re-sorts only the robots that
+  /// moved since the previous call, unless most of them did.
   [[nodiscard]] double current_diameter() const;
 
   /// Time of the last committed move end (0 before any activation).
@@ -152,6 +156,11 @@ class Engine final : public SimulationView {
   /// cell, or the Look scanned every robot. A deterministic work count,
   /// like look_materializations().
   [[nodiscard]] std::size_t look_grid_nodes() const { return look_grid_nodes_; }
+  /// Points the last current_diameter() call sorted (DiameterTracker::
+  /// points_sorted): n on the first call, then the robots that moved since
+  /// the previous one (n when most did). A deterministic work count, like
+  /// look_grid_nodes().
+  [[nodiscard]] std::size_t diameter_points_sorted() const { return diameter_.points_sorted(); }
 
  private:
   /// The staged snapshot of `robot` at `t` in `frame`, co-location
@@ -171,6 +180,8 @@ class Engine final : public SimulationView {
   /// segment cannot answer (t before the segment's Look): the Trace when
   /// recording (any depth), else the previous segment.
   [[nodiscard]] geom::Vec2 history_position(RobotId robot, Time t) const;
+  /// Every robot's position at end_time_ + 1 into `out`.
+  void configuration_into(std::vector<geom::Vec2>& out) const;
 
   const Algorithm& algorithm_;
   Scheduler& scheduler_;
@@ -191,6 +202,9 @@ class Engine final : public SimulationView {
   std::vector<geom::Vec2> positions_now_;   // positions at pos_time_, per stamp
   Snapshot look_;                           // the honest snapshot, its buffers reused
   ColocationIndex colocation_;              // collapse/flag co-located neighbours
+  // current_diameter()'s reused configuration and sorted hull state.
+  mutable std::vector<geom::Vec2> configuration_;
+  mutable geom::DiameterTracker diameter_;
 
   // Persistent buckets, and per-robot position stamps instead of
   // wholesale refreshes.

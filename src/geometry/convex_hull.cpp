@@ -1,22 +1,31 @@
 #include "geometry/convex_hull.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "geometry/segment.hpp"
 
 namespace cohesion::geom {
 
-std::vector<Vec2> convex_hull(std::vector<Vec2> pts) {
-  std::sort(pts.begin(), pts.end(), [](Vec2 a, Vec2 b) {
-    if (a.x != b.x) return a.x < b.x;
-    return a.y < b.y;
-  });
-  pts.erase(std::unique(pts.begin(), pts.end()), pts.end());
-  const std::size_t n = pts.size();
-  if (n <= 2) return pts;
+namespace {
 
-  std::vector<Vec2> hull(2 * n);
+/// convex_hull's sort order: x, then y.
+bool xy_less(Vec2 a, Vec2 b) {
+  if (a.x != b.x) return a.x < b.x;
+  return a.y < b.y;
+}
+
+/// Andrew's monotone chain over `pts`, sorted by xy_less with no two equal:
+/// the hull in convex_hull's form, written into `hull` (storage reused).
+void sorted_hull(const std::vector<Vec2>& pts, std::vector<Vec2>& hull) {
+  const std::size_t n = pts.size();
+  if (n <= 2) {
+    hull.assign(pts.begin(), pts.end());
+    return;
+  }
+  hull.resize(2 * n);
   std::size_t k = 0;
   // Lower hull.
   for (std::size_t i = 0; i < n; ++i) {
@@ -30,6 +39,25 @@ std::vector<Vec2> convex_hull(std::vector<Vec2> pts) {
     hull[k++] = pts[i];
   }
   hull.resize(k - 1);
+}
+
+/// convex_hull's first step: sort by xy_less, drop repeats.
+void sort_unique(std::vector<Vec2>& pts) {
+  std::sort(pts.begin(), pts.end(), xy_less);
+  pts.erase(std::unique(pts.begin(), pts.end()), pts.end());
+}
+
+bool same_bits(Vec2 a, Vec2 b) {
+  return std::bit_cast<std::uint64_t>(a.x) == std::bit_cast<std::uint64_t>(b.x) &&
+         std::bit_cast<std::uint64_t>(a.y) == std::bit_cast<std::uint64_t>(b.y);
+}
+
+}  // namespace
+
+std::vector<Vec2> convex_hull(std::vector<Vec2> pts) {
+  sort_unique(pts);
+  std::vector<Vec2> hull;
+  sorted_hull(pts, hull);
   return hull;
 }
 
@@ -74,6 +102,58 @@ double hull_diameter(const std::vector<Vec2>& hull) {
 
 double set_diameter(const std::vector<Vec2>& points) {
   return hull_diameter(convex_hull(points));
+}
+
+double DiameterTracker::diameter(const std::vector<Vec2>& points) {
+  const auto by_point = [](const Entry& a, const Entry& b) { return xy_less(a.p, b.p); };
+  const std::size_t n = points.size();
+  const bool same_count = n == last_.size();
+  moved_.clear();
+  if (same_count) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!same_bits(points[i], last_[i])) moved_.push_back({points[i], i});
+    }
+    if (moved_.empty()) {
+      points_sorted_ = 0;
+      return diameter_;
+    }
+  }
+  last_ = points;
+  points_sorted_ = n;
+  if (same_count && 2 * moved_.size() > n) {
+    // Most points moved (a small swarm between checks): convex_hull's own
+    // sort + unique. The (point, index) array goes stale until a call with
+    // few changes rebuilds it.
+    sorted_.clear();
+    distinct_ = points;
+    sort_unique(distinct_);
+  } else {
+    if (same_count && sorted_.size() == n) {
+      // Take the moved points out, sort them alone and merge them back.
+      for (const Entry& e : moved_) changed_[e.id] = 1;
+      std::erase_if(sorted_, [&](const Entry& e) { return changed_[e.id] != 0; });
+      std::sort(moved_.begin(), moved_.end(), by_point);
+      merged_.resize(n);
+      std::merge(sorted_.begin(), sorted_.end(), moved_.begin(), moved_.end(),
+                 merged_.begin(), by_point);
+      sorted_.swap(merged_);
+      for (const Entry& e : moved_) changed_[e.id] = 0;
+      points_sorted_ = moved_.size();
+    } else {  // the first call, another point count, or a stale array
+      changed_.assign(n, 0);
+      sorted_.resize(n);
+      for (std::size_t i = 0; i < n; ++i) sorted_[i] = {points[i], i};
+      std::sort(sorted_.begin(), sorted_.end(), by_point);
+    }
+    // convex_hull's std::unique: keep the first of each run of equal points.
+    distinct_.clear();
+    for (const Entry& e : sorted_) {
+      if (distinct_.empty() || !(distinct_.back() == e.p)) distinct_.push_back(e.p);
+    }
+  }
+  sorted_hull(distinct_, hull_);
+  diameter_ = hull_diameter(hull_);
+  return diameter_;
 }
 
 bool hull_contains(const std::vector<Vec2>& hull, Vec2 p, double eps) {

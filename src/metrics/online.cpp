@@ -35,7 +35,7 @@ void ConvergenceAccumulator::open_sample(Time t) {
   pending_.push_back(std::move(s));
 }
 
-void ConvergenceAccumulator::fold_sample(const std::vector<Vec2>& cfg) {
+double ConvergenceAccumulator::fold_sample(const std::vector<Vec2>& cfg) {
   const double diam = geom::set_diameter(cfg);
   if (rounds_to_halve_ == 0 && sample_index_ > 0 && diam <= initial_diameter_ / 2.0) {
     rounds_to_halve_ = sample_index_;
@@ -50,6 +50,7 @@ void ConvergenceAccumulator::fold_sample(const std::vector<Vec2>& cfg) {
     any_sample_folded_ = true;
   }
   ++sample_index_;
+  return diam;
 }
 
 void ConvergenceAccumulator::finalize_front() {
@@ -89,7 +90,7 @@ ConvergenceReport ConvergenceAccumulator::finish() {
   const Time t_end = end_time_ + 1.0;
   std::vector<Vec2> cfg(kin_.robot_count());
   for (RobotId r = 0; r < kin_.robot_count(); ++r) cfg[r] = kin_.position_at(r, t_end);
-  fold_sample(cfg);
+  const double final_diameter = fold_sample(cfg);
 
   ConvergenceReport rep;
   rep.activations = activations_;
@@ -98,7 +99,7 @@ ConvergenceReport ConvergenceAccumulator::finish() {
   rep.rounds_to_halve = rounds_to_halve_;
   rep.worst_stretch = worst_stretch_;
   rep.cohesive = cohesive_;
-  rep.final_diameter = geom::set_diameter(cfg);
+  rep.final_diameter = final_diameter;
   rep.converged = rep.final_diameter <= epsilon_;
   return rep;
 }

@@ -83,7 +83,8 @@ class ConvergenceAccumulator {
 
   void open_sample(core::Time t);
   void finalize_front();
-  void fold_sample(const std::vector<geom::Vec2>& cfg);
+  /// Fold one sampled configuration into the report; returns its diameter.
+  double fold_sample(const std::vector<geom::Vec2>& cfg);
 
   double epsilon_;
   // The initially-visible pair set, indexed once: every sample's stretch.

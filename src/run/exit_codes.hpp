@@ -11,6 +11,9 @@
 // and docs/operations.md.
 #pragma once
 
+#include <signal.h>
+
+#include <atomic>
 #include <stdexcept>
 
 namespace cohesion::run {
@@ -48,6 +51,22 @@ struct TransientNetworkError : TransientError {
 /// again.
 [[nodiscard]] inline bool exit_code_retryable(int code) {
   return code == kExitTransient || code == kExitInterrupted || code == kExitTransientNetwork;
+}
+
+/// Route SIGTERM and SIGINT to the returned flag, the kExitInterrupted
+/// contract: the handler only raises it, and the tool stops at a point of
+/// its own choosing (BatchRunner between runs, the slot loop at its next
+/// poll), so no journal line is torn by a signal, then flushes and exits 4.
+/// SA_RESTART keeps journal writes from failing with EINTR.
+inline const std::atomic<bool>& install_stop_flag() {
+  static std::atomic<bool> stop{false};
+  struct sigaction sa {};
+  sa.sa_handler = [](int) { stop.store(true); };
+  sa.sa_flags = SA_RESTART;
+  sigemptyset(&sa.sa_mask);
+  sigaction(SIGTERM, &sa, nullptr);
+  sigaction(SIGINT, &sa, nullptr);
+  return stop;
 }
 
 }  // namespace cohesion::run

@@ -47,17 +47,27 @@ class TableHost final : public serve::LeaseHost {
                    options_.spec_path + " (" + std::to_string(total_runs_) + " runs, max " +
                    std::to_string(options_.retry.max_attempts) + " attempts/shard, lease " +
                    std::to_string(options_.lease.timeout_seconds) + "s)");
-    serve::run_slots(*this, options_.shards, options_.max_parallel,
-                     options_.lease.poll_interval_seconds, options_);
-    SupervisorResult r{.complete = table_.job_done(job_),
-                       .report = table_.job_report(job_),
-                       .shards = shards_,
-                       .total_runs = total_runs_,
-                       .covered_runs = total_runs_,
-                       .exit_code = table_.job_exit_code(job_)};
+    const bool finished = serve::run_slots(*this, options_.shards, options_.max_parallel,
+                                           options_.lease.poll_interval_seconds, options_,
+                                           options_.stop);
+    SupervisorResult r;
+    r.shards = shards_;
+    r.total_runs = total_runs_;
+    r.covered_runs = total_runs_;
     for (std::size_t s = 0; s < r.shards.size(); ++s) {
       r.shards[s].state = table_.shard_state(job_, s);
     }
+    if (!finished && !table_.job_terminal(job_)) {
+      r.covered_runs = table_.status_json().at("jobs").items().front().uint_or("covered_runs", 0);
+      r.exit_code = kExitInterrupted;
+      options_.event("interrupted: every runner stopped with its journal flushed (" +
+                     std::to_string(r.covered_runs) + "/" + std::to_string(total_runs_) +
+                     " runs journaled); rerun with the same --work-dir to resume");
+      return r;
+    }
+    r.complete = table_.job_done(job_);
+    r.report = table_.job_report(job_);
+    r.exit_code = table_.job_exit_code(job_);
     if (!r.complete) r.covered_runs = r.report.at("covered_runs").as_uint();
     options_.event(r.complete ? "complete: " + std::to_string(total_runs_) + " runs (exit " +
                                     std::to_string(r.exit_code) + ")"

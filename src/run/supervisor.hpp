@@ -19,6 +19,7 @@
 // (docs/operations.md).
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -79,11 +80,15 @@ struct SupervisorOptions : serve::SlotConfig {
   std::size_t max_parallel = 0;  ///< runners alive at once; 0 = all
   RetryPolicy retry;
   LeaseConfig lease;
+  /// SIGTERM/SIGINT flag from the CLI: once set, run() stops every runner
+  /// (each flushes its journal) and returns kExitInterrupted.
+  const std::atomic<bool>* stop = nullptr;
 };
 
 struct SupervisorResult {
   bool complete = false;   ///< every shard covered; `report` is the merged report
-  Json report;             ///< merged single-process report, or the partial doc
+  Json report;             ///< merged single-process report, the partial doc, or null
+                           ///< when interrupted
   std::vector<ShardStatus> shards;
   std::size_t total_runs = 0;
   std::size_t covered_runs = 0;  ///< outcomes present in `report`
@@ -101,9 +106,11 @@ class Supervisor {
  public:
   explicit Supervisor(SupervisorOptions options);
 
-  /// Run the whole supervised sweep to a terminal state. Blocking; returns
-  /// rather than throws for everything attributable to workers (their
-  /// failures land in the result). Throws std::runtime_error only for
+  /// Run the whole supervised sweep to a terminal state, or until
+  /// options.stop is set (exit_code kExitInterrupted, no report; the work
+  /// dir's journals resume the sweep). Blocking; returns rather than
+  /// throws for everything attributable to workers (their failures land in
+  /// the result). Throws std::runtime_error only for
   /// supervisor-level misuse: unreadable/invalid spec, shards == 0, or an
   /// un-creatable work dir.
   [[nodiscard]] SupervisorResult run();

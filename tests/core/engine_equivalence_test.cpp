@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -624,6 +625,41 @@ TEST(EngineEquivalence, TwoCyclesWithinTheSlackExhaustBoundedHistoryOnly) {
     const std::string what = e.what();
     EXPECT_NE(what.find("robot 0 "), std::string::npos) << what;
     EXPECT_NE(what.find("t=4.9999999999991"), std::string::npos) << what;
+  }
+}
+
+TEST(EngineEquivalence, StopCheckDiameterMatchesOracleAtEveryCheck) {
+  // Engine::current_diameter keeps a geom::DiameterTracker from check to
+  // check; the reference re-sorts its Trace configuration with
+  // geom::set_diameter every time. One KAsync seed and one FSync seed of
+  // the generator above, compared bit for bit at every 64-activation check
+  // of run_until (the predicate runs right after the engine's own check,
+  // so its current_diameter() call answers from the unchanged tracker).
+  const algo::KknpsAlgorithm kknps({.k = 2});
+  const std::size_t n = 150;
+  const auto initial = metrics::grid_configuration(n, 0.8);
+  for (const std::uint64_t seed : {7u, 10u}) {  // KAsync k = 2, then FSync
+    const auto sched_engine = make_scheduler(seed, n);
+    Engine engine(initial, kknps, *sched_engine, make_config(seed, n));
+    const auto sched_oracle = make_scheduler(seed, n);
+    EngineOracle oracle(initial, kknps, *sched_oracle, make_config(seed, n));
+    std::size_t checks = 0;
+    StopCondition stop;
+    stop.epsilon = 0.05;
+    stop.max_activations = 40 * 64;
+    stop.predicate = [&](const Engine& e) {
+      EXPECT_EQ(oracle.run(64), 64u);
+      const double got = e.current_diameter();
+      EXPECT_EQ(e.diameter_points_sorted(), 0u) << "seed " << seed << " check " << checks;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                std::bit_cast<std::uint64_t>(oracle.current_diameter()))
+          << "seed " << seed << " check " << checks;
+      ++checks;
+      return false;
+    };
+    EXPECT_FALSE(engine.run_until(stop)) << "seed " << seed;
+    EXPECT_EQ(checks, 40u) << "seed " << seed;
+    expect_identical_traces(engine.trace(), oracle.trace(), seed);
   }
 }
 

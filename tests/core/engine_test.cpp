@@ -6,6 +6,7 @@
 
 #include "algo/baselines.hpp"
 #include "algo/kknps.hpp"
+#include "metrics/configurations.hpp"
 #include "sched/asynchronous.hpp"
 #include "sched/synchronous.hpp"
 
@@ -223,6 +224,36 @@ TEST(Engine, RunUntilHonorsSimulatedTimeBudget) {
   unlimited.max_activations = 30;
   EXPECT_FALSE(engine2.run_until(unlimited));
   EXPECT_EQ(engine2.trace().records().size(), 30u);
+}
+
+TEST(Engine, StopCheckSortsOnlyTheRobotsThatMoved) {
+  // async_stream's run (perfbench/specs/async_stream.json: n = 2048 on a
+  // 0.8 grid, KKNPS k = 2, KAsync k = 2, xi = 0.5, 20,000 activations).
+  // The first check sorts the whole swarm; each later one re-sorts only
+  // the robots whose position changed since the previous check, at most
+  // check_every of them. On the grid most Looks are symmetric and move
+  // nobody, so the 312 later checks sort 442 points in all where a full
+  // sort per check would sort 312 x 2048. The total is a pinned work count.
+  const std::size_t n = 2048;
+  const algo::KknpsAlgorithm kknps({.k = 2});
+  sched::KAsyncScheduler sched(n, {.k = 2, .xi = 0.5, .seed = 1});
+  Engine engine(metrics::grid_configuration(n, 0.8), kknps, sched);
+  std::vector<std::size_t> sorted;
+  StopCondition stop;
+  stop.max_activations = 20000;  // 313 checks, the last after 32
+  stop.predicate = [&](const Engine& e) {
+    sorted.push_back(e.diameter_points_sorted());
+    return false;
+  };
+  EXPECT_FALSE(engine.run_until(stop));
+  ASSERT_EQ(sorted.size(), 313u);
+  EXPECT_EQ(sorted.front(), n);
+  std::size_t total = 0;
+  for (std::size_t i = 1; i < sorted.size(); ++i) {
+    EXPECT_LE(sorted[i], stop.check_every) << "check " << i;
+    total += sorted[i];
+  }
+  EXPECT_EQ(total, 442u);
 }
 
 TEST(Engine, MultiplicityCollapsedWithoutDetection) {

@@ -308,6 +308,56 @@ TEST_F(LaunchE2E, SigtermFlushesTheJournalAndResumeReproducesTheReport) {
   EXPECT_EQ(read_file(report), expected_report() + "\n");
 }
 
+// --- launch SIGTERM -> stop every runner -> resume ---------------------------
+
+/// The runner pids a launch log narrates ("... launched (pid P)").
+std::vector<::pid_t> launched_pids(const std::string& log) {
+  static constexpr std::string_view kTag = "launched (pid ";
+  std::vector<::pid_t> pids;
+  for (std::size_t at = log.find(kTag); at != std::string::npos; at = log.find(kTag, at + 1)) {
+    pids.push_back(static_cast<::pid_t>(std::stol(log.substr(at + kTag.size()))));
+  }
+  return pids;
+}
+
+TEST_F(LaunchE2E, SigtermStopsEveryRunnerAndAResumedLaunchMatchesTheReport) {
+  const std::string launch = build_dir() + "/cohesion_launch";
+  if (!fs::exists(launch)) GTEST_SKIP() << "cohesion_launch not built";
+  const std::string spec =
+      (fs::path(__FILE__).parent_path() / "../../bench/specs/kasync_sweep.json").string();
+  const std::string work = dir_ + "/work";
+  const std::string out = dir_ + "/report.json";
+  const std::string log = dir_ + "/launch.log";
+  // 32 runs a shard at 200 ms each: both runners are mid-shard for seconds.
+  const ::pid_t pid = spawn_tool({launch, spec, "--shards", "2", "--throttle-ms", "200",
+                                  "--work-dir", work, "--out", out},
+                                 log);
+  std::vector<::pid_t> runners;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (runners.size() < 2 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    runners = launched_pids(read_file(log));
+  }
+  ASSERT_EQ(runners.size(), 2u) << read_file(log);
+  ::kill(pid, SIGTERM);
+  EXPECT_EQ(wait_code(pid), kExitInterrupted) << read_file(log);
+  for (const ::pid_t runner : runners) {
+    EXPECT_NE(::kill(runner, 0), 0) << "runner " << runner << " outlived the launch";
+  }
+  EXPECT_FALSE(fs::exists(out));
+  EXPECT_NE(read_file(log).find("interrupted"), std::string::npos) << read_file(log);
+
+  // The same work dir resumes the sweep to the single-process report.
+  const std::string expected = dir_ + "/expected.json";
+  ASSERT_EQ(run_tool({runner_, spec, "--no-timing", "--out", expected}, dir_ + "/run.log"),
+            kExitSuccess)
+      << read_file(dir_ + "/run.log");
+  EXPECT_EQ(run_tool({launch, spec, "--shards", "2", "--work-dir", work, "--out", out}, log),
+            kExitSuccess)
+      << read_file(log);
+  EXPECT_EQ(read_file(out), read_file(expected));
+}
+
 // --- exit-code taxonomy ------------------------------------------------------
 
 TEST_F(LaunchE2E, WorkerExitCodesDistinguishTransientFromPermanent) {

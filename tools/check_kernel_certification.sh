@@ -5,16 +5,18 @@
 # cohesion-stretch sweep (core::InitialPairSweep, contract 10), the
 # sort-free dense Look (the hashed co-location index, the grids' bitmap
 # candidate enumeration and geom::half_plane_gap) and lazy perception (the
-# staged snapshot, co-location on proxies and KKNPS's lazy rule) must be
-# bit-identical to their references, or the build is rejected. This script
+# staged snapshot, co-location on proxies and KKNPS's lazy rule) and the
+# engine's incremental stop-check diameter (geom::DiameterTracker against
+# geom::set_diameter) must be bit-identical to their references, or the
+# build is rejected. This script
 # proves it under the two configurations most likely to break bit-identity,
 # memory safety or defined behaviour:
 #
 #   asan-ubsan  -DCOHESION_SANITIZE=address,undefined — the 660-seed
 #           engine-vs-reference fuzz, the visibility-ball property tests,
 #           the selection fuzz, the 2400-case stretch-sweep fuzz, the
-#           co-location, grid-enumeration, half-plane-gap and lazy-KKNPS
-#           fuzzes with every allocation bounds-checked and every
+#           co-location, grid-enumeration, half-plane-gap, diameter-tracker
+#           and lazy-KKNPS fuzzes with every allocation bounds-checked and every
 #           arithmetic step (signed overflow, shifts, out-of-range
 #           double -> integer casts such as the co-location cells') checked
 #           for undefined behaviour, aborting on the first finding;
@@ -32,6 +34,7 @@
 # tests/core/stretch_sweep_test.cpp, tests/core/colocation_test.cpp,
 # tests/core/grid_enumeration_test.cpp,
 # tests/geometry/half_plane_gap_test.cpp,
+# tests/geometry/diameter_tracker_test.cpp,
 # tests/algo/lazy_kknps_test.cpp and
 # tests/sched/kasync_selection_test.cpp, so
 # the battery stays cheap enough for tier-1 (the `kernel_certification`

@@ -17,7 +17,8 @@
 //
 // Exit codes: 0 complete + no run errors; 1 incomplete coverage, run
 // errors, or a permanent supervisor error; 2 bad usage; 3 transient I/O
-// (e.g. an unreadable spec file).
+// (e.g. an unreadable spec file); 4 SIGTERM/SIGINT (every runner stopped
+// with its journal flushed; rerun with the same --work-dir to resume).
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -62,8 +63,16 @@ int main(int argc, char** argv) {
     };
   }
 
+  // The slot loop checks the flag every poll and stops and reaps its
+  // runners, so none outlives the launch.
+  options.stop = &run::install_stop_flag();
   try {
     const run::SupervisorResult result = run::Supervisor(options).run();
+    if (result.exit_code == run::kExitInterrupted) {
+      std::cerr << "cohesion_launch: interrupted (SIGTERM/SIGINT) after " << result.covered_runs
+                << "/" << result.total_runs << " runs; runners stopped, journals flushed\n";
+      return run::kExitInterrupted;
+    }
     if (out_path.empty()) {
       std::cout << result.report.dump(2) << '\n';
     } else {

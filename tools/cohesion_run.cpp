@@ -30,11 +30,9 @@
 //      unwritable --out) — retrying may succeed
 //   4  interrupted by SIGTERM/SIGINT: the checkpoint journal is flushed
 //      and well-formed; rerun with --resume to continue
-#include <signal.h>
 #include <sys/resource.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -54,20 +52,6 @@
 using namespace cohesion;
 
 namespace {
-
-// Graceful shutdown: the handler only raises a flag; BatchRunner checks it
-// between runs, so no outcome (or journal line) is ever torn by a signal —
-// the journal tail stays a crash artifact, never a cancellation artifact.
-std::atomic<bool> g_interrupted{false};
-
-void install_stop_handlers() {
-  struct sigaction sa {};
-  sa.sa_handler = [](int) { g_interrupted.store(true); };
-  sa.sa_flags = SA_RESTART;  // don't turn journal writes into EINTR spam
-  sigemptyset(&sa.sa_mask);
-  sigaction(SIGTERM, &sa, nullptr);
-  sigaction(SIGINT, &sa, nullptr);
-}
 
 int list_registries() {
   const auto print = [](const char* kind, const std::vector<std::string>& keys) {
@@ -136,8 +120,9 @@ int main(int argc, char** argv) {
   }
   options.checkpoint_path = resume.empty() ? checkpoint : resume;
   options.resume = !resume.empty();
-  install_stop_handlers();
-  options.cancel = &g_interrupted;
+  // Graceful shutdown: BatchRunner checks the flag between runs, so the
+  // journal tail stays a crash artifact, never a cancellation artifact.
+  options.cancel = &run::install_stop_flag();
 
   // --cache wins over the environment default; --no-cache beats both (the
   // escape hatch when a wrapper or $COHESION_CACHE_DIR injects a cache).

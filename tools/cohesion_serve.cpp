@@ -47,18 +47,8 @@ using namespace cohesion;
 
 namespace {
 
-std::atomic<bool> g_interrupted{false};
-
-void install_stop_handlers() {
-  struct sigaction sa {};
-  sa.sa_handler = [](int) { g_interrupted.store(true); };
-  sa.sa_flags = SA_RESTART;
-  sigemptyset(&sa.sa_mask);
-  sigaction(SIGTERM, &sa, nullptr);
-  sigaction(SIGINT, &sa, nullptr);
-  // A peer that vanishes mid-send must surface as EPIPE, not kill us.
-  signal(SIGPIPE, SIG_IGN);
-}
+/// The SIGTERM/SIGINT flag, set by main before any client call.
+const std::atomic<bool>* g_interrupted = nullptr;
 
 /// One-request client connection, with connect retry under backoff so
 /// submit --wait survives daemon restarts.
@@ -69,7 +59,7 @@ serve::LineConnection connect_client(const serve::Address& address, std::size_t 
     try {
       return serve::LineConnection(serve::connect_to(address, 10.0));
     } catch (const run::TransientNetworkError&) {
-      if (attempt >= attempts || g_interrupted.load()) throw;
+      if (attempt >= attempts || g_interrupted->load()) throw;
       std::this_thread::sleep_for(std::chrono::duration<double>(delay));
       delay = std::min(delay * 2.0, 5.0);
     }
@@ -108,7 +98,7 @@ int submit(const serve::Address& address, const std::string& spec_path,
   // Poll with a fresh connection each time: a daemon restart mid-job only
   // costs us a few connect retries — the ledger keeps job ids stable.
   for (;;) {
-    if (g_interrupted.load()) return run::kExitInterrupted;
+    if (g_interrupted->load()) return run::kExitInterrupted;
     run::Json poll = run::Json::object();
     poll.set("op", "report");
     poll.set("job", job);
@@ -189,12 +179,14 @@ int main(int argc, char** argv) {
     std::cerr << "cohesion_serve: bad value for " << flag << ": " << e.what() << "\n";
     return run::kExitUsage;
   }
-  install_stop_handlers();
+  g_interrupted = &run::install_stop_flag();
+  // A peer that vanishes mid-send must surface as EPIPE, not kill us.
+  signal(SIGPIPE, SIG_IGN);
 
   try {
     if (listen) {
       daemon.address = address;
-      daemon.stop = &g_interrupted;
+      daemon.stop = g_interrupted;
       if (!quiet) {
         daemon.on_event = [](const std::string& line) {
           std::cerr << "[cohesion_serve] " << line << "\n";
@@ -205,7 +197,7 @@ int main(int argc, char** argv) {
     if (work) {
       worker.address = address;
       worker.name = name;
-      worker.stop = &g_interrupted;
+      worker.stop = g_interrupted;
       if (!quiet) {
         worker.on_event = [](const std::string& line) {
           std::cerr << "[cohesion_serve:worker] " << line << "\n";
