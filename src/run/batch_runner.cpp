@@ -14,6 +14,7 @@
 #include "run/exit_codes.hpp"
 #include "run/instantiate.hpp"
 #include "run/result_cache.hpp"
+#include "sched/asynchronous.hpp"
 #include "trace/online_metrics.hpp"
 #include "trace/stream_writer.hpp"
 
@@ -473,6 +474,9 @@ Json BatchRunner::report_json(const ExperimentSpec& experiment, const BatchResul
     Json timing = Json::object();
     timing.set("threads", result.threads);
     timing.set("wall_seconds", result.wall_seconds);
+    // The KAsync selection copy this process runs: on a host without AVX2
+    // a KAsync sweep runs the baseline copy, ~1.4x slower at n = 2048.
+    timing.set("kasync_selection", sched::selection_copy());
     std::uint64_t activations = 0;
     for (const RunOutcome& o : result.outcomes) activations += o.report.activations;
     timing.set("activations_per_second",

@@ -177,7 +177,8 @@ class BatchRunner {
 
   /// Full deterministic report: experiment echo + overall and per-variant
   /// aggregates + per-run outcomes. `timing` (wall seconds, threads,
-  /// throughput) is appended under a "timing" key only when
+  /// throughput, the KAsync selection copy that ran:
+  /// sched::selection_copy()) is appended under a "timing" key only when
   /// include_timing — diffable across thread counts without it.
   static Json report_json(const ExperimentSpec& experiment, const BatchResult& result,
                           bool include_timing);

@@ -17,20 +17,24 @@ namespace {
 /// Interval-membership slack of the k-bound (the flat-scan reference uses
 /// the same).
 constexpr double kIntervalEps = 1e-12;
-}  // namespace
 
-RobotId select_jittered(Mt19937_64& rng, std::span<const double> ready, double frontier) {
-  // One engine block at a time: draw the words in bulk, turn them into
-  // jittered times, take the chunk's minimum, and look up its first index
-  // only when it beats the best so far. GCC vectorizes the time loop (this
-  // file is built with -fno-trapping-math so the max and the fixup
-  // if-convert); the minimum runs as kLanes independent chains instead of
-  // one compare-and-branch per robot. Each time is computed as the
-  // reference loop computes it: max(ready, frontier) + (canonical *
-  // (1e-6 - 0.0) + 0.0), the bracket being uniform_real_distribution's
-  // affine map. The outer addition is never fused into an FMA: strict
-  // -std=c++20 (no GNU extensions) implies -ffp-contract=off, even under
-  // -march=native.
+/// select_jittered's one kernel body, compiled into both entry points
+/// below. One engine block at a time: draw the words in bulk, turn them
+/// into jittered times, take the chunk's minimum, and look up its first
+/// index only when it beats the best so far. GCC vectorizes the time loop
+/// (this file is built with -fno-trapping-math so the max and the fixup
+/// if-convert); the minimum runs as kLanes independent chains instead of
+/// one compare-and-branch per robot. Each time is computed as the
+/// reference loop computes it: max(ready, frontier) + (canonical *
+/// (1e-6 - 0.0) + 0.0), the bracket being uniform_real_distribution's
+/// affine map. The outer addition is never fused into an FMA: strict
+/// -std=c++20 (no GNU extensions) implies -ffp-contract=off, even under
+/// -march=native or target("avx2"). Every step is an integer operation or
+/// an IEEE max, * or +, so each entry point returns the same robot and
+/// leaves the same engine state whatever vector width it runs at.
+[[gnu::always_inline]] inline RobotId select_jittered_body(Mt19937_64& rng,
+                                                           std::span<const double> ready,
+                                                           double frontier) {
   constexpr std::size_t kChunk = Mt19937_64::state_size;
   constexpr std::size_t kLanes = 4;
   static_assert(kChunk % kLanes == 0);
@@ -64,6 +68,44 @@ RobotId select_jittered(Mt19937_64& rng, std::span<const double> ready, double f
     }
   }
   return best;
+}
+
+/// The AVX2 copy runs wherever the CPU has AVX2; checked once per process.
+bool use_avx2() {
+#if defined(__x86_64__)
+  static const bool avx2 = __builtin_cpu_supports("avx2") != 0;
+  return avx2;
+#else
+  return false;
+#endif
+}
+}  // namespace
+
+// Both entry points are flattened: Mt19937_64::generate's twist and temper
+// and canonical_double inline into each, so the AVX2 copy runs all of them
+// at its width rather than calling the baseline-width twist.
+namespace detail {
+[[gnu::noinline, gnu::flatten]] RobotId select_jittered_baseline(Mt19937_64& rng,
+                                                                  std::span<const double> ready,
+                                                                  double frontier) {
+  return select_jittered_body(rng, ready, frontier);
+}
+
+#if defined(__x86_64__)
+[[gnu::noinline, gnu::flatten, gnu::target("avx2")]] RobotId select_jittered_avx2(
+    Mt19937_64& rng, std::span<const double> ready, double frontier) {
+  return select_jittered_body(rng, ready, frontier);
+}
+#endif
+}  // namespace detail
+
+std::string_view selection_copy() { return use_avx2() ? "avx2" : "baseline"; }
+
+RobotId select_jittered(Mt19937_64& rng, std::span<const double> ready, double frontier) {
+#if defined(__x86_64__)
+  if (use_avx2()) return detail::select_jittered_avx2(rng, ready, frontier);
+#endif
+  return detail::select_jittered_baseline(rng, ready, frontier);
 }
 
 KAsyncScheduler::KAsyncScheduler(std::size_t robot_count) : KAsyncScheduler(robot_count, Params{}) {}

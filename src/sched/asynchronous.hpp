@@ -16,6 +16,7 @@
 #include <queue>
 #include <random>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "core/scheduler.hpp"
@@ -30,7 +31,28 @@ namespace cohesion::sched {
 /// ties). `rng` advances by exactly ready.size() outputs. The result and
 /// the engine state match the scalar loop on std::mt19937_64 bit for bit
 /// (tests/oracles/kasync_selection_oracle.hpp), at a fraction of the cost.
+///
+/// The kernel is compiled twice from one body: a baseline x86-64 copy and,
+/// on x86-64, an AVX2 copy. select_jittered runs the AVX2 copy wherever
+/// the CPU has AVX2 (decided once per process) and the baseline elsewhere;
+/// both are bit-identical to the reference. Nothing else selects a copy.
 core::RobotId select_jittered(Mt19937_64& rng, std::span<const double> ready, double frontier);
+
+/// The copy select_jittered runs in this process: "avx2" or "baseline".
+/// Timed batch reports name it (timing.kasync_selection).
+std::string_view selection_copy();
+
+/// select_jittered's compiled copies, callable directly so tests can check
+/// each against the reference on any host that can run it. The AVX2 copy
+/// exists only on x86-64 and may be called only where the CPU has AVX2.
+namespace detail {
+core::RobotId select_jittered_baseline(Mt19937_64& rng, std::span<const double> ready,
+                                       double frontier);
+#if defined(__x86_64__)
+core::RobotId select_jittered_avx2(Mt19937_64& rng, std::span<const double> ready,
+                                   double frontier);
+#endif
+}  // namespace detail
 
 class KAsyncScheduler final : public core::Scheduler {
  public:
@@ -49,8 +71,10 @@ class KAsyncScheduler final : public core::Scheduler {
     /// every robot on every proposal and takes the argmin
     /// (select_jittered): n RNG draws per proposal, the seeded stream all
     /// previously recorded schedules follow. The draws are batched and
-    /// vectorized, about 4 ns per robot (n = 2048: ~8 µs per proposal,
-    /// still the largest per-proposal cost at that size). true keeps the
+    /// vectorized, at AVX2 width where the CPU has it: about 2.4 ns per
+    /// robot (n = 2048: ~4.9 µs per proposal, still the largest
+    /// per-proposal cost at that size; ~3.5 ns per robot with the
+    /// baseline x86-64 copy). true keeps the
     /// ready times in a min-heap instead (most-starved robot first,
     /// O(log n) and O(1) RNG draws per proposal). Both produce valid
     /// k-async schedules, deterministically from the seed, but along

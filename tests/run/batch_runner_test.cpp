@@ -4,6 +4,7 @@
 
 #include "core/engine.hpp"
 #include "run/instantiate.hpp"
+#include "sched/asynchronous.hpp"
 
 namespace cohesion::run {
 namespace {
@@ -44,6 +45,22 @@ TEST(BatchRunner, SweepIsBitIdenticalAt1And8WorkerThreads) {
   // ...and so the aggregated report (timing excluded) is byte-identical.
   EXPECT_EQ(BatchRunner::report_json(e, r1, false).dump(2),
             BatchRunner::report_json(e, r8, false).dump(2));
+}
+
+TEST(BatchRunner, TimedReportNamesTheSelectionCopyAndUntimedBytesDoNot) {
+  const ExperimentSpec e = small_sweep();
+  const BatchResult r = BatchRunner().run(e);
+  const Json timed = BatchRunner::report_json(e, r, true);
+  ASSERT_TRUE(timed.contains("timing"));
+  const std::string copy = timed.at("timing").at("kasync_selection").as_string();
+  EXPECT_EQ(copy, sched::selection_copy());
+  EXPECT_TRUE(copy == "avx2" || copy == "baseline") << copy;
+
+  // Without timing the report has no trace of it: --no-timing bytes,
+  // cache entries and merged reports stay host-independent.
+  const Json untimed = BatchRunner::report_json(e, r, false);
+  EXPECT_FALSE(untimed.contains("timing"));
+  EXPECT_EQ(untimed.dump(2).find("kasync_selection"), std::string::npos);
 }
 
 TEST(BatchRunner, AggregateFoldsTheExpectedFields) {

@@ -1,15 +1,19 @@
 // KAsync's batched robot selection against its scalar reference, and the
 // two pieces it is built from: the bulk Mersenne Twister (stream-identical
 // to std::mt19937_64) and the branch-free generate_canonical conversion.
-// Part of the certification battery (tools/check_kernel_certification.sh),
-// so it also runs under ASan and -march=native.
+// Every compiled copy of the selection is checked: the baseline always,
+// the AVX2 copy where the CPU has AVX2. Part of the certification battery
+// (tools/check_kernel_certification.sh), so it also runs under ASan+UBSan
+// and -march=native.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <bitset>
 #include <cmath>
 #include <cstdint>
 #include <random>
+#include <span>
 #include <vector>
 
 #include "oracles/kasync_selection_oracle.hpp"
@@ -105,9 +109,13 @@ TEST(CanonicalDouble, MatchesGenerateCanonicalOnRandomWords) {
 /// Ready times shaped like KAsync's: many robots exactly at (or behind) the
 /// frontier after k-bound postponements, runs of equal values, and values
 /// within the 1e-6 jitter width of the minimum.
+constexpr std::size_t kShapes = 5;
+constexpr std::size_t kHugeFrontierShape = 4;
+
 std::vector<double> ready_times(std::size_t n, std::size_t shape, double frontier,
                                 std::mt19937_64& gen) {
   std::uniform_real_distribution<double> unit(0.0, 1.0);
+  const double ulp = std::nextafter(frontier, INFINITY) - frontier;
   std::vector<double> ready(n);
   for (double& t : ready) {
     const double u = unit(gen);
@@ -121,45 +129,118 @@ std::vector<double> ready_times(std::size_t n, std::size_t shape, double frontie
       case 2:  // everything within a few jitter widths of the minimum
         t = frontier + 1.0 + 3e-6 * u;
         break;
-      default:  // jitter-width steps: exact ties and near-ties together
+      case 3:  // jitter-width steps: exact ties and near-ties together
         t = frontier + 1e-7 * static_cast<double>(static_cast<int>(40.0 * u));
+        break;
+      default:  // kHugeFrontierShape: the frontier is in [2^32, 2^34), where
+                // one ulp (~1e-6 or 2e-6) is as wide as the jitter, so each
+                // jittered time is its ready time or one ulp above it and
+                // the minimum is an exact tie between many robots
+        t = u < 0.4   ? frontier
+            : u < 0.6 ? frontier - unit(gen)
+                      : frontier + ulp * static_cast<double>(static_cast<int>(3.0 * unit(gen)));
         break;
     }
   }
   return ready;
 }
 
+/// How many robots the reference's jittered times tie at their minimum
+/// (the reference engine is taken by value: the caller's stays put).
+std::size_t tied_at_minimum(std::mt19937_64 reference, const std::vector<double>& ready,
+                            double frontier) {
+  std::uniform_real_distribution<double> tie(0.0, 1e-6);
+  std::vector<double> times(ready.size());
+  for (std::size_t r = 0; r < ready.size(); ++r) {
+    times[r] = std::max(ready[r], frontier) + tie(reference);
+  }
+  const double lowest = *std::min_element(times.begin(), times.end());
+  return static_cast<std::size_t>(std::count(times.begin(), times.end(), lowest));
+}
+
+using SelectFn = core::RobotId (*)(Mt19937_64&, std::span<const double>, double);
+
+struct SelectionCopy {
+  const char* name;
+  SelectFn select;
+};
+
+/// The copies this host can run: the baseline always, AVX2 where the CPU
+/// has it, and the dispatching select_jittered itself.
+std::vector<SelectionCopy> runnable_copies() {
+  std::vector<SelectionCopy> copies = {{"baseline", detail::select_jittered_baseline},
+                                       {"dispatch", select_jittered}};
+#if defined(__x86_64__)
+  if (__builtin_cpu_supports("avx2")) copies.push_back({"avx2", detail::select_jittered_avx2});
+#endif
+  return copies;
+}
+
 TEST(KAsyncSelection, MatchesScalarReferenceAcrossBlockBoundaries) {
   const std::size_t sizes[] = {1, 2, 3, 155, 156, 157, 311, 312, 313, 624, 625, 2048, 4097};
-  std::mt19937_64 gen(2026);
-  std::size_t cases = 0;
-  for (std::size_t round = 0; round < 160; ++round) {
-    for (const std::size_t n : sizes) {
-      const std::uint64_t seed = gen();
-      const double frontier = 10.0 * std::uniform_real_distribution<double>(0.0, 1.0)(gen);
-      const std::vector<double> ready = ready_times(n, cases % 4, frontier, gen);
-      // Start the selection at a different offset inside an engine block
-      // each case, so every n straddles block boundaries somewhere.
-      const std::size_t skip = gen() % (2 * kBlock);
-      std::mt19937_64 reference(seed);
-      Mt19937_64 engine(seed);
-      for (std::size_t i = 0; i < skip; ++i) {
-        (void)reference();
-        (void)engine();
-      }
+  const std::vector<SelectionCopy> copies = runnable_copies();
+  for (const SelectionCopy& copy : copies) {
+    SCOPED_TRACE(copy.name);
+    std::mt19937_64 gen(2026);
+    std::size_t cases = 0;
+    std::size_t huge_frontier_ties = 0;
+    for (std::size_t round = 0; round < 160; ++round) {
+      for (const std::size_t n : sizes) {
+        const std::uint64_t seed = gen();
+        const std::size_t shape = cases % kShapes;
+        std::uniform_real_distribution<double> unit(0.0, 1.0);
+        const double frontier = shape == kHugeFrontierShape
+                                    ? std::ldexp(1.0 + unit(gen), 32 + static_cast<int>(gen() % 2))
+                                    : 10.0 * unit(gen);
+        const std::vector<double> ready = ready_times(n, shape, frontier, gen);
+        // Start the selection at a different offset inside an engine block
+        // each case, so every n straddles block boundaries somewhere.
+        const std::size_t skip = gen() % (2 * kBlock);
+        std::mt19937_64 reference(seed);
+        Mt19937_64 engine(seed);
+        for (std::size_t i = 0; i < skip; ++i) {
+          (void)reference();
+          (void)engine();
+        }
+        if (shape == kHugeFrontierShape && tied_at_minimum(reference, ready, frontier) > 1) {
+          ++huge_frontier_ties;
+        }
 
-      ASSERT_EQ(select_jittered(engine, ready, frontier),
-                oracles::select_jittered(reference, ready, frontier))
-          << "case " << cases << " n " << n << " skip " << skip;
-      // Same stream position: the next draws agree.
-      std::uniform_real_distribution<double> next_a(0.0, 1.0), next_b(0.0, 1.0);
-      for (int i = 0; i < 8; ++i) {
-        ASSERT_EQ(next_a(engine), next_b(reference)) << "case " << cases << " draw " << i;
+        ASSERT_EQ(copy.select(engine, ready, frontier),
+                  oracles::select_jittered(reference, ready, frontier))
+            << "case " << cases << " n " << n << " skip " << skip;
+        // Same stream position: the next draws agree.
+        std::uniform_real_distribution<double> next_a(0.0, 1.0), next_b(0.0, 1.0);
+        for (int i = 0; i < 8; ++i) {
+          ASSERT_EQ(next_a(engine), next_b(reference)) << "case " << cases << " draw " << i;
+        }
+        ++cases;
       }
-      ++cases;
     }
+    EXPECT_GE(cases, 2000u);
+    // The huge-frontier shape must really produce exact ties at the
+    // minimum, or it certifies nothing about the lowest-index rule.
+    EXPECT_GE(huge_frontier_ties, cases / kShapes / 2);
   }
-  EXPECT_GE(cases, 2000u);
+#if defined(__x86_64__)
+  if (!__builtin_cpu_supports("avx2")) {
+    GTEST_SKIP() << "CPU lacks avx2: only the baseline copy was checked";
+  }
+#endif
+}
+
+// A silent fall-back to the baseline would cost ~1.4x on async_stream and
+// leave every result unchanged, so no other test would notice it.
+TEST(KAsyncSelection, DispatcherRunsTheAvx2CopyOnAvx2Hosts) {
+#if defined(__x86_64__)
+  if (!__builtin_cpu_supports("avx2")) {
+    EXPECT_EQ(selection_copy(), "baseline");
+    GTEST_SKIP() << "CPU lacks avx2";
+  }
+  EXPECT_EQ(selection_copy(), "avx2");
+#else
+  EXPECT_EQ(selection_copy(), "baseline");  // the only copy built
+#endif
 }
 
 }  // namespace

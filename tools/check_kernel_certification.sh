@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Kernel certification battery (architecture contract 12): the engine's
 # certified visibility band (VisibilityBall against the reference engine,
-# contract 1), KAsync's batched robot selection (contract 2), the
+# contract 1), KAsync's batched robot selection (contract 2: its baseline
+# copy and, where the CPU has AVX2, its AVX2 copy, each called directly
+# and through the run-time dispatch), the
 # cohesion-stretch sweep (core::InitialPairSweep, contract 10), the
 # sort-free dense Look (the hashed co-location index, the grids' bitmap
 # candidate enumeration and geom::half_plane_gap) and lazy perception (the
@@ -14,7 +16,8 @@
 #
 #   asan-ubsan  -DCOHESION_SANITIZE=address,undefined — the 660-seed
 #           engine-vs-reference fuzz, the visibility-ball property tests,
-#           the selection fuzz, the 2400-case stretch-sweep fuzz, the
+#           the selection fuzz over every selection copy the host can
+#           run, the 2400-case stretch-sweep fuzz, the
 #           co-location, grid-enumeration, half-plane-gap, diameter-tracker
 #           and lazy-KKNPS fuzzes with every allocation bounds-checked and every
 #           arithmetic step (signed overflow, shifts, out-of-range
@@ -22,8 +25,9 @@
 #           for undefined behaviour, aborting on the first finding;
 #   native  -DCOHESION_NATIVE=ON         — the same suites compiled with
 #           -march=native (widest vectors + FMA contraction the host
-#           supports), demonstrating the certified-band design — the
-#           visibility ball's and the stretch sweep's squared-distance
+#           supports; the selection's baseline copy then runs at the
+#           host's width too), demonstrating the certified-band design —
+#           the visibility ball's and the stretch sweep's squared-distance
 #           bands alike — is immune to ISA and contraction choices.
 #
 # Each configuration is a scoped subtree build under $1 (default

@@ -15,10 +15,24 @@
 # Prints, for every end-to-end metric BENCHMARK.json declares, each pair's
 # gain (change over parent, oriented by the metric's "better", so > 1 is
 # better), the median gain, the number of pairs the change won, both
-# sides' medians and the parent's interquartile range (the spread a
-# claimed gain's medians must differ by more than). A run that is not `"correct": true` stops the script
-# with exit 1. Uncommitted changes in this checkout are measured as they
-# stand; perfbench/ and BENCHMARK.json are only read.
+# sides' medians, the parent's interquartile range (the spread a
+# claimed gain's medians must differ by more than) and a verdict:
+#
+#   gain          the change won at least 9 in 10 of the pairs run (a tie
+#                 counts for neither side) and its median is better than
+#                 the parent's by more than the parent's IQR;
+#   worse         the change's median is worse than the parent's by more
+#                 than the metric's BENCHMARK.json bound (a fraction of the
+#                 parent's median);
+#   unresolved    neither, and the parent's IQR is wider than the bound,
+#                 unless every change run reads better than every parent
+#                 run: the spread hides a move of the bound's size;
+#   within bound  neither, and the spread is narrow enough to tell.
+#
+# A run that is not `"correct": true` stops the script with exit 1; the
+# verdicts never change the exit status. Uncommitted changes in this
+# checkout are measured as they stand; perfbench/ and BENCHMARK.json are
+# only read.
 set -euo pipefail
 if [ "$#" -lt 3 ] || [ "$#" -gt 4 ]; then
   echo "usage: tools/perf_ab.sh <parent-ref> <workload> <pairs> [seconds]" >&2
@@ -82,10 +96,26 @@ def gain(m, p, c):
     return c / p if m["better"] == "higher" else p / c
 
 
+def verdict(m, parent_runs, change_runs, won, iqr):
+    """The metric's reading under the rules in this script's header."""
+    sign = 1 if m["better"] == "higher" else -1
+    med_p = statistics.median(parent_runs)
+    ahead = sign * (statistics.median(change_runs) - med_p)  # > 0: change better
+    if 10 * won >= 9 * len(parent_runs) and ahead > iqr:
+        return "gain"
+    bound = m["bound"] * abs(med_p)
+    if -ahead > bound:
+        return "worse"
+    if iqr > bound and not (min(sign * c for c in change_runs) >
+                            max(sign * p for p in parent_runs)):
+        return "unresolved"
+    return "within bound"
+
+
 print(f"{workload}: {pairs} interleaved pairs of {seconds} s; gain = change over parent, "
       "> 1 is better")
 print(f"{'metric':<20} {'median':>7} {'won':>5} {'parent':>12} {'change':>12} "
-      f"{'parent IQR':>12}  per-pair gain")
+      f"{'parent IQR':>12} {'verdict':<12}  per-pair gain")
 for m in metrics:
     name = m["name"]
     if not all(name in p and name in c for p, c in rows):
@@ -93,10 +123,12 @@ for m in metrics:
     gains = [gain(m, p[name], c[name]) for p, c in rows]
     won = sum(1 for g in gains if g > 1)
     parent_runs = [p[name] for p, _ in rows]
+    change_runs = [c[name] for _, c in rows]
     med_p = statistics.median(parent_runs)
-    med_c = statistics.median(c[name] for _, c in rows)
+    med_c = statistics.median(change_runs)
     q1, _, q3 = statistics.quantiles(parent_runs, n=4) if pairs > 1 else (med_p,) * 3
     print(f"{name:<20} {statistics.median(gains):>7.3f} {won:>2}/{pairs:<2} "
-          f"{med_p:>12.6g} {med_c:>12.6g} {q3 - q1:>12.4g}  " +
+          f"{med_p:>12.6g} {med_c:>12.6g} {q3 - q1:>12.4g} "
+          f"{verdict(m, parent_runs, change_runs, won, q3 - q1):<12}  " +
           " ".join(f"{g:.3f}" for g in gains))
 EOF
