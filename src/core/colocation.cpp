@@ -96,16 +96,20 @@ void ColocationIndex::index_bases(const Snapshot& snapshot) {
   max_band_ = snapshot.extent().max_band;
 }
 
-bool ColocationIndex::certify_apart(const Snapshot& snapshot) {
-  const SnapshotExtent& box = snapshot.extent();
-  if (box.x0 < -kWindowCoord || box.x1 > kWindowCoord || box.y0 < -kWindowCoord ||
-      box.y1 > kWindowCoord) {
-    return false;
-  }
+double look_instant_margin(double max_radius, double distance_delta) {
+  const double reach = max_radius * (1.0 + 0x1p-40) + 0x1p-30;
+  const double h =
+      (1.5 * kColocationEps + (2.0 * distance_delta + 0x1p-40) * reach + kCertFloor) /
+      (1.0 - distance_delta);
+  return h * (1.0 + 0x1p-40);
+}
+
+template <class PointAt>
+bool ColocationIndex::certify_apart(std::size_t m, const SnapshotExtent& box, double h,
+                                    PointAt point) {
   if (box.finite < 2) return true;
-  const double h = kColocationEps + 2.0 * box.max_band + kCertFloor;
   // Any power of two above 2h is a correct width. This one, the largest
-  // not above the side of kCertCellsPerBasis cells per basis, gives 1 to
+  // not above the side of kCertCellsPerBasis cells per point, gives 1 to
   // 4 times that many cells on a square box; a thin box gets at most
   // twice as many columns (rows) plus two.
   const double cells = kCertCellsPerBasis * static_cast<double>(box.finite);
@@ -113,45 +117,92 @@ bool ColocationIndex::certify_apart(const Snapshot& snapshot) {
   const double w =
       pow2_floor(std::max({std::sqrt(wx * wy / cells), std::max(wx, wy) / cells, 4.0 * h}));
   const double inv = 1.0 / w;  // exact: w is a power of two
+  const double largest = std::max({-box.x0, box.x1, -box.y0, box.y1});  // of any |coordinate|
+  if (!(h > 0.0 && w <= 0x1p900 && largest * inv < 0x1p52)) return false;
   const double hs = h * inv;
   const std::int64_t cx0 = floor_of(box.x0 * inv), cy0 = floor_of(box.y0 * inv);
   const auto nx = static_cast<std::size_t>(floor_of(box.x1 * inv) - cx0 + 1);
   const auto ny = static_cast<std::size_t>(floor_of(box.y1 * inv) - cy0 + 1);
-  const std::size_t m = snapshot.size();
   heads_.assign(nx * ny, -1);
   next_.resize(m);
   crowded_.resize(m);
-  std::size_t crowded = 0;
+  edged_.resize(m);
+  std::size_t crowded = 0, edged = 0;
   for (std::size_t i = 0; i < m; ++i) {
-    const geom::Vec2 p = snapshot.proxy(i);
+    const geom::Vec2 p = point(i);
     if (!finite(p)) continue;
     const double tx = p.x * inv, ty = p.y * inv;
     const std::int64_t cx = floor_of(tx), cy = floor_of(ty);
     const auto col = static_cast<std::size_t>(cx - cx0);
     const auto row = static_cast<std::size_t>(cy - cy0);
-    // A pair across an inner edge has its lower basis more than h below it.
-    if (col + 1 < nx && !(static_cast<double>(cx + 1) - tx > hs)) return false;
-    if (row + 1 < ny && !(static_cast<double>(cy + 1) - ty > hs)) return false;
-    // Chain the basis, and list it (without a branch) if its cell was
-    // occupied: on a dense Look that is a basis in ten, at random.
+    // Chain the point, and list it (without a branch) as crowded if its
+    // cell was occupied and as edged if it lies within h of an inner upper
+    // edge: on a dense rotated Look about a point in ten is crowded and
+    // almost none is edged.
     std::int32_t& head = heads_[row * nx + col];
     next_[i] = head;
     crowded_[crowded] = static_cast<std::int32_t>(i);
     crowded += head >= 0 ? 1 : 0;
     head = static_cast<std::int32_t>(i);
+    edged_[edged] = static_cast<std::int32_t>(i);
+    edged += static_cast<std::size_t>((col + 1 < nx && !(static_cast<double>(cx + 1) - tx > hs)) |
+                                      (row + 1 < ny && !(static_cast<double>(cy + 1) - ty > hs)));
   }
+  // Whether p is more than h from every point of `chain` on some axis,
+  // walking at most kCertChainCap of them.
+  const auto apart_from = [&](geom::Vec2 p, std::int32_t chain) {
+    std::size_t walked = 0;
+    for (std::int32_t j = chain; j >= 0; j = next_[j]) {
+      const geom::Vec2 q = point(static_cast<std::size_t>(j));
+      if (++walked > kCertChainCap || !(std::abs(p.x - q.x) > h || std::abs(p.y - q.y) > h)) {
+        return false;
+      }
+    }
+    return true;
+  };
   // A pair inside a cell is more than h apart on some axis.
   for (std::size_t c = 0; c < crowded; ++c) {
-    const geom::Vec2 p = snapshot.proxy(crowded_[c]);
-    std::size_t chain = 0;
-    for (std::int32_t j = next_[crowded_[c]]; j >= 0; j = next_[j]) {
-      const geom::Vec2 q = snapshot.proxy(j);
-      if (++chain > kCertChainCap || !(std::abs(p.x - q.x) > h || std::abs(p.y - q.y) > h)) {
+    const auto i = static_cast<std::size_t>(crowded_[c]);
+    if (!apart_from(point(i), next_[i])) return false;
+  }
+  // So is a pair across an edge that its lower point lies within h of.
+  for (std::size_t e = 0; e < edged; ++e) {
+    const geom::Vec2 p = point(static_cast<std::size_t>(edged_[e]));
+    const double tx = p.x * inv, ty = p.y * inv;
+    const std::int64_t cx = floor_of(tx), cy = floor_of(ty);
+    const auto col = static_cast<std::size_t>(cx - cx0);
+    const auto row = static_cast<std::size_t>(cy - cy0);
+    const std::size_t cell = row * nx + col;
+    const bool up = row + 1 < ny && !(static_cast<double>(cy + 1) - ty > hs);
+    if (up && !apart_from(p, heads_[cell + nx])) return false;
+    if (col + 1 < nx && !(static_cast<double>(cx + 1) - tx > hs)) {
+      const bool down = row > 0 && !(ty - static_cast<double>(cy) > hs);
+      if (!apart_from(p, heads_[cell + 1]) || (up && !apart_from(p, heads_[cell + nx + 1])) ||
+          (down && !apart_from(p, heads_[cell - nx + 1]))) {
         return false;
       }
     }
   }
   return true;
+}
+
+bool ColocationIndex::certify_apart(const Snapshot& snapshot) {
+  const SnapshotExtent& box = snapshot.extent();
+  if (box.x0 < -kWindowCoord || box.x1 > kWindowCoord || box.y0 < -kWindowCoord ||
+      box.y1 > kWindowCoord) {
+    return false;
+  }
+  return certify_apart(snapshot.size(), box, kColocationEps + 2.0 * box.max_band + kCertFloor,
+                       [&snapshot](std::size_t i) { return snapshot.proxy(i); });
+}
+
+bool ColocationIndex::certify_apart(const std::vector<geom::Vec2>& points, double margin) {
+  SnapshotExtent box;
+  for (const geom::Vec2 p : points) {
+    if (finite(p)) box.include(p, 0.0);
+  }
+  return certify_apart(points.size(), box, margin,
+                       [&points](std::size_t i) { return points[i]; });
 }
 
 bool ColocationIndex::colocated(const Snapshot& snapshot, std::size_t i, std::size_t j) const {

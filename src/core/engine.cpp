@@ -27,6 +27,7 @@ Engine::Engine(std::vector<Vec2> initial, const Algorithm& algorithm, Scheduler&
     max_radius = *std::max_element(config_.visibility.per_robot_radii.begin(),
                                    config_.visibility.per_robot_radii.end());
   }
+  instant_margin_ = look_instant_margin(max_radius, config_.error.distance_delta);
   index_.reset(max_radius, trace_.initial_configuration());
   positions_now_.resize(trace_.robot_count());
   pos_epoch_.assign(trace_.robot_count(), 0);
@@ -51,7 +52,7 @@ Vec2 Engine::cached_position(RobotId robot) {
   return positions_now_[robot];
 }
 
-void Engine::snapshot_via_incremental(RobotId robot, Time t, Snapshot& snap) {
+bool Engine::snapshot_via_incremental(RobotId robot, Time t, Snapshot& snap) {
   if (t < index_time_) {
     // The scheduler's kLookSlack can place this Look before the previous
     // one, where positions live on segments the buckets no longer cover
@@ -60,12 +61,13 @@ void Engine::snapshot_via_incremental(RobotId robot, Time t, Snapshot& snap) {
     // query.
     look_grid_nodes_ = 0;
     snapshot_via_scan(robot, t, snap);
-    return;
+    return false;
   }
   index_.advance_to(t);
   index_time_ = t;
   if (pos_time_ != t) {
     pos_time_ = t;
+    instant_ = {};
     ++epoch_;
     if (epoch_ == 0) {  // wrapped: stamps are ambiguous, reset them all
       std::fill(pos_epoch_.begin(), pos_epoch_.end(), 0);
@@ -85,6 +87,7 @@ void Engine::snapshot_via_incremental(RobotId robot, Time t, Snapshot& snap) {
     if (ball.contains(p)) snap.stage(p - self, rng_);
   });
   look_grid_nodes_ = index_.nodes_walked();
+  return true;
 }
 
 void Engine::snapshot_via_scan(RobotId robot, Time t, Snapshot& snap) {
@@ -102,13 +105,31 @@ void Engine::snapshot_via_scan(RobotId robot, Time t, Snapshot& snap) {
 
 const Snapshot& Engine::honest_snapshot(RobotId robot, Time t, const LocalFrame& frame) {
   look_.restage(frame);
-  snapshot_via_incremental(robot, t, look_);
+  // The instant's certificate covers Looks at pos_time_ in frames without
+  // skew (colocation.hpp).
+  const bool at_instant = snapshot_via_incremental(robot, t, look_) && !frame.skewed();
+  look_colocation_shared_ = at_instant && instant_.apart;
+  if (look_colocation_shared_) {
+    colocation_.assume_apart();
+    return look_;
+  }
+  const std::size_t bases = look_.size();
   if (config_.visibility.multiplicity_detection) {
     colocation_.flag(look_);
   } else {
     colocation_.collapse(look_);
   }
+  if (at_instant) count_instant_bases(bases);
   return look_;
+}
+
+void Engine::count_instant_bases(std::size_t bases) {
+  if (instant_.bases >= robot_count()) return;  // certified at this time already
+  instant_.bases += bases;
+  if (instant_.bases < robot_count()) return;
+  for (RobotId r = 0; r < robot_count(); ++r) (void)cached_position(r);
+  instant_.apart = colocation_.certify_apart(positions_now_, instant_margin_);
+  ++instant_certificates_;
 }
 
 bool Engine::step() {
@@ -156,6 +177,12 @@ bool Engine::step() {
   ActivationRecord rec{a, self, planned, realized, snap.size()};
   if (config_.record_history) trace_.record(rec);
   kin_.commit(rec);
+  // A move at the certified instant itself (zero duration) invalidates
+  // the verdict; every other commit leaves pos_time_'s positions as they
+  // were, and positions_now_ holds them all while the verdict stands.
+  if (instant_.apart && kin_.position_at(a.robot, pos_time_) != positions_now_[a.robot]) {
+    instant_ = {};
+  }
   // Re-bucket the committed robot only, not all n; its cached position may
   // describe the replaced segment.
   index_.update(a.robot, kin_.segment_from(a.robot), kin_.segment_realized(a.robot),

@@ -29,6 +29,20 @@
 // cache, filters it with the exact visibility predicate and stages it into
 // a Snapshot every Look reuses; a Look placed before the previous one by
 // kLookSlack scans history instead.
+//
+// Co-location is decided per Look by ColocationIndex, whose certificate
+// usually proves the snapshot free of co-located pairs. Looks at one
+// instant (a synchronous round, or KAsync Looks the k-bound postponed to
+// one interval end) all see the same global positions, so the
+// engine may certify those once instead (the Look instant, colocation.hpp):
+// when the per-Look certificates at the current Look time have examined
+// as many bases as there are robots, it certifies the configuration at
+// that time with look_instant_margin's H, and later Looks at that time in
+// frames without skew reuse the verdict (a ski-rental rule: the one
+// O(n) certificate costs no more than the work already spent). A commit
+// that moves a robot at that time (a zero-duration move) drops the
+// verdict; a declined verdict, a skewed frame, a Look served by the
+// history scan or a new Look time leave the per-Look path as it is.
 // The brute-force reference engine every result is certified against
 // lives in the tests (tests/oracles/engine_oracle.hpp): it applies the
 // same predicate and draws RNG in the same order, so both commit
@@ -151,6 +165,13 @@ class Engine final : public SimulationView {
   /// certificate (ColocationIndex::certified), without the hash table: a
   /// deterministic per-Look work count, like look_materializations().
   [[nodiscard]] bool look_colocation_certified() const { return colocation_.certified(); }
+  /// Whether the last Look reused its instant's certificate instead of
+  /// certifying its own snapshot (look_colocation_certified() is then
+  /// true too). A deterministic work count, like look_materializations().
+  [[nodiscard]] bool look_colocation_shared() const { return look_colocation_shared_; }
+  /// Configurations certified at a Look instant so far, whatever their
+  /// verdict: at most one per Look time, plus one per dropped verdict.
+  [[nodiscard]] std::size_t instant_certificates() const { return instant_certificates_; }
   /// Grid cell-list nodes the last Look walked for its candidates
   /// (IncrementalGrid::nodes_walked): 0 when its window held every live
   /// cell, or the Look scanned every robot. A deterministic work count,
@@ -168,8 +189,12 @@ class Engine final : public SimulationView {
   [[nodiscard]] const Snapshot& honest_snapshot(RobotId robot, Time t, const LocalFrame& frame);
   /// Visible-neighbor enumeration via the incrementally-maintained grid:
   /// candidate cells from IncrementalGrid, exact positions through the
-  /// kinematic cache.
-  void snapshot_via_incremental(RobotId robot, Time t, Snapshot& snap);
+  /// kinematic cache. Returns false when it served the Look by the
+  /// history scan instead, not from the positions at pos_time_.
+  bool snapshot_via_incremental(RobotId robot, Time t, Snapshot& snap);
+  /// Count `bases` a per-Look certificate examined at pos_time_, and
+  /// certify the configuration there once they reach the robot count.
+  void count_instant_bases(std::size_t bases);
   /// Visible-neighbor enumeration by a full scan over history positions:
   /// the fallback for a Look placed before the previous one.
   void snapshot_via_scan(RobotId robot, Time t, Snapshot& snap);
@@ -198,6 +223,7 @@ class Engine final : public SimulationView {
   PerceptionHook perception_hook_;
   std::size_t look_materializations_ = 0;
   std::size_t look_grid_nodes_ = 0;
+  bool look_colocation_shared_ = false;
 
   std::vector<geom::Vec2> positions_now_;   // positions at pos_time_, per stamp
   Snapshot look_;                           // the honest snapshot, its buffers reused
@@ -213,6 +239,17 @@ class Engine final : public SimulationView {
   std::uint64_t epoch_ = 1;                 // bumped whenever pos_time_ changes
   Time pos_time_ = 0.0;                     // time positions_now_ entries describe
   Time index_time_ = 0.0;                   // last forward query time
+
+  // The Look instant's certificate at pos_time_ (reset when it moves): the
+  // bases per-Look certificates examined there (the configuration was
+  // certified once they reached n) and its verdict. instant_margin_ is H.
+  struct Instant {
+    std::size_t bases = 0;
+    bool apart = false;
+  };
+  Instant instant_;
+  double instant_margin_ = 0.0;
+  std::size_t instant_certificates_ = 0;
 };
 
 }  // namespace cohesion::core

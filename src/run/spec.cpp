@@ -332,7 +332,8 @@ std::vector<ExpandedRun> ExperimentSpec::expand() const {
       run.variant = v;
       run.repeat = r;
       run.label = label;
-      run.spec.name = name + "/" + label + (reps > 1 ? "#" + std::to_string(r) : "");
+      run.spec.name = name + "/" + label;
+      if (reps > 1) run.spec.name.append("#").append(std::to_string(r));
       // A sweep axis may pin the seed itself (resolved.seed then differs
       // from the base); derivation applies only to unpinned variants.
       if (resolved.seed == base.seed) {

@@ -352,11 +352,12 @@ TEST(LazyKknps, DenseLookMaterializesFewNeighbours) {
 }
 
 struct CertifiedLooks {
-  std::size_t looks = 0, certified = 0;
+  std::size_t looks = 0, certified = 0, shared = 0, certificates = 0;
 };
 
-/// Looks of `spec` run to its stop rule, as Engine::run_until checks it,
-/// and how many of them the co-location certificate decided.
+/// Looks of `spec` run to its stop rule, as Engine::run_until checks it;
+/// how many of them a co-location certificate decided, how many of those
+/// reused their Look instant's, and how many instants were certified.
 CertifiedLooks certified_looks(const run::RunSpec& spec) {
   const run::RunInstance inst = run::instantiate(spec);
   core::Engine& engine = *inst.engine;
@@ -364,10 +365,12 @@ CertifiedLooks certified_looks(const run::RunSpec& spec) {
   while (c.looks < spec.stop.max_activations && engine.step()) {
     ++c.looks;
     if (engine.look_colocation_certified()) ++c.certified;
+    if (engine.look_colocation_shared()) ++c.shared;
     if (c.looks % spec.stop.check_every == 0 && engine.current_diameter() <= spec.stop.epsilon) {
       break;
     }
   }
+  c.certificates = engine.instant_certificates();
   return c;
 }
 
@@ -389,13 +392,43 @@ TEST(LazyKknps, ConvergeSweepLooksCertifyNothingColocated) {
     EXPECT_GT(c.looks, 1000u) << "detect " << detect;
     EXPECT_GE(c.certified * 100, c.looks * 95)
         << c.certified << " of " << c.looks << ", detect " << detect;
+    // The k-bound postpones Looks to the end of a saturated interval, so
+    // KAsync Looks do share instants: 353 of them hold 5,065 of these
+    // 11,520 Looks. 285 of those instants reach n bases and are certified,
+    // and 3,492 Looks reuse a verdict.
+    EXPECT_EQ(c.looks, 11520u) << "detect " << detect;
+    EXPECT_EQ(c.certificates, 285u) << "detect " << detect;
+    EXPECT_EQ(c.shared, 3492u) << "detect " << detect;
   }
+}
+
+TEST(LazyKknps, AsyncStreamLooksShareSomeInstants) {
+  // async_stream's shape (perfbench/specs/async_stream.json): n = 2048 on
+  // a 0.8 grid, KAsync k = 2, 20,000 ~4-neighbour Looks. The k-bound's
+  // postponements gather 15,091 of them at 50 shared instants, each up to
+  // ~1,600 Looks; 10 instants reach 2048 bases and are certified, and
+  // 4,204 Looks reuse a verdict.
+  run::RunSpec spec;
+  spec.n = 2048;
+  spec.algorithm.params = run::Json::parse(R"({"k": 2})");
+  spec.scheduler.params = run::Json::parse(R"({"k": 2, "xi": 0.5})");
+  spec.initial = {.type = "grid", .params = run::Json::parse(R"({"spacing": 0.8})")};
+  spec.stop.epsilon = 0.05;
+  spec.stop.max_activations = 20000;
+  const CertifiedLooks c = certified_looks(spec);
+  EXPECT_EQ(c.looks, 20000u);
+  EXPECT_EQ(c.certified, c.looks);
+  EXPECT_EQ(c.certificates, 10u);
+  EXPECT_EQ(c.shared, 4204u);
 }
 
 TEST(LazyKknps, DenseFsyncLooksAllCertifyNothingColocated) {
   // dense_fsync's shape (perfbench/specs/dense_fsync.json): two FSync
-  // rounds of ~680-neighbour Looks on the 0.05 grid. The certificate
-  // decides every one.
+  // rounds of ~680-neighbour Looks on the 0.05 grid. A certificate
+  // decides every one: each of a round's first three Looks (robots on
+  // the grid's edge, ~340 neighbours) certifies its own snapshot, and
+  // with 1024 bases examined by then the engine certifies the round's
+  // configuration, whose verdict the other 1021 Looks reuse.
   for (const bool detect : {false, true}) {
     run::RunSpec spec;
     spec.n = 1024;
@@ -408,6 +441,8 @@ TEST(LazyKknps, DenseFsyncLooksAllCertifyNothingColocated) {
     const CertifiedLooks c = certified_looks(spec);
     EXPECT_EQ(c.looks, 2048u) << "detect " << detect;
     EXPECT_EQ(c.certified, c.looks) << "detect " << detect;
+    EXPECT_EQ(c.certificates, 2u) << "detect " << detect;
+    EXPECT_EQ(c.shared, 2u * 1021u) << "detect " << detect;
   }
 }
 

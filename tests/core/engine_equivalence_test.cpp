@@ -18,6 +18,7 @@
 #include <optional>
 #include <random>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "algo/baselines.hpp"
@@ -152,8 +153,9 @@ EngineConfig make_config(std::uint64_t seed, std::size_t n) {
 /// seed's scheduler, error model, visibility variant, algorithm and initial
 /// configuration. Both must commit bit-identical traces. The reference scans
 /// every robot at its Trace position with the raw predicate, so it cannot
-/// drift with the engine.
-void expect_engine_matches_oracle(std::uint64_t seed) {
+/// drift with the engine. Adds to `shared` the engine's Looks that reused
+/// their instant's co-location certificate.
+void expect_engine_matches_oracle(std::uint64_t seed, std::size_t& shared) {
   const algo::KknpsAlgorithm kknps({.k = 1});
   const algo::AndoAlgorithm ando(1.0);
   const std::size_t n = 2 + seed % 31;
@@ -172,7 +174,9 @@ void expect_engine_matches_oracle(std::uint64_t seed) {
   }
 
   const std::size_t steps = 150;
-  ASSERT_EQ(engine.run(steps), oracle.run(steps)) << "seed " << seed;
+  std::size_t done = 0;
+  for (; done < steps && engine.step(); ++done) shared += engine.look_colocation_shared() ? 1 : 0;
+  ASSERT_EQ(done, oracle.run(steps)) << "seed " << seed;
   expect_identical_traces(engine.trace(), oracle.trace(), seed);
   EXPECT_EQ(engine.current_diameter(), oracle.current_diameter()) << "seed " << seed;
   const auto cfg_engine = engine.current_configuration();
@@ -187,12 +191,17 @@ TEST(EngineEquivalence, AllIndexModesProduceIdenticalTraces) {
   // Seeds 0-159 of the differential generator: randomized schedulers
   // (FSync / SSync / k-Async / k-NestA / Async), error models, visibility
   // variants and initial configurations.
-  for (std::uint64_t seed = 0; seed < 160; ++seed) expect_engine_matches_oracle(seed);
+  std::size_t shared = 0;
+  for (std::uint64_t seed = 0; seed < 160; ++seed) expect_engine_matches_oracle(seed, shared);
 }
 
 TEST(EngineEquivalence, FiveHundredSeedDifferentialFuzz) {
   // The next 500 seeds of the same generator, disjoint from the ones above.
-  for (std::uint64_t seed = 160; seed < 660; ++seed) expect_engine_matches_oracle(seed);
+  // Looks at a shared instant reuse its co-location certificate (9,463 of
+  // the 75,000), so the fuzz covers that path too.
+  std::size_t shared = 0;
+  for (std::uint64_t seed = 160; seed < 660; ++seed) expect_engine_matches_oracle(seed, shared);
+  EXPECT_GT(shared, 5000u);
 }
 
 /// Minimal materializing sink for the bounded-memory legs: collects the
@@ -300,9 +309,9 @@ TEST(EngineEquivalence, DenseGridFSyncMatchesAllPairsColocation) {
   // without multiplicity detection and distance noise. A second grid
   // stacks 16 robots on occupied sites, so its Looks take the hash path.
   // Unrotated frames keep the lattice's offsets axis-aligned, near the
-  // certificate's power-of-two cell edges, where it declines and the hash
-  // decides. Every Look's window holds every occupied grid cell, so none
-  // walks a cell list.
+  // certificate's power-of-two cell edges, where it compares the cells
+  // across them. Every Look's window holds every occupied grid cell, so
+  // none walks a cell list.
   const algo::KknpsAlgorithm kknps({.k = 1});
   const std::size_t n = 256;
   const auto grid = metrics::grid_configuration(n, 0.05);
@@ -327,6 +336,203 @@ TEST(EngineEquivalence, DenseGridFSyncMatchesAllPairsColocation) {
     expect_identical_traces(engine.trace(), oracle.trace(), variant);
     EXPECT_GT(oracle.trace().records()[n / 2].seen, 200u) << "variant " << variant;
     EXPECT_EQ(nodes, 0u) << "variant " << variant;
+  }
+}
+
+struct SharedLooks {
+  std::size_t shared = 0, certificates = 0;
+  std::vector<ActivationRecord> records;  // the reference's
+};
+
+/// The engine against the reference engine for `steps` activations, each
+/// on a fresh scheduler from make(): bit-identical traces. Returns how many
+/// engine Looks reused their instant's co-location certificate, how many
+/// instants the engine certified, and the reference's records.
+template <class MakeScheduler>
+SharedLooks run_against_oracle(const std::vector<Vec2>& initial, const Algorithm& algorithm,
+                               const EngineConfig& cfg, MakeScheduler make, std::size_t steps,
+                               std::uint64_t tag) {
+  const std::unique_ptr<Scheduler> sched_engine = make();
+  Engine engine(initial, algorithm, *sched_engine, cfg);
+  const std::unique_ptr<Scheduler> sched_oracle = make();
+  EngineOracle oracle(initial, algorithm, *sched_oracle, cfg);
+  SharedLooks c;
+  std::size_t done = 0;
+  for (; done < steps && engine.step(); ++done) c.shared += engine.look_colocation_shared() ? 1 : 0;
+  c.certificates = engine.instant_certificates();
+  EXPECT_EQ(done, oracle.run(steps)) << "tag " << tag;
+  expect_identical_traces(engine.trace(), oracle.trace(), tag);
+  c.records = oracle.trace().records();
+  return c;
+}
+
+TEST(EngineEquivalence, LookInstantCertificateMatchesOracleAcrossSchedulesAndFrames) {
+  // The schedules whose Looks share instants (FSync; SSync with xi = 0.5;
+  // k-NestA with k = 2, whose outer robots Look at the round's start) on
+  // a dense grid (~99 neighbours per Look) and a sparse random swarm, with
+  // and without multiplicity detection, in identity, rotated, mirrored,
+  // mirrored noisy and skewed frames. On the grid, Looks after a round's
+  // first few reuse the round's certificate in every frame without skew,
+  // and never in skewed ones; the traces match the reference, which
+  // resolves co-location all-pairs on every Look.
+  const algo::KknpsAlgorithm kknps({.k = 1});
+  const std::vector<std::vector<Vec2>> swarms{
+      metrics::grid_configuration(100, 0.05),
+      metrics::random_connected_configuration(96, 0.4 * std::sqrt(96.0), 1.0, 7)};
+  for (std::uint64_t variant = 0; variant < 60; ++variant) {
+    const std::vector<Vec2>& initial = swarms[variant % 2];
+    const std::size_t n = initial.size();
+    const std::uint64_t schedule = variant / 2 % 3;
+    const std::uint64_t frames = variant / 12;
+    EngineConfig cfg;
+    cfg.seed = variant + 1;
+    cfg.visibility.multiplicity_detection = variant / 6 % 2 == 1;
+    cfg.error.random_rotation = frames != 0;
+    cfg.error.allow_reflection = frames == 2 || frames == 3;
+    cfg.error.distance_delta = frames == 3 ? 0.01 : 0.0;
+    cfg.error.skew_lambda = frames == 4 ? 0.3 : 0.0;
+    const auto make = [&]() -> std::unique_ptr<Scheduler> {
+      if (schedule == 0) return std::make_unique<sched::FSyncScheduler>(n);
+      if (schedule == 1) {
+        sched::SSyncScheduler::Params p;
+        p.seed = variant;
+        p.xi = 0.5;
+        return std::make_unique<sched::SSyncScheduler>(n, p);
+      }
+      sched::KNestAScheduler::Params p;
+      p.seed = variant;
+      p.k = 2;
+      return std::make_unique<sched::KNestAScheduler>(n, p);
+    };
+    const SharedLooks c = run_against_oracle(initial, kknps, cfg, make, 3 * n, variant);
+    if (frames == 4) {
+      EXPECT_EQ(c.shared, 0u) << "variant " << variant;
+      EXPECT_EQ(c.certificates, 0u) << "variant " << variant;
+    } else if (variant % 2 == 0) {
+      EXPECT_GT(c.shared, n / 4) << "variant " << variant;
+      EXPECT_GE(c.certificates, 2u) << "variant " << variant;
+    }
+    if (HasFailure()) return;
+  }
+}
+
+TEST(EngineEquivalence, GatheredAndColocatedSwarmsDeclineTheInstantCertificate) {
+  // Configurations the instant's certificate must decline: the dense grid
+  // with 16 robots stacked on occupied sites, a gathered swarm of 64
+  // robots 1e-13 apart, and the grid with one pair 2e-12 apart (not
+  // co-located, but within the margin H, ~2.4e-12 at V = 1). In one FSync
+  // round the engine certifies the configuration once, declines, and
+  // every Look decides its own co-location as the reference does.
+  const algo::KknpsAlgorithm kknps({.k = 1});
+  const std::vector<Vec2> grid = metrics::grid_configuration(100, 0.05);
+  auto stacked = grid;
+  for (std::size_t i = 0; i < 16; ++i) stacked[84 + i] = grid[5 * i];
+  std::vector<Vec2> gathered;
+  for (int i = 0; i < 64; ++i) gathered.push_back({0.3 + 1e-13 * (i % 8), -0.2 + 1e-13 * (i / 8)});
+  auto close_pair = grid;
+  close_pair[99] = grid[45] + Vec2{2e-12, 0.0};
+  const std::vector<std::vector<Vec2>> swarms{stacked, gathered, close_pair};
+  for (std::uint64_t variant = 0; variant < 12; ++variant) {
+    const std::vector<Vec2>& initial = swarms[variant % 3];
+    const std::size_t n = initial.size();
+    EngineConfig cfg;
+    cfg.seed = variant + 11;
+    cfg.visibility.multiplicity_detection = variant / 3 % 2 == 1;
+    cfg.error.allow_reflection = variant / 6 == 1;
+    const auto make = [n] { return std::make_unique<sched::FSyncScheduler>(n); };
+    const SharedLooks c = run_against_oracle(initial, kknps, cfg, make, n, variant);
+    EXPECT_EQ(c.certificates, 1u) << "variant " << variant;
+    EXPECT_EQ(c.shared, 0u) << "variant " << variant;
+    if (HasFailure()) return;
+  }
+}
+
+TEST(EngineEquivalence, LookInstantMarginCoversRotatedFrames) {
+  // A 7 x 7 grid 0.1 apart (every robot sees the other 48) with one robot
+  // moved to s from another on x, for s around sqrt(2)·eps and around the
+  // margin H. A frame rotated near 45° brings a pair less than
+  // sqrt(2)·eps apart within eps on both axes, so some Looks must collapse
+  // it; the instant's certificate must then have declined, as it does for
+  // every s up to H, and certify above it. One FSync round per frame kind
+  // (rotated, mirrored, noisy), with and without multiplicity detection.
+  constexpr double e = kColocationEps;
+  const algo::KknpsAlgorithm kknps({.k = 1});
+  const double h = look_instant_margin(1.0, 0.0);
+  const double separations[] = {1.02 * e, 1.2 * e,         1.4 * e,          1.6 * e, 2.0 * e,
+                                h * (1 - 1e-4), h * (1 + 1e-4), 1.5 * h};
+  std::size_t collapsed = 0;
+  std::uint64_t tag = 0;
+  for (const double s : separations) {
+    auto initial = metrics::grid_configuration(49, 0.1);
+    initial[48] = initial[24] + Vec2{s, 0.0};
+    const double apart = initial[48].x - initial[24].x;  // exact (Sterbenz)
+    for (std::uint64_t variant = 0; variant < 6; ++variant) {
+      EngineConfig cfg;
+      cfg.seed = ++tag;
+      cfg.visibility.multiplicity_detection = variant % 2 == 1;
+      cfg.error.allow_reflection = variant / 2 == 1;
+      cfg.error.distance_delta = variant / 2 == 2 ? 1e-9 : 0.0;
+      const auto make = [] { return std::make_unique<sched::FSyncScheduler>(49); };
+      const SharedLooks c = run_against_oracle(initial, kknps, cfg, make, 49, tag);
+      for (const ActivationRecord& rec : c.records) {
+        collapsed += rec.seen == 47 ? 1 : 0;  // the pair seen as one
+      }
+      const double margin = look_instant_margin(1.0, cfg.error.distance_delta);
+      EXPECT_EQ(c.shared > 0, apart > margin) << "s " << s << " variant " << variant;
+      if (HasFailure()) return;
+    }
+  }
+  EXPECT_GT(collapsed, 100u);
+}
+
+/// Moves to its first visible neighbour: made with zero duration, the move
+/// lands the robot on that neighbour at its Look instant.
+class ToFirstNeighbour final : public Algorithm {
+ public:
+  [[nodiscard]] Vec2 compute(const Snapshot& snapshot) const override {
+    return snapshot.empty() ? Vec2{} : snapshot.neighbours().front().position;
+  }
+  [[nodiscard]] std::string_view name() const override { return "to-first-neighbour"; }
+};
+
+TEST(EngineEquivalence, ZeroDurationMoveDropsTheInstantVerdict) {
+  // 16 robots on a 0.1 grid all Look at t = 1, each seeing the other 15.
+  // After two Looks the engine certifies the configuration, and Looks 2-5
+  // reuse the verdict. Robot 5 then moves with zero duration onto robot 0,
+  // so at t = 1 two robots are co-located: the commit must drop the
+  // verdict, and Looks 6-15 must see the pair as the reference does (one
+  // neighbour fewer when collapsing). Their re-certification declines, as
+  // does the certificate of the next round, whose robots moved onto their
+  // first neighbours.
+  const ToFirstNeighbour to_first;
+  const std::vector<Vec2> initial = metrics::grid_configuration(16, 0.1);
+  std::vector<Activation> script;
+  for (RobotId r = 0; r < 16; ++r) {
+    script.push_back(r == 5 ? Activation{r, 1.0, 1.0, 1.0, 1.0}
+                            : Activation{r, 1.0, 1.25, 1.75, 1.0});
+  }
+  for (RobotId r = 0; r < 16; ++r) script.push_back({r, 2.0, 2.25, 2.75, 1.0});
+  for (std::uint64_t variant = 0; variant < 4; ++variant) {
+    EngineConfig cfg;
+    cfg.seed = variant + 3;
+    cfg.visibility.multiplicity_detection = variant % 2 == 1;
+    cfg.error.random_rotation = variant / 2 == 1;
+    sched::ScriptedScheduler sched_engine(script);
+    Engine engine(initial, to_first, sched_engine, cfg);
+    sched::ScriptedScheduler sched_oracle(script);
+    EngineOracle oracle(initial, to_first, sched_oracle, cfg);
+    std::vector<bool> shared;
+    while (engine.step()) shared.push_back(engine.look_colocation_shared());
+    ASSERT_EQ(oracle.run(script.size()), script.size());
+    ASSERT_EQ(shared.size(), script.size());
+    expect_identical_traces(engine.trace(), oracle.trace(), variant);
+    for (std::size_t i = 0; i < shared.size(); ++i) {
+      EXPECT_EQ(shared[i], i >= 2 && i <= 5) << "variant " << variant << " look " << i;
+    }
+    EXPECT_EQ(engine.instant_certificates(), 3u) << "variant " << variant;
+    if (!cfg.visibility.multiplicity_detection) {
+      EXPECT_EQ(oracle.trace().records()[6].seen, 14u) << "variant " << variant;
+    }
   }
 }
 
