@@ -50,41 +50,12 @@ std::uint64_t pack_cell_key(std::int64_t cx, std::int64_t cy) {
          static_cast<std::uint64_t>(static_cast<std::uint32_t>(cy));
 }
 
-// One coordinate→cell mapping shared by both grids: the candidate-superset
-// guarantee between the rebuild and incremental paths relies on them
-// agreeing bit-for-bit.
-std::int64_t cell_index(double coord, double inv_cell) {
-  double c = std::floor(coord * inv_cell);
-  if (std::isnan(c)) c = 0.0;
-  c = std::clamp(c, -kMaxCell, kMaxCell);
-  return static_cast<std::int64_t>(c);
-}
-
 std::size_t mix_cell_key(std::uint64_t key) {
   // splitmix64 finalizer: adjacent cell keys must not cluster in the table.
   key += 0x9e3779b97f4a7c15ULL;
   key = (key ^ (key >> 30)) * 0xbf58476d1ce4e5b9ULL;
   key = (key ^ (key >> 27)) * 0x94d049bb133111ebULL;
   return static_cast<std::size_t>(key ^ (key >> 31));
-}
-
-/// The cell window both grids' queries scan: every cell overlapping the
-/// bounding square of the closed ball around `q` (a superset of the open
-/// ball too), passed to `visit(key)`. Returns false without visiting when
-/// the square covers more cells than there are points (`n`), where a
-/// direct scan is cheaper and trivially exact.
-template <class Visit>
-bool for_each_query_cell(geom::Vec2 q, double r, double inv_cell, std::size_t n, Visit visit) {
-  const double rq = std::max(r, 0.0) + kVisibilityEpsilon;
-  const std::int64_t cx0 = cell_index(q.x - rq, inv_cell), cx1 = cell_index(q.x + rq, inv_cell);
-  const std::int64_t cy0 = cell_index(q.y - rq, inv_cell), cy1 = cell_index(q.y + rq, inv_cell);
-  const std::uint64_t span_x = static_cast<std::uint64_t>(cx1 - cx0) + 1;
-  const std::uint64_t span_y = static_cast<std::uint64_t>(cy1 - cy0) + 1;
-  if (span_x > 64 || span_y > 64 || span_x * span_y > n + 9) return false;
-  for (std::int64_t cx = cx0; cx <= cx1; ++cx) {
-    for (std::int64_t cy = cy0; cy <= cy1; ++cy) visit(pack_cell_key(cx, cy));
-  }
-  return true;
 }
 
 /// Per-axis cap on a segment's bucket span. Committed moves are bounded by
@@ -100,89 +71,11 @@ void IdBitmap::reset(std::size_t n) {
   summary_.assign((words_.size() + 63) / 64, 0);
 }
 
-void SpatialGrid::set_cell_size(double cell_size) {
-  cell_ = (std::isfinite(cell_size) && cell_size > 0.0) ? cell_size : 1.0;
-  inv_cell_ = 1.0 / cell_;
-  points_ = nullptr;
-  next_.clear();
-}
-
-std::int64_t SpatialGrid::cell_of(double coord) const { return cell_index(coord, inv_cell_); }
-
-std::uint64_t SpatialGrid::cell_key(std::int64_t cx, std::int64_t cy) {
-  return pack_cell_key(cx, cy);
-}
-
-std::size_t SpatialGrid::hash_key(std::uint64_t key) { return mix_cell_key(key); }
-
-std::size_t SpatialGrid::find_slot(std::uint64_t key) const {
-  std::size_t i = hash_key(key) & mask_;
-  while (slot_stamp_[i] == stamp_ && slot_key_[i] != key) i = (i + 1) & mask_;
-  return i;
-}
-
-void SpatialGrid::ensure_capacity(std::size_t point_count) {
-  // Keep load factor <= 1/2 relative to the worst case of one cell per point.
-  const std::size_t want = next_pow2(std::max<std::size_t>(16, point_count * 2));
-  if (slot_key_.size() < want) {
-    slot_key_.assign(want, 0);
-    slot_head_.assign(want, -1);
-    slot_stamp_.assign(want, 0);
-    mask_ = want - 1;
-    stamp_ = 0;
-  }
-}
-
-void SpatialGrid::rebuild(const std::vector<geom::Vec2>& points) {
-  points_ = &points;
-  ensure_capacity(points.size());
-  ++stamp_;
-  next_.assign(points.size(), -1);
-  marks_.reset(points.size());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const std::uint64_t key = cell_key(cell_of(points[i].x), cell_of(points[i].y));
-    const std::size_t slot = find_slot(key);
-    if (slot_stamp_[slot] != stamp_) {
-      slot_stamp_[slot] = stamp_;
-      slot_key_[slot] = key;
-      slot_head_[slot] = -1;
-    }
-    next_[i] = slot_head_[slot];
-    slot_head_[slot] = static_cast<std::int32_t>(i);
-  }
-}
-
-void SpatialGrid::neighbors_within(geom::Vec2 q, double r, bool open_ball,
-                                   std::vector<std::size_t>& out) {
-  out.clear();
-  if (points_ == nullptr || next_.empty()) return;
-  const std::vector<geom::Vec2>& pts = *points_;
-  const VisibilityBall ball(q, r, open_ball);
-  // Mark the points of every cell overlapping the ball's bounding square;
-  // a square covering more cells than there are points is a direct scan.
-  const bool windowed = for_each_query_cell(q, r, inv_cell_, next_.size(), [&](std::uint64_t key) {
-    const std::size_t slot = find_slot(key);
-    if (slot_stamp_[slot] != stamp_) return;
-    for (std::int32_t i = slot_head_[slot]; i >= 0; i = next_[i]) {
-      if (ball.contains(pts[i])) marks_.mark(static_cast<std::size_t>(i));
-    }
-  });
-  if (windowed) {
-    marks_.take_ascending([&](std::size_t i) { out.push_back(i); });
-    return;
-  }
-  // Ids come out already ascending.
-  for (std::size_t i = 0; i < next_.size(); ++i) {
-    if (ball.contains(pts[i])) out.push_back(i);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// IncrementalGrid
-// ---------------------------------------------------------------------------
-
 std::int64_t IncrementalGrid::cell_of(double coord) const {
-  return cell_index(coord, inv_cell_);
+  double c = std::floor(coord * inv_cell_);
+  if (std::isnan(c)) c = 0.0;
+  c = std::clamp(c, -kMaxCell, kMaxCell);
+  return static_cast<std::int64_t>(c);
 }
 
 std::size_t IncrementalGrid::find_slot(std::uint64_t key) const {
@@ -306,8 +199,7 @@ void IncrementalGrid::set_outlier(RobotId robot, bool on) {
 }
 
 void IncrementalGrid::reset(double cell_size, const std::vector<geom::Vec2>& initial) {
-  cell_ = (std::isfinite(cell_size) && cell_size > 0.0) ? cell_size : 1.0;
-  inv_cell_ = 1.0 / cell_;
+  inv_cell_ = 1.0 / ((std::isfinite(cell_size) && cell_size > 0.0) ? cell_size : 1.0);
   const std::size_t n = initial.size();
   nodes_.clear();
   free_nodes_.clear();
@@ -378,14 +270,23 @@ bool IncrementalGrid::mark_near(geom::Vec2 q, double r) {
   nodes_walked_ = 0;
   const std::size_t n = robot_nodes_.size();
   if (n == 0) return true;
+  // The window: every cell overlapping the bounding square of the closed
+  // ball around `q` (a superset of the open ball too). A square covering
+  // more cells than there are robots makes every robot a candidate
+  // (cheaper, and trivially a superset; the caller's predicate decides).
+  const double rq = std::max(r, 0.0) + kVisibilityEpsilon;
+  const std::int64_t cx0 = cell_of(q.x - rq), cx1 = cell_of(q.x + rq);
+  const std::int64_t cy0 = cell_of(q.y - rq), cy1 = cell_of(q.y + rq);
+  const std::uint64_t span_x = static_cast<std::uint64_t>(cx1 - cx0) + 1;
+  const std::uint64_t span_y = static_cast<std::uint64_t>(cy1 - cy0) + 1;
+  if (span_x > 64 || span_y > 64 || span_x * span_y > n + 9) return false;
   window_heads_.clear();
-  const bool windowed = for_each_query_cell(q, r, inv_cell_, n, [&](std::uint64_t key) {
-    const std::size_t slot = find_slot(key);
-    if (slot != static_cast<std::size_t>(-1)) window_heads_.push_back(table_head_[slot]);
-  });
-  // Unwindowed, every robot is a candidate (trivially a superset; the
-  // caller's predicate decides).
-  if (!windowed) return false;
+  for (std::int64_t cx = cx0; cx <= cx1; ++cx) {
+    for (std::int64_t cy = cy0; cy <= cy1; ++cy) {
+      const std::size_t slot = find_slot(pack_cell_key(cx, cy));
+      if (slot != static_cast<std::size_t>(-1)) window_heads_.push_back(table_head_[slot]);
+    }
+  }
   // Distinct window cells have distinct keys (a window spans at most 64
   // cells per axis), so the window holds every live cell when it finds
   // that many. Then every robot is a candidate: each one off the outlier

@@ -1,28 +1,25 @@
 // Uniform-grid spatial hash for exact fixed-radius neighbor queries.
 //
-// Points are bucketed by the integer cell (floor(x / cell), floor(y / cell))
-// of a grid whose side is typically the visibility radius V. A query
-// enumerates only the cells overlapping the bounding square of the query
-// ball — at most 3x3 cells when the query radius is <= the cell side — and
-// applies the *exact* visibility predicate (closed ball d <= r + 1e-12, or
-// open ball d < r, with d from Vec2::distance_to) to each candidate. The
-// grid therefore changes which pairs are examined, never the predicate, so
-// results are bit-identical to a brute-force scan over all points. Returned
-// ids are ascending by construction (IdBitmap, below: marked in a
-// point-sized bitmap, emitted in bit order, no sort), so callers that
+// IncrementalGrid (below) buckets robots by the integer cells
+// (floor(x / cell), floor(y / cell)) of a grid whose side is typically the
+// visibility radius V. A query enumerates only the cells overlapping the
+// bounding square of the query ball — at most 3x3 cells when the query
+// radius is <= the cell side — and the caller applies the *exact*
+// visibility predicate (VisibilityBall: closed ball d <= r + 1e-12, or open
+// ball d < r, with d from Vec2::distance_to) to each candidate. The grid
+// therefore changes which pairs are examined, never the predicate, so
+// results are bit-identical to a brute-force scan over all points.
+// Candidate ids are ascending by construction (IdBitmap, below: marked in
+// a point-sized bitmap, emitted in bit order, no sort), so callers that
 // consume neighbors in id order behave identically to the O(n) scan they
 // replace.
 //
-// The bucket table is open-addressed with stamp-based invalidation, so a
-// rebuild is O(n) with no per-rebuild allocation in steady state. Metrics
-// and visibility graphs query one configuration at a time this way.
-//
-// The engine's Looks each happen at their own time, which would cost a
-// rebuild per activation. IncrementalGrid (below) is the persistently
-// maintained variant for that regime: robots are bucketed by the cells of
-// their *current trajectory segment* — which covers the robot's exact
-// position at every time the segment is current — so buckets change only
-// on commit (O(1) amortized), never per Look time.
+// The engine buckets each robot by the cells of its *current trajectory
+// segment*, which covers the robot's exact position at every time the
+// segment is current, so buckets change only on commit (O(1) amortized),
+// never per Look time. A configuration at one instant (visibility graphs,
+// metrics::min_pairwise_distance) is the same grid after reset(): every
+// segment has zero length.
 #pragma once
 
 #include <bit>
@@ -103,7 +100,7 @@ class VisibilityBall {
   CertifiedBallBounds bounds_;
 };
 
-/// Query scratch of both grids: ids marked in any order, repeats allowed,
+/// Query scratch of the grid: ids marked in any order, repeats allowed,
 /// come out ascending and unique without a sort. One bit per id, plus a
 /// summary bit per 64-id word that is non-zero, so emitting costs
 /// O(n / 4096 + marked words + ids) and leaves every bit clear again.
@@ -133,60 +130,14 @@ class IdBitmap {
   std::vector<std::uint64_t> summary_;  // bit w % 64 of word w / 64: words_[w] != 0
 };
 
-class SpatialGrid {
- public:
-  SpatialGrid() = default;
-  explicit SpatialGrid(double cell_size) { set_cell_size(cell_size); }
-
-  /// Side length of a grid cell; non-positive/non-finite values fall back to
-  /// 1.0. Invalidates the current index.
-  void set_cell_size(double cell_size);
-  [[nodiscard]] double cell_size() const { return cell_; }
-
-  /// Index `points`. The vector is borrowed: it must stay alive and
-  /// unmodified until the next rebuild. O(n) expected.
-  void rebuild(const std::vector<geom::Vec2>& points);
-
-  /// Ids (ascending) of indexed points within the closed (d <= r + 1e-12)
-  /// or open (d < r) ball around `q`. Includes the query point itself when
-  /// it is indexed; callers filter self-matches by id. `out` is overwritten.
-  void neighbors_within(geom::Vec2 q, double r, bool open_ball, std::vector<std::size_t>& out);
-
-  [[nodiscard]] std::size_t size() const { return next_.size(); }
-
- private:
-  [[nodiscard]] std::int64_t cell_of(double coord) const;
-  [[nodiscard]] static std::uint64_t cell_key(std::int64_t cx, std::int64_t cy);
-  [[nodiscard]] static std::size_t hash_key(std::uint64_t key);
-  /// Index of the slot holding `key` this generation, or of the free slot
-  /// where it would be inserted.
-  [[nodiscard]] std::size_t find_slot(std::uint64_t key) const;
-  void ensure_capacity(std::size_t point_count);
-
-  double cell_ = 1.0;
-  double inv_cell_ = 1.0;
-  const std::vector<geom::Vec2>* points_ = nullptr;
-
-  // Open-addressed cell table: slot i holds (key, head of an intrusive chain
-  // through next_). A slot is live only when its stamp matches stamp_, which
-  // lets rebuild() discard the previous generation without clearing.
-  std::vector<std::uint64_t> slot_key_;
-  std::vector<std::int32_t> slot_head_;
-  std::vector<std::uint64_t> slot_stamp_;
-  std::vector<std::int32_t> next_;
-  std::uint64_t stamp_ = 0;
-  std::size_t mask_ = 0;
-  IdBitmap marks_;
-};
-
 /// Incrementally-maintained robot→cell index for the async engine hot path.
 ///
-/// Where SpatialGrid buckets *positions at one instant* and must be rebuilt
-/// whenever the instant changes, IncrementalGrid buckets each robot by the
-/// grid cells overlapped by the bounding box of its current trajectory
-/// segment (from → realized). A robot's position at *every* time its
-/// segment is current — `from` before the move, the lerp during it,
-/// `realized` after — lies inside that box, so the bucket set only has to
+/// Rather than bucketing *positions at one instant*, which would need a
+/// rebuild whenever the instant changes, IncrementalGrid buckets each
+/// robot by the grid cells overlapped by the bounding box of its current
+/// trajectory segment (from → realized). A robot's position at *every*
+/// time its segment is current — `from` before the move, the lerp during
+/// it, `realized` after — lies inside that box, so the bucket set only has to
 /// change when the segment itself changes: once per commit, O(segment
 /// cells) ≈ O(1), instead of O(n) per distinct Look time.
 ///
@@ -195,7 +146,7 @@ class SpatialGrid {
 /// evaluate each candidate's exact position (O(1) through KinematicState)
 /// and apply the exact visibility predicate, so results remain bit-identical
 /// to a brute-force scan — the index only ever enlarges the examined set,
-/// exactly like SpatialGrid's clamping/aliasing superset guarantees.
+/// like the clamping and key aliasing of far cells do.
 ///
 /// `advance_to(t)` tightens the index as time moves forward: robots whose
 /// move ended at or before `t` sit exactly at `realized` forever after, so
@@ -208,7 +159,7 @@ class IncrementalGrid {
  public:
   /// Rebuild from scratch: robot r bucketed at the (degenerate) segment
   /// `initial[r] → initial[r]`. Non-positive/non-finite cell sizes fall
-  /// back to 1.0, mirroring SpatialGrid::set_cell_size.
+  /// back to 1.0.
   void reset(double cell_size, const std::vector<geom::Vec2>& initial);
 
   /// Replace `robot`'s buckets with the cells of the bounding box of the
@@ -237,8 +188,6 @@ class IncrementalGrid {
     }
   }
 
-  [[nodiscard]] std::size_t robot_count() const { return robot_nodes_.size(); }
-  [[nodiscard]] double cell_size() const { return cell_; }
   /// Cell-list nodes the last candidates_near walked: 0 when it visited
   /// every robot without a walk. A deterministic work count.
   [[nodiscard]] std::size_t nodes_walked() const { return nodes_walked_; }
@@ -267,7 +216,6 @@ class IncrementalGrid {
   void set_outlier(RobotId robot, bool on);
   void collapse(RobotId robot);
 
-  double cell_ = 1.0;
   double inv_cell_ = 1.0;
 
   // Open-addressed cell table (linear probing, backward-shift deletion):

@@ -35,17 +35,17 @@ VisibilityGraph::VisibilityGraph(const std::vector<geom::Vec2>& positions, doubl
     }
     return;
   }
-  // Grid-bucketed construction: O(n + E) expected. neighbors_within returns
-  // ascending ids, so edges come out sorted (a asc, then b asc) exactly like
-  // the pairwise loop above.
-  SpatialGrid grid(v);
-  grid.rebuild(positions);
-  std::vector<std::size_t> nbrs;
+  // Grid-bucketed construction: O(n + E) expected. A configuration is an
+  // IncrementalGrid whose segments have zero length; its candidates come
+  // ascending and VisibilityBall is the exact predicate above, so edges
+  // come out sorted (a asc, then b asc) exactly like the pairwise loop.
+  IncrementalGrid grid;
+  grid.reset(v, positions);
   for (RobotId a = 0; a < n_; ++a) {
-    grid.neighbors_within(positions[a], v, open_ball, nbrs);
-    for (const std::size_t b : nbrs) {
-      if (b > a) edges_.emplace_back(a, b);
-    }
+    const VisibilityBall ball(positions[a], v, open_ball);
+    grid.candidates_near(positions[a], v, [&](std::size_t b) {
+      if (b > a && ball.contains(positions[b])) edges_.emplace_back(a, b);
+    });
   }
 }
 

@@ -13,14 +13,12 @@ using core::Time;
 using geom::Vec2;
 
 ConvergenceAccumulator::ConvergenceAccumulator(const std::vector<Vec2>& initial, double v,
-                                               double epsilon, bool track_min_pairwise)
+                                               double epsilon)
     : epsilon_(epsilon),
       stretch_(initial, v),
       kin_(initial),
       rounds_(initial.size()),
-      initial_diameter_(geom::set_diameter(initial)),
-      per_robot_activations_(initial.size(), 0),
-      track_min_pairwise_(track_min_pairwise) {
+      initial_diameter_(geom::set_diameter(initial)) {
   // The batch path samples every round boundary, and round_boundaries()
   // always starts with t = 0 — open it here so a zero-duration move at
   // time 0 (which teleports a robot at the sampled instant) lands in it.
@@ -43,12 +41,6 @@ double ConvergenceAccumulator::fold_sample(const std::vector<Vec2>& cfg) {
   const double stretch = stretch_.worst_stretch(cfg);
   worst_stretch_ = std::max(worst_stretch_, stretch);
   if (stretch > 1.0 + 1e-9) cohesive_ = false;
-  if (!first_converged_sample_ && diam <= epsilon_) first_converged_sample_ = sample_index_;
-  if (track_min_pairwise_) {
-    const double mp = min_pairwise_distance(cfg);
-    windowed_min_pairwise_ = any_sample_folded_ ? std::min(windowed_min_pairwise_, mp) : mp;
-    any_sample_folded_ = true;
-  }
   ++sample_index_;
   return diam;
 }
@@ -78,7 +70,6 @@ void ConvergenceAccumulator::add(const core::ActivationRecord& rec) {
 
   end_time_ = std::max(end_time_, a.t_move_end);
   ++activations_;
-  ++per_robot_activations_[r];
 }
 
 ConvergenceReport ConvergenceAccumulator::finish() {

@@ -26,7 +26,6 @@
 
 #include <cstddef>
 #include <deque>
-#include <optional>
 #include <vector>
 
 #include "core/activation.hpp"
@@ -43,12 +42,7 @@ class ConvergenceAccumulator {
  public:
   /// `v` is the visibility radius (cohesion stretch unit), `epsilon` the
   /// convergence threshold — the same parameters analyze() takes.
-  /// `track_min_pairwise` additionally folds the grid-accelerated minimum
-  /// pairwise distance at every sample window (the collision indicator of
-  /// configuration_stats); off by default so analyze() costs what the
-  /// rescan path cost.
-  ConvergenceAccumulator(const std::vector<geom::Vec2>& initial, double v, double epsilon,
-                         bool track_min_pairwise = false);
+  ConvergenceAccumulator(const std::vector<geom::Vec2>& initial, double v, double epsilon);
 
   /// Fold one committed activation. Records must arrive in the engine's
   /// commit order (non-decreasing Look times up to core::kLookSlack).
@@ -57,23 +51,6 @@ class ConvergenceAccumulator {
   /// Finalize remaining samples plus the end-of-run sample and return the
   /// report. Call once, after the last add().
   [[nodiscard]] ConvergenceReport finish();
-
-  [[nodiscard]] std::size_t robot_count() const { return kin_.robot_count(); }
-  [[nodiscard]] std::size_t activations() const { return activations_; }
-  [[nodiscard]] core::Time end_time() const { return end_time_; }
-  /// Completed activations per robot, maintained as records fold in.
-  [[nodiscard]] const std::vector<std::size_t>& per_robot_activations() const {
-    return per_robot_activations_;
-  }
-  /// Index of the first finalized sample whose diameter was <= epsilon
-  /// (the convergence-epsilon window), if any yet.
-  [[nodiscard]] std::optional<std::size_t> first_converged_sample() const {
-    return first_converged_sample_;
-  }
-  /// Min over finalized sample windows of the configuration's minimum
-  /// pairwise distance (metrics::min_pairwise_distance, grid-accelerated).
-  /// Requires track_min_pairwise; 0 before any sample finalized.
-  [[nodiscard]] double windowed_min_pairwise() const { return windowed_min_pairwise_; }
 
  private:
   struct PendingSample {
@@ -103,11 +80,6 @@ class ConvergenceAccumulator {
   bool cohesive_ = true;
   std::size_t activations_ = 0;
   core::Time end_time_ = 0.0;
-  std::vector<std::size_t> per_robot_activations_;
-  std::optional<std::size_t> first_converged_sample_;
-  bool track_min_pairwise_ = false;
-  double windowed_min_pairwise_ = 0.0;
-  bool any_sample_folded_ = false;
   bool finished_ = false;
 };
 

@@ -31,23 +31,23 @@ double min_pairwise_distance(const std::vector<Vec2>& positions) {
   const double diagonal = std::hypot(max_x - min_x, max_y - min_y);
   double radius = diagonal > 0.0 ? diagonal / std::sqrt(static_cast<double>(n)) : 1.0;
 
-  core::SpatialGrid grid;
-  std::vector<std::size_t> neighbor_ids;
+  core::IncrementalGrid grid;
   std::vector<bool> resolved(n, false);
   double best = std::numeric_limits<double>::infinity();
   std::size_t remaining = n;
   while (remaining > 0) {
     // The cell side tracks the query radius, so a query touches <= 3x3
-    // cells every round; each rebuild is O(n).
-    grid.set_cell_size(radius);
-    grid.rebuild(positions);
+    // cells every round; each reset is O(n).
+    grid.reset(radius, positions);
     for (std::size_t i = 0; i < n; ++i) {
       if (resolved[i]) continue;
-      grid.neighbors_within(positions[i], radius, /*open_ball=*/false, neighbor_ids);
+      const core::VisibilityBall ball(positions[i], radius, /*open_ball=*/false);
       double nearest = std::numeric_limits<double>::infinity();
-      for (const std::size_t j : neighbor_ids) {
-        if (j != i) nearest = std::min(nearest, positions[i].distance_to(positions[j]));
-      }
+      grid.candidates_near(positions[i], radius, [&](std::size_t j) {
+        if (j != i && ball.contains(positions[j])) {
+          nearest = std::min(nearest, positions[i].distance_to(positions[j]));
+        }
+      });
       // A found neighbour at distance d <= radius bounds the true nearest
       // neighbour by d, and every point closer than d is inside the query
       // ball too — so `nearest` is exact once any neighbour is found.

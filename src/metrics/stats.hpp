@@ -20,7 +20,7 @@ ConfigurationStats configuration_stats(const std::vector<geom::Vec2>& positions,
 
 /// Exact minimum pairwise distance (0 for fewer than two points).
 /// Grid-accelerated: expanding-radius nearest-neighbour queries over
-/// core::SpatialGrid — each round doubles the radius, resolves every point
+/// core::IncrementalGrid — each round doubles the radius, resolves every point
 /// that has a neighbour within it, and stops once no unresolved point can
 /// beat the best distance found. The grid changes which pairs are
 /// examined, never the distance computation, so the result is bit-identical

@@ -159,16 +159,7 @@ Json RunOutcome::to_json() const {
     j.set("error", error);
     return j;
   }
-  j.set("n", n);
-  j.set("converged", converged);
-  j.set("cohesive", report.cohesive);
-  j.set("initial_diameter", report.initial_diameter);
-  j.set("final_diameter", report.final_diameter);
-  j.set("rounds", report.rounds);
-  j.set("rounds_to_halve", report.rounds_to_halve);
-  j.set("activations", report.activations);
-  j.set("worst_stretch", report.worst_stretch);
-  j.set("custom", custom);
+  physics_to_json(j);
   if (!trace_path.empty()) {
     j.set("trace_path", trace_path);
     j.set("trace_fingerprint", trace_fingerprint);
@@ -188,20 +179,37 @@ RunOutcome RunOutcome::from_json(const Json& j) {
   if (o.skipped) return o;
   o.error = j.string_or("error", "");
   if (!o.error.empty()) return o;
-  o.n = static_cast<std::size_t>(j.at("n").as_uint());
-  o.converged = j.at("converged").as_bool();
-  o.report.converged = o.converged;
-  o.report.cohesive = j.at("cohesive").as_bool();
-  o.report.initial_diameter = j.at("initial_diameter").as_double();
-  o.report.final_diameter = j.at("final_diameter").as_double();
-  o.report.rounds = static_cast<std::size_t>(j.at("rounds").as_uint());
-  o.report.rounds_to_halve = static_cast<std::size_t>(j.at("rounds_to_halve").as_uint());
-  o.report.activations = static_cast<std::size_t>(j.at("activations").as_uint());
-  o.report.worst_stretch = j.at("worst_stretch").as_double();
-  o.custom = j.at("custom").as_double();
+  o.physics_from_json(j);
   o.trace_path = j.string_or("trace_path", "");
   o.trace_fingerprint = j.string_or("trace_fingerprint", "");
   return o;
+}
+
+void RunOutcome::physics_to_json(Json& j) const {
+  j.set("n", n);
+  j.set("converged", converged);
+  j.set("cohesive", report.cohesive);
+  j.set("initial_diameter", report.initial_diameter);
+  j.set("final_diameter", report.final_diameter);
+  j.set("rounds", report.rounds);
+  j.set("rounds_to_halve", report.rounds_to_halve);
+  j.set("activations", report.activations);
+  j.set("worst_stretch", report.worst_stretch);
+  j.set("custom", custom);
+}
+
+void RunOutcome::physics_from_json(const Json& j) {
+  n = static_cast<std::size_t>(j.at("n").as_uint());
+  converged = j.at("converged").as_bool();
+  report.converged = converged;
+  report.cohesive = j.at("cohesive").as_bool();
+  report.initial_diameter = j.at("initial_diameter").as_double();
+  report.final_diameter = j.at("final_diameter").as_double();
+  report.rounds = static_cast<std::size_t>(j.at("rounds").as_uint());
+  report.rounds_to_halve = static_cast<std::size_t>(j.at("rounds_to_halve").as_uint());
+  report.activations = static_cast<std::size_t>(j.at("activations").as_uint());
+  report.worst_stretch = j.at("worst_stretch").as_double();
+  custom = j.at("custom").as_double();
 }
 
 Json Aggregate::to_json() const {
@@ -290,68 +298,55 @@ BatchResult BatchRunner::run(const std::vector<ExpandedRun>& runs,
       std::this_thread::sleep_for(std::chrono::milliseconds(options_.post_run_delay_ms));
     }
   };
-  std::function<void()> worker;
-  std::atomic<std::size_t> next{0};
-  std::vector<std::vector<std::size_t>> groups;
+  // Claim units, stolen off a shared counter: without early stopping a
+  // unit is a single run, so claim order is racy, but outcome slots are
+  // disjoint and each run is self-seeded, so results do not depend on the
+  // interleaving. Early stopping makes repeat j's fate depend on outcomes
+  // 0..j-1 of its own variant, so a unit is then a whole variant run as
+  // one sequential chain (repeat order = grid order). The skip decisions
+  // are a pure function of the spec at any thread count — the chains are
+  // self-contained and outcomes deterministic.
+  std::vector<std::vector<std::size_t>> units;
   if (!early_stop.enabled()) {
-    // Work-stealing off a shared counter: claim order is racy, but outcome
-    // slots are disjoint and each run is self-seeded, so results do not
-    // depend on the interleaving.
-    worker = [&] {
-      while (!cancelled()) {
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= runs.size()) return;
-        if (done[i]) continue;
-        result.outcomes[i] = execute(runs[i], options_.trace_metric, options_.cache);
-        done[i] = 1;
-        if (journal) journal->append(result.outcomes[i]);
-        throttle();
-      }
-    };
+    units.reserve(runs.size());
+    for (std::size_t i = 0; i < runs.size(); ++i) units.push_back({i});
   } else {
-    // Early stopping makes repeat j's fate depend on outcomes 0..j-1 of
-    // its own variant, so a variant's repeats run as one sequential chain
-    // (repeat order = grid order) and workers steal whole variants. The
-    // skip decisions are then a pure function of the spec at any thread
-    // count — the chains are self-contained and outcomes deterministic.
-    std::unordered_map<std::size_t, std::size_t> group_of;  // variant -> groups index
+    std::unordered_map<std::size_t, std::size_t> unit_of;  // variant -> units index
     for (std::size_t i = 0; i < runs.size(); ++i) {
-      const auto [it, fresh] = group_of.try_emplace(runs[i].variant, groups.size());
-      if (fresh) groups.emplace_back();
-      groups[it->second].push_back(i);
+      const auto [it, fresh] = unit_of.try_emplace(runs[i].variant, units.size());
+      if (fresh) units.emplace_back();
+      units[it->second].push_back(i);
     }
-    worker = [&] {
-      while (!cancelled()) {
-        const std::size_t g = next.fetch_add(1, std::memory_order_relaxed);
-        if (g >= groups.size()) return;
-        std::vector<const RunOutcome*> prefix;
-        bool stop_rest = false;
-        for (const std::size_t slot : groups[g]) {
-          // Stopping mid-chain is safe: a resume reloads the journaled
-          // prefix and recomputes the (deterministic) skip decisions.
-          if (cancelled()) return;
-          // Once fired the rule stays fired: skipped repeats contribute no
-          // values, so the agreeing window persists.
-          if (!stop_rest && early_stop_fires(prefix, early_stop)) stop_rest = true;
-          if (stop_rest) {
-            if (!done[slot]) {
-              RunOutcome o = outcome_shell(runs[slot]);
-              o.skipped = true;
-              result.outcomes[slot] = std::move(o);
-              done[slot] = 1;
-              if (journal) journal->append(result.outcomes[slot]);
-            }
-          } else if (!done[slot]) {
-            result.outcomes[slot] = execute(runs[slot], options_.trace_metric, options_.cache);
-            done[slot] = 1;
-            if (journal) journal->append(result.outcomes[slot]);
-            throttle();
-          }
-          prefix.push_back(&result.outcomes[slot]);
-        }
-      }
-    };
   }
+  std::atomic<std::size_t> next{0};
+  const auto worker = [&] {
+    while (!cancelled()) {
+      const std::size_t u = next.fetch_add(1, std::memory_order_relaxed);
+      if (u >= units.size()) return;
+      std::vector<const RunOutcome*> prefix;
+      bool stop_rest = false;
+      for (const std::size_t slot : units[u]) {
+        // Stopping mid-chain is safe: a resume reloads the journaled
+        // prefix and recomputes the (deterministic) skip decisions.
+        if (cancelled()) return;
+        // Once fired the rule stays fired: skipped repeats contribute no
+        // values, so the agreeing window persists.
+        stop_rest = stop_rest || (early_stop.enabled() && early_stop_fires(prefix, early_stop));
+        if (!done[slot]) {
+          if (stop_rest) {
+            result.outcomes[slot] = outcome_shell(runs[slot]);
+            result.outcomes[slot].skipped = true;
+          } else {
+            result.outcomes[slot] = execute(runs[slot], options_.trace_metric, options_.cache);
+          }
+          done[slot] = 1;
+          if (journal) journal->append(result.outcomes[slot]);
+          if (!stop_rest) throttle();
+        }
+        prefix.push_back(&result.outcomes[slot]);
+      }
+    }
+  };
   if (threads <= 1) {
     worker();
   } else {

@@ -66,6 +66,11 @@ struct RunOutcome {
   /// what lets checkpoints and shard-merged reports reproduce a fresh
   /// in-process report byte for byte.
   static RunOutcome from_json(const Json& j);
+  /// The physics fields of to_json() (n … custom), appended to `j` in
+  /// report order, and their inverse (throws on a missing or mistyped
+  /// field). They are what a result-cache entry stores.
+  void physics_to_json(Json& j) const;
+  void physics_from_json(const Json& j);
 };
 
 /// Order-independent folds over a set of outcomes. Percentiles use the

@@ -25,43 +25,6 @@ std::uint64_t fnv1a64(const std::string& text) {
   return h;
 }
 
-/// The cached physics of a run — exactly the deterministic report fields a
-/// successful memory/off-mode outcome serializes, in the same order, so a
-/// hit reassembled around a fresh shell reproduces RunOutcome::to_json()
-/// byte for byte.
-Json physics_to_json(const RunOutcome& o) {
-  Json j = Json::object();
-  j.set("n", o.n);
-  j.set("converged", o.converged);
-  j.set("cohesive", o.report.cohesive);
-  j.set("initial_diameter", o.report.initial_diameter);
-  j.set("final_diameter", o.report.final_diameter);
-  j.set("rounds", o.report.rounds);
-  j.set("rounds_to_halve", o.report.rounds_to_halve);
-  j.set("activations", o.report.activations);
-  j.set("worst_stretch", o.report.worst_stretch);
-  j.set("custom", o.custom);
-  return j;
-}
-
-/// Inverse of physics_to_json; throws on any missing/mistyped field (the
-/// caller turns that into a named reject).
-RunOutcome physics_from_json(const Json& j) {
-  RunOutcome o;
-  o.n = static_cast<std::size_t>(j.at("n").as_uint());
-  o.converged = j.at("converged").as_bool();
-  o.report.converged = o.converged;
-  o.report.cohesive = j.at("cohesive").as_bool();
-  o.report.initial_diameter = j.at("initial_diameter").as_double();
-  o.report.final_diameter = j.at("final_diameter").as_double();
-  o.report.rounds = static_cast<std::size_t>(j.at("rounds").as_uint());
-  o.report.rounds_to_halve = static_cast<std::size_t>(j.at("rounds_to_halve").as_uint());
-  o.report.activations = static_cast<std::size_t>(j.at("activations").as_uint());
-  o.report.worst_stretch = j.at("worst_stretch").as_double();
-  o.custom = j.at("custom").as_double();
-  return o;
-}
-
 }  // namespace
 
 Json CacheStats::to_json() const {
@@ -151,7 +114,7 @@ std::optional<RunOutcome> ResultCache::lookup(const ExpandedRun& run) noexcept {
     }
     RunOutcome out;
     try {
-      out = physics_from_json(*payload);
+      out.physics_from_json(*payload);
     } catch (const std::exception& e) {
       record_reject(path, std::string("payload is not a run outcome (") + e.what() +
                               "); recomputing");
@@ -178,7 +141,8 @@ void ResultCache::insert(const ExpandedRun& run, const RunOutcome& outcome) noex
     if (options_.read_only) return;
     if (!outcome.error.empty() || outcome.skipped) return;
 
-    const Json payload = physics_to_json(outcome);
+    Json payload = Json::object();
+    outcome.physics_to_json(payload);
     Json entry = Json::object();
     entry.set("format", kFormat);
     entry.set("identity", fingerprint_hex(run_identity(run.spec)));

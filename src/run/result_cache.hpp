@@ -15,7 +15,7 @@
 //
 //   {"format": "cohesion-result-cache/1",
 //    "identity": "<16 hex>",
-//    "outcome":  { ...physics fields of RunOutcome::to_json()... },
+//    "outcome":  { ...RunOutcome::physics_to_json(), n … custom... },
 //    "checksum": "<16 hex FNV-1a of the outcome object's dump>"}
 //
 // The payload stores only the physics of the run (n, converged, cohesive,

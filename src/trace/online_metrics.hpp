@@ -17,9 +17,8 @@ namespace cohesion::trace {
 
 class OnlineMetrics final : public core::TraceSink {
  public:
-  OnlineMetrics(std::vector<geom::Vec2> initial, double v, double epsilon,
-                bool track_min_pairwise = false)
-      : acc_(initial, v, epsilon, track_min_pairwise) {}
+  OnlineMetrics(std::vector<geom::Vec2> initial, double v, double epsilon)
+      : acc_(initial, v, epsilon) {}
 
   void append(const core::ActivationRecord& rec) override { acc_.add(rec); }
   void finish() override {
@@ -31,10 +30,6 @@ class OnlineMetrics final : public core::TraceSink {
     finish();
     return *report_;
   }
-
-  /// The live accumulator set: per-robot activation counts, end time,
-  /// convergence-epsilon window, windowed min pairwise distance.
-  [[nodiscard]] const metrics::ConvergenceAccumulator& accumulator() const { return acc_; }
 
  private:
   metrics::ConvergenceAccumulator acc_;

@@ -1,6 +1,6 @@
-// Both grids emit candidate ids through core::IdBitmap instead of sorting
+// The grid emits candidate ids through core::IdBitmap instead of sorting
 // them. These tests pin the bitmap against std::sort + std::unique, first
-// directly and then through each grid's queries against a model of its
+// directly and then through the grid's queries against a model of its
 // buckets: ids 63/64/65 on word edges, robot counts that are not a
 // multiple of 64 (or of 4096, the summary word), repeated marks from
 // multi-cell segments, outliers and clamped far cells that alias.
@@ -65,7 +65,7 @@ TEST(IdBitmap, TakeAscendingMatchesSortUnique) {
   }
 }
 
-// The grids' cell arithmetic, restated: floor(coord / cell) with NaN at 0,
+// The grid's cell arithmetic, restated: floor(coord / cell) with NaN at 0,
 // clamped to ±9e15, packed as two 32-bit halves (so far cells alias).
 std::int64_t model_cell(double coord, double cell) {
   double c = std::floor(coord * (1.0 / cell));
@@ -112,16 +112,19 @@ std::vector<Vec2> grid_points(std::mt19937_64& rng, std::size_t n) {
   return pts;
 }
 
+// A configuration at one instant, as visibility graphs and
+// min_pairwise_distance query it: the grid right after reset, every robot
+// in the one cell of its position. Radius 0 too, and both balls.
 TEST(SpatialGrid, EnumerationMatchesSortUniqueOfWindowCells) {
   const double cell = 1.0;
-  SpatialGrid grid(cell);
+  IncrementalGrid grid;
   std::vector<std::size_t> got, multiset;
   for (std::uint64_t seed = 0; seed < 300; ++seed) {
     std::mt19937_64 rng(seed);
     const std::size_t sizes[] = {1, 2, 63, 64, 65, 66, 100, 130, 200};
     const std::size_t n = sizes[seed % 9];
     const std::vector<Vec2> pts = grid_points(rng, n);
-    grid.rebuild(pts);
+    grid.reset(cell, pts);
     for (int query = 0; query < 12; ++query) {
       const Vec2 q = query % 3 == 0 ? Vec2{0.25, 0.25} : pts[rng() % n];
       const double radii[] = {0.0, 0.5, 1.0, 2.5, 40.0};
@@ -134,12 +137,18 @@ TEST(SpatialGrid, EnumerationMatchesSortUniqueOfWindowCells) {
         const std::uint64_t key = model_key(model_cell(pts[i].x, cell), model_cell(pts[i].y, cell));
         if (!window || window->count(key) != 0) multiset.push_back(i);
       }
+      const std::vector<std::size_t> candidates = visited(grid, q, r);
+      ASSERT_EQ(candidates, sort_unique(multiset)) << "seed " << seed << " query " << query;
       for (const bool open_ball : {false, true}) {
         std::erase_if(multiset, [&](std::size_t i) {
           const double d = q.distance_to(pts[i]);
           return open_ball ? !(d < r) : !(d <= r + kVisibilityEpsilon);
         });
-        grid.neighbors_within(q, r, open_ball, got);
+        const VisibilityBall ball(q, r, open_ball);
+        got.clear();
+        for (const std::size_t i : candidates) {
+          if (ball.contains(pts[i])) got.push_back(i);
+        }
         ASSERT_EQ(got, sort_unique(multiset)) << "seed " << seed << " query " << query;
       }
     }

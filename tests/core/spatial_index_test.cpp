@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <random>
 #include <vector>
 
@@ -61,67 +62,61 @@ std::vector<Vec2> make_points(std::mt19937_64& rng, std::size_t n, double world,
   return pts;
 }
 
-TEST(SpatialGrid, RandomizedEquivalenceHarness1000Seeds) {
+TEST(VisibilityGraph, RandomizedEquivalenceHarness1000Seeds) {
+  // At and above 64 robots the constructor takes the grid branch; its edge
+  // list must be the pairwise loop's, pair for pair and in order, for
+  // closed and open balls, exact duplicates and pairs at exactly V.
   for (std::uint64_t seed = 0; seed < 1000; ++seed) {
     std::mt19937_64 rng(seed);
-    const std::size_t n = seed % 49;  // includes n = 0
-    const double r = 0.05 + 2.0 * (seed % 7) / 7.0;
+    const std::size_t n = 64 + seed % 49;
+    const double v = 0.05 + 2.0 * (seed % 7) / 7.0;
     const double world = 0.5 + 3.0 * (seed % 5) / 5.0;
     const bool open_ball = (seed / 7) % 2 == 0;
-    const auto pts = make_points(rng, n, world, r);
-
-    SpatialGrid grid(r);
-    grid.rebuild(pts);
-    std::vector<std::size_t> got;
-    // Query from every indexed point plus a few arbitrary off-grid points.
-    std::uniform_real_distribution<double> u(-2.0 * world, 2.0 * world);
-    std::vector<Vec2> queries = pts;
-    queries.push_back({u(rng), u(rng)});
-    queries.push_back({u(rng), u(rng)});
-    for (const Vec2 q : queries) {
-      grid.neighbors_within(q, r, open_ball, got);
-      EXPECT_EQ(got, brute_neighbors(pts, q, r, open_ball)) << "seed " << seed;
-    }
+    const auto pts = make_points(rng, n, world, v);
+    EXPECT_EQ(VisibilityGraph(pts, v, open_ball).edges(), brute_edges(pts, v, open_ball))
+        << "seed " << seed;
   }
 }
 
-TEST(SpatialGrid, CellSizeIndependence) {
-  // The query radius need not match the cell size: results must be exact for
-  // cells far smaller and far larger than the ball.
+TEST(VisibilityGraph, CellSizeIndependence) {
+  // The grid's cell is V: the edges must be exact whether the cells are far
+  // smaller than the point spacing or hold the whole swarm in one.
   std::mt19937_64 rng(99);
   const auto pts = make_points(rng, 200, 3.0, 0.7);
-  for (const double cell : {0.05, 0.3, 0.7, 2.5, 100.0}) {
-    SpatialGrid grid(cell);
-    grid.rebuild(pts);
-    std::vector<std::size_t> got;
-    for (const Vec2 q : pts) {
-      grid.neighbors_within(q, 0.7, false, got);
-      EXPECT_EQ(got, brute_neighbors(pts, q, 0.7, false)) << "cell " << cell;
+  for (const double v : {0.05, 0.3, 0.7, 2.5, 100.0}) {
+    for (const bool open_ball : {false, true}) {
+      EXPECT_EQ(VisibilityGraph(pts, v, open_ball).edges(), brute_edges(pts, v, open_ball))
+          << "v " << v << " open " << open_ball;
     }
   }
 }
 
-TEST(SpatialGrid, DegenerateInputs) {
-  SpatialGrid grid(1.0);
-  std::vector<std::size_t> got;
-  // Query before any rebuild.
-  grid.neighbors_within({0.0, 0.0}, 1.0, false, got);
-  EXPECT_TRUE(got.empty());
-  // Empty point set.
-  const std::vector<Vec2> empty;
-  grid.rebuild(empty);
-  grid.neighbors_within({0.0, 0.0}, 1.0, false, got);
-  EXPECT_TRUE(got.empty());
-  // Huge coordinates must not trip the cell clamping.
-  const std::vector<Vec2> far{{1e200, -1e200}, {1e200, -1e200}, {0.0, 0.0}};
-  grid.rebuild(far);
-  grid.neighbors_within({1e200, -1e200}, 1.0, false, got);
-  EXPECT_EQ(got, (std::vector<std::size_t>{0, 1}));
-  // Zero and negative radius behave like the brute predicate.
-  grid.neighbors_within({0.0, 0.0}, 0.0, false, got);
-  EXPECT_EQ(got, (std::vector<std::size_t>{2}));
-  grid.neighbors_within({0.0, 0.0}, 0.0, true, got);
-  EXPECT_TRUE(got.empty());
+TEST(VisibilityGraph, DegenerateInputs) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(VisibilityGraph({}, 1.0).edges().empty());
+  // Huge and non-finite coordinates must not trip the cell clamping: two
+  // robots share a far cell, one sits at the origin, and the rest of the
+  // 64 spread over clamped and NaN cells.
+  std::vector<Vec2> far{{1e200, -1e200}, {1e200, -1e200}, {0.0, 0.0}};
+  for (std::size_t i = far.size(); i < 64; ++i) {
+    const double big = 1e17 * static_cast<double>(i);
+    far.push_back(i % 3 == 0 ? Vec2{kNaN, 0.0} : i % 3 == 1 ? Vec2{-big, kInf} : Vec2{big, big});
+  }
+  for (const bool open_ball : {false, true}) {
+    // Zero, negative and NaN radii take the pairwise branch, an infinite
+    // radius the grid with its fallback cell: every branch is the loop's.
+    for (const double v : {1.0, 0.0, -1.0, kNaN, kInf, 1e300}) {
+      EXPECT_EQ(VisibilityGraph(far, v, open_ball).edges(), brute_edges(far, v, open_ball))
+          << "v " << v << " open " << open_ball;
+    }
+  }
+  EXPECT_TRUE(VisibilityGraph(far, 1.0).has_edge(0, 1));
+  // Coincident robots see each other at radius 0 in the closed ball only.
+  const std::vector<Vec2> stacked(64, Vec2{0.5, -0.25});
+  EXPECT_EQ(VisibilityGraph(stacked, 0.0).edges().size(), 64u * 63u / 2u);
+  EXPECT_TRUE(VisibilityGraph(stacked, 0.0, /*open_ball=*/true).edges().empty());
+  EXPECT_EQ(VisibilityGraph(stacked, kInf, /*open_ball=*/true).edges().size(), 64u * 63u / 2u);
 }
 
 TEST(VisibilityGraph, GridPathMatchesBruteForce) {
@@ -164,10 +159,10 @@ TEST(IncrementalGrid, FuzzAdvanceMatchesRebuildAcrossCommitHistories) {
   // Drive an IncrementalGrid through random committed segment histories —
   // the exact inputs the engine feeds it — and after every commit compare,
   // at several non-decreasing query times, the predicate-filtered candidate
-  // set against (a) a SpatialGrid rebuilt from scratch over the exact
-  // positions and (b) the brute-force scan. Histories include zero-duration
-  // moves, degenerate (nil) segments, multi-cell moves and long idle spans
-  // that let settled robots collapse to their end cell.
+  // set against the brute-force scan over the exact positions. Histories
+  // include zero-duration moves, degenerate (nil) segments, multi-cell
+  // moves and long idle spans that let settled robots collapse to their
+  // end cell.
   for (std::uint64_t seed = 0; seed < 400; ++seed) {
     std::mt19937_64 rng(seed);
     const std::size_t n = 1 + seed % 24;
@@ -182,13 +177,12 @@ TEST(IncrementalGrid, FuzzAdvanceMatchesRebuildAcrossCommitHistories) {
     KinematicState kin(initial);
     IncrementalGrid inc;
     inc.reset(cell, initial);
-    SpatialGrid rebuilt(cell);
 
     std::vector<Time> busy(n, 0.0);
     Time frontier = 0.0;
     std::uniform_real_distribution<double> dur(0.0, 1.0);
     std::uniform_int_distribution<std::size_t> pick(0, n - 1);
-    std::vector<std::size_t> got, want;
+    std::vector<std::size_t> got;
     for (int step = 0; step < 40; ++step) {
       const RobotId rob = pick(rng);
       Activation a;
@@ -215,7 +209,6 @@ TEST(IncrementalGrid, FuzzAdvanceMatchesRebuildAcrossCommitHistories) {
         inc.advance_to(t);
         std::vector<Vec2> exact(n);
         for (RobotId q = 0; q < n; ++q) exact[q] = kin.position_at(q, t);
-        rebuilt.rebuild(exact);
         for (std::size_t qi = 0; qi < n; ++qi) {
           const Vec2 q = exact[qi];
           got = visited(inc, q, r);
@@ -224,8 +217,6 @@ TEST(IncrementalGrid, FuzzAdvanceMatchesRebuildAcrossCommitHistories) {
             const double d = q.distance_to(exact[i]);
             return open_ball ? !(d < r) : !(d <= r + kVisibilityEpsilon);
           });
-          rebuilt.neighbors_within(q, r, open_ball, want);
-          EXPECT_EQ(got, want) << "seed " << seed << " step " << step << " t " << t;
           EXPECT_EQ(got, brute_neighbors(exact, q, r, open_ball))
               << "seed " << seed << " step " << step << " t " << t;
         }

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "core/spatial_index.hpp"
 #include "core/visibility.hpp"
 #include "oracles/stretch_oracle.hpp"
 

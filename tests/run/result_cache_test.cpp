@@ -17,6 +17,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <random>
 #include <set>
 #include <string>
@@ -364,6 +365,47 @@ TEST(ResultCache, HitCarriesTheLookingRunsGridShell) {
   EXPECT_EQ(hit->report.rounds, 5u);
   EXPECT_DOUBLE_EQ(hit->report.final_diameter, 0.25);
   EXPECT_TRUE(hit->converged);
+}
+
+/// An entry as the cache has always written it, bytes pinned: the payload
+/// (field order, number formatting) and its checksum. Only the identity is
+/// derived here, since it fingerprints the resolved spec.
+TEST(ResultCache, EntryInThePinnedFormatHitsAndInsertsTheSameBytes) {
+  TempDir dir("pinned");
+  ResultCache cache(ResultCache::Options{.dir = dir.path()});
+  ExpandedRun run;
+  run.spec.n = 4;
+  run.spec.seed = 43;
+  run.index = 5;
+  const std::string entry =
+      "{\"format\":\"cohesion-result-cache/1\",\"identity\":\"" +
+      fingerprint_hex(run_identity(run.spec)) +
+      "\",\"outcome\":{\"n\":4,\"converged\":true,\"cohesive\":true,\"initial_diameter\":2.25,"
+      "\"final_diameter\":0.049999999999999996,\"rounds\":9,\"rounds_to_halve\":3,"
+      "\"activations\":123,\"worst_stretch\":0.9876543210123457,\"custom\":-1.5},"
+      "\"checksum\":\"36e72a439bfa26e8\"}\n";
+  write_file(cache.entry_path(run.spec), entry);
+
+  const std::optional<RunOutcome> hit = cache.lookup(run);
+  ASSERT_TRUE(hit.has_value()) << (cache.reject_causes().empty() ? ""
+                                                                  : cache.reject_causes()[0]);
+  EXPECT_EQ(hit->index, 5u);
+  EXPECT_EQ(hit->n, 4u);
+  EXPECT_TRUE(hit->converged);
+  EXPECT_TRUE(hit->report.converged);
+  EXPECT_TRUE(hit->report.cohesive);
+  EXPECT_EQ(hit->report.initial_diameter, 2.25);
+  EXPECT_EQ(hit->report.final_diameter, 0.049999999999999996);
+  EXPECT_EQ(hit->report.rounds, 9u);
+  EXPECT_EQ(hit->report.rounds_to_halve, 3u);
+  EXPECT_EQ(hit->report.activations, 123u);
+  EXPECT_EQ(hit->report.worst_stretch, 0.9876543210123457);
+  EXPECT_EQ(hit->custom, -1.5);
+
+  // Re-inserting the served outcome rewrites the identical bytes.
+  fs::remove(cache.entry_path(run.spec));
+  cache.insert(run, *hit);
+  EXPECT_EQ(read_file(cache.entry_path(run.spec)), entry);
 }
 
 }  // namespace

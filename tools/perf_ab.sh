@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
 # Interleaved perfbench A/B between a parent ref and this checkout.
 #
-#   tools/perf_ab.sh <parent-ref> <workload> <pairs> [seconds]
+#   tools/perf_ab.sh <parent-ref> <workload> <pairs> [seconds] [seed]
 #
-# Checks <parent-ref> out in a temporary git worktree (under $TMPDIR,
-# default /tmp; removed on exit), then runs
+# Exports the files of <parent-ref> into a temporary directory (under
+# $TMPDIR, default /tmp; removed on exit) with `git archive`, so nothing is
+# written into this checkout's .git, then runs
 # `python3 perfbench/run.py --workload <workload> --seconds <seconds>
-# --trace 0` (default 30 s, the benchmark's own run length) alternately in
-# the parent's worktree and in this checkout, <pairs> times. Each side
+# --trace 0` (default 30 s, the benchmark's own run length; with a <seed>,
+# also `--seed <seed>` on both sides) alternately in the parent's copy
+# and in this checkout, <pairs> times. Each side
 # builds its own .bench_build/ first, in one untimed 1 s warm-up run. The
 # order flips every pair (parent first in odd pairs, change first in even
 # ones), so a clock drifting over the session favours neither side.
@@ -34,41 +36,40 @@
 # checkout are measured as they stand; perfbench/ and BENCHMARK.json are
 # only read.
 set -euo pipefail
-if [ "$#" -lt 3 ] || [ "$#" -gt 4 ]; then
-  echo "usage: tools/perf_ab.sh <parent-ref> <workload> <pairs> [seconds]" >&2
+if [ "$#" -lt 3 ] || [ "$#" -gt 5 ]; then
+  echo "usage: tools/perf_ab.sh <parent-ref> <workload> <pairs> [seconds] [seed]" >&2
   exit 2
 fi
-ref="$1" workload="$2" pairs="$3" seconds="${4:-30}"
+ref="$1" workload="$2" pairs="$3" seconds="${4:-30}" seed="${5:-}"
 [[ "$pairs" =~ ^[1-9][0-9]*$ ]] || { echo "perf_ab: pairs must be a positive integer" >&2; exit 2; }
 [[ "$seconds" =~ ^[0-9]+([.][0-9]+)?$ ]] || { echo "perf_ab: bad seconds \"$seconds\"" >&2; exit 2; }
+[[ -z "$seed" || "$seed" =~ ^[0-9]+$ ]] || { echo "perf_ab: bad seed \"$seed\"" >&2; exit 2; }
 cd "$(dirname "$0")/.."
 change="$PWD"
 commit=$(git rev-parse --verify --quiet "$ref^{commit}") ||
   { echo "perf_ab: unknown ref \"$ref\"" >&2; exit 2; }
 scratch=$(mktemp -d "${TMPDIR:-/tmp}/perf_ab.XXXXXX")
 parent="$scratch/parent"
-cleanup() {
-  git -C "$change" worktree remove --force "$parent" 2> /dev/null || true
-  rm -rf "$scratch"
-}
-trap cleanup EXIT
-git worktree add --quiet --detach "$parent" "$commit"
+trap 'rm -rf "$scratch"' EXIT
+mkdir "$parent"
+git archive "$commit" | tar -x -C "$parent"
 
-python3 - "$parent" "$change" "$workload" "$pairs" "$seconds" <<'EOF'
+python3 - "$parent" "$change" "$workload" "$pairs" "$seconds" "$seed" <<'EOF'
 import json
 import statistics
 import subprocess
 import sys
 
-parent, change, workload, pairs, seconds = sys.argv[1:]
+parent, change, workload, pairs, seconds, seed = sys.argv[1:]
 pairs = int(pairs)
+seed_args = ["--seed", seed] if seed else []
 with open(f"{change}/BENCHMARK.json") as f:
     metrics = json.load(f)["end_to_end"]
 
 
 def run(tree, secs):
     out = subprocess.run(["python3", "perfbench/run.py", "--workload", workload,
-                          "--seconds", str(secs), "--trace", "0"],
+                          "--seconds", str(secs), "--trace", "0", *seed_args],
                          cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
                          text=True)
     lines = out.stdout.strip().splitlines()
@@ -112,8 +113,8 @@ def verdict(m, parent_runs, change_runs, won, iqr):
     return "within bound"
 
 
-print(f"{workload}: {pairs} interleaved pairs of {seconds} s; gain = change over parent, "
-      "> 1 is better")
+print(f"{workload}: {pairs} interleaved pairs of {seconds} s"
+      f"{f', seed {seed}' if seed else ''}; gain = change over parent, > 1 is better")
 print(f"{'metric':<20} {'median':>7} {'won':>5} {'parent':>12} {'change':>12} "
       f"{'parent IQR':>12} {'verdict':<12}  per-pair gain")
 for m in metrics:
