@@ -6,6 +6,7 @@
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
+#include <tuple>
 
 namespace cohesion::sched {
 
@@ -18,56 +19,47 @@ namespace {
 /// the same).
 constexpr double kIntervalEps = 1e-12;
 
-/// select_jittered's one kernel body, compiled into both entry points
-/// below. One engine block at a time: draw the words in bulk, turn them
-/// into jittered times, take the chunk's minimum, and look up its first
-/// index only when it beats the best so far. GCC vectorizes the time loop
-/// (this file is built with -fno-trapping-math so the max and the fixup
-/// if-convert); the minimum runs as kLanes independent chains instead of
-/// one compare-and-branch per robot. Each time is computed as the
-/// reference loop computes it: max(ready, frontier) + (canonical *
-/// (1e-6 - 0.0) + 0.0), the bracket being uniform_real_distribution's
-/// affine map. The outer addition is never fused into an FMA: strict
-/// -std=c++20 (no GNU extensions) implies -ffp-contract=off, even under
-/// -march=native or target("avx2"). Every step is an integer operation or
-/// an IEEE max, * or +, so each entry point returns the same robot and
-/// leaves the same engine state whatever vector width it runs at.
-[[gnu::always_inline]] inline RobotId select_jittered_body(Mt19937_64& rng,
-                                                           std::span<const double> ready,
-                                                           double frontier) {
-  constexpr std::size_t kChunk = Mt19937_64::state_size;
-  constexpr std::size_t kLanes = 4;
-  static_assert(kChunk % kLanes == 0);
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  // Left uninitialized on purpose: each chunk writes every element it
-  // reads first, and zeroing 5 KB per call would cost small swarms more
-  // than the selection itself.
-  std::uint64_t words[kChunk];
-  double times[kChunk];
-  double best_t = kInf;
-  RobotId best = 0;
-  for (std::size_t lo = 0; lo < ready.size(); lo += kChunk) {
-    const std::size_t len = std::min(kChunk, ready.size() - lo);
-    rng.generate(words, len);
-    const double* base = ready.data() + lo;
-    for (std::size_t i = 0; i < len; ++i) {
-      times[i] = std::max(base[i], frontier) + (canonical_double(words[i]) * 1e-6 + 0.0);
-    }
-    const std::size_t padded = (len + kLanes - 1) / kLanes * kLanes;
-    std::fill(times + len, times + padded, kInf);
-    double lane_min[kLanes] = {kInf, kInf, kInf, kInf};
-    for (std::size_t i = 0; i < padded; i += kLanes) {
-      for (std::size_t l = 0; l < kLanes; ++l) lane_min[l] = std::min(lane_min[l], times[i + l]);
-    }
-    // Strict < keeps an earlier chunk's minimum on ties; std::find takes
-    // the first index within the chunk. Together: the lowest index wins.
-    const double chunk_min = *std::min_element(lane_min, lane_min + kLanes);
-    if (chunk_min < best_t) {
-      best_t = chunk_min;
-      best = lo + static_cast<std::size_t>(std::find(times, times + len, chunk_min) - times);
-    }
+/// Lanes of the kernel's minimum; its times scratch holds that many more.
+constexpr std::size_t kLanes = 4;
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// The selection kernel's one body, compiled into both entry points below.
+/// Advance the engine by `robots` outputs, copying out the candidates'
+/// untempered state words block by block (ids are ascending, so each
+/// block's candidates are the next run of the array); then turn those
+/// words into jittered times, and take their minimum as kLanes independent
+/// chains instead of one compare-and-branch per candidate. GCC vectorizes
+/// the time loop (this file is built with -fno-trapping-math so the max
+/// and the fixup if-convert). Each time is computed as the reference loop
+/// computes it: max(ready, frontier) + (canonical * (1e-6 - 0.0) + 0.0),
+/// the bracket being uniform_real_distribution's affine map. The outer
+/// addition is never fused into an FMA: strict -std=c++20 (no GNU
+/// extensions) implies -ffp-contract=off, even under -march=native or
+/// target("avx2"). Every step is an integer operation or an IEEE max, *
+/// or +, so each entry point returns the same position and leaves the same
+/// engine state whatever vector width it runs at.
+[[gnu::always_inline]] inline std::size_t select_candidate_body(
+    Mt19937_64& rng, std::size_t robots, const RobotId* ids, const double* ready,
+    std::size_t count, double frontier, std::uint64_t* words, double* times) {
+  std::size_t j = 0;
+  rng.advance(robots, [&](std::size_t first, const std::uint64_t* block, std::size_t len) {
+    const std::size_t end = static_cast<std::size_t>(std::lower_bound(ids + j, ids + count,
+                                                                      first + len) - ids);
+    for (; j < end; ++j) words[j] = block[ids[j] - first];
+  });
+  for (std::size_t i = 0; i < count; ++i) {
+    times[i] = std::max(ready[i], frontier) +
+               (canonical_double(Mt19937_64::temper(words[i])) * 1e-6 + 0.0);
   }
-  return best;
+  const std::size_t padded = (count + kLanes - 1) / kLanes * kLanes;
+  std::fill(times + count, times + padded, kInf);
+  double lane_min[kLanes] = {kInf, kInf, kInf, kInf};
+  for (std::size_t i = 0; i < padded; i += kLanes) {
+    for (std::size_t l = 0; l < kLanes; ++l) lane_min[l] = std::min(lane_min[l], times[i + l]);
+  }
+  // The first position holding the minimum is the lowest id among ties.
+  const double lowest = *std::min_element(lane_min, lane_min + kLanes);
+  return static_cast<std::size_t>(std::find(times, times + count, lowest) - times);
 }
 
 /// The AVX2 copy runs wherever the CPU has AVX2; checked once per process.
@@ -81,32 +73,100 @@ bool use_avx2() {
 }
 }  // namespace
 
-// Both entry points are flattened: Mt19937_64::generate's twist and temper
+// Both entry points are flattened: Mt19937_64::advance's twist, the temper
 // and canonical_double inline into each, so the AVX2 copy runs all of them
 // at its width rather than calling the baseline-width twist.
 namespace detail {
-[[gnu::noinline, gnu::flatten]] RobotId select_jittered_baseline(Mt19937_64& rng,
-                                                                  std::span<const double> ready,
-                                                                  double frontier) {
-  return select_jittered_body(rng, ready, frontier);
+[[gnu::noinline, gnu::flatten]] std::size_t select_candidate_baseline(
+    Mt19937_64& rng, std::size_t robots, const RobotId* ids, const double* ready,
+    std::size_t count, double frontier, std::uint64_t* words, double* times) {
+  return select_candidate_body(rng, robots, ids, ready, count, frontier, words, times);
 }
 
 #if defined(__x86_64__)
-[[gnu::noinline, gnu::flatten, gnu::target("avx2")]] RobotId select_jittered_avx2(
-    Mt19937_64& rng, std::span<const double> ready, double frontier) {
-  return select_jittered_body(rng, ready, frontier);
+[[gnu::noinline, gnu::flatten, gnu::target("avx2")]] std::size_t select_candidate_avx2(
+    Mt19937_64& rng, std::size_t robots, const RobotId* ids, const double* ready,
+    std::size_t count, double frontier, std::uint64_t* words, double* times) {
+  return select_candidate_body(rng, robots, ids, ready, count, frontier, words, times);
 }
 #endif
 }  // namespace detail
 
 std::string_view selection_copy() { return use_avx2() ? "avx2" : "baseline"; }
 
-RobotId select_jittered(Mt19937_64& rng, std::span<const double> ready, double frontier) {
+JitteredSelection::Kernel JitteredSelection::default_kernel() {
 #if defined(__x86_64__)
-  if (use_avx2()) return detail::select_jittered_avx2(rng, ready, frontier);
+  if (use_avx2()) return detail::select_candidate_avx2;
 #endif
-  return detail::select_jittered_baseline(rng, ready, frontier);
+  return detail::select_candidate_baseline;
 }
+
+JitteredSelection::JitteredSelection(std::span<const double> ready, Kernel kernel)
+    : kernel_(kernel),
+      robots_(ready.size()),
+      ids_(ready.size()),
+      ready_(ready.size()),
+      ready_min_(kInf),
+      words_(ready.size()),
+      times_(ready.size() + kLanes) {
+  std::vector<std::pair<double, RobotId>> all;
+  all.reserve(robots_);
+  for (RobotId r = 0; r < robots_; ++r) all.emplace_back(ready[r], r);
+  waiting_ = decltype(waiting_)(std::greater<>{}, std::move(all));
+  admitted_.reserve(robots_);
+}
+
+void JitteredSelection::admit(double thr) {
+  admitted_.clear();
+  while (!waiting_.empty() && waiting_.top().first <= thr) {
+    admitted_.emplace_back(waiting_.top().second, waiting_.top().first);
+    waiting_.pop();
+  }
+  if (admitted_.empty()) return;
+  // Merge the admitted robots, sorted by id, into the array from its back.
+  if (admitted_.size() > 1) std::sort(admitted_.begin(), admitted_.end());
+  std::size_t from = count_;
+  std::size_t pending = admitted_.size();
+  count_ += pending;
+  for (std::size_t to = count_; pending > 0;) {
+    --to;
+    if (from > 0 && ids_[from - 1] > admitted_[pending - 1].first) {
+      --from;
+      ids_[to] = ids_[from];
+      ready_[to] = ready_[from];
+    } else {
+      --pending;
+      std::tie(ids_[to], ready_[to]) = admitted_[pending];
+      ready_min_ = std::min(ready_min_, ready_[to]);
+    }
+  }
+}
+
+RobotId JitteredSelection::select(Mt19937_64& rng, double frontier) {
+  // The class comment's certificate: nobody with ready > thr can win.
+  const double earliest = waiting_.empty() ? ready_min_ : std::min(ready_min_, waiting_.top().first);
+  admit(std::max(earliest, frontier) + 1e-6);
+  words_tempered_ += count_;
+  const std::size_t at = kernel_(rng, robots_, ids_.data(), ready_.data(), count_, frontier,
+                                 words_.data(), times_.data());
+  const RobotId winner = ids_[at];
+  const double was = ready_[at];
+  std::copy(ids_.begin() + static_cast<std::ptrdiff_t>(at + 1),
+            ids_.begin() + static_cast<std::ptrdiff_t>(count_),
+            ids_.begin() + static_cast<std::ptrdiff_t>(at));
+  std::copy(ready_.begin() + static_cast<std::ptrdiff_t>(at + 1),
+            ready_.begin() + static_cast<std::ptrdiff_t>(count_),
+            ready_.begin() + static_cast<std::ptrdiff_t>(at));
+  --count_;
+  if (was == ready_min_) {
+    ready_min_ = count_ == 0 ? kInf
+                             : *std::min_element(ready_.begin(),
+                                                 ready_.begin() + static_cast<std::ptrdiff_t>(count_));
+  }
+  return winner;
+}
+
+void JitteredSelection::reschedule(RobotId robot, double ready) { waiting_.emplace(ready, robot); }
 
 KAsyncScheduler::KAsyncScheduler(std::size_t robot_count) : KAsyncScheduler(robot_count, Params{}) {}
 
@@ -156,6 +216,8 @@ KAsyncScheduler::KAsyncScheduler(std::size_t robot_count, Params params)
   for (auto& t : next_ready_) t = jitter(rng_);
   if (params_.heap_selection) {
     for (RobotId r = 0; r < n_; ++r) ready_heap_.emplace(next_ready_[r], r);
+  } else {
+    selection_ = JitteredSelection(next_ready_);
   }
 }
 
@@ -248,7 +310,7 @@ std::optional<Activation> KAsyncScheduler::next(const SimulationView& view) {
     best = ready_heap_.top().second;
     ready_heap_.pop();
   } else {
-    best = select_jittered(rng_, next_ready_, frontier);
+    best = selection_.select(rng_, frontier);
   }
 
   double look = std::max(next_ready_[best], frontier);
@@ -270,7 +332,11 @@ std::optional<Activation> KAsyncScheduler::next(const SimulationView& view) {
   commit(best, a);
 
   next_ready_[best] = a.t_move_end + gap(rng_);
-  if (params_.heap_selection) ready_heap_.emplace(next_ready_[best], best);
+  if (params_.heap_selection) {
+    ready_heap_.emplace(next_ready_[best], best);
+  } else {
+    selection_.reschedule(best, next_ready_[best]);
+  }
   return a;
 }
 

@@ -12,7 +12,9 @@
 //    Fig. 4 and Section-7 counterexamples).
 #pragma once
 
+#include <cstdint>
 #include <deque>
+#include <functional>
 #include <queue>
 #include <random>
 #include <span>
@@ -24,33 +26,107 @@
 
 namespace cohesion::sched {
 
-/// KAsyncScheduler's default robot selection. Robot by robot, in index
-/// order, draw a tie jitter from `rng` as
-/// std::uniform_real_distribution<double>(0, 1e-6) would, and return the
+/// KAsyncScheduler's default robot selection. Each proposal draws, robot
+/// by robot in index order, a tie jitter from `rng` as
+/// std::uniform_real_distribution<double>(0, 1e-6) would, and picks the
 /// robot minimizing max(ready[r], frontier) + jitter (the lowest index on
-/// ties). `rng` advances by exactly ready.size() outputs. The result and
-/// the engine state match the scalar loop on std::mt19937_64 bit for bit
-/// (tests/oracles/kasync_selection_oracle.hpp), at a fraction of the cost.
+/// ties); `rng` advances by exactly n outputs. Robot and engine state match
+/// that scalar loop on std::mt19937_64 bit for bit
+/// (tests/oracles/kasync_selection_oracle.hpp), but only the robots that
+/// can win have their output tempered and their time computed.
 ///
-/// The kernel is compiled twice from one body: a baseline x86-64 copy and,
-/// on x86-64, an AVX2 copy. select_jittered runs the AVX2 copy wherever
-/// the CPU has AVX2 (decided once per process) and the baseline elsewhere;
-/// both are bit-identical to the reference. Nothing else selects a copy.
-core::RobotId select_jittered(Mt19937_64& rng, std::span<const double> ready, double frontier);
+/// Why only those. Let m = max(min over r of ready[r], frontier) and
+/// thr = fl(m + 1e-6). A jitter is fl(c * 1e-6) for a canonical c in
+/// [0, 1), so it lies in [0, 1e-6]: rounding is monotone and fl(1e-6) is
+/// 1e-6. The robot whose max(ready, frontier) is m therefore finishes at
+/// fl(m + jitter) <= fl(m + 1e-6) = thr, and the winning time is at most
+/// thr. A robot with ready[r] > thr has max(ready[r], frontier) =
+/// ready[r] (frontier <= m <= thr) and finishes at fl(ready[r] + jitter)
+/// >= ready[r] > thr, so it can neither win nor tie. The argmin over the
+/// candidates {r : ready[r] <= thr}, lowest index first, is the argmin
+/// over all robots. Any superset of the candidates gives the same answer.
+///
+/// How the candidates are kept. A robot is in exactly one of: the
+/// candidate array (ids ascending, with their ready times), a min-heap on
+/// (ready, id), or, between select() and reschedule(), neither (the last
+/// winner). A proposal computes thr, pops every heap robot with ready <=
+/// thr into the array, and runs one kernel over the array. Robots stay in
+/// the array until they win: in the scheduler m never decreases (the
+/// frontier is the last committed Look and only the winner's ready time
+/// changes, upward), so a robot that was a candidate stays one. Called
+/// with a frontier that goes back, the array is a superset, which is
+/// still exact.
+///
+/// The kernel advances `rng` by n outputs (Mt19937_64::advance, twisting
+/// every block), gathers the candidates' state words, tempers and
+/// converts them and takes the minimum in lanes. It is one body compiled
+/// twice: a baseline x86-64 copy and, on x86-64, an AVX2 copy; the
+/// default is the AVX2 copy wherever the CPU has AVX2 (decided once per
+/// process). Both are bit-identical to the reference.
+class JitteredSelection {
+ public:
+  /// One proposal over the candidate array: advance `rng` by `robots`
+  /// outputs, and return the position in ids[0, count) of the candidate
+  /// with the least jittered time, the first on ties. `words` is scratch
+  /// for `count` elements, `times` for `count` + 4.
+  using Kernel = std::size_t (*)(Mt19937_64& rng, std::size_t robots, const core::RobotId* ids,
+                                 const double* ready, std::size_t count, double frontier,
+                                 std::uint64_t* words, double* times);
 
-/// The copy select_jittered runs in this process: "avx2" or "baseline".
+  /// The kernel copy this process runs by default.
+  static Kernel default_kernel();
+
+  JitteredSelection() = default;
+  /// All robots (at least one), with their first ready times; none is a
+  /// candidate yet.
+  explicit JitteredSelection(std::span<const double> ready, Kernel kernel = default_kernel());
+
+  /// The proposal's winner. It leaves the selection until reschedule(),
+  /// which must come before the next select().
+  core::RobotId select(Mt19937_64& rng, double frontier);
+  /// Put the last winner back with its next ready time.
+  void reschedule(core::RobotId robot, double ready);
+
+  /// Outputs tempered so far: the summed candidate counts of every
+  /// proposal. A deterministic work count (n per proposal without the
+  /// candidate set).
+  [[nodiscard]] std::uint64_t words_tempered() const { return words_tempered_; }
+
+ private:
+  void admit(double thr);
+
+  Kernel kernel_ = nullptr;
+  std::size_t robots_ = 0;
+  std::vector<core::RobotId> ids_;  // candidates in [0, count_), ascending
+  std::vector<double> ready_;       // their ready times
+  std::size_t count_ = 0;
+  double ready_min_ = 0.0;          // min of the candidates' ready (+inf: none)
+  std::priority_queue<std::pair<double, core::RobotId>,
+                      std::vector<std::pair<double, core::RobotId>>, std::greater<>>
+      waiting_;  // the other robots, earliest ready first
+  std::vector<std::pair<core::RobotId, double>> admitted_;  // admit() scratch
+  std::vector<std::uint64_t> words_;                       // kernel scratch
+  std::vector<double> times_;
+  std::uint64_t words_tempered_ = 0;
+};
+
+/// The copy JitteredSelection runs in this process: "avx2" or "baseline".
 /// Timed batch reports name it (timing.kasync_selection).
 std::string_view selection_copy();
 
-/// select_jittered's compiled copies, callable directly so tests can check
-/// each against the reference on any host that can run it. The AVX2 copy
-/// exists only on x86-64 and may be called only where the CPU has AVX2.
+/// JitteredSelection's compiled kernel copies, callable directly so tests
+/// can check each against the reference on any host that can run it. The
+/// AVX2 copy exists only on x86-64 and may be called only where the CPU
+/// has AVX2.
 namespace detail {
-core::RobotId select_jittered_baseline(Mt19937_64& rng, std::span<const double> ready,
-                                       double frontier);
+std::size_t select_candidate_baseline(Mt19937_64& rng, std::size_t robots,
+                                      const core::RobotId* ids, const double* ready,
+                                      std::size_t count, double frontier, std::uint64_t* words,
+                                      double* times);
 #if defined(__x86_64__)
-core::RobotId select_jittered_avx2(Mt19937_64& rng, std::span<const double> ready,
-                                   double frontier);
+std::size_t select_candidate_avx2(Mt19937_64& rng, std::size_t robots, const core::RobotId* ids,
+                                  const double* ready, std::size_t count, double frontier,
+                                  std::uint64_t* words, double* times);
 #endif
 }  // namespace detail
 
@@ -69,12 +145,11 @@ class KAsyncScheduler final : public core::Scheduler {
     std::uint64_t seed = 11;
     /// Robot selection strategy. The default draws a fresh tie-jitter for
     /// every robot on every proposal and takes the argmin
-    /// (select_jittered): n RNG draws per proposal, the seeded stream all
-    /// previously recorded schedules follow. The draws are batched and
-    /// vectorized, at AVX2 width where the CPU has it: about 2.4 ns per
-    /// robot (n = 2048: ~4.9 µs per proposal, still the largest
-    /// per-proposal cost at that size; ~3.5 ns per robot with the
-    /// baseline x86-64 copy). true keeps the
+    /// (JitteredSelection): n RNG draws per proposal, the seeded stream all
+    /// previously recorded schedules follow. Every draw advances the
+    /// engine, but only the robots that can win are tempered and compared
+    /// (async_stream, n = 2048: ~514 of them, ~3 µs per proposal, still
+    /// the largest per-proposal cost at that size). true keeps the
     /// ready times in a min-heap instead (most-starved robot first,
     /// O(log n) and O(1) RNG draws per proposal). Both produce valid
     /// k-async schedules, deterministically from the seed, but along
@@ -94,6 +169,10 @@ class KAsyncScheduler final : public core::Scheduler {
   /// overwritten; 0 for unrestricted Async. The ring holds n x ring_stride()
   /// doubles.
   [[nodiscard]] std::size_t ring_stride() const { return stride_; }
+
+  /// RNG outputs the default selection has tempered so far
+  /// (JitteredSelection::words_tempered; 0 under heap_selection).
+  [[nodiscard]] std::uint64_t words_tempered() const { return selection_.words_tempered(); }
 
  private:
   // Open-interval index. Two observations turn the per-proposal walk over
@@ -156,6 +235,7 @@ class KAsyncScheduler final : public core::Scheduler {
   Params params_;
   Mt19937_64 rng_;
   std::vector<double> next_ready_;     // earliest allowed next look per robot
+  JitteredSelection selection_;        // the default selection's candidate set
   // heap_selection: robots ordered by ready time (ties by id); a robot's
   // entry is re-pushed with its new ready time after each of its commits,
   // so entries are never stale.

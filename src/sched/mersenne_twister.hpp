@@ -4,16 +4,18 @@
 // standard requires). It satisfies UniformRandomBitGenerator, so the std
 // distributions draw from it exactly as they draw from std::mt19937_64.
 //
-// What it adds is a bulk path. generate() hands out a run of outputs per
-// call, and both the twist and the temper are straight-line loops over the
-// 312-word state (the twist's conditional xor is a mask, not a branch), so
-// GCC vectorizes them at the width of the function they inline into. On a
-// shared 4-core Xeon VM (gcc 12 -O3, 2048 outputs per call, warm cache):
-// 0.65-0.9 ns per output inlined into an AVX2 function, 1.2-1.9 ns at
-// baseline x86-64 width, against 6.5-9 ns through
-// std::mt19937_64::operator(). KAsyncScheduler's robot selection draws one
-// output per robot per proposal through it and inlines it into an AVX2
-// copy and a baseline copy (sched/asynchronous.cpp).
+// What it adds are two bulk paths. generate() hands out a run of outputs
+// per call, and advance() skips a run of outputs while showing the caller
+// each 312-word block's untempered state words, so a caller that needs
+// only some outputs of the run tempers only those. Both the twist and the
+// temper are straight-line loops over the state (the twist's conditional
+// xor is a mask, not a branch), so GCC vectorizes them at the width of the
+// function they inline into. On a shared 4-core Xeon VM (gcc 12 -O3, 2048
+// outputs per call, warm cache): 0.65-0.9 ns per output inlined into an
+// AVX2 function, 1.2-1.9 ns at baseline x86-64 width, against 6.5-9 ns
+// through std::mt19937_64::operator(). KAsyncScheduler's robot selection
+// advances by one output per robot per proposal and tempers the outputs
+// of the robots that can win (sched/asynchronous.cpp).
 #pragma once
 
 #include <algorithm>
@@ -49,15 +51,35 @@ class Mt19937_64 {
   /// Writes the next `count` outputs to `out`: the values `count` calls of
   /// operator() would return, leaving the engine in the same state.
   void generate(result_type* out, std::size_t count) {
-    while (count > 0) {
+    advance(count, [out](std::size_t first, const result_type* words, std::size_t len) {
+      for (std::size_t i = 0; i < len; ++i) out[first + i] = temper(words[i]);
+    });
+  }
+
+  /// Moves the engine past its next `count` outputs, leaving it in the
+  /// state `count` calls of operator() would, and calls
+  /// visit(first, words, len) for each run of them that lies in one block:
+  /// the run's outputs are temper(words[0]), ..., temper(words[len - 1]),
+  /// and the run starts `first` outputs after this call's first output.
+  /// The runs come in order and cover [0, count); `words` is valid only
+  /// during the call.
+  template <class Visit>
+  void advance(std::size_t count, Visit&& visit) {
+    for (std::size_t first = 0; first < count;) {
       if (p_ == state_size) twist();
-      const std::size_t len = std::min(count, state_size - p_);
-      const result_type* x = x_.data() + p_;
-      for (std::size_t i = 0; i < len; ++i) out[i] = temper(x[i]);
+      const std::size_t len = std::min(count - first, state_size - p_);
+      visit(first, x_.data() + p_, len);
       p_ += len;
-      out += len;
-      count -= len;
+      first += len;
     }
+  }
+
+  /// The output a state word yields (std::mt19937_64's tempering).
+  static result_type temper(result_type z) {
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71D67FFFEDA60000ULL;
+    z ^= (z << 37) & 0xFFF7EEE000000000ULL;
+    return z ^ (z >> 43);
   }
 
  private:
@@ -66,13 +88,6 @@ class Mt19937_64 {
   static constexpr result_type kUpperMask = ~result_type{0} << 31;
   static constexpr result_type kLowerMask = ~kUpperMask;
   static constexpr result_type kInitMultiplier = 6364136223846793005ULL;
-
-  static result_type temper(result_type z) {
-    z ^= (z >> 29) & 0x5555555555555555ULL;
-    z ^= (z << 17) & 0x71D67FFFEDA60000ULL;
-    z ^= (z << 37) & 0xFFF7EEE000000000ULL;
-    return z ^ (z >> 43);
-  }
 
   /// One word of the recurrence: `word`'s upper 33 bits joined with
   /// `next`'s lower 31, shifted, xor'ed with `far` and, if odd, with A.

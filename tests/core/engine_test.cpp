@@ -256,6 +256,49 @@ TEST(Engine, StopCheckSortsOnlyTheRobotsThatMoved) {
   EXPECT_EQ(total, 442u);
 }
 
+TEST(Engine, KAsyncSelectionTempersOnlyTheRobotsThatCanWin) {
+  // Every proposal advances KAsync's stream by one word per robot, but
+  // tempers and compares only the candidates: robots whose ready time is
+  // within the jitter width of max(earliest ready, frontier). The totals
+  // are pinned work counts (n per proposal without the candidate set).
+  {
+    // async_stream's run (perfbench/specs/async_stream.json: n = 2048 on a
+    // 0.8 grid, KKNPS k = 2, KAsync k = 2, xi = 0.5, 20,000 activations).
+    // The k-bound's postponements leave ~500 robots waiting at the
+    // frontier, a quarter of the swarm.
+    const std::size_t n = 2048;
+    const algo::KknpsAlgorithm kknps({.k = 2});
+    sched::KAsyncScheduler sched(n, {.k = 2, .xi = 0.5, .seed = 1});
+    Engine engine(metrics::grid_configuration(n, 0.8), kknps, sched);
+    StopCondition stop;
+    stop.max_activations = 20000;
+    EXPECT_FALSE(engine.run_until(stop));
+    EXPECT_EQ(sched.words_tempered(), 10'287'175u);  // 514.4 per proposal
+  }
+  {
+    // converge_sweep's largest cell (perfbench/specs/converge_sweep.json:
+    // n = 64, KKNPS k = 2, KAsync k = 2, a random start of radius
+    // 0.4 sqrt(n)), run to eps = 0.05.
+    const std::size_t n = 64;
+    const algo::KknpsAlgorithm kknps({.k = 2});
+    sched::KAsyncScheduler sched(n, {.k = 2, .seed = 1});
+    Engine engine(metrics::random_connected_configuration(n, 3.2, 1.0, 1), kknps, sched);
+    StopCondition stop;
+    stop.epsilon = 0.05;
+    stop.max_activations = 200000;
+    EXPECT_TRUE(engine.run_until(stop));
+    EXPECT_EQ(engine.trace().records().size(), 10'496u);
+    EXPECT_EQ(sched.words_tempered(), 64'686u);  // 6.2 per proposal
+  }
+  // heap_selection draws no jitter.
+  sched::KAsyncScheduler heap(16, {.heap_selection = true});
+  const std::vector<geom::Vec2> line = metrics::line_configuration(16, 0.5);
+  const algo::KknpsAlgorithm kknps;
+  Engine engine(line, kknps, heap);
+  engine.run(100);
+  EXPECT_EQ(heap.words_tempered(), 0u);
+}
+
 TEST(Engine, MultiplicityCollapsedWithoutDetection) {
   // Two robots co-located: observer perceives a single robot.
   const ChaseFirst chase;

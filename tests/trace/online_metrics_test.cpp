@@ -205,7 +205,7 @@ TEST(OnlineMetrics, LiveSinkOnBoundedEngineMatchesMemoryPath) {
   }
 }
 
-TEST(OnlineMetrics, AccumulatorSideChannelsMatchTrace) {
+TEST(OnlineMetrics, AccumulatorOnMaterializedTraceMatchesAnalyze) {
   const std::uint64_t seed = 6;  // KAsync (seed % 4 == 2): distinct look times
   const std::size_t n = 12;
   const double v = 1.0;

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Kernel certification battery (architecture contract 12): the engine's
 # certified visibility band (VisibilityBall against the reference engine,
-# contract 1), KAsync's batched robot selection (contract 2: its baseline
-# copy and, where the CPU has AVX2, its AVX2 copy, each called directly
-# and through the run-time dispatch), the
+# contract 1), KAsync's robot selection (contract 2: its candidate set and
+# the kernel's baseline copy and, where the CPU has AVX2, its AVX2 copy,
+# each called directly and through the run-time dispatch, one proposal at
+# a time and over long proposal sequences), the
 # cohesion-stretch sweep (core::InitialPairSweep, contract 10), the
 # sort-free dense Look (the hashed co-location index, the grids' bitmap
 # candidate enumeration and geom::half_plane_gap) and lazy perception (the
@@ -16,7 +17,7 @@
 #
 #   asan-ubsan  -DCOHESION_SANITIZE=address,undefined — the 660-seed
 #           engine-vs-reference fuzz, the visibility-ball property tests,
-#           the selection fuzz over every selection copy the host can
+#           the selection fuzzes over every kernel copy the host can
 #           run, the 2400-case stretch-sweep fuzz, the
 #           co-location, grid-enumeration, half-plane-gap, diameter-tracker
 #           and lazy-KKNPS fuzzes with every allocation bounds-checked and every
