@@ -22,7 +22,6 @@ SliverFlatteningScheduler::SliverFlatteningScheduler(std::size_t robot_count, Pa
 std::optional<Activation> SliverFlatteningScheduler::next(const SimulationView& view) {
   if (done_) return std::nullopt;
   if (issued_ >= params_.max_activations) {
-    exhausted_ = true;
     done_ = true;
     return std::nullopt;
   }

@@ -45,9 +45,6 @@ class SliverFlatteningScheduler final : public core::Scheduler {
   std::optional<core::Activation> next(const core::SimulationView& view) override;
   [[nodiscard]] std::string_view name() const override { return "sliver-flattening"; }
 
-  [[nodiscard]] std::size_t stages_completed() const { return stage_ - 1; }
-  [[nodiscard]] bool exhausted_budget() const { return exhausted_; }
-
  private:
   std::size_t n_;
   Params params_;
@@ -56,7 +53,6 @@ class SliverFlatteningScheduler final : public core::Scheduler {
   std::size_t issued_ = 0;
   bool a_committed_ = false;
   bool done_ = false;
-  bool exhausted_ = false;
 };
 
 /// End-to-end run of the impossibility experiment.

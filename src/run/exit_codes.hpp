@@ -1,5 +1,6 @@
-// Exit-code taxonomy shared by the batch CLIs (cohesion_run,
-// cohesion_merge, cohesion_launch) and the supervisor that retries them.
+// Exit-code taxonomy shared by every CLI (cohesion_run, cohesion_merge,
+// cohesion_launch, cohesion_replay, cohesion_serve) and the supervisor
+// that retries them.
 //
 // The taxonomy exists for exactly one consumer question: *is retrying this
 // invocation, unchanged, able to fix it?* Transient failures (I/O: disk
@@ -14,6 +15,7 @@
 #include <signal.h>
 
 #include <atomic>
+#include <iostream>
 #include <stdexcept>
 
 namespace cohesion::run {
@@ -44,6 +46,28 @@ struct TransientError : std::runtime_error {
 struct TransientNetworkError : TransientError {
   using TransientError::TransientError;
 };
+
+/// The one exception-to-exit mapping every tool's main routes through:
+/// returns what `body` returns, or turns what escapes it into one stderr
+/// line prefixed with `tool` and the taxonomy's code — TransientNetworkError
+/// 5, TransientError 3, anything else 1.
+template <class Body>
+int run_main(const char* tool, Body&& body) {
+  try {
+    return body();
+  } catch (const TransientNetworkError& e) {
+    std::cerr << tool << ": " << e.what()
+              << " (transient network — the daemon may be down or restarting; retrying "
+                 "may succeed)\n";
+    return kExitTransientNetwork;
+  } catch (const TransientError& e) {
+    std::cerr << tool << ": " << e.what() << " (transient — retrying may succeed)\n";
+    return kExitTransient;
+  } catch (const std::exception& e) {
+    std::cerr << tool << ": " << e.what() << "\n";
+    return kExitPermanent;
+  }
+}
 
 /// Whether a worker that exited with `code` is worth relaunching with the
 /// same arguments. Transient (I/O or network) and interrupted exits are;

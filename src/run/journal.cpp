@@ -3,7 +3,10 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
+#include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -25,26 +28,76 @@ namespace {
   throw TransientError(label + " " + path + ": " + what);
 }
 
+[[noreturn]] void fail_write(const std::string& path, int err) {
+  throw TransientError("cannot write " + path + " (" + std::strerror(err) + ")");
+}
+
 int open_or_throw(const std::string& label, const std::string& path, int flags) {
   const int fd = ::open(path.c_str(), flags, 0644);
   if (fd < 0) fail_io(label, path, std::string("cannot open (") + std::strerror(errno) + ")");
   return fd;
 }
 
-void write_all(int fd, const std::string& label, const std::string& path,
-               std::string_view data) {
+/// The one loop that writes a whole buffer with write(2), through short
+/// writes and EINTR. Returns 0, or the errno of the write that failed.
+int write_all(int fd, std::string_view data) {
   std::size_t off = 0;
   while (off < data.size()) {
     const ::ssize_t w = ::write(fd, data.data() + off, data.size() - off);
     if (w < 0) {
       if (errno == EINTR) continue;
-      fail_io(label, path, std::string("write failed (") + std::strerror(errno) + ")");
+      return errno;
     }
     off += static_cast<std::size_t>(w);
+  }
+  return 0;
+}
+
+void append_or_throw(int fd, const std::string& label, const std::string& path,
+                     std::string_view data) {
+  if (const int err = write_all(fd, data)) {
+    fail_io(label, path, std::string("write failed (") + std::strerror(err) + ")");
   }
 }
 
 }  // namespace
+
+void write_file(const std::string& path, std::string_view bytes) {
+  if (path.empty()) {
+    std::fflush(stdout);  // whatever the tool printed first stays first
+    if (const int err = write_all(STDOUT_FILENO, bytes)) fail_write("stdout", err);
+    return;
+  }
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd < 0) fail_write(path, errno);
+  int err = write_all(fd, bytes);
+  if (::close(fd) != 0 && err == 0) err = errno;
+  if (err != 0) fail_write(path, err);
+}
+
+void replace_file(const std::string& path, std::string_view bytes) {
+  static std::atomic<std::uint64_t> serial{0};
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
+                          std::to_string(serial.fetch_add(1, std::memory_order_relaxed));
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL, 0644);
+  if (fd < 0) fail_write(path, errno);
+  int err = write_all(fd, bytes);
+  if (err == 0 && ::fsync(fd) != 0) err = errno;
+  if (::close(fd) != 0 && err == 0) err = errno;
+  if (err == 0 && std::rename(tmp.c_str(), path.c_str()) != 0) err = errno;
+  if (err != 0) {
+    ::unlink(tmp.c_str());
+    fail_write(path, err);
+  }
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw TransientError("cannot open " + path + " (" + std::strerror(errno) + ")");
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return std::move(buf).str();
+}
 
 LineJournal::LineJournal(int fd, std::string path, std::string label, std::size_t fsync_every)
     : fd_(fd), path_(std::move(path)), label_(std::move(label)), fsync_every_(fsync_every) {}
@@ -58,15 +111,7 @@ LineJournal::~LineJournal() {
 
 LineJournal::Loaded LineJournal::load(const JournalFormat& format, const std::string& path) {
   Loaded loaded;
-  std::string content;
-  {
-    std::ifstream in(path, std::ios::binary);
-    if (in) {
-      std::ostringstream buf;
-      buf << in.rdbuf();
-      content = buf.str();
-    }
-  }
+  const std::string content = ::access(path.c_str(), F_OK) == 0 ? read_file(path) : "";
   // Complete lines end in '\n'; anything after the last '\n' is a torn
   // final line from a crash mid-append.
   const std::size_t last_nl = content.rfind('\n');
@@ -107,7 +152,7 @@ std::unique_ptr<LineJournal> LineJournal::create(const JournalFormat& format,
                                                  std::size_t fsync_every) {
   const int fd = open_or_throw(format.label, path, O_WRONLY | O_CREAT | O_TRUNC | O_APPEND);
   try {
-    write_all(fd, format.label, path, header.dump() + "\n");
+    append_or_throw(fd, format.label, path, header.dump() + "\n");
   } catch (...) {
     ::close(fd);
     throw;
@@ -130,7 +175,7 @@ std::unique_ptr<LineJournal> LineJournal::reopen(const JournalFormat& format,
 }
 
 void LineJournal::append(const Json& record) {
-  write_all(fd_, label_, path_, record.dump() + "\n");
+  append_or_throw(fd_, label_, path_, record.dump() + "\n");
   if (fsync_every_ > 0 && ++since_sync_ >= fsync_every_) {
     since_sync_ = 0;
     if (::fsync(fd_) != 0) {

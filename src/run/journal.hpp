@@ -16,6 +16,17 @@
 // Failures of the input (bad marker, malformed line) throw
 // std::runtime_error; failures of the environment (open, write, fsync,
 // truncate) throw run::TransientError — the exit-code taxonomy's split.
+//
+// The whole-file boundary lives here too, so every file the system reads
+// or writes goes through one write(2) loop and one reader:
+//
+//   * write_file — a user-named output (--out, --svg, stdout), written in
+//     place, so /dev/stdout, FIFOs and symlinks keep working;
+//   * replace_file — a file the system creates and owns (cache entries,
+//     job spec files), published through a temp file and rename(2);
+//   * read_file — a whole input file.
+//
+// All three throw run::TransientError naming the path and errno.
 #pragma once
 
 #include <cstddef>
@@ -27,6 +38,22 @@
 #include "run/json.hpp"
 
 namespace cohesion::run {
+
+/// Write `bytes` to `path` in place (created or truncated, never renamed
+/// over), or to standard output when `path` is empty. A failed open, short
+/// write or failed close throws TransientError naming the path.
+void write_file(const std::string& path, std::string_view bytes);
+
+/// Publish `bytes` at `path` atomically: a unique temp file in the same
+/// directory, written in full, fsync'd and renamed over `path`, so a reader
+/// sees the old file or the whole new one. On failure the temp file is
+/// unlinked, `path` is left as it was and TransientError is thrown.
+/// Concurrent publishers of one path race benignly (last rename wins).
+void replace_file(const std::string& path, std::string_view bytes);
+
+/// The whole content of `path`; a file that cannot be opened throws
+/// TransientError (it may not have landed yet).
+std::string read_file(const std::string& path);
 
 /// Names one journal kind, for the header check and for error messages.
 struct JournalFormat {

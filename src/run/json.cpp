@@ -7,9 +7,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
+
+#include "run/journal.hpp"
 
 namespace cohesion::run {
 
@@ -289,13 +289,7 @@ void append_escaped(std::string& out, const std::string& s) {
 
 Json Json::parse(std::string_view text) { return Parser(text).parse_document(); }
 
-Json Json::parse_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) fail("cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse(buffer.str());
-}
+Json Json::parse_file(const std::string& path) { return parse(read_file(path)); }
 
 bool Json::as_bool() const {
   if (const bool* b = std::get_if<bool>(&v_)) return *b;

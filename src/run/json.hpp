@@ -55,6 +55,8 @@ class Json {
   /// Parse a complete JSON document; throws std::runtime_error with a
   /// character offset on malformed input or trailing garbage.
   static Json parse(std::string_view text);
+  /// parse(run::read_file(path)): a file that cannot be opened throws
+  /// run::TransientError, a malformed one std::runtime_error.
   static Json parse_file(const std::string& path);
 
   [[nodiscard]] bool is_null() const { return std::holds_alternative<std::nullptr_t>(v_); }

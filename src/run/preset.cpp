@@ -1,7 +1,6 @@
 #include "run/preset.hpp"
 
 #include <filesystem>
-#include <fstream>
 #include <stdexcept>
 #include <vector>
 
@@ -95,13 +94,12 @@ Json resolve_in_chain(Json doc, const std::string& source_dir, Chain& chain) {
 }
 
 Json load_resolved(const fs::path& path, Chain& chain) {
-  {
-    std::ifstream probe(path);
-    if (!probe) fail(chain, "cannot open \"" + path.string() + "\"");
-  }
   Json doc;
   try {
     doc = Json::parse_file(path.string());
+  } catch (const TransientError&) {
+    // A missing base is a wrong "extends", not a file still landing.
+    fail(chain, "cannot open \"" + path.string() + "\"");
   } catch (const std::exception& e) {
     fail(chain, "\"" + path.string() + "\" is not valid JSON (" + std::string(e.what()) + ")");
   }
@@ -134,20 +132,14 @@ Json load_spec_file(const std::string& path) {
   Chain chain;
   chain.display.push_back(path);
   chain.canonical.push_back(canonical_key(path));
-  // The top-level file is opened by the caller's rules (the CLI probes it
-  // for the transient/permanent distinction first); parse errors here keep
-  // their plain form, chain errors begin once an "extends" is followed.
+  // An unreadable top-level file is transient (it may not have been
+  // copied yet); parse errors here keep their plain form, chain errors
+  // begin once an "extends" is followed.
   Json doc = Json::parse_file(path);
   return resolve_in_chain(std::move(doc), fs::path(path).parent_path().string(), chain);
 }
 
 ExperimentSpec load_experiment_file(const std::string& path) {
-  {
-    // Distinguish the unreadable file (transient: not copied yet, NFS
-    // hiccup) from the unparseable one (permanent) before parsing.
-    std::ifstream probe(path);
-    if (!probe) throw TransientError("cannot open spec file " + path);
-  }
   // Preset layering ("extends") resolves here — before expansion, and
   // therefore before any fingerprint (checkpoint or cache) is computed.
   const Json doc = load_spec_file(path);

@@ -42,9 +42,10 @@ namespace cohesion::run {
 void deep_merge(Json& base, const Json& overlay);
 
 /// Parse the spec file at `path` and resolve its "extends" chain (see file
-/// header). With no "extends" key this is exactly Json::parse_file.
-/// Throws std::runtime_error naming the preset chain on cycles, missing
-/// bases, or malformed "extends" values.
+/// header). With no "extends" key this is exactly Json::parse_file, so an
+/// unreadable `path` throws run::TransientError. Throws std::runtime_error
+/// naming the preset chain on cycles, missing bases, or malformed
+/// "extends" values.
 [[nodiscard]] Json load_spec_file(const std::string& path);
 
 /// The experiment every entry point runs: load_spec_file, then wrap a

@@ -1,16 +1,10 @@
 #include "run/result_cache.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <stdexcept>
 
 #include "run/exit_codes.hpp"
+#include "run/journal.hpp"
 
 namespace cohesion::run {
 
@@ -70,15 +64,8 @@ std::optional<RunOutcome> ResultCache::lookup(const ExpandedRun& run) noexcept {
       return std::nullopt;
     }
     const std::string path = entry_path(run.spec);
-    std::string content;
-    {
-      std::ifstream in(path, std::ios::binary);
-      if (!in) {
-        misses_.fetch_add(1, std::memory_order_relaxed);
-        return std::nullopt;
-      }
-      content.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
-    }
+    // An absent entry throws, and the catch below counts the miss.
+    const std::string content = read_file(path);
 
     Json doc;
     try {
@@ -148,34 +135,12 @@ void ResultCache::insert(const ExpandedRun& run, const RunOutcome& outcome) noex
     entry.set("identity", fingerprint_hex(run_identity(run.spec)));
     entry.set("outcome", payload);
     entry.set("checksum", fingerprint_hex(fnv1a64(payload.dump())));
-    const std::string bytes = entry.dump() + "\n";
 
-    // Atomic publish: unique temp file, full write + fsync, rename(2).
-    // Concurrent inserters of one key race benignly — deterministic runs
-    // make every contender's bytes identical, so last-rename-wins serves
-    // the same entry regardless of interleaving.
-    const std::string path = entry_path(run.spec);
-    const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
-                            std::to_string(temp_serial_.fetch_add(1, std::memory_order_relaxed));
-    const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL, 0644);
-    if (fd < 0) return;
-    std::size_t off = 0;
-    bool ok = true;
-    while (off < bytes.size()) {
-      const ::ssize_t w = ::write(fd, bytes.data() + off, bytes.size() - off);
-      if (w < 0) {
-        if (errno == EINTR) continue;
-        ok = false;
-        break;
-      }
-      off += static_cast<std::size_t>(w);
-    }
-    if (ok) ok = ::fsync(fd) == 0;
-    ::close(fd);
-    if (!ok || std::rename(tmp.c_str(), path.c_str()) != 0) {
-      ::unlink(tmp.c_str());
-      return;
-    }
+    // Atomic publish (replace_file). Concurrent inserters of one key race
+    // benignly — deterministic runs make every contender's bytes
+    // identical, so last-rename-wins serves the same entry regardless of
+    // interleaving. A throw lands in the catch below: a dropped insert.
+    replace_file(entry_path(run.spec), entry.dump() + "\n");
     inserts_.fetch_add(1, std::memory_order_relaxed);
   } catch (...) {
     // Dropped insert: the entry is simply absent next time.

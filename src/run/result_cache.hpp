@@ -35,11 +35,11 @@
 // checksum mismatch, truncation, bit flips, malformed payload) is a
 // *reject* — counted, its cause recorded, never silently served.
 //
-// Concurrency. Inserts are atomic: the entry is written to a unique temp
-// file in the cache directory, fsync'd, then rename(2)'d into place —
-// readers see either no entry or a complete one, and racing writers of the
-// same key produce identical bytes (outcomes are deterministic), so last-
-// rename-wins is harmless. One ResultCache may be shared by every worker
+// Concurrency. Inserts are atomic (run::replace_file): the entry is
+// written to a unique temp file in the cache directory, fsync'd, then
+// rename(2)'d into place — readers see either no entry or a complete one,
+// and racing writers of the same key produce identical bytes (outcomes are
+// deterministic), so last-rename-wins is harmless. One ResultCache may be shared by every worker
 // thread of a BatchRunner, and one directory by any number of processes
 // (the sharded-sweep e2e test runs 3 concurrent shard workers against one
 // cache). Lookup/insert never throw — a sick cache degrades to misses, a
@@ -119,7 +119,6 @@ class ResultCache {
   std::atomic<std::uint64_t> rejects_{0};
   std::atomic<std::uint64_t> inserts_{0};
   std::atomic<std::uint64_t> bypassed_{0};
-  std::atomic<std::uint64_t> temp_serial_{0};  ///< unique temp-file names
   mutable std::mutex mutex_;
   std::vector<std::string> reject_causes_;  ///< guarded by mutex_
 };

@@ -4,13 +4,12 @@
 // standard requires). It satisfies UniformRandomBitGenerator, so the std
 // distributions draw from it exactly as they draw from std::mt19937_64.
 //
-// What it adds are two bulk paths. generate() hands out a run of outputs
-// per call, and advance() skips a run of outputs while showing the caller
-// each 312-word block's untempered state words, so a caller that needs
-// only some outputs of the run tempers only those. Both the twist and the
-// temper are straight-line loops over the state (the twist's conditional
-// xor is a mask, not a branch), so GCC vectorizes them at the width of the
-// function they inline into. On a shared 4-core Xeon VM (gcc 12 -O3, 2048
+// What it adds is one bulk path: advance() skips a run of outputs while
+// showing the caller each 312-word block's untempered state words, so a
+// caller that needs only some outputs of the run tempers only those. Both
+// the twist and the temper are straight-line loops over the state (the
+// twist's conditional xor is a mask, not a branch), so GCC vectorizes them
+// at the width of the function they inline into. On a shared 4-core Xeon VM (gcc 12 -O3, 2048
 // outputs per call, warm cache): 0.65-0.9 ns per output inlined into an
 // AVX2 function, 1.2-1.9 ns at baseline x86-64 width, against 6.5-9 ns
 // through std::mt19937_64::operator(). KAsyncScheduler's robot selection
@@ -46,14 +45,6 @@ class Mt19937_64 {
   result_type operator()() {
     if (p_ == state_size) twist();
     return temper(x_[p_++]);
-  }
-
-  /// Writes the next `count` outputs to `out`: the values `count` calls of
-  /// operator() would return, leaving the engine in the same state.
-  void generate(result_type* out, std::size_t count) {
-    advance(count, [out](std::size_t first, const result_type* words, std::size_t len) {
-      for (std::size_t i = 0; i < len; ++i) out[first + i] = temper(words[i]);
-    });
   }
 
   /// Moves the engine past its next `count` outputs, leaving it in the

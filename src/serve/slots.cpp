@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <filesystem>
 #include <fstream>
 #include <map>
 #include <optional>
@@ -16,13 +15,12 @@
 
 #include "run/args.hpp"
 #include "run/exit_codes.hpp"
+#include "run/journal.hpp"
 #include "serve/runner.hpp"
 
 namespace cohesion::serve {
 
 namespace {
-
-namespace fs = std::filesystem;
 
 /// A lease a slot holds, with the runner executing it.
 struct Slot {
@@ -38,19 +36,6 @@ void append_torn_tail(const std::string& path) {
   // crash mid-write(2) would leave if appends were not single writes.
   std::ofstream out(path, std::ios::binary | std::ios::app);
   out << R"({"index": 4294967295, "variant": 0, "repe)";
-}
-
-/// Write `text` to `path` through a temp file and a rename, so a reader
-/// sees the old file or the whole new one.
-void write_atomically(const std::string& path, const std::string& text) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!(out << text).flush()) throw run::TransientError("cannot write " + tmp);
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) throw run::TransientError("cannot rename " + tmp + " to " + path);
 }
 
 class Slots {
@@ -119,7 +104,7 @@ class Slots {
       // Once per loop, before the job's first runner: a rewrite under a
       // starting runner would hand it a truncated spec.
       if (spec_written_.count(lease.job) == 0) {
-        write_atomically(launch.spec_path, lease.spec.dump(2) + "\n");
+        run::replace_file(launch.spec_path, lease.spec.dump(2) + "\n");
         spec_written_.insert(lease.job);
       }
       slot.emplace(Slot{.runner = RunnerProcess::spawn(launch), .lease = std::move(lease)});

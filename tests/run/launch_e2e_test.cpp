@@ -39,6 +39,18 @@ using test::run_tool;
 using test::spawn_tool;
 using test::wait_code;
 
+/// Runs a tool whose output is bound for /dev/full, through a flag or
+/// through stdout (`stdout_path`): it must exit 3 and name where the output
+/// was going. Every tool writes such outputs in place, so /dev/full itself
+/// is never replaced.
+void expect_lost_output_is_transient(const std::vector<std::string>& args, const std::string& log,
+                                     const std::string& named,
+                                     const std::string& stdout_path = {}) {
+  fs::remove(log);
+  EXPECT_EQ(run_tool(args, log, stdout_path), kExitTransient) << read_file(log);
+  EXPECT_NE(read_file(log).find("cannot write " + named), std::string::npos) << read_file(log);
+}
+
 class LaunchE2E : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -381,6 +393,11 @@ TEST_F(LaunchE2E, WorkerExitCodesDistinguishTransientFromPermanent) {
                       dir_ + "/b.ckpt"},
                      log),
             kExitUsage);
+  // A report lost to a full disk is transient, through --out or stdout.
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  expect_lost_output_is_transient({runner_, spec_path_, "--out", "/dev/full"}, log, "/dev/full");
+  expect_lost_output_is_transient({runner_, spec_path_}, log, "stdout", "/dev/full");
+  expect_lost_output_is_transient({runner_, "--list"}, log, "stdout", "/dev/full");
 }
 
 TEST_F(LaunchE2E, MisspelledParamInAnyVariantFailsBeforeAnyRunStarts) {
@@ -523,6 +540,30 @@ TEST_F(LaunchE2E, MergeExitCodesDistinguishTransientFromPermanent) {
   std::ofstream(junk) << R"({"hello": 1})";
   EXPECT_EQ(run_tool({merge, junk}, log), kExitPermanent);
   EXPECT_EQ(run_tool({merge}, log), kExitUsage);
+  // A merged report lost to a full disk is transient.
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const std::string partial = dir_ + "/p0.json";
+  ASSERT_EQ(run_tool({runner_, spec_path_, "--shard", "0/1", "--out", partial}, log), kExitSuccess);
+  expect_lost_output_is_transient({merge, partial, "--out", "/dev/full"}, log, "/dev/full");
+}
+
+TEST_F(LaunchE2E, LaunchAndReplayExitTransientWhenTheirOutputCannotBeWritten) {
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const std::string launch = build_dir() + "/cohesion_launch";
+  const std::string replay = build_dir() + "/cohesion_replay";
+  const std::string log = dir_ + "/full.log";
+  expect_lost_output_is_transient({launch, spec_path_, "--shards", "2", "--work-dir",
+                                   dir_ + "/work", "--quiet", "--out", "/dev/full"},
+                                  log, "/dev/full");
+
+  ASSERT_EQ(run_tool({runner_, spec_path_, "--trace-dir", dir_ + "/traces", "--out",
+                      dir_ + "/report.json"},
+                     log),
+            kExitSuccess);
+  const std::string trace = dir_ + "/traces/run_0.cohtrace";
+  expect_lost_output_is_transient({replay, trace, "--out", "/dev/full"}, log, "/dev/full");
+  expect_lost_output_is_transient({replay, trace, "--svg", "/dev/full"}, log, "/dev/full");
+  expect_lost_output_is_transient({replay, trace}, log, "stdout", "/dev/full");
 }
 
 }  // namespace

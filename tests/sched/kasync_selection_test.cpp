@@ -33,9 +33,11 @@ TEST(Mt19937_64, StandardTenThousandthOutput) {
   EXPECT_EQ(scalar(), 9981545732273789042ULL);
 
   Mt19937_64 bulk;
-  std::vector<std::uint64_t> out(10000);
-  bulk.generate(out.data(), out.size());
-  EXPECT_EQ(out.back(), 9981545732273789042ULL);
+  std::uint64_t last = 0;
+  bulk.advance(10000, [&](std::size_t, const std::uint64_t* words, std::size_t len) {
+    last = Mt19937_64::temper(words[len - 1]);
+  });
+  EXPECT_EQ(last, 9981545732273789042ULL);
 }
 
 TEST(Mt19937_64, MatchesStdEngineWithBulkCallsAtEveryBlockOffset) {
@@ -44,42 +46,34 @@ TEST(Mt19937_64, MatchesStdEngineWithBulkCallsAtEveryBlockOffset) {
     std::mt19937_64 reference(seed);
     Mt19937_64 engine(seed);
     std::vector<std::uint64_t> buf(3 * kBlock);
-    std::bitset<kBlock> bulk_offsets;
-    std::bitset<kBlock> advance_offsets;
+    std::bitset<kBlock> offsets;
     std::size_t pos = 0;
     for (std::size_t segment = 0; pos < kOutputs; ++segment) {
-      // Scalar calls up to the next target offset, then one bulk call
-      // (generate and advance take turns) whose length (0 to ~2 blocks)
-      // walks across block boundaries.
-      const std::size_t scalar_run = (segment / 2 + kBlock - pos % kBlock) % kBlock;
+      // Scalar calls up to the next target offset, then one advance() whose
+      // length (0 to ~2 blocks) walks across block boundaries.
+      const std::size_t scalar_run = (segment + kBlock - pos % kBlock) % kBlock;
       for (std::size_t i = 0; i < scalar_run && pos < kOutputs; ++i, ++pos) {
         ASSERT_EQ(engine(), reference()) << "seed " << seed << " output " << pos;
       }
       if (pos == kOutputs) break;
       const std::size_t len = std::min((segment * 131) % (2 * kBlock + 7), kOutputs - pos);
-      if (segment % 2 == 0) {
-        bulk_offsets.set(pos % kBlock);
-        engine.generate(buf.data(), len);
-      } else {
-        // advance() shows each block's run of untempered words once, in
-        // order, each run inside one block; tempered, they are the outputs.
-        advance_offsets.set(pos % kBlock);
-        std::size_t covered = 0;
-        engine.advance(len, [&](std::size_t first, const std::uint64_t* words, std::size_t run) {
-          ASSERT_EQ(first, covered) << "seed " << seed << " output " << pos;
-          ASSERT_GT(run, 0u);
-          ASSERT_LE((pos + first) % kBlock + run, kBlock) << "run crosses a block";
-          for (std::size_t i = 0; i < run; ++i) buf[first + i] = Mt19937_64::temper(words[i]);
-          covered += run;
-        });
-        ASSERT_EQ(covered, len) << "seed " << seed << " output " << pos;
-      }
+      // advance() shows each block's run of untempered words once, in
+      // order, each run inside one block; tempered, they are the outputs.
+      offsets.set(pos % kBlock);
+      std::size_t covered = 0;
+      engine.advance(len, [&](std::size_t first, const std::uint64_t* words, std::size_t run) {
+        ASSERT_EQ(first, covered) << "seed " << seed << " output " << pos;
+        ASSERT_GT(run, 0u);
+        ASSERT_LE((pos + first) % kBlock + run, kBlock) << "run crosses a block";
+        for (std::size_t i = 0; i < run; ++i) buf[first + i] = Mt19937_64::temper(words[i]);
+        covered += run;
+      });
+      ASSERT_EQ(covered, len) << "seed " << seed << " output " << pos;
       for (std::size_t i = 0; i < len; ++i, ++pos) {
         ASSERT_EQ(buf[i], reference()) << "seed " << seed << " output " << pos;
       }
     }
-    EXPECT_TRUE(bulk_offsets.all()) << "seed " << seed;
-    EXPECT_TRUE(advance_offsets.all()) << "seed " << seed;
+    EXPECT_TRUE(offsets.all()) << "seed " << seed;
   }
 }
 

@@ -211,6 +211,26 @@ TEST_F(ServeE2E, TwoWorkersServeByteIdenticalReport) {
   EXPECT_EQ(wait_code(daemon), 0);
 }
 
+TEST_F(ServeE2E, SubmitWaitExitsTransientWhenTheReportCannotBeWritten) {
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const ::pid_t daemon = start_daemon();
+  const std::string log = dir_ + "/submit.log";
+  const ::pid_t submit = track(spawn_tool(
+      {serve_, "--submit", spec_path_, address_, "--wait", "--out", "/dev/full"}, log));
+  start_worker("w1", 0);
+  // The job succeeds; only its report is lost, to a full disk: transient,
+  // naming the path. The write is in place, so /dev/full is never replaced.
+  EXPECT_EQ(wait_code(submit), run::kExitTransient) << read_file(log);
+  EXPECT_NE(read_file(log).find("cannot write /dev/full"), std::string::npos) << read_file(log);
+  // The job table, printed on a full stdout, is lost the same way.
+  EXPECT_EQ(wait_code(spawn_tool({serve_, "--status", address_}, log, "/dev/full")),
+            run::kExitTransient)
+      << read_file(log);
+  EXPECT_NE(read_file(log).find("cannot write stdout"), std::string::npos) << read_file(log);
+  EXPECT_EQ(wait_code(spawn_tool({serve_, "--shutdown", address_}, dir_ + "/shutdown.log")), 0);
+  EXPECT_EQ(wait_code(daemon), 0);
+}
+
 TEST_F(ServeE2E, SigkilledWorkerShrinksPartitionReportStaysByteIdentical) {
   start_daemon();
   // All three workers join BEFORE the job exists, so the first lease

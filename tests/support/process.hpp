@@ -39,8 +39,10 @@ inline int wait_code(::pid_t pid) {
 }
 
 /// Start `args` (args[0] is the binary's path) with stdout and stderr
-/// appended to `log_path`.
-inline ::pid_t spawn_tool(const std::vector<std::string>& args, const std::string& log_path) {
+/// appended to `log_path`, or stdout opened on `stdout_path` if given
+/// (e.g. /dev/full).
+inline ::pid_t spawn_tool(const std::vector<std::string>& args, const std::string& log_path,
+                          const std::string& stdout_path = {}) {
   std::vector<std::string> copy = args;
   const ::pid_t pid = ::fork();
   if (pid != 0) return pid;
@@ -50,6 +52,13 @@ inline ::pid_t spawn_tool(const std::vector<std::string>& args, const std::strin
     ::dup2(log, STDERR_FILENO);
     if (log > STDERR_FILENO) ::close(log);
   }
+  if (!stdout_path.empty()) {
+    const int out = ::open(stdout_path.c_str(), O_WRONLY);
+    if (out >= 0) {
+      ::dup2(out, STDOUT_FILENO);
+      if (out > STDERR_FILENO) ::close(out);
+    }
+  }
   std::vector<char*> argv;
   for (std::string& a : copy) argv.push_back(a.data());
   argv.push_back(nullptr);
@@ -57,8 +66,9 @@ inline ::pid_t spawn_tool(const std::vector<std::string>& args, const std::strin
   ::_exit(127);
 }
 
-inline int run_tool(const std::vector<std::string>& args, const std::string& log_path) {
-  return wait_code(spawn_tool(args, log_path));
+inline int run_tool(const std::vector<std::string>& args, const std::string& log_path,
+                    const std::string& stdout_path = {}) {
+  return wait_code(spawn_tool(args, log_path, stdout_path));
 }
 
 }  // namespace cohesion::test

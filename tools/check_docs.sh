@@ -19,6 +19,8 @@
 #   * the core documentation set (README.md, docs/architecture.md,
 #     docs/benchmarks.md, docs/experiments.md, docs/operations.md) must
 #     exist and README.md must link every docs/ file;
+#   * no tools/*.cpp opens its own output stream (std::ofstream, fopen):
+#     the front ends write through run::write_file, the one checked writer;
 #   * every repo path that README.md, docs/*.md or the verify skill notes
 #     name in an inline code span under src/ tools/ tests/ bench/
 #     perfbench/ docs/ examples/ must resolve: to a file or directory, a
@@ -67,6 +69,14 @@ for tool in tools/*.cpp; do
     complain "README.md does not mention tool $name"
   grep -q "$name" docs/operations.md ||
     complain "docs/operations.md does not mention tool $name"
+done
+
+# One checked writer: a front end that opens its own output stream can
+# lose a report silently (an unchecked write exits 0 on a full disk).
+for tool in tools/*.cpp; do
+  if grep -nE 'std::ofstream|\bfopen\(' "$tool" >&2; then
+    complain "$tool opens its own output stream; write through run::write_file"
+  fi
 done
 
 for script in tools/*.sh; do
@@ -149,6 +159,6 @@ for doc in README.md docs/*.md .claude/skills/verify/SKILL.md; do
 done
 
 if [ "$fail" = 0 ]; then
-  echo "check_docs: OK (src subsystems, bench files, test oracles, tools, CLI flags, spec fields, doc links and named paths all covered)"
+  echo "check_docs: OK (src subsystems, bench files, test oracles, tools, CLI flags, spec fields, doc links, named paths and the one tool writer all covered)"
 fi
 exit "$fail"

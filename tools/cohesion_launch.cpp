@@ -17,15 +17,16 @@
 //
 // Exit codes: 0 complete + no run errors; 1 incomplete coverage, run
 // errors, or a permanent supervisor error; 2 bad usage; 3 transient I/O
-// (e.g. an unreadable spec file); 4 SIGTERM/SIGINT (every runner stopped
-// with its journal flushed; rerun with the same --work-dir to resume).
-#include <fstream>
+// (e.g. an unreadable spec file, a report not written in full); 4
+// SIGTERM/SIGINT (every runner stopped with its journal flushed; rerun
+// with the same --work-dir to resume).
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "run/args.hpp"
 #include "run/exit_codes.hpp"
+#include "run/journal.hpp"
 #include "run/supervisor.hpp"
 
 using namespace cohesion;
@@ -66,32 +67,19 @@ int main(int argc, char** argv) {
   // The slot loop checks the flag every poll and stops and reaps its
   // runners, so none outlives the launch.
   options.stop = &run::install_stop_flag();
-  try {
+  return run::run_main("cohesion_launch", [&]() -> int {
     const run::SupervisorResult result = run::Supervisor(options).run();
     if (result.exit_code == run::kExitInterrupted) {
       std::cerr << "cohesion_launch: interrupted (SIGTERM/SIGINT) after " << result.covered_runs
                 << "/" << result.total_runs << " runs; runners stopped, journals flushed\n";
       return run::kExitInterrupted;
     }
-    if (out_path.empty()) {
-      std::cout << result.report.dump(2) << '\n';
-    } else {
-      std::ofstream out(out_path);
-      if (!out) {
-        std::cerr << "cannot write " << out_path << "\n";
-        return run::kExitTransient;
-      }
-      out << result.report.dump(2) << '\n';
+    run::write_file(out_path, result.report.dump(2) + "\n");
+    if (!out_path.empty()) {
       std::cerr << (result.complete ? "report written: " : "PARTIAL report written: ")
                 << out_path << " (" << result.covered_runs << "/" << result.total_runs
                 << " runs)\n";
     }
     return result.exit_code;
-  } catch (const run::TransientError& e) {
-    std::cerr << "cohesion_launch: " << e.what() << " (transient — retrying may succeed)\n";
-    return run::kExitTransient;
-  } catch (const std::exception& e) {
-    std::cerr << "cohesion_launch: " << e.what() << "\n";
-    return run::kExitPermanent;
-  }
+  });
 }

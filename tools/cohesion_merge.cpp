@@ -18,14 +18,15 @@
 // Exit codes (taxonomy in
 // docs/experiments.md): 0 success, 1 invalid/incomplete partials
 // (permanent — the inputs are wrong), 2 bad usage, 3 transient I/O (an
-// input not readable yet, --out unwritable — retry once the file lands).
-#include <fstream>
+// input not readable yet, a report not written in full — retry once the
+// file lands or the disk has room).
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "run/args.hpp"
 #include "run/exit_codes.hpp"
+#include "run/journal.hpp"
 #include "run/shard.hpp"
 
 using namespace cohesion;
@@ -38,37 +39,19 @@ int main(int argc, char** argv) {
   args.operand("PARTIAL", inputs, "partial reports (cohesion_run --shard), any order");
   args.done();
 
-  try {
+  return run::run_main("cohesion_merge", [&]() -> int {
+    // An absent partial is transient (its shard may still be running or
+    // copying); a present-but-invalid one is a permanent input error.
     std::vector<run::Json> partials;
     partials.reserve(inputs.size());
-    for (const std::string& path : inputs) {
-      // An absent partial is transient (its shard may still be running or
-      // copying); a present-but-invalid one is a permanent input error.
-      std::ifstream probe(path);
-      if (!probe) throw run::TransientError("cannot open partial report " + path);
-      probe.close();
-      partials.push_back(run::Json::parse_file(path));
-    }
+    for (const std::string& path : inputs) partials.push_back(run::Json::parse_file(path));
     const run::Json report = run::merge_partial_reports(partials);
 
-    if (out_path.empty()) {
-      std::cout << report.dump(2) << '\n';
-    } else {
-      std::ofstream out(out_path);
-      if (!out) {
-        std::cerr << "cannot write " << out_path << "\n";
-        return run::kExitTransient;
-      }
-      out << report.dump(2) << '\n';
+    run::write_file(out_path, report.dump(2) + "\n");
+    if (!out_path.empty()) {
       std::cerr << "merged report written: " << out_path << " (" << inputs.size()
                 << " partials)\n";
     }
     return run::kExitSuccess;
-  } catch (const run::TransientError& e) {
-    std::cerr << "cohesion_merge: " << e.what() << " (transient — retrying may succeed)\n";
-    return run::kExitTransient;
-  } catch (const std::exception& e) {
-    std::cerr << "cohesion_merge: " << e.what() << "\n";
-    return run::kExitPermanent;
-  }
+  });
 }

@@ -19,17 +19,20 @@
 //
 // Exit codes: 0 success (--check: metrics match), 1 permanent failure
 // (corrupt stream, fingerprint/version mismatch, --check mismatch), 2 bad
-// usage, 3 transient I/O failure (unreadable input, unwritable output).
+// usage, 3 transient I/O failure (unreadable input, an output not written
+// in full).
 #include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "metrics/online.hpp"
 #include "run/args.hpp"
 #include "run/exit_codes.hpp"
+#include "run/journal.hpp"
 #include "run/json.hpp"
 #include "run/spec.hpp"
 #include "trace/stream_reader.hpp"
@@ -83,13 +86,6 @@ std::string basename_of(const std::string& path) {
 
 int check_against_report(const std::string& report_path, const std::string& stream_path,
                          const std::string& fingerprint_hex, const run::Json& recomputed) {
-  {
-    std::ifstream probe(report_path);
-    if (!probe) {
-      std::cerr << "cohesion_replay: cannot open report " << report_path << "\n";
-      return run::kExitTransient;
-    }
-  }
   const run::Json report = run::Json::parse_file(report_path);
   const run::Json* runs = report.find("runs");
   if (!runs) {
@@ -163,11 +159,7 @@ int render_svg(trace::StreamTraceReader& reader, const std::string& out_path) {
 
   const double width = 1200.0, row_h = std::max(2.0, std::min(16.0, 700.0 / std::max<std::size_t>(n, 1)));
   const double height = row_h * static_cast<double>(n) + 40.0;
-  std::ofstream out(out_path);
-  if (!out) {
-    std::cerr << "cohesion_replay: cannot write " << out_path << "\n";
-    return run::kExitTransient;
-  }
+  std::ostringstream out;
   out << "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"" << width << "\" height=\"" << height
       << "\" viewBox=\"0 0 " << width << " " << height << "\">\n"
       << "<rect width=\"100%\" height=\"100%\" fill=\"white\"/>\n";
@@ -186,10 +178,7 @@ int render_svg(trace::StreamTraceReader& reader, const std::string& out_path) {
       << total << " activations, " << n << " robots, t_end=" << reader.end_time()
       << (stride > 1 ? " (every " + std::to_string(stride) + "th shown)" : "")
       << (reader.truncated() ? " [truncated stream]" : "") << "</text>\n</svg>\n";
-  if (!out) {
-    std::cerr << "cohesion_replay: writing " << out_path << " failed\n";
-    return run::kExitTransient;
-  }
+  run::write_file(out_path, out.str());
   std::cerr << "svg written: " << out_path << " (" << bars.size() << " bars)\n";
   return run::kExitSuccess;
 }
@@ -208,14 +197,8 @@ int main(int argc, char** argv) {
   args.operand("STREAM", stream_path, "a .cohtrace activation stream");
   args.done();
 
-  try {
-    {
-      std::ifstream probe(stream_path);
-      if (!probe) {
-        std::cerr << "cohesion_replay: cannot open " << stream_path << "\n";
-        return run::kExitTransient;
-      }
-    }
+  return run::run_main("cohesion_replay", [&]() -> int {
+    if (!std::ifstream(stream_path)) throw run::TransientError("cannot open " + stream_path);
     trace::StreamTraceReader reader(stream_path);
     const std::string fp_hex = run::fingerprint_hex(reader.header().fingerprint);
     if (!expect_fp.empty() && expect_fp != fp_hex) {
@@ -246,7 +229,7 @@ int main(int argc, char** argv) {
         j.set("records", reader.records_read());
         j.set("end_time", reader.end_time());
       }
-      std::cout << j.dump(2) << '\n';
+      run::write_file("", j.dump(2) + "\n");
       return run::kExitSuccess;
     }
 
@@ -273,20 +256,8 @@ int main(int argc, char** argv) {
     j.set("end_time", replayed.end_time);
     j.set("truncated", replayed.truncated);
     for (const auto& [k, v] : fields.entries()) j.set(k, v);
-    if (out_path.empty()) {
-      std::cout << j.dump(2) << '\n';
-    } else {
-      std::ofstream out(out_path);
-      if (!out) {
-        std::cerr << "cohesion_replay: cannot write " << out_path << "\n";
-        return run::kExitTransient;
-      }
-      out << j.dump(2) << '\n';
-      std::cerr << "replay written: " << out_path << "\n";
-    }
+    run::write_file(out_path, j.dump(2) + "\n");
+    if (!out_path.empty()) std::cerr << "replay written: " << out_path << "\n";
     return run::kExitSuccess;
-  } catch (const std::exception& e) {
-    std::cerr << "cohesion_replay: " << e.what() << "\n";
-    return run::kExitPermanent;
-  }
+  });
 }

@@ -26,8 +26,9 @@
 //   1  permanent failure: bad spec, unknown registry key, stale/corrupt
 //      checkpoint — retrying the same invocation fails the same way
 //   2  bad usage
-//   3  transient failure: I/O (unreadable spec file, journal write,
-//      unwritable --out) — retrying may succeed
+//   3  transient failure: I/O (unreadable spec file, journal write, a
+//      report that cannot be written in full to --out or stdout) —
+//      retrying may succeed
 //   4  interrupted by SIGTERM/SIGINT: the checkpoint journal is flushed
 //      and well-formed; rerun with --resume to continue
 #include <sys/resource.h>
@@ -35,7 +36,6 @@
 #include <algorithm>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -44,6 +44,7 @@
 #include "run/batch_runner.hpp"
 #include "run/exit_codes.hpp"
 #include "run/instantiate.hpp"
+#include "run/journal.hpp"
 #include "run/preset.hpp"
 #include "run/registry.hpp"
 #include "run/result_cache.hpp"
@@ -54,16 +55,19 @@ using namespace cohesion;
 namespace {
 
 int list_registries() {
-  const auto print = [](const char* kind, const std::vector<std::string>& keys) {
-    std::cout << kind << ":";
-    for (const std::string& k : keys) std::cout << ' ' << k;
-    std::cout << '\n';
+  std::string text;
+  const auto print = [&text](const char* kind, const std::vector<std::string>& keys) {
+    text += kind;
+    text += ':';
+    for (const std::string& k : keys) text += ' ' + k;
+    text += '\n';
   };
   print("algorithms", run::algorithms().keys());
   print("schedulers", run::schedulers().keys());
   print("errors", run::errors().keys());
   print("initials", run::initials().keys());
-  return 0;
+  run::write_file("", text);
+  return run::kExitSuccess;
 }
 
 /// Peak resident set size in KB (Linux ru_maxrss unit), for bounded-memory
@@ -110,7 +114,7 @@ int main(int argc, char** argv) {
     }
   }
   args.done();
-  if (list) return list_registries();
+  if (list) return run::run_main("cohesion_run", list_registries);
   if (!checkpoint.empty() && !resume.empty()) {
     // Mutually exclusive: --checkpoint would O_TRUNC the very journal
     // --resume is trying to continue from.
@@ -131,7 +135,7 @@ int main(int argc, char** argv) {
   }
   if (no_cache) cache_dir.clear();
 
-  try {
+  return run::run_main("cohesion_run", [&]() -> int {
     run::ExperimentSpec experiment = run::load_experiment_file(spec_path);
 
     if (!trace_dir.empty()) {
@@ -190,15 +194,8 @@ int main(int argc, char** argv) {
       std::cerr << " (" << cache_dir << ")\n";
     }
 
-    if (out_path.empty()) {
-      std::cout << report.dump(2) << '\n';
-    } else {
-      std::ofstream out(out_path);
-      if (!out) {
-        std::cerr << "cannot write " << out_path << "\n";
-        return run::kExitTransient;
-      }
-      out << report.dump(2) << '\n';
+    run::write_file(out_path, report.dump(2) + "\n");
+    if (!out_path.empty()) {
       std::cerr << "report written: " << out_path << " (" << result.outcomes.size() << " runs, "
                 << result.threads << " threads, " << result.wall_seconds << " s)\n";
     }
@@ -214,11 +211,5 @@ int main(int argc, char** argv) {
       }
     }
     return run::kExitSuccess;
-  } catch (const run::TransientError& e) {
-    std::cerr << "cohesion_run: " << e.what() << " (transient — retrying may succeed)\n";
-    return run::kExitTransient;
-  } catch (const std::exception& e) {
-    std::cerr << "cohesion_run: " << e.what() << "\n";
-    return run::kExitPermanent;
-  }
+  });
 }

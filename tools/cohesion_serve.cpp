@@ -23,21 +23,22 @@
 // restarts (job ids are ledger-stable).
 //
 // Exit codes (run/exit_codes.hpp): 0 ok; 1 permanent (failed job, bad
-// spec); 2 usage; 3 transient I/O; 4 interrupted by SIGTERM/SIGINT with
-// ledger/journal flushed — a restart resumes; 5 transient network (daemon
-// unreachable after --connect-attempts retries — relaunching may fix it).
+// spec); 2 usage; 3 transient I/O (e.g. a report not written in full); 4
+// interrupted by SIGTERM/SIGINT with ledger/journal flushed — a restart
+// resumes; 5 transient network (daemon unreachable after
+// --connect-attempts retries — relaunching may fix it).
 #include <signal.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <thread>
 
 #include "run/args.hpp"
 #include "run/exit_codes.hpp"
+#include "run/journal.hpp"
 #include "run/preset.hpp"
 #include "serve/daemon.hpp"
 #include "serve/protocol.hpp"
@@ -91,7 +92,7 @@ int submit(const serve::Address& address, const std::string& spec_path,
   const std::uint64_t job = reply.uint_or("job", 0);
   std::cerr << "cohesion_serve: submitted job " << job << "\n";
   if (!wait) {
-    std::cout << job << "\n";
+    run::write_file("", std::to_string(job) + "\n");
     return run::kExitSuccess;
   }
 
@@ -114,16 +115,8 @@ int submit(const serve::Address& address, const std::string& spec_path,
       std::this_thread::sleep_for(std::chrono::milliseconds(200));
       continue;
     }
-    const run::Json& report = status.at("report");
-    if (out_path.empty()) {
-      std::cout << report.dump(2) << '\n';
-    } else {
-      std::ofstream out(out_path);
-      if (!out) {
-        std::cerr << "cannot write " << out_path << "\n";
-        return run::kExitTransient;
-      }
-      out << report.dump(2) << '\n';
+    run::write_file(out_path, status.at("report").dump(2) + "\n");
+    if (!out_path.empty()) {
       std::cerr << "cohesion_serve: report written: " << out_path << " (job " << job << " "
                 << state << ")\n";
     }
@@ -183,7 +176,7 @@ int main(int argc, char** argv) {
   // A peer that vanishes mid-send must surface as EPIPE, not kill us.
   signal(SIGPIPE, SIG_IGN);
 
-  try {
+  return run::run_main("cohesion_serve", [&]() -> int {
     if (listen) {
       daemon.address = address;
       daemon.stop = g_interrupted;
@@ -209,7 +202,7 @@ int main(int argc, char** argv) {
     if (status) {
       run::Json request = run::Json::object();
       request.set("op", "status");
-      std::cout << transact_once(address, request).at("status").dump(2) << '\n';
+      run::write_file("", transact_once(address, request).at("status").dump(2) + "\n");
       return run::kExitSuccess;
     }
     // --shutdown: done() admits exactly one mode.
@@ -218,16 +211,5 @@ int main(int argc, char** argv) {
     (void)transact_once(address, request);
     std::cerr << "cohesion_serve: shutdown requested\n";
     return run::kExitSuccess;
-  } catch (const run::TransientNetworkError& e) {
-    std::cerr << "cohesion_serve: " << e.what()
-              << " (transient network — the daemon may be down or restarting; retrying "
-                 "may succeed)\n";
-    return run::kExitTransientNetwork;
-  } catch (const run::TransientError& e) {
-    std::cerr << "cohesion_serve: " << e.what() << " (transient — retrying may succeed)\n";
-    return run::kExitTransient;
-  } catch (const std::exception& e) {
-    std::cerr << "cohesion_serve: " << e.what() << "\n";
-    return run::kExitPermanent;
-  }
+  });
 }
